@@ -42,7 +42,6 @@ from .rows import (
     validate_rows,
 )
 from .series import (
-    EXACT_TERM_LIMIT,
     ZetaCombination,
     beta_rat,
     decompose_integral,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DIGIT_BUDGET",
-    "EXACT_TERM_LIMIT",
     "ApproxResult",
     "CoefficientRow",
     "Interval",

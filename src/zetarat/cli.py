@@ -21,7 +21,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -39,25 +38,6 @@ from .series import shift_reduction_residual
 from .solver import build_system, certified_row_bounds, solve_zeta
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: command plus every knob it reads."""
-
-    command: str
-    s: int = 3
-    n: int = 1
-    t: tuple[Rat, ...] = (Fraction(1),)
-    digits: int = 12
-    fmt: str = "json"
-    seed: int = 42
-    trials: int = 100
-    variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS
-    max_shift: int = 20
-    s_max: int = 10
-    n_from: int = 2
-    n_to: int = 10
-
-
 def _parse_rationals(text: str) -> tuple[Rat, ...]:
     """Comma-separated exact rationals: \"1,-1/2,0\" -> (1, -1/2, 0)."""
     parts = [p.strip() for p in text.split(",")]
@@ -70,17 +50,17 @@ def _parse_rationals(text: str) -> tuple[Rat, ...]:
 # ----------------------------------------------------------------- approx
 
 
-def _approx_fields(cfg: RunConfig) -> list[tuple[str, object]]:
-    P = shifted_legendre(cfg.n)
-    Q = binomial_poly(cfg.n)
-    T = explicit_poly(cfg.t)
-    system = build_system(P, Q, T, cfg.s)
-    bounds = certified_row_bounds(P, Q, system.T, cfg.s)
+def _approx_fields(args: argparse.Namespace) -> list[tuple[str, object]]:
+    T = explicit_poly(_parse_rationals(args.t))
+    P = shifted_legendre(args.n)
+    Q = binomial_poly(args.n)
+    system = build_system(P, Q, T, args.s)
+    bounds = certified_row_bounds(P, Q, system.T, args.s)
     res = solve_zeta(system, bounds)
-    decimal = render_decimal(res.alpha, res.beta, cfg.digits)
+    decimal = render_decimal(res.alpha, res.beta, args.digits)
     return [
-        ("s", cfg.s),
-        ("n", cfg.n),
+        ("s", args.s),
+        ("n", args.n),
         ("alpha", str(res.alpha)),
         ("beta", str(res.beta)),
         ("theta_bound", str(res.theta_bound)),
@@ -88,11 +68,11 @@ def _approx_fields(cfg: RunConfig) -> list[tuple[str, object]]:
     ]
 
 
-def cmd_approx(cfg: RunConfig) -> tuple[int, str]:
-    fields = _approx_fields(cfg)
-    if cfg.fmt == "json":
+def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
+    fields = _approx_fields(args)
+    if args.fmt == "json":
         return 0, json.dumps(dict(fields), indent=2)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         return 0, _csv_text([k for k, _ in fields], [[v for _, v in fields]])
     lines = [f"{k} = {v}" for k, v in fields]
     return 0, "\n".join(lines)
@@ -101,23 +81,24 @@ def cmd_approx(cfg: RunConfig) -> tuple[int, str]:
 # ----------------------------------------------------------------- verify
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     """Random-trial row validation.
 
     Draw order per trial is fixed: n in 1..3 first, then the coefficients
     of the three polynomials (each uniform in -3..3), so a seed pins the
     whole trial sequence.
     """
-    rng = random.Random(cfg.seed)
+    variant = TranscriptionVariant(args.variant)
+    rng = random.Random(args.seed)
     mismatching_trials = 0
     first_mismatches: list[dict] = []
-    for trial in range(cfg.trials):
+    for trial in range(args.trials):
         n = rng.randint(1, 3)
         polys = [
             explicit_poly([Fraction(rng.randint(-3, 3)) for _ in range(n + 1)])
             for _ in range(3)
         ]
-        report = validate_rows(polys[0], polys[1], polys[2], cfg.s, cfg.variant)
+        report = validate_rows(polys[0], polys[1], polys[2], args.s, variant)
         if report.all_equal:
             continue
         mismatching_trials += 1
@@ -139,20 +120,20 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
                     )
     all_equal = mismatching_trials == 0
     payload = {
-        "s_max": cfg.s,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "variant": cfg.variant.value,
+        "s_max": args.s,
+        "trials": args.trials,
+        "seed": args.seed,
+        "variant": args.variant,
         "all_equal": all_equal,
         "mismatching_trials": mismatching_trials,
         "first_mismatches": first_mismatches,
     }
     code = 0 if all_equal else 1
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         return code, json.dumps(payload, indent=2)
     lines = [
-        f"orders 3..{cfg.s}, {cfg.trials} trials, seed {cfg.seed}, "
-        f"variant {cfg.variant.value}",
+        f"orders 3..{args.s}, {args.trials} trials, seed {args.seed}, "
+        f"variant {args.variant}",
         f"all_equal: {all_equal} ({mismatching_trials} mismatching trials)",
     ]
     for m in first_mismatches:
@@ -167,12 +148,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
 # ----------------------------------------------------------------- lemma2
 
 
-def cmd_lemma2(cfg: RunConfig) -> tuple[int, str]:
+def cmd_lemma2(args: argparse.Namespace) -> tuple[int, str]:
     checked = 0
     failures: list[dict] = []
-    for r in range(1, cfg.max_shift + 1):
-        for k in range(cfg.max_shift + 1):
-            for s in range(1, cfg.s_max + 1):
+    for r in range(1, args.max_shift + 1):
+        for k in range(args.max_shift + 1):
+            for s in range(1, args.s_max + 1):
                 for power in (1, 2, 3):
                     checked += 1
                     if shift_reduction_residual(r, k, s, power) != 0:
@@ -182,18 +163,18 @@ def cmd_lemma2(cfg: RunConfig) -> tuple[int, str]:
                             )
     all_pass = not failures
     payload = {
-        "max_shift": cfg.max_shift,
-        "s_max": cfg.s_max,
+        "max_shift": args.max_shift,
+        "s_max": args.s_max,
         "checked": checked,
         "all_pass": all_pass,
         "failures": failures,
     }
     code = 0 if all_pass else 1
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         return code, json.dumps(payload, indent=2)
     text = (
         f"checked {checked} identity instances "
-        f"(r 1..{cfg.max_shift}, k 0..{cfg.max_shift}, s 1..{cfg.s_max}, powers 1-3): "
+        f"(r 1..{args.max_shift}, k 0..{args.max_shift}, s 1..{args.s_max}, powers 1-3): "
         + ("all pass" if all_pass else f"{len(failures)}+ failures {failures}")
     )
     return code, text
@@ -211,16 +192,16 @@ def _error_upper(alpha: Rat, beta: Rat, s: int, digits: int) -> Rat:
     return err.sup_abs
 
 
-def cmd_table(cfg: RunConfig) -> tuple[int, str]:
-    if cfg.n_from < 1 or cfg.n_to < cfg.n_from:
+def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
+    T = explicit_poly(_parse_rationals(args.t))
+    if args.n_from < 1 or args.n_to < args.n_from:
         raise ValueError("need 1 <= n-from <= n-to")
-    T = explicit_poly(cfg.t)
     rows = []
-    for n in range(cfg.n_from, cfg.n_to + 1):
+    for n in range(args.n_from, args.n_to + 1):
         P = shifted_legendre(n)
         Q = binomial_poly(n)
-        system = build_system(P, Q, T, cfg.s)
-        bounds = certified_row_bounds(P, Q, system.T, cfg.s)
+        system = build_system(P, Q, T, args.s)
+        bounds = certified_row_bounds(P, Q, system.T, args.s)
         res = solve_zeta(system, bounds)
         rows.append(
             {
@@ -228,19 +209,19 @@ def cmd_table(cfg: RunConfig) -> tuple[int, str]:
                 "theta_bound": str(res.theta_bound),
                 "theta_bound_sci": decimal_upper_sci(res.theta_bound),
                 "error_upper_sci": decimal_upper_sci(
-                    _error_upper(res.alpha, res.beta, cfg.s, cfg.digits)
+                    _error_upper(res.alpha, res.beta, args.s, args.digits)
                 ),
-                "decimal": render_decimal(res.alpha, res.beta, cfg.digits),
+                "decimal": render_decimal(res.alpha, res.beta, args.digits),
             }
         )
-    if cfg.fmt == "json":
-        return 0, json.dumps({"s": cfg.s, "rows": rows}, indent=2)
+    if args.fmt == "json":
+        return 0, json.dumps({"s": args.s, "rows": rows}, indent=2)
     header = ["n", "theta_bound", "error_upper", "decimal"]
     table = [
         [str(r["n"]), r["theta_bound_sci"], r["error_upper_sci"], r["decimal"]]
         for r in rows
     ]
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         return 0, _csv_text(header, table)
     widths = [max(len(h), *(len(row[i]) for row in table)) for i, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
@@ -252,23 +233,23 @@ def cmd_table(cfg: RunConfig) -> tuple[int, str]:
 # ----------------------------------------------------------------- digits
 
 
-def cmd_digits(cfg: RunConfig) -> tuple[int, str]:
-    fields = dict(_approx_fields(cfg))
+def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
+    fields = dict(_approx_fields(args))
     reference = render_interval_decimal(
-        lambda w: zeta_reference(cfg.s, w), cfg.digits
+        lambda w: zeta_reference(args.s, w), args.digits
     )
     err = _error_upper(
-        Fraction(fields["alpha"]), Fraction(fields["beta"]), cfg.s, cfg.digits
+        Fraction(fields["alpha"]), Fraction(fields["beta"]), args.s, args.digits
     )
     payload = {
-        "s": cfg.s,
-        "n": cfg.n,
-        "digits": cfg.digits,
+        "s": args.s,
+        "n": args.n,
+        "digits": args.digits,
         "approx": fields["decimal"],
         "reference": reference,
         "error_upper": decimal_upper_sci(err),
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         return 0, json.dumps(payload, indent=2)
     lines = [f"{k} = {v}" for k, v in payload.items()]
     return 0, "\n".join(lines)
@@ -283,9 +264,6 @@ def _csv_text(header: list[str], rows: list[list[object]]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
-
-
-_VARIANTS = {v.value: v for v in TranscriptionVariant}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -307,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=7, help="validate orders 3..s")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--variant", choices=sorted(_VARIANTS), default="no-h")
+    p.add_argument("--variant", choices=[v.value for v in TranscriptionVariant], default="no-h")
     p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
 
     p = sub.add_parser("lemma2", help="sweep the exact shift-reduction identities")
@@ -333,30 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs: dict = {"command": args.command}
-    for name in (
-        "s",
-        "n",
-        "digits",
-        "fmt",
-        "seed",
-        "trials",
-        "max_shift",
-        "s_max",
-        "n_from",
-        "n_to",
-    ):
-        if hasattr(args, name):
-            kwargs[name] = getattr(args, name)
-    if hasattr(args, "t"):
-        kwargs["t"] = _parse_rationals(args.t)
-    if hasattr(args, "variant"):
-        kwargs["variant"] = _VARIANTS[args.variant]
-    return RunConfig(**kwargs)
-
-
-_COMMANDS: dict[str, Callable[[RunConfig], tuple[int, str]]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[int, str]]] = {
     "approx": cmd_approx,
     "verify": cmd_verify,
     "lemma2": cmd_lemma2,
@@ -372,8 +327,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        code, text = _COMMANDS[cfg.command](cfg)
+        code, text = _COMMANDS[args.command](args)
     except PrecisionBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -96,57 +96,21 @@ class Interval:
 # ------------------------------------------------------- harmonic numbers
 
 
-@dataclass(frozen=True)
-class HarmonicTable:
-    """Immutable table of generalized harmonic numbers H_k^(m) = sum_{i<=k} i^-m.
-
-    `orders[m-1][k]` holds H_k^(m) for 1 <= m <= 3.  Construction is
-    single-threaded; afterwards the table is shared read-only.
-    """
-
-    orders: tuple[tuple[Rat, ...], ...]
-
-    MAX_ORDER = 3
-
-    @classmethod
-    def build(cls, max_k: int) -> "HarmonicTable":
-        if max_k < 0:
-            raise ValueError("max_k must be >= 0")
-        rows = []
-        for m in range(1, cls.MAX_ORDER + 1):
-            acc = Fraction(0)
-            row = [acc]
-            for k in range(1, max_k + 1):
-                acc += Fraction(1, k**m)
-                row.append(acc)
-            rows.append(tuple(row))
-        return cls(tuple(rows))
-
-    @property
-    def max_k(self) -> int:
-        return len(self.orders[0]) - 1
-
-    def value(self, k: int, m: int = 1) -> Rat:
-        if not 1 <= m <= self.MAX_ORDER:
-            raise ValueError(f"harmonic order must be 1..{self.MAX_ORDER}, got {m}")
-        return self.orders[m - 1][k]
-
-
-_shared_table = HarmonicTable.build(64)
+#: H_k^(m) = sum_{i<=k} i^-m at index k of table m-1, for m = 1..3.
+#: harmonic() extends each table in place as larger k are asked for.
+_HARMONIC: tuple[list[Rat], ...] = ([Fraction(0)], [Fraction(0)], [Fraction(0)])
 
 
 def harmonic(k: int, m: int = 1) -> Rat:
-    """H_k^(m) = 1 + 1/2^m + ... + 1/k^m, with H_0^(m) = 0.
-
-    Backed by a shared immutable table, grown by replacement when k exceeds
-    the current bound.
-    """
-    global _shared_table
+    """H_k^(m) = 1 + 1/2^m + ... + 1/k^m, with H_0^(m) = 0, for m = 1..3."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > _shared_table.max_k:
-        _shared_table = HarmonicTable.build(max(k, 2 * _shared_table.max_k))
-    return _shared_table.value(k, m)
+    if not 1 <= m <= len(_HARMONIC):
+        raise ValueError(f"harmonic order must be 1..{len(_HARMONIC)}, got {m}")
+    table = _HARMONIC[m - 1]
+    while len(table) <= k:
+        table.append(table[-1] + Fraction(1, len(table) ** m))
+    return table[k]
 
 
 # ------------------------------------------------------ reference zeta(p)
@@ -277,18 +241,9 @@ def render_decimal(alpha: RatLike, beta: RatLike, digits: int) -> str:
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha == 0:
         return _round_half_even(beta, digits)
-    w = digits + 8
-    while True:
-        enc = zeta_reference(2, w).scale(alpha).shift(beta)
-        lo_s = _round_half_even(enc.lo, digits)
-        hi_s = _round_half_even(enc.hi, digits)
-        if lo_s == hi_s:
-            return lo_s
-        if w > DIGIT_BUDGET:
-            raise PrecisionBudgetError(
-                f"rendering needs more than {DIGIT_BUDGET} digits"
-            )
-        w *= 2
+    return render_interval_decimal(
+        lambda w: zeta_reference(2, w).scale(alpha).shift(beta), digits
+    )
 
 
 def render_interval_decimal(make: Callable[[int], Interval], digits: int) -> str:

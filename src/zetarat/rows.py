@@ -8,7 +8,10 @@ coefficients via the cyclic symbol
 
     S_{mu,nu,lam} = a_mu b_nu c_lam + b_mu c_nu a_lam + c_mu a_nu b_lam.
 
-Every formula here was adjudicated term-by-term against the exact
+One kernel, coefficient_row, builds the row of every order s >= 3 in a
+single pass over the index blocks; orders 3 and 4 are the cases where the
+mandatory zeta(3) and zeta(2) extra blocks land on the lead and sub-lead
+coefficients.  Every formula was adjudicated term-by-term against the exact
 partial-fraction oracle (`series.decompose_integral`); where the available
 closed forms admit two genuinely different readings of the triple-sum block
 (orders >= 5), both are implemented and selectable via TranscriptionVariant.
@@ -57,317 +60,11 @@ def s_sym(P: PolySpec, Q: PolySpec, T: PolySpec, mu: int, nu: int, lam: int) -> 
     for idx in (mu, nu, lam):
         if not 0 <= idx < len(a):
             raise ValueError(f"index {idx} out of range 0..{len(a) - 1}")
-    return a[mu] * b[nu] * c[lam] + b[mu] * c[nu] * a[lam] + c[mu] * a[nu] * b[lam]
+    return _s(a, b, c, mu, nu, lam)
 
 
 def _s(a: Sequence[Rat], b: Sequence[Rat], c: Sequence[Rat], mu: int, nu: int, lam: int) -> Rat:
     return a[mu] * b[nu] * c[lam] + b[mu] * c[nu] * a[lam] + c[mu] * a[nu] * b[lam]
-
-
-def _abc(a: Sequence[Rat], b: Sequence[Rat], c: Sequence[Rat], r: int) -> Rat:
-    return a[r] * b[r] * c[r]
-
-
-# ------------------------------------------------------------- order three
-
-
-def row_zeta3(P: PolySpec, Q: PolySpec, T: PolySpec) -> CoefficientRow:
-    """Closed form of I(P,Q,T; 3) = z3*zeta(3) + z2*zeta(2) + constant.
-
-        z3 = sum_{r=0..n} a_r b_r c_r
-        z2 = -sum_{r>=1} sum_{l<r} (S_rrl - S_llr)/(r-l)
-
-    The constant aggregates H^(3) singles, an H^(2)/H double block (in
-    unsymmetrized form — the symmetrized variant provably disagrees with
-    the oracle), and a fully symmetric triple block.
-    """
-    a, b, c = coefficient_triple(P, Q, T)
-    n = len(a) - 1
-    z3 = sum((_abc(a, b, c, r) for r in range(n + 1)), Fraction(0))
-    acc2 = Fraction(0)
-    for r in range(1, n + 1):
-        for l in range(r):
-            acc2 += (_s(a, b, c, r, r, l) - _s(a, b, c, l, l, r)) / Fraction(r - l)
-    const_acc = sum(
-        (_abc(a, b, c, r) * harmonic(r, 3) for r in range(1, n + 1)), Fraction(0)
-    )
-    for r in range(1, n + 1):
-        for l in range(r):
-            s_rrl = _s(a, b, c, r, r, l)
-            s_llr = _s(a, b, c, l, l, r)
-            blk = (s_rrl * harmonic(r, 2) - s_llr * harmonic(l, 2)) / Fraction(r - l)
-            blk += (s_rrl - s_llr) * (harmonic(r) - harmonic(l)) / Fraction((r - l) ** 2)
-            const_acc -= blk
-    for r in range(2, n + 1):
-        for l in range(1, r):
-            for i in range(l):
-                sv = _s(a, b, c, i, r, l) + _s(a, b, c, i, l, r)
-                t = (
-                    harmonic(i) / Fraction((i - r) * (i - l))
-                    + harmonic(r) / Fraction((r - i) * (r - l))
-                    + harmonic(l) / Fraction((l - i) * (l - r))
-                )
-                const_acc += sv * t
-    combo = ZetaCombination.of(-const_acc, {3: z3, 2: -acc2})
-    return CoefficientRow(3, combo)
-
-
-# -------------------------------------------------------------- order four
-
-
-def row_zeta4(P: PolySpec, Q: PolySpec, T: PolySpec) -> CoefficientRow:
-    """Closed form of I(P,Q,T; 4).
-
-        z4 = a_0 b_0 c_0
-        z3 = sum_{r>=1} (S_00r - a_r b_r c_r)/r
-
-    The zeta(2) weight and the constant follow the same block structure as
-    order three with one extra inverse power of the summation index; the
-    l >= 1 double block of the constant enters with a global plus sign
-    (adjudicated — the opposite sign fails against the oracle).
-    """
-    a, b, c = coefficient_triple(P, Q, T)
-    n = len(a) - 1
-    z4 = _abc(a, b, c, 0)
-    z3 = sum(
-        ((_s(a, b, c, 0, 0, r) - _abc(a, b, c, r)) / Fraction(r) for r in range(1, n + 1)),
-        Fraction(0),
-    )
-    acc2 = sum(
-        (
-            (_abc(a, b, c, r) + _s(a, b, c, 0, 0, r) - 2 * _s(a, b, c, 0, r, r))
-            / Fraction(r * r)
-            for r in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-    for r in range(2, n + 1):
-        for l in range(1, r):
-            acc2 += (
-                (_s(a, b, c, 0, r, l) + _s(a, b, c, 0, l, r))
-                / Fraction(r - l)
-                * (Fraction(1, r) - Fraction(1, l))
-            )
-            acc2 -= (
-                _s(a, b, c, r, r, l) / Fraction(r) - _s(a, b, c, l, l, r) / Fraction(l)
-            ) / Fraction(r - l)
-    const_acc = sum(
-        (
-            (2 * _s(a, b, c, 0, r, r) - _abc(a, b, c, r) - _s(a, b, c, 0, 0, r))
-            * harmonic(r)
-            / Fraction(r**3)
-            + (_s(a, b, c, 0, r, r) - _abc(a, b, c, r)) * harmonic(r, 2) / Fraction(r * r)
-            - _abc(a, b, c, r) * harmonic(r, 3) / Fraction(r)
-            for r in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-    for r in range(2, n + 1):
-        for l in range(1, r):
-            s_rrl = _s(a, b, c, r, r, l)
-            s_llr = _s(a, b, c, l, l, r)
-            blk = (s_rrl - s_llr) / Fraction((r - l) ** 2) * (
-                harmonic(r) / Fraction(r) - harmonic(l) / Fraction(l)
-            )
-            blk += (
-                s_rrl * harmonic(r) / Fraction(r * r)
-                - s_llr * harmonic(l) / Fraction(l * l)
-            ) / Fraction(r - l)
-            blk += (
-                s_rrl * harmonic(r, 2) / Fraction(r)
-                - s_llr * harmonic(l, 2) / Fraction(l)
-            ) / Fraction(r - l)
-            const_acc += blk
-    for r in range(2, n + 1):
-        for l in range(1, r):
-            for i in range(l):
-                sv = _s(a, b, c, i, r, l) + _s(a, b, c, i, l, r)
-                t = harmonic(r) / Fraction(r * (r - i) * (r - l))
-                t += harmonic(l) / Fraction(l * (l - i) * (l - r))
-                if i > 0:
-                    t += harmonic(i) / Fraction(i * (i - r) * (i - l))
-                const_acc -= sv * t
-    combo = ZetaCombination.of(-const_acc, {4: z4, 3: z3, 2: -acc2})
-    return CoefficientRow(4, combo)
-
-
-# ------------------------------------------------------ orders five and up
-
-
-def _general_coeff(
-    a: Sequence[Rat],
-    b: Sequence[Rat],
-    c: Sequence[Rat],
-    s: int,
-    j: int,
-    variant: TranscriptionVariant,
-) -> Rat:
-    """Signed weight of zeta(s-j) in the order-s row, for j = 2..s-2.
-
-    Generic structure: (-1)^(j-1) * (singles + Z + M + triple), where the
-    triple block exists for j >= 3 only and is the variant-dependent part.
-    Orders s-j = 3 and s-j = 2 additionally receive mandatory extra blocks
-    (the generic formula alone provably disagrees with the oracle there).
-    """
-    n = len(a) - 1
-    q = s - j
-    singles = sum(
-        (
-            (
-                _s(a, b, c, 0, 0, r)
-                - (j - 1) * _s(a, b, c, 0, r, r)
-                + Fraction((j - 1) * (j - 2), 2) * _abc(a, b, c, r)
-            )
-            / Fraction(r**j)
-            for r in range(1, n + 1)
-        ),
-        Fraction(0),
-    )
-    z_blk = Fraction(0)
-    m_blk = Fraction(0)
-    for r in range(2, n + 1):
-        for l in range(1, r):
-            s_0lr = _s(a, b, c, 0, l, r)
-            s_0rl = _s(a, b, c, 0, r, l)
-            s_llr = _s(a, b, c, l, l, r)
-            s_rrl = _s(a, b, c, r, r, l)
-            z_blk += (
-                (s_0lr + s_0rl)
-                / Fraction(r - l)
-                * (Fraction(1, r ** (j - 1)) - Fraction(1, l ** (j - 1)))
-            )
-            m_blk += (
-                (s_llr - s_rrl)
-                / Fraction((r - l) ** 2)
-                * (Fraction(1, r ** (j - 2)) - Fraction(1, l ** (j - 2)))
-            )
-            m_blk += (
-                Fraction(j - 2)
-                / Fraction(r - l)
-                * (s_llr / Fraction(l ** (j - 1)) - s_rrl / Fraction(r ** (j - 1)))
-            )
-    triple = Fraction(0)
-    if j >= 3:
-        with_h = variant is TranscriptionVariant.HARMONIC_WEIGHTS
-        for r in range(3, n + 1):
-            for l in range(2, r):
-                for i in range(0 if with_h else 1, l):
-                    sv = _s(a, b, c, i, r, l) + _s(a, b, c, i, l, r)
-                    if with_h:
-                        t = harmonic(r) / Fraction(r ** (j - 2) * (r - i) * (r - l))
-                        t += harmonic(l) / Fraction(l ** (j - 2) * (l - i) * (l - r))
-                        if i > 0:
-                            t += harmonic(i) / Fraction(i ** (j - 2) * (i - r) * (i - l))
-                    else:
-                        t = Fraction(1, i ** (j - 2) * (i - r) * (i - l))
-                        t += Fraction(1, r ** (j - 2) * (r - i) * (r - l))
-                        t += Fraction(1, l ** (j - 2) * (l - i) * (l - r))
-                    triple += sv * t
-    val = Fraction((-1) ** (j - 1)) * (singles + z_blk + m_blk + triple)
-    if q == 3:
-        val += Fraction((-1) ** (s - 3)) * sum(
-            (_abc(a, b, c, r) / Fraction(r ** (s - 3)) for r in range(1, n + 1)),
-            Fraction(0),
-        )
-    if q == 2:
-        extra = -sum(
-            (_s(a, b, c, 0, r, r) / Fraction(r ** (s - 2)) for r in range(1, n + 1)),
-            Fraction(0),
-        )
-        extra += (s - 3) * sum(
-            (_abc(a, b, c, r) / Fraction(r ** (s - 2)) for r in range(1, n + 1)),
-            Fraction(0),
-        )
-        for r in range(2, n + 1):
-            for l in range(1, r):
-                extra += (
-                    _s(a, b, c, l, l, r) / Fraction(l ** (s - 3))
-                    - _s(a, b, c, r, r, l) / Fraction(r ** (s - 3))
-                ) / Fraction(r - l)
-        val += Fraction((-1) ** (s - 3)) * extra
-    return val
-
-
-def _general_constant(a: Sequence[Rat], b: Sequence[Rat], c: Sequence[Rat], s: int) -> Rat:
-    """Stored constant of the order-s row: (-1)^s times a bracket of
-    harmonic-weighted singles, doubles, and a symmetric triple block.
-
-    The l = 0 slice of the double sum absorbs what would otherwise be
-    separate single sums, under the convention H_x / x^e := 0 at x = 0.
-    """
-    n = len(a) - 1
-    br = Fraction(0)
-    for r in range(1, n + 1):
-        br += _abc(a, b, c, r) * (
-            Fraction((s - 2) * (s - 3), 2) * harmonic(r) / Fraction(r ** (s - 1))
-            + (s - 3) * harmonic(r, 2) / Fraction(r ** (s - 2))
-            + harmonic(r, 3) / Fraction(r ** (s - 3))
-        )
-    for r in range(1, n + 1):
-        for l in range(r):
-            s_llr = _s(a, b, c, l, l, r)
-            s_rrl = _s(a, b, c, r, r, l)
-            t = Fraction(0)
-            if l > 0:
-                t += (s_llr * harmonic(l, 2) / Fraction(l ** (s - 3))) / Fraction(r - l)
-                t += (s - 3) * (s_llr * harmonic(l) / Fraction(l ** (s - 2))) / Fraction(r - l)
-            t -= (s_rrl * harmonic(r, 2) / Fraction(r ** (s - 3))) / Fraction(r - l)
-            t -= (s - 3) * (s_rrl * harmonic(r) / Fraction(r ** (s - 2))) / Fraction(r - l)
-            h_l = harmonic(l) / Fraction(l ** (s - 3)) if l > 0 else Fraction(0)
-            t += (
-                (s_llr - s_rrl)
-                * (harmonic(r) / Fraction(r ** (s - 3)) - h_l)
-                / Fraction((r - l) ** 2)
-            )
-            br += t
-    for r in range(2, n + 1):
-        for l in range(1, r):
-            for i in range(l):
-                sv = _s(a, b, c, i, r, l) + _s(a, b, c, i, l, r)
-                t = harmonic(r) / Fraction(r ** (s - 3) * (r - i) * (r - l))
-                t += harmonic(l) / Fraction(l ** (s - 3) * (l - i) * (l - r))
-                if i > 0:
-                    t += harmonic(i) / Fraction(i ** (s - 3) * (i - r) * (i - l))
-                br += sv * t
-    return Fraction((-1) ** s) * br
-
-
-def row_general(
-    P: PolySpec,
-    Q: PolySpec,
-    T: PolySpec,
-    order: int,
-    variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
-) -> CoefficientRow:
-    """Closed form of I(P,Q,T; order) for order >= 5.
-
-        coeff(zeta(order))   = a_0 b_0 c_0
-        coeff(zeta(order-1)) = sum_{r>=1} S_00r / r
-        coeff(zeta(order-j)) = _general_coeff(j)     for j = 2..order-2
-        constant             = _general_constant
-
-    The PLAIN_POWERS variant reproduces the oracle exactly; the
-    HARMONIC_WEIGHTS variant diverges from it for any degree >= 2.
-    """
-    if order < 5:
-        raise ValueError("row_general handles orders >= 5 only")
-    a, b, c = coefficient_triple(P, Q, T)
-    n = len(a) - 1
-    zeta: dict[int, Rat] = {}
-    lead = _abc(a, b, c, 0)
-    if lead:
-        zeta[order] = lead
-    sub = sum(
-        (_s(a, b, c, 0, 0, r) / Fraction(r) for r in range(1, n + 1)), Fraction(0)
-    )
-    if sub:
-        zeta[order - 1] = sub
-    for j in range(2, order - 1):
-        v = _general_coeff(a, b, c, order, j, variant)
-        if v:
-            zeta[order - j] = v
-    combo = ZetaCombination.of(_general_constant(a, b, c, order), zeta)
-    return CoefficientRow(order, combo)
 
 
 def coefficient_row(
@@ -377,12 +74,132 @@ def coefficient_row(
     order: int,
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> CoefficientRow:
-    """Dispatch to the order-specific closed form."""
-    if order == 3:
-        return row_zeta3(P, Q, T)
-    if order == 4:
-        return row_zeta4(P, Q, T)
-    return row_general(P, Q, T, order, variant)
+    """Closed form of I(P,Q,T; s), s = order >= 3, in one pass over the
+    single (r), double (r > l) and triple (r > l > i) index blocks.
+
+    With q = s - j, the row is
+
+        coeff(zeta(s))   = a_0 b_0 c_0
+        coeff(zeta(s-1)) = sum_{r>=1} S_00r / r
+        coeff(zeta(q))   = (-1)^(j-1) (singles + Z + M + triple)_j,  j = 2..s-2
+        coeff(zeta(3))  += (-1)^(s-3) sum_{r>=1} a_r b_r c_r / r^(s-3)
+        coeff(zeta(2))  += (-1)^(s-3) (-sum S_0rr / r^(s-2)
+                             + (s-3) sum a_r b_r c_r / r^(s-2)
+                             + sum_{r>l>=1} (S_llr/l^(s-3) - S_rrl/r^(s-3))/(r-l))
+
+    where, for j = 2..s-2,
+
+        singles = sum_{r>=1} (S_00r - (j-1) S_0rr + C(j-1,2) a_r b_r c_r) / r^j
+        Z       = sum_{r>l>=1} (S_0lr + S_0rl)/(r-l) (r^-(j-1) - l^-(j-1))
+        M       = sum_{r>l>=1} (S_llr - S_rrl)/(r-l)^2 (r^-(j-2) - l^-(j-2))
+                             + (j-2)/(r-l) (S_llr/l^(j-1) - S_rrl/r^(j-1))
+        triple  = sum (S_irl + S_ilr) f[i,l,r],                 j >= 3 only,
+
+    f[i,l,r] the second divided difference of f(x) = x^-(j-2) over
+    r > l > i >= 1 (PLAIN_POWERS), or of f(x) = H_x x^-(j-2) over
+    r > l >= 2, i >= 0 (HARMONIC_WEIGHTS).  The two zeta(3) and zeta(2)
+    extra blocks are mandatory: at s = 3 they complete the lead and
+    sub-lead terms, at s = 4 the zeta(3) block completes the sub-lead
+    term.  The constant is (-1)^s
+    times harmonic-weighted singles, doubles over r > l >= 0 and triples
+    over r > l > i >= 0, under the convention H_x / x^e := 0 at x = 0.
+
+    PLAIN_POWERS reproduces the oracle exactly; HARMONIC_WEIGHTS can
+    diverge from it from degree 3 and order 5 on.
+    """
+    if order < 3:
+        raise ValueError("closed-form rows need order >= 3")
+    a, b, c = coefficient_triple(P, Q, T)
+    n, s = len(a) - 1, order
+    with_h = variant is TranscriptionVariant.HARMONIC_WEIGHTS
+    zero = Fraction(0)
+    # pw[x][e] = x^-e and hw[x][e] = H_x x^-e, e = 0..s-1; pw[0] is never read
+    pw = [None] + [[Fraction(1, x**e) for e in range(s)] for x in range(1, n + 1)]
+    hw = [[zero] * s] + [[harmonic(x) * v for v in pw[x]] for x in range(1, n + 1)]
+    f = hw if with_h else pw
+    gen = [zero] * (s - 1)  # gen[j]: bracket of coeff(zeta(s-j)), j = 2..s-2
+    sub = extra3 = extra2 = const = zero
+    for r in range(1, n + 1):
+        abc = a[r] * b[r] * c[r]
+        s00r, s0rr = _s(a, b, c, 0, 0, r), _s(a, b, c, 0, r, r)
+        sub += s00r * pw[r][1]
+        for j in range(2, s - 1):
+            wt = s00r - (j - 1) * s0rr
+            if j > 2:
+                wt += (j - 1) * (j - 2) // 2 * abc
+            gen[j] += wt * pw[r][j]
+        extra3 += abc * pw[r][s - 3]
+        extra2 -= s0rr * pw[r][s - 2]
+        const += abc * harmonic(r, 3) * pw[r][s - 3]
+        if s > 3:
+            extra2 += (s - 3) * abc * pw[r][s - 2]
+            const += abc * (
+                (s - 2) * (s - 3) // 2 * hw[r][s - 1]
+                + (s - 3) * harmonic(r, 2) * pw[r][s - 2]
+            )
+        for l in range(r):
+            d = Fraction(1, r - l)
+            if l:
+                s_llr, s_rrl = _s(a, b, c, l, l, r), _s(a, b, c, r, r, l)
+            else:  # S is cyclic, so S_00r and S_rr0 = S_0rr are already known
+                s_llr, s_rrl = s00r, s0rr
+            h2_l = harmonic(l, 2) * pw[l][s - 3] if l else zero
+            blk = s_llr * h2_l - s_rrl * harmonic(r, 2) * pw[r][s - 3]
+            if s > 3:
+                blk += (s - 3) * (s_llr * hw[l][s - 2] - s_rrl * hw[r][s - 2])
+            const += d * (blk + d * (s_llr - s_rrl) * (hw[r][s - 3] - hw[l][s - 3]))
+            if not l:
+                continue
+            extra2 += d * (s_llr * pw[l][s - 3] - s_rrl * pw[r][s - 3])
+            # Triples: the divided difference splits as
+            #   f[i,l,r] = (f(r)/(r-i) - f(l)/(l-i))/(r-l) + f(i)/((r-i)(l-i)),
+            # so the i-sum needs two plain sums and one f(i)-weighted sum.
+            z = sv_r = sv_l = tri_const = zero
+            tri_gen = [zero] * (s - 3)  # tri_gen[e], e = j-2 = 1..s-4
+            for i in range(l):
+                sv = _s(a, b, c, i, r, l) + _s(a, b, c, i, l, r)
+                sv_r += sv / (r - i)
+                sv_l += sv / (l - i)
+                if not i:
+                    z = sv
+                    continue
+                u = sv / ((r - i) * (l - i))
+                tri_const += u * hw[i][s - 3]
+                for e in range(1, s - 3):
+                    tri_gen[e] += u * f[i][e]
+            const += d * (hw[r][s - 3] * sv_r - hw[l][s - 3] * sv_l) + tri_const
+            if l > 1:
+                if not with_h:  # PLAIN_POWERS starts the triple block at i = 1
+                    sv_r -= z / r
+                    sv_l -= z / l
+                for e in range(1, s - 3):
+                    gen[e + 2] += d * (f[r][e] * sv_r - f[l][e] * sv_l) + tri_gen[e]
+            for j in range(2, s - 1):
+                wt = z * (pw[r][j - 1] - pw[l][j - 1])
+                if j > 2:
+                    wt += (j - 2) * (s_llr * pw[l][j - 1] - s_rrl * pw[r][j - 1])
+                    wt += d * (s_llr - s_rrl) * (pw[r][j - 2] - pw[l][j - 2])
+                gen[j] += d * wt
+    zeta = {s: a[0] * b[0] * c[0], s - 1: sub}
+    for j in range(2, s - 1):
+        zeta[s - j] = -gen[j] if j % 2 == 0 else gen[j]
+    sign = -1 if s % 2 == 0 else 1  # (-1)^(s-3)
+    zeta[3] += sign * extra3
+    zeta[2] += sign * extra2
+    return CoefficientRow(s, ZetaCombination.of(-sign * const, zeta))
+
+
+row_general = coefficient_row
+
+
+def row_zeta3(P: PolySpec, Q: PolySpec, T: PolySpec) -> CoefficientRow:
+    """Closed form of I(P,Q,T; 3) = z3*zeta(3) + z2*zeta(2) + constant."""
+    return coefficient_row(P, Q, T, 3)
+
+
+def row_zeta4(P: PolySpec, Q: PolySpec, T: PolySpec) -> CoefficientRow:
+    """Closed form of I(P,Q,T; 4)."""
+    return coefficient_row(P, Q, T, 4)
 
 
 # --------------------------------------------------------------- validation

@@ -214,10 +214,6 @@ def beta_rat(a: int, b: int) -> Rat:
 
 # ------------------------------------------- direct truncated evaluation
 
-#: Partial sums switch from exact Fraction accumulation to certified
-#: fixed-point accumulation above this many terms.
-EXACT_TERM_LIMIT = 1024
-
 
 def _divexact_linear(poly: list[int], root: int) -> list[int]:
     """Exact division of an integer polynomial by (y + root).
@@ -232,7 +228,8 @@ def _divexact_linear(poly: list[int], root: int) -> list[int]:
         carry = poly[i] + carry
         out[i - 1] = carry
         carry = -root * carry
-    assert poly[0] + carry == 0, "inexact linear division"
+    if poly[0] + carry != 0:
+        raise ArithmeticError("internal: inexact linear division")
     return out
 
 
@@ -281,9 +278,9 @@ def eval_truncated(P: PolySpec, Q: PolySpec, T: PolySpec, s: int, K: int) -> Int
 
     The partial sum over k = 0..K-1 is widened by the certified tail bound
         sum_{k>=K} |A B C|(k)/(k+1)^(s-3) <= S_P S_Q S_T / ((s-1) K^(s-1)),
-    S_X the coefficient 1-norms.  Exact rational arithmetic up to
-    EXACT_TERM_LIMIT terms, certified directed-rounding fixed point beyond;
-    enclosures are nested as K grows in either mode and across the switch.
+    S_X the coefficient 1-norms.  The partial sum is accumulated in
+    certified directed-rounding fixed point, so enclosures are nested as K
+    grows.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
@@ -298,17 +295,6 @@ def eval_truncated(P: PolySpec, Q: PolySpec, T: PolySpec, s: int, K: int) -> Int
     NQ, RQ, qQ = _integral_scaffold(Q)
     NT, RT, qT = _integral_scaffold(T)
     qs = qP * qQ * qT
-
-    if K <= EXACT_TERM_LIMIT:
-        acc = Fraction(0)
-        for k in range(K):
-            num = _horner_int(NP, k) * _horner_int(NQ, k) * _horner_int(NT, k)
-            if not num:
-                continue
-            den = qs * _horner_int(RP, k) * _horner_int(RQ, k) * _horner_int(RT, k)
-            den *= (k + 1) ** (s - 3)
-            acc += Fraction(num, den)
-        return Interval(acc - tail, acc + tail)
 
     W = _fixed_width(K, s, M)
     acc_lo = 0

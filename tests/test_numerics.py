@@ -10,7 +10,6 @@ import pytest
 
 from zetarat.numerics import (
     DIGIT_BUDGET,
-    HarmonicTable,
     Interval,
     PrecisionBudgetError,
     bernoulli,
@@ -103,9 +102,8 @@ def test_harmonic_table_grows_past_initial_bound():
 
 
 def test_harmonic_table_rejects_unsupported_order():
-    table = HarmonicTable.build(5)
     with pytest.raises(ValueError):
-        table.value(3, 4)
+        harmonic(3, 4)
     with pytest.raises(ValueError):
         harmonic(3, 0)
 

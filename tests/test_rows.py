@@ -11,8 +11,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
+from zetarat.polynomials import (
+    binomial_poly,
+    explicit_poly,
+    pad_to_degree,
+    shifted_legendre,
+)
 from zetarat.rows import (
     TranscriptionVariant,
     coefficient_row,
@@ -120,7 +127,7 @@ def test_row_general_matches_oracle_for_orders_five_to_eight():
 def test_row_general_rejects_low_orders():
     one = explicit_poly([1])
     with pytest.raises(ValueError):
-        row_general(one, one, one, 4)
+        row_general(one, one, one, 2)
 
 
 def test_variants_coincide_up_to_degree_two():
@@ -159,6 +166,34 @@ def test_coefficient_row_dispatches_by_order():
         coefficient_row(P, Q, T, 6).combination
         == row_general(P, Q, T, 6).combination
     )
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))
+
+
+@st.composite
+def _rational_triples(draw):
+    """P and Q of a common degree n <= 4, T of degree <= n zero-padded to n.
+
+    Degree 4 is the least at which the triple block has an inner index
+    i >= 2, so it is the least that exposes a wrong power of i.
+    """
+    n = draw(st.integers(0, 4))
+
+    def poly(degree):
+        size = degree + 1
+        return explicit_poly(draw(st.lists(_RATIONALS, min_size=size, max_size=size)))
+
+    P, Q = poly(n), poly(n)
+    T = pad_to_degree(poly(draw(st.integers(0, n))), n)
+    return P, Q, T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_rational_triples(), st.integers(3, 8))
+def test_kernel_equals_oracle_on_random_rational_triples(triple, s):
+    P, Q, T = triple
+    assert coefficient_row(P, Q, T, s).combination == decompose_integral(P, Q, T, s)
 
 
 def test_row_orders_expose_only_reachable_zeta_terms():

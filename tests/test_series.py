@@ -11,7 +11,6 @@ import pytest
 from zetarat.numerics import Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.series import (
-    EXACT_TERM_LIMIT,
     ZetaCombination,
     beta_rat,
     decompose_integral,
@@ -197,12 +196,12 @@ def test_eval_truncated_contains_the_exact_decomposition_value():
         assert enc.width < Fraction(1, 100)
 
 
-def test_eval_truncated_enclosures_nest_across_the_mode_switch():
-    """K grows through EXACT_TERM_LIMIT: exact-Fraction partial sums below,
-    certified fixed point above; enclosures must stay nested throughout."""
+def test_eval_truncated_enclosures_nest_as_k_grows():
+    """Directed-rounding fixed point at every K: each enclosure lies inside
+    the one before, from a single term up to thousands."""
     P, Q = shifted_legendre(1), binomial_poly(1)
     T = explicit_poly([1, 1])
-    ks = [50, 400, EXACT_TERM_LIMIT, EXACT_TERM_LIMIT + 1, EXACT_TERM_LIMIT + 300, 4000]
+    ks = [*range(1, 65), 400, 1024, 1025, 1324, 4000]
     encs = [eval_truncated(P, Q, T, 3, k) for k in ks]
     for outer, inner in zip(encs, encs[1:]):
         assert outer.contains_interval(inner)
