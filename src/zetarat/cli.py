@@ -32,10 +32,10 @@ from .numerics import (
     render_interval_decimal,
     zeta_reference,
 )
-from .polynomials import binomial_poly, explicit_poly, shifted_legendre
+from .polynomials import PolySpec, binomial_poly, explicit_poly, shifted_legendre
 from .rows import TranscriptionVariant, validate_rows
 from .series import shift_reduction_residual
-from .solver import build_system, certified_row_bounds, solve_zeta
+from .solver import ApproxResult, build_system, certified_row_bounds, solve_zeta
 
 
 def _parse_rationals(text: str) -> tuple[Rat, ...]:
@@ -50,26 +50,24 @@ def _parse_rationals(text: str) -> tuple[Rat, ...]:
 # ----------------------------------------------------------------- approx
 
 
-def _approx_fields(args: argparse.Namespace) -> list[tuple[str, object]]:
-    T = explicit_poly(_parse_rationals(args.t))
-    P = shifted_legendre(args.n)
-    Q = binomial_poly(args.n)
-    system = build_system(P, Q, T, args.s)
-    bounds = certified_row_bounds(P, Q, system.T, args.s)
-    res = solve_zeta(system, bounds)
-    decimal = render_decimal(res.alpha, res.beta, args.digits)
-    return [
+def _approx(T: PolySpec, s: int, n: int) -> ApproxResult:
+    """zeta(s) ~ alpha*zeta(2) + beta from the degree-n Legendre/binomial rows."""
+    P = shifted_legendre(n)
+    Q = binomial_poly(n)
+    system = build_system(P, Q, T, s)
+    return solve_zeta(system, certified_row_bounds(P, Q, system.T, s))
+
+
+def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
+    res = _approx(explicit_poly(_parse_rationals(args.t)), args.s, args.n)
+    fields = [
         ("s", args.s),
         ("n", args.n),
         ("alpha", str(res.alpha)),
         ("beta", str(res.beta)),
         ("theta_bound", str(res.theta_bound)),
-        ("decimal", decimal),
+        ("decimal", render_decimal(res.alpha, res.beta, args.digits)),
     ]
-
-
-def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
-    fields = _approx_fields(args)
     if args.fmt == "json":
         return 0, json.dumps(dict(fields), indent=2)
     if args.fmt == "csv":
@@ -198,11 +196,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError("need 1 <= n-from <= n-to")
     rows = []
     for n in range(args.n_from, args.n_to + 1):
-        P = shifted_legendre(n)
-        Q = binomial_poly(n)
-        system = build_system(P, Q, T, args.s)
-        bounds = certified_row_bounds(P, Q, system.T, args.s)
-        res = solve_zeta(system, bounds)
+        res = _approx(T, args.s, n)
         rows.append(
             {
                 "n": n,
@@ -234,18 +228,17 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
-    fields = dict(_approx_fields(args))
+    res = _approx(explicit_poly(_parse_rationals(args.t)), args.s, args.n)
+    approx = render_decimal(res.alpha, res.beta, args.digits)
     reference = render_interval_decimal(
         lambda w: zeta_reference(args.s, w), args.digits
     )
-    err = _error_upper(
-        Fraction(fields["alpha"]), Fraction(fields["beta"]), args.s, args.digits
-    )
+    err = _error_upper(res.alpha, res.beta, args.s, args.digits)
     payload = {
         "s": args.s,
         "n": args.n,
         "digits": args.digits,
-        "approx": fields["decimal"],
+        "approx": approx,
         "reference": reference,
         "error_upper": decimal_upper_sci(err),
     }

@@ -191,20 +191,18 @@ def zeta_reference(p: int, digits: int, budget: int = DIGIT_BUDGET) -> Interval:
         raise PrecisionBudgetError(
             f"requested {digits} digits exceeds budget of {budget}"
         )
-    eff = 1
-    while eff < digits:
-        eff *= 2
-    out = None
-    d = 1
-    while d <= eff:
-        key = (p, d)
-        if key not in _raw_cache:
-            _raw_cache[key] = _zeta_enclosure_raw(p, d)
-        raw = _raw_cache[key]
-        out = raw if out is None else out.intersect(raw)
+    out, d = _raw_enclosure(p, 1), 1
+    while d < digits:
         d *= 2
-    assert out is not None
+        out = out.intersect(_raw_enclosure(p, d))
     return out
+
+
+def _raw_enclosure(p: int, digits: int) -> Interval:
+    key = (p, digits)
+    if key not in _raw_cache:
+        _raw_cache[key] = _zeta_enclosure_raw(p, digits)
+    return _raw_cache[key]
 
 
 # ------------------------------------------------------ decimal rendering

@@ -8,22 +8,25 @@ coefficients via the cyclic symbol
 
     S_{mu,nu,lam} = a_mu b_nu c_lam + b_mu c_nu a_lam + c_mu a_nu b_lam.
 
-One kernel, coefficient_row, builds the row of every order s >= 3 in a
-single pass over the index blocks; orders 3 and 4 are the cases where the
-mandatory zeta(3) and zeta(2) extra blocks land on the lead and sub-lead
-coefficients.  Every formula was adjudicated term-by-term against the exact
-partial-fraction oracle (`series.decompose_integral`); where the available
-closed forms admit two genuinely different readings of the triple-sum block
-(orders >= 5), both are implemented and selectable via TranscriptionVariant.
-Only PLAIN_POWERS agrees with the oracle — HARMONIC_WEIGHTS is kept callable
-so the disagreement itself can be demonstrated (see validate_rows and the
-CLI `verify` command).
+One kernel, coefficient_rows, builds the rows of every order 3..s in a
+single pass over the index blocks: the pass collects order-free weights
+per index, and the order only picks the inverse powers they are summed
+against.  Orders 3 and 4 are the cases where the mandatory zeta(3) and
+zeta(2) extra blocks land on the lead and sub-lead coefficients.  Every
+formula was adjudicated term-by-term against the exact partial-fraction
+oracle (`series.decompose_integral`); where the available closed forms
+admit two genuinely different readings of the triple-sum block (orders
+>= 5), both are implemented and selectable via TranscriptionVariant.  Only
+PLAIN_POWERS agrees with the oracle — HARMONIC_WEIGHTS is kept callable so
+the disagreement itself can be demonstrated (see validate_rows and the CLI
+`verify` command).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .numerics import Rat, harmonic
@@ -36,22 +39,6 @@ class TranscriptionVariant(Enum):
 
     PLAIN_POWERS = "no-h"        # inverse powers, innermost index from 1
     HARMONIC_WEIGHTS = "with-h"  # harmonic-number weights, index from 0
-
-
-@dataclass(frozen=True)
-class CoefficientRow:
-    """One row of the triangular system: the exact zeta-combination of
-    I(P,Q,T; order) as produced by the closed forms (not the oracle)."""
-
-    order: int
-    combination: ZetaCombination
-
-    @property
-    def constant(self) -> Rat:
-        return self.combination.constant
-
-    def zeta(self, p: int) -> Rat:
-        return self.combination.zeta(p)
 
 
 def s_sym(P: PolySpec, Q: PolySpec, T: PolySpec, mu: int, nu: int, lam: int) -> Rat:
@@ -67,137 +54,168 @@ def _s(a: Sequence[Rat], b: Sequence[Rat], c: Sequence[Rat], mu: int, nu: int, l
     return a[mu] * b[nu] * c[lam] + b[mu] * c[nu] * a[lam] + c[mu] * a[nu] * b[lam]
 
 
+def coefficient_rows(
+    P: PolySpec,
+    Q: PolySpec,
+    T: PolySpec,
+    s: int,
+    variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
+) -> dict[int, ZetaCombination]:
+    """Closed forms of I(P,Q,T; q) for every order q = 3..s, keyed by q,
+    from one pass over the single (r), double (r > l) and triple
+    (r > l > i) index blocks; the triple block costs O(n^2), not O(n^3),
+    because its i-sums factor through sums of a_i, b_i, c_i.
+
+    The pass folds each block into order-free weights on one index x:
+
+        A_x = a_x b_x c_x,   C_x = S_00x,
+        D_x = sum_{r>x} S_xxr/(r-x) - sum_{0<=l<x} S_xxl/(x-l),
+        E_x = sum_{0<=l<x} (S_llx - S_xxl)/(x-l)^2
+              - sum_{r>x} (S_xxr - S_rrx)/(r-x)^2,
+        Z_x = sum_{1<=l<x} z_xl/(x-l) - sum_{r>x} z_rx/(r-x),  z_rl = S_0rl + S_0lr,
+        Y_x = sum over r > l > i >= 1 of (S_irl + S_ilr) times the weight
+              of f(x) in the second divided difference f[i,l,r].
+
+    The order enters only through the exponent e of x^-e.  With
+    [W]_e = sum_{x=1..n} W_x x^-e, H = H_x, H2 = H_x^(2), H3 = H_x^(3) and
+
+        K_j(A, D, Z, E) = C(j-1,2) [A]_j + [(j-2) D + Z]_(j-1) + [E]_(j-2),
+
+    the order-q row is
+
+        coeff(zeta(q))   = a_0 b_0 c_0
+        coeff(zeta(q-1)) = [C]_1
+        coeff(zeta(q-j)) = (-1)^(j-1) G_j,  j = 2..q-2, the same for every q,
+        G_j              = K_j(A, D, Z, E) + triple_j   (triple_2 = 0)
+        coeff(zeta(3))  += (-1)^(q-3) [A]_(q-3)
+        coeff(zeta(2))  += (-1)^(q-3) ([(q-3) A]_(q-2) + [D]_(q-3))
+        constant         = (-1)^q K_(q-1)(HA, HD + H2 A, HZ, H(E + Y) + H3 A + H2 D).
+
+    PLAIN_POWERS reads the triple block as triple_j = [Y]_(j-2), the
+    divided difference of f(x) = x^-(j-2) over r > l > i >= 1.
+    HARMONIC_WEIGHTS reads it with f(x) = H_x x^-(j-2) over r > l >= 2,
+    i >= 0, which adds the i = 0 slice: triple_j = [HY]_(j-2) + [H Z']_(j-1),
+    Z' being Z restricted to l >= 2.  PLAIN_POWERS reproduces the oracle
+    exactly; HARMONIC_WEIGHTS can diverge from it from degree 3 and
+    order 5 on.
+    """
+    if s < 3:
+        raise ValueError("closed-form rows need order >= 3")
+    a, b, c = coefficient_triple(P, Q, T)
+    n = len(a) - 1
+    xs = range(1, n + 1)
+    zero = Fraction(0)
+
+    def dot(u, v):
+        return sum(map(mul, u, v), zero)
+
+    A = [zero] + [a[x] * b[x] * c[x] for x in xs]
+    C = [zero] + [_s(a, b, c, 0, 0, x) for x in xs]
+    B = [zero] + [_s(a, b, c, 0, x, x) for x in xs]
+    # D and E start from the l = 0 slice of the doubles: S_xx0 = S_0xx = B_x
+    D = [zero] + [-B[x] / x for x in xs]
+    E = [zero] + [(C[x] - B[x]) / x**2 for x in xs]
+    Z, Y, Zh = [zero] * (n + 1), [zero] * (n + 1), [zero] * (n + 1)
+    with_h = variant is TranscriptionVariant.HARMONIC_WEIGHTS
+    # Triples: S_irl + S_ilr = a_i pa + b_i pb + c_i pc, p = (pa, pb, pc)
+    # depending on (r, l) only, and
+    #   f[i,l,r] = (f(r)/(r-i) - f(l)/(l-i))/(r-l) + f(i)/((r-i)(l-i)),
+    # so every i-sum is a combination of sums of a_i, b_i, c_i over i.
+    # near[x] = sum_{1<=i<x} (a_i, b_i, c_i)/(x-i) serves the f(l) slot;
+    # near_r, the same sum over i < l with r - i in place of x - i, grows
+    # with l and serves the f(r) slot.
+    near = [None] * (n + 1)
+    for r in xs:
+        near_r = (zero, zero, zero)
+        for l in range(1, r):
+            d = Fraction(1, r - l)
+            s_llr, s_rrl = _s(a, b, c, l, l, r), _s(a, b, c, r, r, l)
+            D[l] += d * s_llr
+            D[r] -= d * s_rrl
+            m = d * d * (s_llr - s_rrl)
+            E[r] += m
+            E[l] -= m
+            p = (
+                b[r] * c[l] + b[l] * c[r],
+                c[r] * a[l] + c[l] * a[r],
+                a[r] * b[l] + a[l] * b[r],
+            )
+            z = d * (a[0] * p[0] + b[0] * p[1] + c[0] * p[2])
+            Z[r] += z
+            Z[l] -= z
+            if with_h and l > 1:
+                Zh[r] += z
+                Zh[l] -= z
+            Y[r] += d * dot(p, near_r)
+            Y[l] -= d * dot(p, near[l])
+            near_r = tuple(v + w * d for v, w in zip(near_r, (a[l], b[l], c[l])))
+        near[r] = near_r
+    # The f(i) slot: sum_{r>l>i} (a_i pa + b_i pb + c_i pc)/((r-i)(l-i)),
+    # where sum_{r>l} (u_r v_l + u_l v_r) = sum(u) sum(v) - sum(u v).
+    for i in xs:
+        ua, ub, uc = ([v[x] / (x - i) for x in range(i + 1, n + 1)] for v in (a, b, c))
+        ta, tb, tc = sum(ua, zero), sum(ub, zero), sum(uc, zero)
+        Y[i] += (
+            a[i] * (tb * tc - dot(ub, uc))
+            + b[i] * (tc * ta - dot(uc, ua))
+            + c[i] * (ta * tb - dot(ua, ub))
+        )
+    inv = [None] + [[Fraction(1, x**e) for e in range(s)] for x in xs]
+
+    def sums(W, h=None):
+        """[W]_e for e = 0..s-1, each W_x first multiplied by h[x] if given."""
+        if h is not None:
+            W = [w * hx for w, hx in zip(W, h)]
+        return [sum((W[x] * inv[x][e] for x in xs if W[x]), zero) for e in range(s)]
+
+    def block(j, sA, sD, sZ, sE):  # K_j
+        return (
+            (j - 1) * (j - 2) // 2 * sA[j] + (j - 2) * sD[j - 1] + sZ[j - 1] + sE[j - 2]
+        )
+
+    H, H2, H3 = ([harmonic(x, m) for x in range(n + 1)] for m in (1, 2, 3))
+    pA, pD, pZ, pE = sums(A), sums(D), sums(Z), sums(E)
+    hA, hZ = sums(A, H), sums(Z, H)
+    hDA = sums([H[x] * D[x] + H2[x] * A[x] for x in range(n + 1)])
+    hEY = sums([H[x] * (E[x] + Y[x]) + H3[x] * A[x] + H2[x] * D[x] for x in range(n + 1)])
+    tri, tri0 = sums(Y, H if with_h else None), sums(Zh, H)
+    gen = {j: block(j, pA, pD, pZ, pE) for j in range(2, s - 1)}
+    for j in range(3, s - 1):
+        gen[j] += tri[j - 2] + tri0[j - 1]
+    lead, sub = a[0] * b[0] * c[0], sum((C[x] / x for x in xs), zero)
+    rows = {}
+    for q in range(3, s + 1):
+        zeta = {q: lead, q - 1: sub}
+        for j in range(2, q - 1):
+            zeta[q - j] = gen[j] if j % 2 else -gen[j]
+        sign = -1 if q % 2 == 0 else 1  # (-1)^(q-3)
+        zeta[3] += sign * pA[q - 3]
+        zeta[2] += sign * ((q - 3) * pA[q - 2] + pD[q - 3])
+        const = block(q - 1, hA, hDA, hZ, hEY)
+        rows[q] = ZetaCombination.of(-sign * const, zeta)
+    return rows
+
+
+row_general = coefficient_rows
+
+
 def coefficient_row(
     P: PolySpec,
     Q: PolySpec,
     T: PolySpec,
     order: int,
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
-) -> CoefficientRow:
-    """Closed form of I(P,Q,T; s), s = order >= 3, in one pass over the
-    single (r), double (r > l) and triple (r > l > i) index blocks.
-
-    With q = s - j, the row is
-
-        coeff(zeta(s))   = a_0 b_0 c_0
-        coeff(zeta(s-1)) = sum_{r>=1} S_00r / r
-        coeff(zeta(q))   = (-1)^(j-1) (singles + Z + M + triple)_j,  j = 2..s-2
-        coeff(zeta(3))  += (-1)^(s-3) sum_{r>=1} a_r b_r c_r / r^(s-3)
-        coeff(zeta(2))  += (-1)^(s-3) (-sum S_0rr / r^(s-2)
-                             + (s-3) sum a_r b_r c_r / r^(s-2)
-                             + sum_{r>l>=1} (S_llr/l^(s-3) - S_rrl/r^(s-3))/(r-l))
-
-    where, for j = 2..s-2,
-
-        singles = sum_{r>=1} (S_00r - (j-1) S_0rr + C(j-1,2) a_r b_r c_r) / r^j
-        Z       = sum_{r>l>=1} (S_0lr + S_0rl)/(r-l) (r^-(j-1) - l^-(j-1))
-        M       = sum_{r>l>=1} (S_llr - S_rrl)/(r-l)^2 (r^-(j-2) - l^-(j-2))
-                             + (j-2)/(r-l) (S_llr/l^(j-1) - S_rrl/r^(j-1))
-        triple  = sum (S_irl + S_ilr) f[i,l,r],                 j >= 3 only,
-
-    f[i,l,r] the second divided difference of f(x) = x^-(j-2) over
-    r > l > i >= 1 (PLAIN_POWERS), or of f(x) = H_x x^-(j-2) over
-    r > l >= 2, i >= 0 (HARMONIC_WEIGHTS).  The two zeta(3) and zeta(2)
-    extra blocks are mandatory: at s = 3 they complete the lead and
-    sub-lead terms, at s = 4 the zeta(3) block completes the sub-lead
-    term.  The constant is (-1)^s
-    times harmonic-weighted singles, doubles over r > l >= 0 and triples
-    over r > l > i >= 0, under the convention H_x / x^e := 0 at x = 0.
-
-    PLAIN_POWERS reproduces the oracle exactly; HARMONIC_WEIGHTS can
-    diverge from it from degree 3 and order 5 on.
-    """
-    if order < 3:
-        raise ValueError("closed-form rows need order >= 3")
-    a, b, c = coefficient_triple(P, Q, T)
-    n, s = len(a) - 1, order
-    with_h = variant is TranscriptionVariant.HARMONIC_WEIGHTS
-    zero = Fraction(0)
-    # pw[x][e] = x^-e and hw[x][e] = H_x x^-e, e = 0..s-1; pw[0] is never read
-    pw = [None] + [[Fraction(1, x**e) for e in range(s)] for x in range(1, n + 1)]
-    hw = [[zero] * s] + [[harmonic(x) * v for v in pw[x]] for x in range(1, n + 1)]
-    f = hw if with_h else pw
-    gen = [zero] * (s - 1)  # gen[j]: bracket of coeff(zeta(s-j)), j = 2..s-2
-    sub = extra3 = extra2 = const = zero
-    for r in range(1, n + 1):
-        abc = a[r] * b[r] * c[r]
-        s00r, s0rr = _s(a, b, c, 0, 0, r), _s(a, b, c, 0, r, r)
-        sub += s00r * pw[r][1]
-        for j in range(2, s - 1):
-            wt = s00r - (j - 1) * s0rr
-            if j > 2:
-                wt += (j - 1) * (j - 2) // 2 * abc
-            gen[j] += wt * pw[r][j]
-        extra3 += abc * pw[r][s - 3]
-        extra2 -= s0rr * pw[r][s - 2]
-        const += abc * harmonic(r, 3) * pw[r][s - 3]
-        if s > 3:
-            extra2 += (s - 3) * abc * pw[r][s - 2]
-            const += abc * (
-                (s - 2) * (s - 3) // 2 * hw[r][s - 1]
-                + (s - 3) * harmonic(r, 2) * pw[r][s - 2]
-            )
-        for l in range(r):
-            d = Fraction(1, r - l)
-            if l:
-                s_llr, s_rrl = _s(a, b, c, l, l, r), _s(a, b, c, r, r, l)
-            else:  # S is cyclic, so S_00r and S_rr0 = S_0rr are already known
-                s_llr, s_rrl = s00r, s0rr
-            h2_l = harmonic(l, 2) * pw[l][s - 3] if l else zero
-            blk = s_llr * h2_l - s_rrl * harmonic(r, 2) * pw[r][s - 3]
-            if s > 3:
-                blk += (s - 3) * (s_llr * hw[l][s - 2] - s_rrl * hw[r][s - 2])
-            const += d * (blk + d * (s_llr - s_rrl) * (hw[r][s - 3] - hw[l][s - 3]))
-            if not l:
-                continue
-            extra2 += d * (s_llr * pw[l][s - 3] - s_rrl * pw[r][s - 3])
-            # Triples: the divided difference splits as
-            #   f[i,l,r] = (f(r)/(r-i) - f(l)/(l-i))/(r-l) + f(i)/((r-i)(l-i)),
-            # so the i-sum needs two plain sums and one f(i)-weighted sum.
-            z = sv_r = sv_l = tri_const = zero
-            tri_gen = [zero] * (s - 3)  # tri_gen[e], e = j-2 = 1..s-4
-            for i in range(l):
-                sv = _s(a, b, c, i, r, l) + _s(a, b, c, i, l, r)
-                sv_r += sv / (r - i)
-                sv_l += sv / (l - i)
-                if not i:
-                    z = sv
-                    continue
-                u = sv / ((r - i) * (l - i))
-                tri_const += u * hw[i][s - 3]
-                for e in range(1, s - 3):
-                    tri_gen[e] += u * f[i][e]
-            const += d * (hw[r][s - 3] * sv_r - hw[l][s - 3] * sv_l) + tri_const
-            if l > 1:
-                if not with_h:  # PLAIN_POWERS starts the triple block at i = 1
-                    sv_r -= z / r
-                    sv_l -= z / l
-                for e in range(1, s - 3):
-                    gen[e + 2] += d * (f[r][e] * sv_r - f[l][e] * sv_l) + tri_gen[e]
-            for j in range(2, s - 1):
-                wt = z * (pw[r][j - 1] - pw[l][j - 1])
-                if j > 2:
-                    wt += (j - 2) * (s_llr * pw[l][j - 1] - s_rrl * pw[r][j - 1])
-                    wt += d * (s_llr - s_rrl) * (pw[r][j - 2] - pw[l][j - 2])
-                gen[j] += d * wt
-    zeta = {s: a[0] * b[0] * c[0], s - 1: sub}
-    for j in range(2, s - 1):
-        zeta[s - j] = -gen[j] if j % 2 == 0 else gen[j]
-    sign = -1 if s % 2 == 0 else 1  # (-1)^(s-3)
-    zeta[3] += sign * extra3
-    zeta[2] += sign * extra2
-    return CoefficientRow(s, ZetaCombination.of(-sign * const, zeta))
+) -> ZetaCombination:
+    """Closed form of I(P,Q,T; order), order >= 3."""
+    return coefficient_rows(P, Q, T, order, variant)[order]
 
 
-row_general = coefficient_row
-
-
-def row_zeta3(P: PolySpec, Q: PolySpec, T: PolySpec) -> CoefficientRow:
+def row_zeta3(P: PolySpec, Q: PolySpec, T: PolySpec) -> ZetaCombination:
     """Closed form of I(P,Q,T; 3) = z3*zeta(3) + z2*zeta(2) + constant."""
     return coefficient_row(P, Q, T, 3)
 
 
-def row_zeta4(P: PolySpec, Q: PolySpec, T: PolySpec) -> CoefficientRow:
+def row_zeta4(P: PolySpec, Q: PolySpec, T: PolySpec) -> ZetaCombination:
     """Closed form of I(P,Q,T; 4)."""
     return coefficient_row(P, Q, T, 4)
 
@@ -267,17 +285,16 @@ def validate_rows(
     if s_max < 3:
         raise ValueError("s_max must be >= 3")
     checks = []
-    for order in range(3, s_max + 1):
-        row = coefficient_row(P, Q, T, order, variant)
+    for order, row in coefficient_rows(P, Q, T, s_max, variant).items():
         want = decompose_integral(P, Q, T, order)
         mismatches: list[RowMismatch] = []
-        if row.combination.constant != want.constant:
+        if row.constant != want.constant:
             mismatches.append(
-                RowMismatch(order, "constant", None, row.combination.constant, want.constant)
+                RowMismatch(order, "constant", None, row.constant, want.constant)
             )
-        keys = sorted(set(row.combination.orders()) | set(want.orders()))
+        keys = sorted(set(row.orders()) | set(want.orders()))
         for p in keys:
-            got, exp = row.combination.zeta(p), want.zeta(p)
+            got, exp = row.zeta(p), want.zeta(p)
             if got != exp:
                 mismatches.append(RowMismatch(order, "zeta", p, got, exp))
         checks.append(RowCheck(order, not mismatches, tuple(mismatches)))

@@ -21,8 +21,8 @@ from typing import Mapping
 
 from .numerics import Rat, RatLike
 from .polynomials import PolyFamily, PolySpec, pad_to_degree
-from .rows import CoefficientRow, TranscriptionVariant, coefficient_row
-from .series import eval_special_series
+from .rows import TranscriptionVariant, coefficient_rows
+from .series import ZetaCombination, eval_special_series
 
 
 class SingularSystemError(ValueError):
@@ -38,14 +38,14 @@ class TriangularSystem:
     P: PolySpec
     Q: PolySpec
     T: PolySpec
-    rows: tuple[CoefficientRow, ...]  # descending order: s first
+    rows: tuple[ZetaCombination, ...]  # descending order: s first
 
-    def row_of_order(self, order: int) -> CoefficientRow:
+    def row_of_order(self, order: int) -> ZetaCombination:
         return self.rows[self.s - order]
 
     @property
     def diagonal(self) -> tuple[Rat, ...]:
-        return tuple(row.zeta(row.order) for row in self.rows)
+        return tuple(row.zeta(self.s - k) for k, row in enumerate(self.rows))
 
     @property
     def delta(self) -> Rat:
@@ -95,10 +95,8 @@ def build_system(
         )
     n = P.degree
     T = pad_to_degree(T, n)
-    rows = tuple(
-        coefficient_row(P, Q, T, order, variant) for order in range(s, 2, -1)
-    )
-    return TriangularSystem(s, n, P, Q, T, rows)
+    rows = coefficient_rows(P, Q, T, s, variant)
+    return TriangularSystem(s, n, P, Q, T, tuple(rows[q] for q in range(s, 2, -1)))
 
 
 # ---------------------------------------------------------------- solving
@@ -168,7 +166,7 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     size = len(rows)
     delta = system.delta
     if delta == 0:
-        order = next(r.order for r in rows if r.zeta(r.order) == 0)
+        order = system.s - system.diagonal.index(0)
         raise SingularSystemError(
             f"singular system: zero leading coefficient in the order-{order} row"
         )
@@ -192,7 +190,7 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
         alpha += -row.zeta(2) * w
         beta += -row.constant * w
         if w:
-            weights[row.order] = w
+            weights[system.s - nu] = w
     return alpha, beta, weights
 
 

@@ -23,6 +23,7 @@ from zetarat.polynomials import (
 from zetarat.rows import (
     TranscriptionVariant,
     coefficient_row,
+    coefficient_rows,
     row_general,
     row_zeta3,
     row_zeta4,
@@ -80,22 +81,22 @@ def test_row_zeta3_matches_oracle_on_seeded_triples():
     rng = random.Random(303)
     for _ in range(60):
         P, Q, T = _random_triple(rng, rng.randint(1, 4))
-        assert row_zeta3(P, Q, T).combination == decompose_integral(P, Q, T, 3)
+        assert row_zeta3(P, Q, T) == decompose_integral(P, Q, T, 3)
 
 
 def test_row_zeta4_matches_oracle_on_seeded_triples():
     rng = random.Random(404)
     for _ in range(60):
         P, Q, T = _random_triple(rng, rng.randint(1, 4))
-        assert row_zeta4(P, Q, T).combination == decompose_integral(P, Q, T, 4)
+        assert row_zeta4(P, Q, T) == decompose_integral(P, Q, T, 4)
 
 
 def test_rows_match_oracle_for_the_structured_families():
     for n in (1, 2, 3):
         P, Q = shifted_legendre(n), binomial_poly(n)
         T = explicit_poly([1] + [0] * n)
-        assert row_zeta3(P, Q, T).combination == decompose_integral(P, Q, T, 3)
-        assert row_zeta4(P, Q, T).combination == decompose_integral(P, Q, T, 4)
+        assert row_zeta3(P, Q, T) == decompose_integral(P, Q, T, 3)
+        assert row_zeta4(P, Q, T) == decompose_integral(P, Q, T, 4)
 
 
 def test_row_zeta3_on_constant_triple_is_pure_zeta3():
@@ -119,9 +120,7 @@ def test_row_general_matches_oracle_for_orders_five_to_eight():
     for s in (5, 6, 7, 8):
         for _ in range(12):
             P, Q, T = _random_triple(rng, rng.randint(1, 3))
-            assert row_general(P, Q, T, s).combination == decompose_integral(
-                P, Q, T, s
-            )
+            assert coefficient_row(P, Q, T, s) == decompose_integral(P, Q, T, s)
 
 
 def test_row_general_rejects_low_orders():
@@ -137,35 +136,38 @@ def test_variants_coincide_up_to_degree_two():
     for _ in range(20):
         P, Q, T = _random_triple(rng, rng.randint(1, 2))
         for s in (5, 6, 7):
-            plain = row_general(P, Q, T, s, TranscriptionVariant.PLAIN_POWERS)
-            harm = row_general(P, Q, T, s, TranscriptionVariant.HARMONIC_WEIGHTS)
-            assert plain.combination == harm.combination
+            plain = coefficient_row(P, Q, T, s, TranscriptionVariant.PLAIN_POWERS)
+            harm = coefficient_row(P, Q, T, s, TranscriptionVariant.HARMONIC_WEIGHTS)
+            assert plain == harm
 
 
 def test_harmonic_variant_disagrees_with_oracle_on_the_witness():
     P, Q, T = WITNESS
-    row = row_general(P, Q, T, 5, TranscriptionVariant.HARMONIC_WEIGHTS)
+    row = coefficient_row(P, Q, T, 5, TranscriptionVariant.HARMONIC_WEIGHTS)
     want = decompose_integral(P, Q, T, 5)
     assert row.zeta(2) == Fraction(187, 24)
     assert want.zeta(2) == Fraction(337, 72)
-    assert row.combination != want
+    assert row != want
 
 
 def test_plain_variant_agrees_with_oracle_on_the_witness():
     P, Q, T = WITNESS
     for s in (5, 6, 7):
-        assert row_general(P, Q, T, s).combination == decompose_integral(P, Q, T, s)
+        assert coefficient_row(P, Q, T, s) == decompose_integral(P, Q, T, s)
 
 
-def test_coefficient_row_dispatches_by_order():
+def test_oracle_zeta_coefficients_are_shared_across_orders():
+    """The coefficient of zeta(q) in the order-s row equals that of
+    zeta(q + 1) in the order-(s + 1) row for every q >= 4: the fact that
+    lets coefficient_rows build all orders from one pass, checked here by
+    the independent oracle alone."""
     rng = random.Random(707)
-    P, Q, T = _random_triple(rng, 2)
-    assert coefficient_row(P, Q, T, 3).combination == row_zeta3(P, Q, T).combination
-    assert coefficient_row(P, Q, T, 4).combination == row_zeta4(P, Q, T).combination
-    assert (
-        coefficient_row(P, Q, T, 6).combination
-        == row_general(P, Q, T, 6).combination
-    )
+    for _ in range(20):
+        P, Q, T = _random_triple(rng, rng.randint(1, 4))
+        s = rng.randint(4, 7)
+        row, next_row = decompose_integral(P, Q, T, s), decompose_integral(P, Q, T, s + 1)
+        for q in range(4, s + 1):
+            assert row.zeta(q) == next_row.zeta(q + 1)
 
 
 _RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))
@@ -193,7 +195,10 @@ def _rational_triples(draw):
 @given(_rational_triples(), st.integers(3, 8))
 def test_kernel_equals_oracle_on_random_rational_triples(triple, s):
     P, Q, T = triple
-    assert coefficient_row(P, Q, T, s).combination == decompose_integral(P, Q, T, s)
+    rows = coefficient_rows(P, Q, T, s)
+    assert sorted(rows) == list(range(3, s + 1))
+    for order, row in rows.items():
+        assert row == decompose_integral(P, Q, T, order)
 
 
 def test_row_orders_expose_only_reachable_zeta_terms():
@@ -202,7 +207,7 @@ def test_row_orders_expose_only_reachable_zeta_terms():
     for s in (5, 6, 7):
         P, Q, T = _random_triple(rng, 3)
         row = coefficient_row(P, Q, T, s)
-        assert all(2 <= p <= s for p in row.combination.orders())
+        assert all(2 <= p <= s for p in row.orders())
 
 
 # -------------------------------------------------------------- validation

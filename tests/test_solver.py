@@ -32,8 +32,8 @@ def _structured_system(n: int, s: int, t_coeffs=None):
 
 def test_build_system_rows_run_from_s_down_to_three():
     _, _, _, system = _structured_system(2, 5)
-    assert [row.order for row in system.rows] == [5, 4, 3]
-    assert system.row_of_order(4).order == 4
+    assert [max(row.orders()) for row in system.rows] == [5, 4, 3]
+    assert system.row_of_order(4) is system.rows[1]
     assert system.n == 2
 
 
