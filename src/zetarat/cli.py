@@ -10,8 +10,9 @@ Commands:
   digits   certified digits of the approximation next to the reference value
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or invalid input
-(including singular systems), 3 precision budget exceeded.  All output is
-byte-deterministic for a fixed command line.
+(including singular systems), 3 precision budget exceeded, 4 internal error
+(a failed exact-arithmetic invariant).  All output is byte-deterministic for
+a fixed command line.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .numerics import (
+    InternalError,
     PrecisionBudgetError,
     Rat,
     decimal_upper_sci,
@@ -324,6 +326,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PrecisionBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

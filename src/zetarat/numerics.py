@@ -26,6 +26,10 @@ class PrecisionBudgetError(RuntimeError):
     """A certified computation would exceed the configured digit budget."""
 
 
+class InternalError(ArithmeticError):
+    """An exact-arithmetic invariant failed: a bug, never bad input."""
+
+
 # ---------------------------------------------------------------- intervals
 
 

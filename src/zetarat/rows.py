@@ -241,36 +241,11 @@ class RowCheck:
 
 @dataclass(frozen=True)
 class RowValidationReport:
-    s_max: int
-    variant: TranscriptionVariant
     checks: tuple[RowCheck, ...]
 
     @property
     def all_equal(self) -> bool:
         return all(c.equal for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "s_max": self.s_max,
-            "variant": self.variant.value,
-            "all_equal": self.all_equal,
-            "orders": [
-                {
-                    "order": c.order,
-                    "equal": c.equal,
-                    "mismatches": [
-                        {
-                            "component": m.component,
-                            "zeta_order": m.zeta_order,
-                            "row_value": str(m.row_value),
-                            "oracle_value": str(m.oracle_value),
-                        }
-                        for m in c.mismatches
-                    ],
-                }
-                for c in self.checks
-            ],
-        }
 
 
 def validate_rows(
@@ -298,4 +273,4 @@ def validate_rows(
             if got != exp:
                 mismatches.append(RowMismatch(order, "zeta", p, got, exp))
         checks.append(RowCheck(order, not mismatches, tuple(mismatches)))
-    return RowValidationReport(s_max, variant, tuple(checks))
+    return RowValidationReport(tuple(checks))

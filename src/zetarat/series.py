@@ -15,7 +15,8 @@ coefficient row is validated against.
 Two independent certified numeric evaluators are provided:
   * eval_truncated  — direct partial sums of the defining series, any P,Q,T;
   * eval_special_series — a fast factorial-form series valid for the
-    shifted-Legendre x binomial choice of P and Q.
+    shifted-Legendre x binomial choice of P and Q (special_series_enclosures
+    gives every order 3..s from one pass).
 Both return Interval enclosures that are provably nested as the number of
 summed terms K grows.
 """
@@ -27,7 +28,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Callable, Mapping
 
-from .numerics import Interval, Rat, harmonic
+from .numerics import InternalError, Interval, Rat, harmonic
 from .polynomials import PolySpec
 
 # ------------------------------------------------- zeta-combination values
@@ -154,9 +155,7 @@ def _pfs_sorted(r1: int, r2: int, r3: int, s: int) -> ZetaCombination:
                 constant -= bj * harmonic(rho0, j)
 
     if alpha1 + beta1_total != 0:
-        raise ArithmeticError(
-            "internal: 1/m residues failed to cancel (series would diverge)"
-        )
+        raise InternalError("1/m residues failed to cancel (series would diverge)")
     return ZetaCombination.of(constant, zeta)
 
 
@@ -229,7 +228,7 @@ def _divexact_linear(poly: list[int], root: int) -> list[int]:
         out[i - 1] = carry
         carry = -root * carry
     if poly[0] + carry != 0:
-        raise ArithmeticError("internal: inexact linear division")
+        raise InternalError("inexact linear division")
     return out
 
 
@@ -316,6 +315,45 @@ def eval_truncated(P: PolySpec, Q: PolySpec, T: PolySpec, s: int, K: int) -> Int
 # --------------------------------------- factorial-form series evaluation
 
 
+def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, Interval]:
+    """eval_special_series for every order 3..s from one pass over k.
+
+    Each k-term C(k,n) B(k+1,n+1)^2 T~(k) is built once and added to the
+    order-q total after q-3 divisions by (k+1); the order-free tail factor
+    (n+1) c* B(n,k0+1)/(k0+n+1) is built once and divided by (k0+1) once
+    per order.  Exact sums, so every enclosure equals the one-order result.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if s < 3:
+        raise ValueError("s must be >= 3")
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    orders = range(3, s + 1)
+    cstar = T.cstar
+    if cstar == 0:
+        return {q: Interval.point(Fraction(0)) for q in orders}
+    totals = [Fraction(0)] * len(orders)
+    for k in range(n, n + K):
+        tk = sum(
+            (cv / Fraction(k + 1 + i) for i, cv in enumerate(T.coeffs)), Fraction(0)
+        )
+        if not tk:
+            continue
+        term = comb(k, n) * beta_rat(k + 1, n + 1) ** 2 * tk
+        for j in range(len(orders)):
+            totals[j] += term
+            term /= k + 1
+    k0 = n + K
+    tail = (n + 1) * cstar * beta_rat(n, k0 + 1) / (k0 + n + 1)
+    out: dict[int, Interval] = {}
+    for q, total in zip(orders, totals):
+        tail /= k0 + 1
+        value = (-1) ** n * total
+        out[q] = Interval(value - tail, value + tail)
+    return out
+
+
 def eval_special_series(n: int, T: PolySpec, s: int, K: int) -> Interval:
     """Certified enclosure of I(L_n, (1-x)^n, T; s) from K terms of its
     factorial form
@@ -330,34 +368,7 @@ def eval_special_series(n: int, T: PolySpec, s: int, K: int) -> Interval:
 
     which also telescopes step-by-step, so enclosures are nested in K.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if s < 3:
-        raise ValueError("s must be >= 3")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    cstar = T.cstar
-    if cstar == 0:
-        return Interval.point(Fraction(0))
-    total = Fraction(0)
-    for k in range(n, n + K):
-        tk = sum(
-            (cv / Fraction(k + 1 + i) for i, cv in enumerate(T.coeffs)), Fraction(0)
-        )
-        if not tk:
-            continue
-        total += comb(k, n) * beta_rat(k + 1, n + 1) ** 2 * tk / Fraction(
-            (k + 1) ** (s - 3)
-        )
-    k0 = n + K
-    tail = (
-        (n + 1)
-        * cstar
-        * beta_rat(n, k0 + 1)
-        / (Fraction(k0 + n + 1) * Fraction((k0 + 1) ** (s - 2)))
-    )
-    value = Fraction((-1) ** n) * total
-    return Interval(value - tail, value + tail)
+    return special_series_enclosures(n, T, s, K)[s]
 
 
 # --------------------------------------------- shift-reduction identities

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .numerics import Rat, RatLike
+from .numerics import InternalError, Rat, RatLike
 from .polynomials import PolyFamily, PolySpec, pad_to_degree
 from .rows import TranscriptionVariant, coefficient_rows
-from .series import ZetaCombination, eval_special_series
+from .series import ZetaCombination, special_series_enclosures
 
 
 class SingularSystemError(ValueError):
@@ -176,7 +176,7 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     ]
     delta_generic = _det(matrix)
     if delta_generic != delta:
-        raise ArithmeticError("internal: triangular determinant mismatch")
+        raise InternalError("triangular determinant mismatch")
     alpha = Fraction(0)
     beta = Fraction(0)
     weights: dict[int, Rat] = {}
@@ -218,7 +218,7 @@ def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) ->
     if alpha != alpha2 or beta != beta2 or any(
         weights.get(q, Fraction(0)) != weights2.get(q, Fraction(0)) for q in keys
     ):
-        raise ArithmeticError("internal: solver routes disagree")
+        raise InternalError("solver routes disagree")
 
     theta_total = sum(
         (abs(w) * bounds[q] for q, w in weights.items()), Fraction(0)
@@ -254,18 +254,18 @@ def theta_bound(n: int, cstar: RatLike, s: int) -> Rat:
     return cstar * Fraction(1, 4**n)
 
 
-def certified_row_bounds(
-    P: PolySpec,
-    Q: PolySpec,
-    T: PolySpec,
-    s: int,
-    max_doublings: int = 8,
-) -> dict[int, Rat]:
+#: K-attempts per system: K = 4n+16, doubled after each unsettled attempt.
+BOUND_ATTEMPTS = 8
+
+
+def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int, Rat]:
     """Tight certified bounds on |I_q| for q = 3..s via adaptive enclosures.
 
-    Each bound is the sup-abs of an eval_special_series enclosure, refined
-    (K doubling) until it is at most the analytic theta_bound; the analytic
-    bound itself is the certified fallback.  Requires the shifted-Legendre /
+    Each attempt encloses every pending order from one
+    special_series_enclosures pass; an order settles on the sup-abs of its
+    enclosure once that is at most the analytic theta_bound, otherwise K
+    doubles.  Orders still pending after BOUND_ATTEMPTS keep the analytic
+    bound, the certified fallback.  Requires the shifted-Legendre /
     binomial family pair — the fast series form is only valid there.
     """
     if P.family is not PolyFamily.SHIFTED_LEGENDRE or Q.family is not PolyFamily.BINOMIAL:
@@ -276,16 +276,15 @@ def certified_row_bounds(
     if P.degree != Q.degree:
         raise ValueError("P and Q must share a degree")
     n = P.degree
-    out: dict[int, Rat] = {}
-    for order in range(3, s + 1):
-        analytic = theta_bound(n, T.cstar, order)
-        K = 4 * n + 16
-        bound = analytic
-        for _ in range(max_doublings):
-            enc = eval_special_series(n, T, order, K)
-            if enc.sup_abs <= analytic:
-                bound = enc.sup_abs
-                break
-            K *= 2
-        out[order] = bound
+    out = {order: theta_bound(n, T.cstar, order) for order in range(3, s + 1)}
+    pending = list(out)
+    K = 4 * n + 16
+    for _ in range(BOUND_ATTEMPTS):
+        if not pending:
+            break
+        encs = special_series_enclosures(n, T, pending[-1], K)
+        settled = {q: encs[q].sup_abs for q in pending if encs[q].sup_abs <= out[q]}
+        out.update(settled)
+        pending = [q for q in pending if q not in settled]
+        K *= 2
     return out

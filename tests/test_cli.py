@@ -1,13 +1,14 @@
 """Command-line behavior: output shape, determinism, and exit codes.
 
 Exit-code contract: 0 success, 1 verification mismatch, 2 usage or invalid
-input, 3 precision budget exceeded.
+input, 3 precision budget exceeded, 4 internal error.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
 
+import zetarat.solver as solver_module
 from zetarat.cli import main
 
 # ----------------------------------------------------------------- approx
@@ -184,6 +185,21 @@ def test_oversized_t_exits_two(capsys):
 def test_precision_budget_exits_three(capsys):
     assert main(["approx", "--s", "3", "--n", "2", "--digits", "20000"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
+    """Solver routes that disagree are a bug, not invalid input."""
+    cramer = solver_module._solve_cramer
+
+    def skewed(system):
+        alpha, beta, weights = cramer(system)
+        return alpha + 1, beta, weights
+
+    monkeypatch.setattr(solver_module, "_solve_cramer", skewed)
+    assert main(["approx", "--s", "3", "--n", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: solver routes disagree\n"
 
 
 def test_usage_errors_exit_two(capsys):

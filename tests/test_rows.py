@@ -234,20 +234,6 @@ def test_validate_rows_pinpoints_harmonic_mismatches_on_the_witness():
     assert mismatch.oracle_value == Fraction(337, 72)
 
 
-def test_validate_rows_as_dict_uses_plain_rational_strings():
-    P, Q, T = WITNESS
-    got = validate_rows(P, Q, T, 5, TranscriptionVariant.HARMONIC_WEIGHTS).as_dict()
-    assert got["all_equal"] is False
-    assert got["variant"] == "with-h"
-    mism = got["orders"][2]["mismatches"][0]
-    assert mism == {
-        "component": "zeta",
-        "zeta_order": 2,
-        "row_value": "187/24",
-        "oracle_value": "337/72",
-    }
-
-
 def test_validate_rows_rejects_small_s_max():
     one = explicit_poly([1])
     with pytest.raises(ValueError):

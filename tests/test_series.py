@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetarat.numerics import Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
@@ -18,6 +21,7 @@ from zetarat.series import (
     eval_truncated,
     partial_fraction_sum,
     shift_reduction_residual,
+    special_series_enclosures,
 )
 
 # --------------------------------------------------------- ZetaCombination
@@ -242,12 +246,57 @@ def test_eval_special_series_zero_t_short_circuits():
     assert (enc.lo, enc.hi) == (0, 0)
 
 
-def test_eval_special_series_enclosures_nest_in_k():
-    T = explicit_poly([2, -1, 3])
-    for n, s in ((1, 3), (2, 4), (4, 5)):
-        encs = [eval_special_series(n, T, s, k) for k in (1, 2, 5, 20, 80)]
-        for outer, inner in zip(encs, encs[1:]):
-            assert outer.contains_interval(inner)
+_RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))
+_SPECIAL_T = st.lists(_RATIONALS, min_size=1, max_size=4).map(explicit_poly)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), _SPECIAL_T, st.integers(3, 6))
+def test_eval_special_series_enclosures_nest_in_k(n, T, s):
+    passes = [special_series_enclosures(n, T, s, k) for k in (1, 2, 5, 20, 80)]
+    for q in range(3, s + 1):
+        for outer, inner in zip(passes, passes[1:]):
+            assert outer[q].contains_interval(inner[q])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), _SPECIAL_T, st.integers(3, 8), st.booleans())
+def test_special_series_enclosures_equal_one_order_calls_and_the_oracle(n, T, s, tight):
+    """One pass gives, for every order, exactly the one-order enclosure, and
+    it overlaps the exact value from the partial-fraction oracle."""
+    K = 4 * n + 16 if tight else 1
+    P, Q = shifted_legendre(n), binomial_poly(n)
+    encs = special_series_enclosures(n, T, s, K)
+    assert sorted(encs) == list(range(3, s + 1))
+    for q, enc in encs.items():
+        assert enc == eval_special_series(n, T, q, K)
+        exact = decompose_integral(P, Q, T, q).enclosure(
+            lambda p: zeta_reference(p, 30)
+        )
+        assert enc.overlaps(exact)
+
+
+def test_special_series_enclosures_follow_the_documented_formula():
+    """Every order's enclosure is the docstring's partial sum, summed with
+    (k+1)^-(q-3) per order, widened by the docstring's tail bound."""
+    for n, coeffs, s, K in ((1, [1], 5, 1), (2, [2, -1, 3], 6, 7), (5, [1, -1], 4, 36)):
+        T = explicit_poly(coeffs)
+        k0 = n + K
+        for q, enc in special_series_enclosures(n, T, s, K).items():
+            partial = sum(
+                (
+                    comb(k, n)
+                    * beta_rat(k + 1, n + 1) ** 2
+                    * sum(Fraction(c, k + 1 + i) for i, c in enumerate(coeffs))
+                    / Fraction(k + 1) ** (q - 3)
+                    for k in range(n, k0)
+                ),
+                Fraction(0),
+            )
+            tail = (n + 1) * T.cstar * beta_rat(n, k0 + 1)
+            tail /= (k0 + n + 1) * Fraction(k0 + 1) ** (q - 2)
+            value = (-1) ** n * partial
+            assert enc == Interval(value - tail, value + tail)
 
 
 def test_eval_special_series_respects_the_analytic_magnitude_bound():

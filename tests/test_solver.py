@@ -8,7 +8,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from zetarat.numerics import zeta_reference
+import zetarat.solver as solver_module
+from zetarat.numerics import Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.rows import row_zeta3
 from zetarat.solver import (
@@ -181,6 +182,53 @@ def test_certified_bounds_never_exceed_the_analytic_bound():
         assert sorted(bounds) == [3, 4, 5, 6]
         for order, value in bounds.items():
             assert 0 <= value <= theta_bound(n, T.cstar, order)
+
+
+def test_certified_bounds_take_one_series_pass_per_system(monkeypatch):
+    """With no K doubling, every order settles from one shared pass."""
+    calls = []
+    original = solver_module.special_series_enclosures
+
+    def counting(n, T, s, K):
+        calls.append((n, s, K))
+        return original(n, T, s, K)
+
+    monkeypatch.setattr(solver_module, "special_series_enclosures", counting)
+    for n, s in ((4, 3), (6, 7), (12, 9)):
+        calls.clear()
+        P, Q = shifted_legendre(n), binomial_poly(n)
+        bounds = certified_row_bounds(P, Q, explicit_poly([1, -1]), s)
+        assert calls == [(n, s, 4 * n + 16)]
+        assert all(b < theta_bound(n, 1, q) for q, b in bounds.items())
+
+
+def test_certified_bounds_double_k_only_for_pending_orders(monkeypatch):
+    """Orders settle at the first K whose enclosure beats the analytic bound;
+    an order that never does keeps the analytic bound after the last attempt."""
+    n, s, T = 3, 6, explicit_poly([1])
+    K0 = 4 * n + 16
+    wide = Interval(Fraction(-1), Fraction(1))
+    calls = []
+    original = solver_module.special_series_enclosures
+
+    def stubborn(n, T, s, K):
+        """Order 3 never beats theta, orders 5+ only from K = 4 K0 on."""
+        calls.append((s, K))
+        real = original(n, T, s, K) if K <= 4 * K0 else {}
+        return {
+            q: real[q] if q == 4 or (q >= 5 and K == 4 * K0) else wide
+            for q in range(3, s + 1)
+        }
+
+    monkeypatch.setattr(solver_module, "special_series_enclosures", stubborn)
+    bounds = certified_row_bounds(shifted_legendre(n), binomial_poly(n), T, s)
+    assert calls == [(6, K0), (6, 2 * K0), (6, 4 * K0)] + [
+        (3, K0 << i) for i in range(3, 8)
+    ]
+    assert bounds[3] == theta_bound(n, 1, 3)
+    assert bounds[4] == original(n, T, 4, K0)[4].sup_abs
+    for q in (5, 6):
+        assert bounds[q] == original(n, T, q, 4 * K0)[q].sup_abs
 
 
 def test_certified_bounds_guard_the_polynomial_families():
