@@ -29,7 +29,9 @@ from .numerics import (
     InternalError,
     PrecisionBudgetError,
     Rat,
+    decimal_length,
     decimal_upper_sci,
+    rational_text,
     render_decimal,
     render_interval_decimal,
     zeta_reference,
@@ -65,9 +67,9 @@ def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
     fields = [
         ("s", args.s),
         ("n", args.n),
-        ("alpha", str(res.alpha)),
-        ("beta", str(res.beta)),
-        ("theta_bound", str(res.theta_bound)),
+        ("alpha", rational_text(res.alpha)),
+        ("beta", rational_text(res.beta)),
+        ("theta_bound", rational_text(res.theta_bound)),
         ("decimal", render_decimal(res.alpha, res.beta, args.digits)),
     ]
     if args.fmt == "json":
@@ -185,7 +187,7 @@ def cmd_lemma2(args: argparse.Namespace) -> tuple[int, str]:
 
 def _error_upper(alpha: Rat, beta: Rat, s: int, digits: int) -> Rat:
     """Certified upper bound on |alpha*zeta(2) + beta - zeta(s)|."""
-    working = digits + 40 + len(str(abs(alpha.numerator)))
+    working = digits + 40 + decimal_length(alpha.numerator)
     err = zeta_reference(2, working).scale(alpha).shift(beta) - zeta_reference(
         s, working
     )
@@ -202,7 +204,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
         rows.append(
             {
                 "n": n,
-                "theta_bound": str(res.theta_bound),
+                "theta_bound": rational_text(res.theta_bound),
                 "theta_bound_sci": decimal_upper_sci(res.theta_bound),
                 "error_upper_sci": decimal_upper_sci(
                     _error_upper(res.alpha, res.beta, args.s, args.digits)

@@ -9,10 +9,9 @@ anywhere.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
 from typing import Callable, Union
 
 Rat = Fraction
@@ -120,60 +119,70 @@ def harmonic(k: int, m: int = 1) -> Rat:
 # ------------------------------------------------------ reference zeta(p)
 
 
-@lru_cache(maxsize=None)
-def bernoulli(m: int) -> Rat:
-    """Exact Bernoulli number B_m (B_1 = -1/2 convention)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        return Fraction(1)
-    if m > 1 and m % 2 == 1:
-        return Fraction(0)
-    total = Fraction(0)
-    for j in range(m):
-        total += comb(m + 1, j) * bernoulli(j)
-    return -total / (m + 1)
+def _borwein_step(N: int, i: int) -> tuple[int, int]:
+    """t_i / t_(i-1) = 4(N+i-1)(N-i+1) / ((2i-1)(2i)), as (numerator, denominator)."""
+    return 4 * (N + i - 1) * (N - i + 1), (2 * i - 1) * (2 * i)
 
 
-def _euler_maclaurin_term(p: int, K: int, j: int) -> Rat:
-    """j-th correction term (B_2j/(2j)!) * p(p+1)...(p+2j-2) * K^(1-p-2j)."""
-    rising = Fraction(1)
-    for i in range(2 * j - 1):
-        rising *= p + i
-    b = bernoulli(2 * j)
-    fact = 1
-    for i in range(2, 2 * j + 1):
-        fact *= i
-    return Fraction(b, fact) * rising / Fraction(K ** (p + 2 * j - 1))
+def _borwein_sum(p: int, N: int, G: int) -> tuple[int, int, int]:
+    """(lo, hi, d_N) with lo <= 2^G sum_{k<N} (-1)^k (d_N - d_k)/(k+1)^p <= hi.
+
+    Each term is rounded down into lo and up into hi.  The weights run down
+    from t_N = 2^(2N-1) through the exact ratio t_i/t_(i-1), so one pass
+    keeps two big integers live, not N.
+    """
+    t, e = 1 << (2 * N - 1), 0  # t_N, and d_N - d_N
+    lo = hi = 0
+    for k in range(N - 1, -1, -1):
+        e += t  # d_N - d_k
+        q, r = divmod(e << G, (k + 1) ** p)
+        if k % 2:
+            lo -= q + (r != 0)
+            hi -= q
+        else:
+            lo += q
+            hi += q + (r != 0)
+        num, den = _borwein_step(N, k + 1)
+        t, r = divmod(t * den, num)  # t_k
+        if r:
+            raise InternalError("inexact Borwein weight division")
+    if t != 1:
+        raise InternalError("Borwein weights do not start at t_0 = 1")
+    return lo, hi, e + 1
 
 
 def _zeta_enclosure_raw(p: int, digits: int) -> Interval:
-    """One Euler-Maclaurin enclosure of zeta(p) with width < 10^-digits.
+    """One enclosure of zeta(p), p >= 2, with width < 10^-digits, from
+    Borwein's alternating series (P. Borwein, "An efficient algorithm for the
+    Riemann zeta function", CMS Conf. Proc. 27, 2000, Algorithm 2).
 
-    Tail past the partial sum:
-        sum_{k>=K} k^-p = K^(1-p)/(p-1) + K^-p/2 + sum_{j>=1} t_j(K)
-    For the completely monotone integrand x^-p the remainder after J terms
-    is bracketed by (and has the sign of) the first omitted term, so
-    [A, A + t_{J+1}] (sorted) is a certified enclosure.
+    With c = 2^(p-1) and the integer weights
+        t_i = N (N+i-1)! 4^i / ((N-i)! (2i)!),    d_k = t_0 + ... + t_k,
+    zeta(p) = c/((c-1) d_N) sum_{k<N} (-1)^k (d_N - d_k)/(k+1)^p + gamma_N,
+    |gamma_N| <= 3c/((c-1) (3+sqrt 8)^N) < 3c 5^N/((c-1) 29^N) =: g_N,
+    the last step because (29/5 - 3)^2 = 196/25 < 8.  N is the least integer
+    with 2 g_N <= 10^-digits / 2.
+
+    The sum is taken in directed-rounding fixed point at 2^-G, scaled by
+    c/((c-1) d_N) and rounded outward to 2^-W; g_N, rounded up to 2^-W,
+    widens both sides.
     """
-    target = Fraction(1, 10**digits)
-    K = 16
-    while True:
-        partial = sum(Fraction(1, k**p) for k in range(1, K))
-        a = partial + Fraction(1, K ** (p - 1) * (p - 1)) + Fraction(1, 2 * K**p)
-        prev = None
-        j = 1
-        while True:
-            t = _euler_maclaurin_term(p, K, j)
-            if abs(t) < target:
-                lo, hi = sorted((a, a + t))
-                return Interval(lo, hi)
-            if prev is not None and abs(t) >= abs(prev):
-                break  # terms stopped shrinking: K too small for this target
-            a += t
-            prev = t
-            j += 1
-        K *= 2
+    c = 1 << (p - 1)
+    N, lhs, rhs = 0, 12 * c * 10**digits, c - 1
+    while rhs < lhs:
+        N, lhs, rhs = N + 1, lhs * 5, rhs * 29
+    # d_N = T_N(3) >= (3+sqrt 8)^N / 2 (Chebyshev), so N 2^-G < 1/4 keeps the
+    # term rounding below g_N / 6.
+    G = N.bit_length() + 2
+    acc_lo, acc_hi, d_N = _borwein_sum(p, N, G)
+    W = (16 * 10**digits).bit_length()
+    den = (c - 1) * d_N << G
+    lo = (acc_lo << (p - 1 + W)) // den
+    hi = -((-acc_hi << (p - 1 + W)) // den)
+    g = -((-3 * 5**N << (p - 1 + W)) // ((c - 1) * 29**N))
+    if (hi - lo + 2 * g) * 10**digits >= 1 << W:
+        raise InternalError("Borwein enclosure wider than requested")
+    return Interval(Fraction(lo - g, 1 << W), Fraction(hi + g, 1 << W))
 
 
 _raw_cache: dict[tuple[int, int], Interval] = {}
@@ -212,6 +221,40 @@ def _raw_enclosure(p: int, digits: int) -> Interval:
 # ------------------------------------------------------ decimal rendering
 
 
+def decimal_length(n: int) -> int:
+    """len(str(abs(n))), from bit_length and an exact integer correction."""
+    n = abs(n)
+    # 30102/100000 < log10(2): the estimate never exceeds the true length.
+    length = max(1, (n.bit_length() - 1) * 30102 // 100000 + 1)
+    while 10**length <= n:
+        length += 1
+    return length
+
+
+def int_text(n: int) -> str:
+    """str(n) for an exact integer of any size.
+
+    CPython (3.11, and 3.10.7 on) refuses to convert an int of more than
+    4300 decimal digits by default; the limit is lifted for this one
+    conversion and restored afterwards.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def rational_text(x: Rat) -> str:
+    """str(x) for an exact rational of any size ("p/q", or "p" when q = 1)."""
+    if x.denominator == 1:
+        return int_text(x.numerator)
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
+
+
 def _round_half_even(x: Rat, digits: int) -> str:
     """Fixed-point decimal string of x with exactly `digits` decimals.
 
@@ -224,7 +267,7 @@ def _round_half_even(x: Rat, digits: int) -> str:
     double = 2 * rem
     if double > q or (double == q and whole % 2 == 1):
         whole += 1
-    text = str(whole).rjust(digits + 1, "0")
+    text = int_text(whole).rjust(digits + 1, "0")
     out = f"{text[:-digits]}.{text[-digits:]}" if digits else text
     if sign and whole != 0:
         out = "-" + out
@@ -284,7 +327,7 @@ def decimal_upper_sci(x: Rat, sig: int = 3) -> str:
         return "0"
     ten = Fraction(10)
     # exponent e with 10^e <= x < 10^(e+1)
-    e = len(str(x.numerator)) - len(str(x.denominator))
+    e = decimal_length(x.numerator) - decimal_length(x.denominator)
     while ten**e > x:
         e -= 1
     while ten ** (e + 1) <= x:

@@ -6,7 +6,10 @@ input, 3 precision budget exceeded, 4 internal error.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
+
+import mpmath
 
 import zetarat.solver as solver_module
 from zetarat.cli import main
@@ -151,6 +154,14 @@ def test_table_rejects_bad_degree_range(capsys):
     assert main(["table", "--s", "3", "--n-from", "5", "--n-to", "2"]) == 2
 
 
+def test_table_row_with_a_long_certified_error_exits_zero(capsys):
+    """This row's certified error once had a denominator of more than 4300
+    decimal digits, CPython's default int-to-str limit, and exited 2."""
+    assert main(["table", "--s", "9", "--n-from", "118", "--n-to", "118"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["n,theta_bound,error_upper,decimal", "118,6.18e-124,6.18e-124,1.0020083928"]
+
+
 # ----------------------------------------------------------------- digits
 
 
@@ -162,6 +173,20 @@ def test_digits_command_shows_approx_against_reference(capsys):
     assert payload["approx"].startswith("1.20205")
     mant, exp = payload["error_upper"].split("e")
     assert float(mant) * 10 ** int(exp) < 1e-8
+
+
+def test_digits_past_the_int_str_limit_exits_zero(capsys):
+    """4300 decimals are a 4301-digit integer in the renderer, one past
+    CPython's default int-to-str limit; the limit is restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    assert main(["digits", "--s", "3", "--n", "2", "--digits", "4300"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    payload = json.loads(capsys.readouterr().out)
+    with mpmath.workdps(4330):
+        assert payload["reference"] == mpmath.nstr(mpmath.zeta(3), 4301)
+    assert payload["approx"].startswith("1.2012143035404155112120957495974911897")
+    assert len(payload["approx"]) == 4302
+    assert payload["error_upper"] == "8.43e-04"
 
 
 # -------------------------------------------------------------- exit codes

@@ -3,18 +3,27 @@ and certified decimal rendering."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from itertools import accumulate
+from math import factorial
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zetarat import numerics
 from zetarat.numerics import (
     DIGIT_BUDGET,
+    InternalError,
     Interval,
     PrecisionBudgetError,
-    bernoulli,
+    decimal_length,
     decimal_upper_sci,
     harmonic,
+    int_text,
+    rational_text,
     render_decimal,
     render_interval_decimal,
     zeta_reference,
@@ -113,30 +122,6 @@ def test_harmonic_rejects_negative_argument():
         harmonic(-1)
 
 
-# -------------------------------------------------------- bernoulli numbers
-
-
-def test_bernoulli_frozen_values():
-    assert bernoulli(0) == 1
-    assert bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(2) == Fraction(1, 6)
-    assert bernoulli(4) == Fraction(-1, 30)
-    assert bernoulli(6) == Fraction(1, 42)
-    assert bernoulli(12) == Fraction(-691, 2730)
-
-
-def test_bernoulli_odd_values_vanish():
-    assert all(bernoulli(m) == 0 for m in range(3, 16, 2))
-
-
-def test_bernoulli_satisfies_defining_recurrence():
-    """sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1."""
-    from math import comb
-
-    for m in range(1, 20):
-        assert sum(comb(m + 1, j) * bernoulli(j) for j in range(m + 1)) == 0
-
-
 # ------------------------------------------------------------ zeta enclosures
 
 
@@ -183,19 +168,76 @@ def _machin_pi_bracket(tol: Fraction) -> Interval:
 def test_zeta_two_agrees_with_independent_machin_bracket():
     """zeta(2) = pi^2/6: compare against a bracket of pi built from a
     completely different identity, all in exact rational arithmetic."""
-    pi = _machin_pi_bracket(Fraction(1, 10**45))
-    assert pi.width < Fraction(1, 10**40)
+    pi = _machin_pi_bracket(Fraction(1, 10**1010))
+    assert pi.width < Fraction(1, 10**1005)
     pi_sq_sixth = Interval(pi.lo**2 / 6, pi.hi**2 / 6)
-    assert pi_sq_sixth.overlaps(zeta_reference(2, 35))
+    for digits in (35, 1000):
+        assert pi_sq_sixth.overlaps(zeta_reference(2, digits))
 
 
 def test_zeta_reference_agrees_with_mpmath():
-    mpmath.mp.dps = 60
-    for p in range(2, 9):
-        text = mpmath.nstr(mpmath.zeta(p), 50)
-        approx = Fraction(text)
-        window = Interval(approx - Fraction(1, 10**45), approx + Fraction(1, 10**45))
-        assert window.overlaps(zeta_reference(p, 40))
+    for digits in (40, 1000):
+        with mpmath.workdps(digits + 20):
+            for p in range(2, 10):
+                approx = Fraction(mpmath.nstr(mpmath.zeta(p), digits + 10))
+                slack = Fraction(1, 10 ** (digits + 5))
+                window = Interval(approx - slack, approx + slack)
+                assert window.overlaps(zeta_reference(p, digits))
+
+
+def _borwein_weights(N: int) -> list[int]:
+    """d_0..d_N, with t_i = N (N+i-1)! 4^i / ((N-i)! (2i)!) from factorials."""
+    t = [
+        Fraction(N * factorial(N + i - 1) * 4**i, factorial(N - i) * factorial(2 * i))
+        for i in range(N + 1)
+    ]
+    assert all(w.denominator == 1 for w in t)
+    return [int(w) for w in accumulate(t)]
+
+
+def _exact_borwein_sum(p: int, N: int) -> Fraction:
+    """sum_{k<N} (-1)^k (d_N - d_k)/(k+1)^p in exact rationals."""
+    d = _borwein_weights(N)
+    terms = (Fraction((-1) ** k * (d[N] - d[k]), (k + 1) ** p) for k in range(N))
+    return sum(terms, Fraction(0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 12), st.integers(1, 80), st.integers(0, 12))
+def test_borwein_sum_rounds_every_term_outward(p, N, G):
+    lo, hi, d_N = numerics._borwein_sum(p, N, G)
+    exact = _exact_borwein_sum(p, N) * 2**G
+    assert lo <= exact <= hi
+    assert hi - lo <= N
+    assert d_N == _borwein_weights(N)[N]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 12), st.integers(1, 300))
+def test_raw_enclosure_holds_the_borwein_value_widened_by_the_remainder_bound(p, digits):
+    """N is the least integer with 2 g_N <= 10^-digits / 2, where
+    g_N = 3c 5^N/((c-1) 29^N), and the enclosure contains
+    [V - g_N, V + g_N] for the exact Borwein value V = c S_N/((c-1) d_N)."""
+    c = 2 ** (p - 1)
+    N = 1
+    while 12 * c * 5**N * 10**digits > (c - 1) * 29**N:
+        N += 1
+    g = Fraction(3 * c * 5**N, (c - 1) * 29**N)
+    value = _exact_borwein_sum(p, N) * c / ((c - 1) * _borwein_weights(N)[N])
+    enc = numerics._zeta_enclosure_raw(p, digits)
+    assert enc.lo <= value - g and value + g <= enc.hi
+    assert enc.width < Fraction(1, 10**digits)
+
+
+def test_borwein_weights_raise_internal_error_on_an_inexact_division(monkeypatch):
+    def off_by_one(N, i):
+        num, den = step(N, i)
+        return num + 1, den
+
+    step = numerics._borwein_step
+    monkeypatch.setattr(numerics, "_borwein_step", off_by_one)
+    with pytest.raises(InternalError, match="inexact Borwein weight division"):
+        numerics._zeta_enclosure_raw(3, 20)
 
 
 def test_zeta_reference_validates_arguments():
@@ -280,6 +322,39 @@ def test_decimal_upper_sci_is_an_upper_bound():
         assert bound >= x
         # and not absurdly loose: within one ulp at three significant figures
         assert bound <= x * (1 + Fraction(1, 100))
+
+
+def test_decimal_upper_sci_of_a_long_rational():
+    x = Fraction(7 * 10**5000 + 1, 3 * 10**9000)
+    assert decimal_upper_sci(x) == "2.34e-4000"
+
+
+def _unlimited_str(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_length_equals_the_length_of_str():
+    rng = random.Random(5)
+    values = [0, 1, 9, 10, 99, 100]
+    values += [10**k + d for k in range(1, 6000, 97) for d in (-1, 0, 1)]
+    values += [rng.getrandbits(rng.randint(1, 20000)) for _ in range(100)]
+    for n in values:
+        assert decimal_length(n) == decimal_length(-n) == len(_unlimited_str(n))
+
+
+def test_exact_text_of_integers_and_rationals_past_the_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    big = 3**9000
+    assert int_text(-big) == "-" + _unlimited_str(big)
+    assert rational_text(Fraction(big, 2)) == f"{_unlimited_str(big)}/2"
+    assert rational_text(Fraction(-big)) == "-" + _unlimited_str(big)
+    assert rational_text(Fraction(-3, 4)) == "-3/4"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_decimal_upper_sci_rejects_negatives():
