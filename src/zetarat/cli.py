@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .numerics import (
+    DIGIT_BUDGET,
     InternalError,
     PrecisionBudgetError,
     Rat,
@@ -185,9 +186,14 @@ def cmd_lemma2(args: argparse.Namespace) -> tuple[int, str]:
 # ------------------------------------------------------------------ table
 
 
+def _error_working(alpha: Rat, digits: int) -> int:
+    """Digits of the zeta references _error_upper asks for."""
+    return digits + 40 + decimal_length(alpha.numerator)
+
+
 def _error_upper(alpha: Rat, beta: Rat, s: int, digits: int) -> Rat:
     """Certified upper bound on |alpha*zeta(2) + beta - zeta(s)|."""
-    working = digits + 40 + decimal_length(alpha.numerator)
+    working = _error_working(alpha, digits)
     err = zeta_reference(2, working).scale(alpha).shift(beta) - zeta_reference(
         s, working
     )
@@ -233,6 +239,13 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
     res = _approx(explicit_poly(_parse_rationals(args.t)), args.s, args.n)
+    # Rendering first asks for digits + 8; past that, fail before rendering
+    # if the error bound's references would exceed the budget anyway.
+    working = _error_working(res.alpha, args.digits)
+    if args.digits + 8 <= DIGIT_BUDGET < working:
+        raise PrecisionBudgetError(
+            f"requested {working} digits exceeds budget of {DIGIT_BUDGET}"
+        )
     approx = render_decimal(res.alpha, res.beta, args.digits)
     reference = render_interval_decimal(
         lambda w: zeta_reference(args.s, w), args.digits

@@ -14,7 +14,7 @@ per index, and the order only picks the inverse powers they are summed
 against.  Orders 3 and 4 are the cases where the mandatory zeta(3) and
 zeta(2) extra blocks land on the lead and sub-lead coefficients.  Every
 formula was adjudicated term-by-term against the exact partial-fraction
-oracle (`series.decompose_integral`); where the available closed forms
+oracle (`series.decompose_integrals`); where the available closed forms
 admit two genuinely different readings of the triple-sum block (orders
 >= 5), both are implemented and selectable via TranscriptionVariant.  Only
 PLAIN_POWERS agrees with the oracle — HARMONIC_WEIGHTS is kept callable so
@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .numerics import Rat, harmonic
 from .polynomials import PolySpec, coefficient_triple
-from .series import ZetaCombination, decompose_integral
+from .series import ZetaCombination, decompose_integrals
 
 
 class TranscriptionVariant(Enum):
@@ -260,8 +260,9 @@ def validate_rows(
     if s_max < 3:
         raise ValueError("s_max must be >= 3")
     checks = []
+    oracle = decompose_integrals(P, Q, T, s_max)
     for order, row in coefficient_rows(P, Q, T, s_max, variant).items():
-        want = decompose_integral(P, Q, T, order)
+        want = oracle[order]
         mismatches: list[RowMismatch] = []
         if row.constant != want.constant:
             mismatches.append(

@@ -97,7 +97,13 @@ def _mul_trunc(p: list[Rat], q: list[Rat], order: int) -> list[Rat]:
     return out
 
 
-@lru_cache(maxsize=None)
+#: Bound on the memo of _pfs_sorted.  verify (shifts <= 3, orders <= 9)
+#: touches 20 sorted triples x 7 orders = 140 entries; this leaves ample room
+#: for larger degrees while keeping a long-lived process bounded.
+_PFS_CACHE_SIZE = 2**14
+
+
+@lru_cache(maxsize=_PFS_CACHE_SIZE)
 def _pfs_sorted(r1: int, r2: int, r3: int, s: int) -> ZetaCombination:
     """partial_fraction_sum on a sorted shift triple (the cache key)."""
     shifts = (r1, r2, r3)
@@ -174,31 +180,52 @@ def partial_fraction_sum(r1: int, r2: int, r3: int, s: int) -> ZetaCombination:
     return _pfs_sorted(a, b, c, s)
 
 
-def decompose_integral(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> ZetaCombination:
-    """Exact zeta-combination value of I(P,Q,T; s).
+def decompose_integrals(
+    P: PolySpec, Q: PolySpec, T: PolySpec, s: int
+) -> dict[int, ZetaCombination]:
+    """Exact zeta-combination value of I(P,Q,T; q) for every order q = 3..s.
 
-    Weighted sum of partial_fraction_sum over all coefficient triples with
-    nonzero weight; a deterministic sequential reduction.
+    sigma(r1,r2,r3; q) is symmetric in the shifts, so one pass over the
+    coefficient triples sums the weights p*q*t per sorted triple; each
+    distinct triple whose summed weight is nonzero then adds its
+    partial-fraction value once per order.  Exact sums, so every order
+    equals the ungrouped per-triple reduction.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
-    constant = Fraction(0)
-    zeta: dict[int, Rat] = {}
+    summed: dict[tuple[int, int, int], Rat] = {}
     for r1, av in enumerate(P.coeffs):
         if not av:
             continue
         for r2, bv in enumerate(Q.coeffs):
             if not bv:
                 continue
+            abv = av * bv
             for r3, cv in enumerate(T.coeffs):
-                if not cv:
-                    continue
-                w = av * bv * cv
-                part = partial_fraction_sum(r1, r2, r3, s)
-                constant += w * part.constant
-                for p, v in part.terms:
-                    zeta[p] = zeta.get(p, Fraction(0)) + w * v
-    return ZetaCombination.of(constant, zeta)
+                if cv:
+                    key = tuple(sorted((r1, r2, r3)))
+                    summed[key] = summed.get(key, 0) + abv * cv
+    weights = [(key, w) for key, w in summed.items() if w]
+    out: dict[int, ZetaCombination] = {}
+    for q in range(3, s + 1):
+        constant = Fraction(0)
+        zeta: dict[int, Rat] = {}
+        for (a, b, c), w in weights:
+            part = _pfs_sorted(a, b, c, q)
+            constant += w * part.constant
+            for p, v in part.terms:
+                zeta[p] = zeta.get(p, 0) + w * v
+        out[q] = ZetaCombination.of(constant, zeta)
+    return out
+
+
+def decompose_integral(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> ZetaCombination:
+    """Exact zeta-combination value of I(P,Q,T; s).
+
+    Weighted sum of partial_fraction_sum over all coefficient triples with
+    nonzero weight; the order-s view of decompose_integrals.
+    """
+    return decompose_integrals(P, Q, T, s)[s]
 
 
 # ------------------------------------------------------------- beta values

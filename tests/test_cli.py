@@ -6,11 +6,16 @@ input, 3 precision budget exceeded, 4 internal error.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 
+import zetarat
 import zetarat.solver as solver_module
 from zetarat.cli import main
 
@@ -212,6 +217,19 @@ def test_precision_budget_exits_three(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_digits_over_budget_fails_before_rendering(capsys):
+    """digits 9952 at n = 8 renders within budget, but its error bound needs
+    9952 + 40 + 9 reference digits: the request fails before rendering."""
+    start = time.perf_counter()
+    code = main(["digits", "--s", "3", "--n", "8", "--digits", "9952"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: requested 10001 digits exceeds budget of 10000\n"
+    assert elapsed < 1.0
+
+
 def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
     """Solver routes that disagree are a bug, not invalid input."""
     cramer = solver_module._solve_cramer
@@ -237,3 +255,28 @@ def test_usage_errors_exit_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "approx" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ determinism
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    """Two interpreters with different string-hash seeds print the same bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(zetarat.__file__).parents[1]))
+    commands = (
+        ["verify", "--s", "6", "--trials", "5", "--seed", "4"],
+        ["approx", "--s", "5", "--n", "6", "--t", "1,-1/2", "--format", "text"],
+    )
+    for argv in commands:
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "zetarat", *argv],
+                env={**env, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                check=False,
+            )
+            for hash_seed in ("0", "4242")
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout

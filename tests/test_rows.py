@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetarat.rows as rows_module
 from zetarat.polynomials import (
     binomial_poly,
     explicit_poly,
@@ -232,6 +233,26 @@ def test_validate_rows_pinpoints_harmonic_mismatches_on_the_witness():
     assert mismatch.zeta_order == 2
     assert mismatch.row_value == Fraction(187, 24)
     assert mismatch.oracle_value == Fraction(337, 72)
+
+
+def test_validate_rows_takes_one_oracle_pass_per_system(monkeypatch):
+    """Every order's oracle value comes from one decompose_integrals call."""
+    calls = []
+    original = rows_module.decompose_integrals
+
+    def counting(P, Q, T, s):
+        calls.append(s)
+        return original(P, Q, T, s)
+
+    monkeypatch.setattr(rows_module, "decompose_integrals", counting)
+    rng = random.Random(77)
+    for s in (3, 5, 9):
+        calls.clear()
+        P, Q, T = _random_triple(rng, rng.randint(1, 3))
+        report = validate_rows(P, Q, T, s)
+        assert calls == [s]
+        assert report.all_equal
+        assert [c.order for c in report.checks] == list(range(3, s + 1))
 
 
 def test_validate_rows_rejects_small_s_max():

@@ -11,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetarat.series as series_module
+from zetarat.cli import main
 from zetarat.numerics import Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.series import (
     ZetaCombination,
+    _pfs_sorted,
     beta_rat,
     decompose_integral,
+    decompose_integrals,
     eval_special_series,
     eval_truncated,
     partial_fraction_sum,
@@ -150,6 +154,84 @@ def test_decompose_drops_zero_coefficient_triples():
     want = partial_fraction_sum(1, 0, 1, 4)
     assert got.constant == 2 * want.constant
     assert all(got.zeta(p) == 2 * want.zeta(p) for p in want.orders())
+
+
+def _ungrouped_decompose(P, Q, T, s):
+    """The oracle for one order without grouping: every coefficient triple,
+    unsorted, through partial_fraction_sum."""
+    constant = Fraction(0)
+    zeta: dict = {}
+    for r1, av in enumerate(P.coeffs):
+        for r2, bv in enumerate(Q.coeffs):
+            for r3, cv in enumerate(T.coeffs):
+                w = av * bv * cv
+                if not w:
+                    continue
+                part = partial_fraction_sum(r1, r2, r3, s)
+                constant += w * part.constant
+                for p, v in part.terms:
+                    zeta[p] = zeta.get(p, Fraction(0)) + w * v
+    return ZetaCombination.of(constant, zeta)
+
+
+_coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+_polys = st.lists(_coefficients, min_size=1, max_size=5).map(explicit_poly)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(P=_polys, Q=_polys, T=_polys, s=st.integers(3, 8))
+def test_grouped_oracle_equals_the_ungrouped_per_order_loop(P, Q, T, s):
+    combos = decompose_integrals(P, Q, T, s)
+    assert list(combos) == list(range(3, s + 1))
+    for q, combo in combos.items():
+        assert combo == _ungrouped_decompose(P, Q, T, q)
+        assert decompose_integral(P, Q, T, q) == combo
+
+
+def test_grouped_oracle_skips_a_sorted_triple_whose_weights_cancel(monkeypatch):
+    """(1+x)(1-x): the shift triples (0,1,0) and (1,0,0) carry weights -1
+    and +1, so the sorted triple (0,0,1) never reaches the oracle."""
+    P, Q, T = explicit_poly([1, 1]), explicit_poly([1, -1]), explicit_poly([1])
+    seen = []
+
+    def counting(a, b, c, q):
+        seen.append((a, b, c))
+        return _pfs_sorted(a, b, c, q)
+
+    monkeypatch.setattr(series_module, "_pfs_sorted", counting)
+    combos = decompose_integrals(P, Q, T, 6)
+    assert sorted(set(seen)) == [(0, 0, 0), (0, 1, 1)]
+    assert len(seen) == 2 * 4
+    for q, combo in combos.items():
+        whole, part = _pfs_sorted(0, 0, 0, q), _pfs_sorted(0, 1, 1, q)
+        assert combo.constant == whole.constant - part.constant
+        for p in set(whole.orders()) | set(part.orders()) | set(combo.orders()):
+            assert combo.zeta(p) == whole.zeta(p) - part.zeta(p)
+        assert combo == _ungrouped_decompose(P, Q, T, q)
+
+
+def test_decompose_integral_keeps_its_order_check():
+    one = explicit_poly([1])
+    with pytest.raises(ValueError):
+        decompose_integral(one, one, one, 2)
+    with pytest.raises(ValueError):
+        decompose_integrals(one, one, one, 2)
+
+
+def test_oracle_cache_is_bounded_and_warm_verify_only_hits(capsys):
+    maxsize = _pfs_sorted.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 140
+    argv = ["verify", "--s", "9", "--trials", "20", "--seed", "11"]
+    assert main(argv) == 0
+    before = _pfs_sorted.cache_info()
+    assert main(argv) == 0
+    after = _pfs_sorted.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    capsys.readouterr()
 
 
 # -------------------------------------------------------------- beta values

@@ -7,13 +7,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zetarat.solver as solver_module
 from zetarat.numerics import Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.rows import row_zeta3
+from zetarat.series import ZetaCombination
 from zetarat.solver import (
     SingularSystemError,
+    TriangularSystem,
     build_system,
     certified_row_bounds,
     solve_zeta,
@@ -125,6 +129,31 @@ def test_back_substitution_and_cramer_agree_exactly():
         assert back == _solve_cramer(system)
         solved += 1
     assert solved >= 6
+
+
+_entries = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def _random_systems(draw):
+    """Triangular systems of orders s..3 with arbitrary rational entries and
+    nonzero leading coefficients."""
+    s = draw(st.integers(3, 8))
+    rows = []
+    for order in range(s, 2, -1):
+        lead = draw(_entries.filter(bool))
+        lower = {p: draw(_entries) for p in range(2, order)}
+        rows.append(ZetaCombination.of(draw(_entries), {**lower, order: lead}))
+    one = explicit_poly([1])
+    return TriangularSystem(s, 1, one, one, one, tuple(rows))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(system=_random_systems())
+def test_both_solve_routes_agree_on_random_triangular_systems(system):
+    alpha, beta, weights = _solve_back_substitution(system)
+    assert (alpha, beta, weights) == _solve_cramer(system)
+    assert weights[system.s] == 1 / system.row_of_order(system.s).zeta(system.s)
 
 
 def test_singular_system_raises_with_a_clear_message():
