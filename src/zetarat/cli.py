@@ -91,6 +91,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     of the three polynomials (each uniform in -3..3), so a seed pins the
     whole trial sequence.
     """
+    if args.trials < 1:
+        raise ValueError("need --trials >= 1")
     variant = TranscriptionVariant(args.variant)
     rng = random.Random(args.seed)
     mismatching_trials = 0
@@ -152,6 +154,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_lemma2(args: argparse.Namespace) -> tuple[int, str]:
+    if args.max_shift < 1 or args.s_max < 1:
+        raise ValueError("need --max >= 1 and --s-max >= 1")
     checked = 0
     failures: list[dict] = []
     for r in range(1, args.max_shift + 1):

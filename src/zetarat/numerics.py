@@ -66,12 +66,6 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def intersect(self, other: "Interval") -> "Interval":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("intervals do not intersect")
-        return Interval(lo, hi)
-
     def overlaps(self, other: "Interval") -> bool:
         return max(self.lo, other.lo) <= min(self.hi, other.hi)
 
@@ -185,16 +179,19 @@ def _zeta_enclosure_raw(p: int, digits: int) -> Interval:
     return Interval(Fraction(lo - g, 1 << W), Fraction(hi + g, 1 << W))
 
 
-_raw_cache: dict[tuple[int, int], Interval] = {}
-
-
 def zeta_reference(p: int, digits: int, budget: int = DIGIT_BUDGET) -> Interval:
-    """Certified enclosure of zeta(p), width < 10^-digits.
+    """Certified enclosure E(d) of zeta(p), d = digits, width < 10^-d.
 
-    Enclosures are nested by construction: the result is the intersection
-    of raw enclosures at every power-of-two digit target up to
-    next_pow2(digits), so digits d1 <= d2 gives enclosure(d2) inside
-    enclosure(d1).
+    E(d) is one raw enclosure R of width < 10^-(d+2) that contains zeta,
+    widened on each side by m_d = 10^-(d+1).  Hence
+
+    - E(d) contains [zeta - m_d, zeta + m_d];
+    - width E(d) < 10^-(d+2) + 2 m_d = 0.21 10^-d;
+    - for d2 > d, every point of E(d2) lies within
+      10^-(d2+2) + m_d2 <= 10^-(d+3) + 10^-(d+2) < m_d of zeta.
+
+    So E(d1) contains E(d2) for every d1 <= d2, from one Borwein sum per
+    call.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -204,18 +201,9 @@ def zeta_reference(p: int, digits: int, budget: int = DIGIT_BUDGET) -> Interval:
         raise PrecisionBudgetError(
             f"requested {digits} digits exceeds budget of {budget}"
         )
-    out, d = _raw_enclosure(p, 1), 1
-    while d < digits:
-        d *= 2
-        out = out.intersect(_raw_enclosure(p, d))
-    return out
-
-
-def _raw_enclosure(p: int, digits: int) -> Interval:
-    key = (p, digits)
-    if key not in _raw_cache:
-        _raw_cache[key] = _zeta_enclosure_raw(p, digits)
-    return _raw_cache[key]
+    raw = _zeta_enclosure_raw(p, digits + 2)
+    margin = Fraction(1, 10 ** (digits + 1))
+    return Interval(raw.lo - margin, raw.hi + margin)
 
 
 # ------------------------------------------------------ decimal rendering
@@ -279,39 +267,47 @@ def render_decimal(alpha: RatLike, beta: RatLike, digits: int) -> str:
 
     For alpha = 0 the value is rational and rendered directly (round half to
     even).  Otherwise the zeta(2) enclosure is refined until both endpoints
-    round to the same string, which is then correct by containment.
+    round to the same string, which is then correct by containment.  Scaling
+    by |alpha| < 10^L widens the enclosure up to 10^L times, so the first
+    enclosure is taken L digits deeper, as far as the budget allows.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha == 0:
         return _round_half_even(beta, digits)
+    deeper = min(digits + 8 + decimal_length(alpha.numerator), DIGIT_BUDGET)
     return render_interval_decimal(
-        lambda w: zeta_reference(2, w).scale(alpha).shift(beta), digits
+        lambda w: zeta_reference(2, w).scale(alpha).shift(beta),
+        digits,
+        start=max(digits + 8, deeper),
     )
 
 
-def render_interval_decimal(make: Callable[[int], Interval], digits: int) -> str:
+def render_interval_decimal(
+    make: Callable[[int], Interval], digits: int, start: int | None = None
+) -> str:
     """Decimal rendering of the value enclosed by make(working_digits).
 
     `make` must return nested certified Interval enclosures of a single real
-    number as the digit argument grows.  Used for rendering reference zeta
-    values and certified error bounds.
+    number as the digit argument grows.  The working digits start at `start`
+    (default digits + 8) and double, capped at DIGIT_BUDGET.  Used for
+    rendering reference zeta values and certified error bounds.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    w = digits + 8
+    w = digits + 8 if start is None else start
     while True:
         enc = make(w)
         lo_s = _round_half_even(enc.lo, digits)
         hi_s = _round_half_even(enc.hi, digits)
         if lo_s == hi_s:
             return lo_s
-        if w > DIGIT_BUDGET:
+        if w >= DIGIT_BUDGET:
             raise PrecisionBudgetError(
                 f"rendering needs more than {DIGIT_BUDGET} digits"
             )
-        w *= 2
+        w = min(2 * w, DIGIT_BUDGET)
 
 
 def decimal_upper_sci(x: Rat, sig: int = 3) -> str:

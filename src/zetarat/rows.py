@@ -41,16 +41,8 @@ class TranscriptionVariant(Enum):
     HARMONIC_WEIGHTS = "with-h"  # harmonic-number weights, index from 0
 
 
-def s_sym(P: PolySpec, Q: PolySpec, T: PolySpec, mu: int, nu: int, lam: int) -> Rat:
-    """Cyclic coefficient symbol S_{mu,nu,lam} of three equal-degree polys."""
-    a, b, c = coefficient_triple(P, Q, T)
-    for idx in (mu, nu, lam):
-        if not 0 <= idx < len(a):
-            raise ValueError(f"index {idx} out of range 0..{len(a) - 1}")
-    return _s(a, b, c, mu, nu, lam)
-
-
 def _s(a: Sequence[Rat], b: Sequence[Rat], c: Sequence[Rat], mu: int, nu: int, lam: int) -> Rat:
+    """Cyclic symbol S_{mu,nu,lam} of the coefficient lists a, b, c."""
     return a[mu] * b[nu] * c[lam] + b[mu] * c[nu] * a[lam] + c[mu] * a[nu] * b[lam]
 
 

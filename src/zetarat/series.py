@@ -59,9 +59,6 @@ class ZetaCombination:
     def orders(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.terms)
 
-    def as_dict(self) -> dict[int, Rat]:
-        return dict(self.terms)
-
     def enclosure(self, zeta_of: Callable[[int], Interval]) -> Interval:
         """Certified enclosure of the real value, given an enclosure factory
         zeta_of(p) -> Interval."""

@@ -104,6 +104,14 @@ def test_verify_text_format(capsys):
     assert "all_equal: True" in capsys.readouterr().out
 
 
+def test_verify_that_checks_nothing_exits_two(capsys):
+    for trials in ("0", "-3"):
+        assert main(["verify", "--trials", trials]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: need --trials >= 1\n"
+
+
 # ----------------------------------------------------------------- lemma2
 
 
@@ -118,6 +126,14 @@ def test_lemma2_counts_and_passes(capsys):
 def test_lemma2_text_format(capsys):
     assert main(["lemma2", "--max", "3", "--s-max", "2", "--format", "text"]) == 0
     assert "all pass" in capsys.readouterr().out
+
+
+def test_lemma2_that_checks_nothing_exits_two(capsys):
+    for argv in (["--max", "-1"], ["--max", "0"], ["--s-max", "0"]):
+        assert main(["lemma2", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: need --max >= 1 and --s-max >= 1\n"
 
 
 # ------------------------------------------------------------------ table
@@ -192,6 +208,23 @@ def test_digits_past_the_int_str_limit_exits_zero(capsys):
     assert payload["approx"].startswith("1.2012143035404155112120957495974911897")
     assert len(payload["approx"]) == 4302
     assert payload["error_upper"] == "8.43e-04"
+
+
+def test_digits_with_a_large_alpha_exits_zero(capsys):
+    """alpha ~ 6e8 at n = 9: rendering 5000 digits once asked a refinement
+    at 10016 digits, past the budget, and exited 3."""
+    assert main(["approx", "--s", "5", "--n", "9"]) == 0
+    fit = json.loads(capsys.readouterr().out)
+    assert main(["digits", "--s", "5", "--n", "9", "--digits", "5000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    alpha, beta = Fraction(fit["alpha"]), Fraction(fit["beta"])
+    with mpmath.workdps(5040):
+        value = alpha.numerator * mpmath.zeta(2) / alpha.denominator
+        value += mpmath.mpf(beta.numerator) / beta.denominator
+        assert payload["approx"] == mpmath.nstr(value, 5001, strip_zeros=False)
+        assert payload["reference"] == mpmath.nstr(
+            mpmath.zeta(5), 5001, strip_zeros=False
+        )
 
 
 # -------------------------------------------------------------- exit codes

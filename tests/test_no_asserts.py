@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import zetarat
@@ -20,3 +24,35 @@ def test_package_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+#: Golden transcript entries replayed under `python -O`: one of each of
+#: approx, digits, verify and table, and the exit-3 budget failure.
+OPTIMIZED_ARGV = (
+    "approx --s 3 --n 5 --digits 12",
+    "digits --s 3 --n 6 --digits 12",
+    "verify --s 5 --trials 15 --seed 3 --format text",
+    "table --s 5 --n-from 1 --n-to 4 --format text",
+    "digits --s 3 --n 2 --digits 20000",
+)
+
+
+def test_optimized_interpreter_reproduces_the_golden_transcript():
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "cli.json").read_text()
+    )
+    cases = {" ".join(c["argv"]): c for c in golden}
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), COLUMNS="80")
+    for argv in OPTIMIZED_ARGV:
+        case = cases[argv]
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "zetarat", *case["argv"]],
+            env=env,
+            capture_output=True,
+            check=False,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (
+            case["exit"],
+            case["stdout"].encode(),
+            case["stderr"].encode(),
+        ), argv

@@ -58,16 +58,11 @@ def test_interval_contains_and_containment():
     assert not inner.contains_interval(outer)
 
 
-def test_interval_intersect_and_overlaps():
+def test_interval_overlaps():
     a = Interval(Fraction(0), Fraction(2))
-    b = Interval(Fraction(1), Fraction(3))
-    assert a.overlaps(b)
-    got = a.intersect(b)
-    assert (got.lo, got.hi) == (1, 2)
-    c = Interval(Fraction(5), Fraction(6))
-    assert not a.overlaps(c)
-    with pytest.raises(ValueError):
-        a.intersect(c)
+    assert a.overlaps(Interval(Fraction(1), Fraction(3)))
+    assert a.overlaps(Interval(Fraction(2), Fraction(3)))
+    assert not a.overlaps(Interval(Fraction(5), Fraction(6)))
 
 
 def test_interval_scale_flips_endpoints_for_negative_factor():
@@ -139,6 +134,61 @@ def test_zeta_reference_enclosures_nest_as_digits_grow():
         finest = zeta_reference(p, 34)
         assert coarse.contains_interval(fine)
         assert fine.contains_interval(finest)
+
+
+def _is_power_of_two(d: int) -> bool:
+    return d & (d - 1) == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 12),
+    st.integers(1, 400).filter(lambda d: not _is_power_of_two(d)),
+    st.integers(1, 400).filter(lambda d: not _is_power_of_two(d)),
+)
+def test_zeta_reference_nests_at_any_pair_of_digit_counts(p, d1, d2):
+    d1, d2 = sorted((d1, d2))
+    coarse, fine = zeta_reference(p, d1), zeta_reference(p, d2)
+    assert coarse.contains_interval(fine)
+    assert coarse.width < Fraction(21, 10 ** (d1 + 2))
+    assert fine.width < Fraction(21, 10 ** (d2 + 2))
+
+
+def _edge_stub(p: int, digits: int) -> Interval:
+    """A valid but adversarial raw enclosure: width 0.99 * 10^-digits, with a
+    fixed rational standing in for zeta(p) on its left edge for even digits
+    and on its right edge for odd digits.  Nesting then needs
+    m_d >= 0.099 10^-(d+2) + m_(d+1), which 10^-(d+1) meets and 10^-(d+3)
+    does not."""
+    z, w = Fraction(355, 113), Fraction(99, 10 ** (digits + 2))
+    return Interval(z, z + w) if digits % 2 == 0 else Interval(z - w, z)
+
+
+def test_zeta_reference_margin_nests_any_valid_raw_enclosure(monkeypatch):
+    """The real Borwein sums happen to nest even without a margin; an
+    enclosure whose value jumps from edge to edge does not, so only the
+    margin makes E(d1) contain E(d2)."""
+    monkeypatch.setattr(numerics, "_zeta_enclosure_raw", _edge_stub)
+    encs = {d: zeta_reference(3, d) for d in range(1, 61)}
+    for d1, coarse in encs.items():
+        assert coarse.width < Fraction(1, 10**d1)
+        for d2 in range(d1, 61):
+            assert coarse.contains_interval(encs[d2]), (d1, d2)
+
+
+def test_zeta_reference_makes_one_raw_sum_per_call(monkeypatch):
+    calls = []
+
+    def counting(p, digits):
+        calls.append((p, digits))
+        return raw(p, digits)
+
+    raw = numerics._zeta_enclosure_raw
+    monkeypatch.setattr(numerics, "_zeta_enclosure_raw", counting)
+    for p, digits in ((2, 1), (3, 100), (5, 1000), (3, 100)):
+        calls.clear()
+        zeta_reference(p, digits)
+        assert calls == [(p, digits + 2)]
 
 
 def _machin_pi_bracket(tol: Fraction) -> Interval:
@@ -288,6 +338,60 @@ def test_render_decimal_with_nonzero_alpha_matches_mpmath():
         assert abs(float(Fraction(got) - Fraction(mpmath.nstr(value, 40)))) < 10.0 ** (
             -digits
         )
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_RATIONALS.filter(bool), _RATIONALS, st.integers(1, 60))
+def test_render_decimal_is_within_half_a_unit_of_a_containing_enclosure(
+    alpha, beta, digits
+):
+    got = Fraction(render_decimal(alpha, beta, digits))
+    half_unit = Fraction(1, 2 * 10**digits)
+    # |alpha| < 10^L widens the enclosure up to 10^L times.
+    working = digits + 20 + decimal_length(alpha.numerator)
+    enc = zeta_reference(2, working).scale(alpha).shift(beta)
+    assert Interval(got - half_unit, got + half_unit).contains_interval(enc)
+
+
+def test_render_decimal_of_a_large_alpha_stays_within_budget(monkeypatch):
+    """alpha ~ 6e8 (s = 5, n = 9) widens the zeta(2) enclosure 6e8 times;
+    5000 digits render from one enclosure L = 18 digits deeper, never from
+    a refinement past the budget."""
+    alpha = Fraction(302879766081952141, 500094000)
+    asked = []
+    reference = numerics.zeta_reference
+
+    def recording(p, digits):
+        asked.append(digits)
+        return reference(p, digits)
+
+    monkeypatch.setattr(numerics, "zeta_reference", recording)
+    got = render_decimal(alpha, 0, 5000)
+    assert asked == [5000 + 8 + 18]
+    enc = reference(2, 5040).scale(alpha)
+    assert numerics._round_half_even(enc.lo, 5000) == got
+    assert numerics._round_half_even(enc.hi, 5000) == got
+
+
+def test_render_interval_decimal_caps_refinement_at_the_budget():
+    """A value that resolves only at DIGIT_BUDGET working digits renders;
+    one that never resolves raises without asking past the budget."""
+    x, asked = Fraction(1, 3), []
+
+    def make(w):
+        asked.append(w)
+        slack = Fraction(1, 10**w) if w >= DIGIT_BUDGET else Fraction(1, 10)
+        return Interval(x - slack, x + slack)
+
+    assert render_interval_decimal(make, 5000) == "0." + "3" * 5000
+    assert asked == [5008, DIGIT_BUDGET]
+    asked.clear()
+    with pytest.raises(PrecisionBudgetError):
+        render_interval_decimal(lambda w: asked.append(w) or Interval(0, 1), 3000)
+    assert asked == [3008, 6016, DIGIT_BUDGET]
 
 
 def test_render_decimal_rejects_nonpositive_digits():

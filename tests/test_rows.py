@@ -28,7 +28,6 @@ from zetarat.rows import (
     row_general,
     row_zeta3,
     row_zeta4,
-    s_sym,
     validate_rows,
 )
 from zetarat.series import decompose_integral
@@ -48,32 +47,6 @@ WITNESS = (
     explicit_poly([1, 0, 0, 3]),
     explicit_poly([3, -1, 0, -1]),
 )
-
-# ------------------------------------------------------------------ s_sym
-
-
-def test_s_sym_hand_example():
-    p = explicit_poly([1, 1])
-    assert s_sym(p, p, p, 0, 1, 1) == 3
-
-
-def test_s_sym_is_the_cyclic_sum_of_coefficient_products():
-    rng = random.Random(8)
-    for _ in range(25):
-        P, Q, T = _random_triple(rng, 3)
-        a, b, c = P.coeffs, Q.coeffs, T.coeffs
-        mu, nu, lam = (rng.randint(0, 3) for _ in range(3))
-        want = a[mu] * b[nu] * c[lam] + b[mu] * c[nu] * a[lam] + c[mu] * a[nu] * b[lam]
-        assert s_sym(P, Q, T, mu, nu, lam) == want
-
-
-def test_s_sym_rejects_out_of_range_indices():
-    p = explicit_poly([1, 1])
-    with pytest.raises(ValueError):
-        s_sym(p, p, p, 0, 1, 2)
-    with pytest.raises(ValueError):
-        s_sym(p, p, p, -1, 0, 0)
-
 
 # ----------------------------------------------------------- orders 3 and 4
 
