@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -52,6 +53,18 @@ def _parse_rationals(text: str) -> tuple[Rat, ...]:
         raise ValueError(f"invalid rational list {text!r}: {exc}") from None
 
 
+def _check_digits(digits: int, *, budget: bool) -> None:
+    """Reject, before any row work, a --digits value the rendering would
+    reject after it: below 1 (exit 2), or, when `budget` is set, one whose
+    first working precision digits + 8 exceeds DIGIT_BUDGET (exit 3)."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if budget and digits + 8 > DIGIT_BUDGET:
+        raise PrecisionBudgetError(
+            f"requested {digits + 8} digits exceeds budget of {DIGIT_BUDGET}"
+        )
+
+
 # ----------------------------------------------------------------- approx
 
 
@@ -64,7 +77,9 @@ def _approx(T: PolySpec, s: int, n: int) -> ApproxResult:
 
 
 def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
-    res = _approx(explicit_poly(_parse_rationals(args.t)), args.s, args.n)
+    T = explicit_poly(_parse_rationals(args.t))
+    _check_digits(args.digits, budget=True)
+    res = _approx(T, args.s, args.n)
     fields = [
         ("s", args.s),
         ("n", args.n),
@@ -208,6 +223,8 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     T = explicit_poly(_parse_rationals(args.t))
     if args.n_from < 1 or args.n_to < args.n_from:
         raise ValueError("need 1 <= n-from <= n-to")
+    # The over-budget check needs alpha, so only digits < 1 fails early.
+    _check_digits(args.digits, budget=False)
     rows = []
     for n in range(args.n_from, args.n_to + 1):
         res = _approx(T, args.s, n)
@@ -242,11 +259,13 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
-    res = _approx(explicit_poly(_parse_rationals(args.t)), args.s, args.n)
-    # Rendering first asks for digits + 8; past that, fail before rendering
-    # if the error bound's references would exceed the budget anyway.
+    T = explicit_poly(_parse_rationals(args.t))
+    _check_digits(args.digits, budget=True)
+    res = _approx(T, args.s, args.n)
+    # Fail before rendering if the error bound's references would exceed
+    # the budget anyway.
     working = _error_working(res.alpha, args.digits)
-    if args.digits + 8 <= DIGIT_BUDGET < working:
+    if working > DIGIT_BUDGET:
         raise PrecisionBudgetError(
             f"requested {working} digits exceeds budget of {DIGIT_BUDGET}"
         )
@@ -325,6 +344,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Help text still wraps to the
+    COLUMNS of each call: argparse reads the width when it formats."""
+    return _build_parser()
+
+
 _COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[int, str]]] = {
     "approx": cmd_approx,
     "verify": cmd_verify,
@@ -335,9 +361,8 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[int, str]]] = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:

@@ -26,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .numerics import Rat, harmonic
+from .numerics import Rat
 from .polynomials import PolySpec, coefficient_triple
 from .series import ZetaCombination, decompose_integrals
 
@@ -93,21 +94,29 @@ def coefficient_rows(
     """
     if s < 3:
         raise ValueError("closed-form rows need order >= 3")
-    a, b, c = coefficient_triple(P, Q, T)
-    n = len(a) - 1
+    fa, fb, fc = coefficient_triple(P, Q, T)
+    n = len(fa) - 1
     xs = range(1, n + 1)
-    zero = Fraction(0)
+    # Integer scaling: a, b, c times L are integers, and every weight on
+    # index x is an integer once scaled by L^3 M^w, M = lcm(1..n), where w
+    # counts the divisions by (x - l) or x it has been through: A, B, C
+    # have w = 0, D and Z w = 1, E and Y w = 2.  [W]_e sums W_x (M/x)^e,
+    # adding e to w, and M H, M^2 H2, M^3 H3 are integers adding 1, 2, 3.
+    L = lcm(*(v.denominator for v in (*fa, *fb, *fc)))
+    a, b, c = ([v.numerator * (L // v.denominator) for v in u] for u in (fa, fb, fc))
+    M = lcm(*xs)
+    inv = [0] + [M // x for x in xs]  # M/x
 
     def dot(u, v):
-        return sum(map(mul, u, v), zero)
+        return sum(map(mul, u, v))
 
-    A = [zero] + [a[x] * b[x] * c[x] for x in xs]
-    C = [zero] + [_s(a, b, c, 0, 0, x) for x in xs]
-    B = [zero] + [_s(a, b, c, 0, x, x) for x in xs]
+    A = [0] + [a[x] * b[x] * c[x] for x in xs]
+    C = [0] + [_s(a, b, c, 0, 0, x) for x in xs]
+    B = [0] + [_s(a, b, c, 0, x, x) for x in xs]
     # D and E start from the l = 0 slice of the doubles: S_xx0 = S_0xx = B_x
-    D = [zero] + [-B[x] / x for x in xs]
-    E = [zero] + [(C[x] - B[x]) / x**2 for x in xs]
-    Z, Y, Zh = [zero] * (n + 1), [zero] * (n + 1), [zero] * (n + 1)
+    D = [0] + [-B[x] * inv[x] for x in xs]
+    E = [0] + [(C[x] - B[x]) * inv[x] ** 2 for x in xs]
+    Z, Y, Zh = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     with_h = variant is TranscriptionVariant.HARMONIC_WEIGHTS
     # Triples: S_irl + S_ilr = a_i pa + b_i pb + c_i pc, p = (pa, pb, pc)
     # depending on (r, l) only, and
@@ -118,9 +127,9 @@ def coefficient_rows(
     # with l and serves the f(r) slot.
     near = [None] * (n + 1)
     for r in xs:
-        near_r = (zero, zero, zero)
+        near_r = (0, 0, 0)
         for l in range(1, r):
-            d = Fraction(1, r - l)
+            d = inv[r - l]
             s_llr, s_rrl = _s(a, b, c, l, l, r), _s(a, b, c, r, r, l)
             D[l] += d * s_llr
             D[r] -= d * s_rrl
@@ -140,51 +149,66 @@ def coefficient_rows(
                 Zh[l] -= z
             Y[r] += d * dot(p, near_r)
             Y[l] -= d * dot(p, near[l])
-            near_r = tuple(v + w * d for v, w in zip(near_r, (a[l], b[l], c[l])))
+            near_r = (near_r[0] + a[l] * d, near_r[1] + b[l] * d, near_r[2] + c[l] * d)
         near[r] = near_r
     # The f(i) slot: sum_{r>l>i} (a_i pa + b_i pb + c_i pc)/((r-i)(l-i)),
     # where sum_{r>l} (u_r v_l + u_l v_r) = sum(u) sum(v) - sum(u v).
     for i in xs:
-        ua, ub, uc = ([v[x] / (x - i) for x in range(i + 1, n + 1)] for v in (a, b, c))
-        ta, tb, tc = sum(ua, zero), sum(ub, zero), sum(uc, zero)
+        ua, ub, uc = ([v[x] * inv[x - i] for x in range(i + 1, n + 1)] for v in (a, b, c))
+        ta, tb, tc = sum(ua), sum(ub), sum(uc)
         Y[i] += (
             a[i] * (tb * tc - dot(ub, uc))
             + b[i] * (tc * ta - dot(uc, ua))
             + c[i] * (ta * tb - dot(ua, ub))
         )
-    inv = [None] + [[Fraction(1, x**e) for e in range(s)] for x in xs]
+    pows = [None] + [[inv[x] ** e for e in range(s)] for x in xs]
 
     def sums(W, h=None):
         """[W]_e for e = 0..s-1, each W_x first multiplied by h[x] if given."""
         if h is not None:
             W = [w * hx for w, hx in zip(W, h)]
-        return [sum((W[x] * inv[x][e] for x in xs if W[x]), zero) for e in range(s)]
+        return [sum(W[x] * pows[x][e] for x in xs if W[x]) for e in range(s)]
 
-    def block(j, sA, sD, sZ, sE):  # K_j
+    def block(j, sA, sD, sZ, sE):  # K_j, weight j
         return (
             (j - 1) * (j - 2) // 2 * sA[j] + (j - 2) * sD[j - 1] + sZ[j - 1] + sE[j - 2]
         )
 
-    H, H2, H3 = ([harmonic(x, m) for x in range(n + 1)] for m in (1, 2, 3))
+    H, H2, H3 = ([0] * (n + 1) for _ in range(3))
+    for x in xs:
+        H[x], H2[x], H3[x] = H[x - 1] + inv[x], H2[x - 1] + inv[x] ** 2, H3[x - 1] + inv[x] ** 3
     pA, pD, pZ, pE = sums(A), sums(D), sums(Z), sums(E)
     hA, hZ = sums(A, H), sums(Z, H)
     hDA = sums([H[x] * D[x] + H2[x] * A[x] for x in range(n + 1)])
     hEY = sums([H[x] * (E[x] + Y[x]) + H3[x] * A[x] + H2[x] * D[x] for x in range(n + 1)])
-    tri, tri0 = sums(Y, H if with_h else None), sums(Zh, H)
-    gen = {j: block(j, pA, pD, pZ, pE) for j in range(2, s - 1)}
-    for j in range(3, s - 1):
-        gen[j] += tri[j - 2] + tri0[j - 1]
-    lead, sub = a[0] * b[0] * c[0], sum((C[x] / x for x in xs), zero)
+    # num[j] over L^3 M^wt[j] is the coefficient G_j of zeta(q - j) up to
+    # sign; j = 0 and 1 hold the lead and sub-lead.  HARMONIC_WEIGHTS's
+    # triple block carries one more H, so its G_j, j >= 3, have weight j + 1.
+    num = [a[0] * b[0] * c[0], sum(C[x] * inv[x] for x in xs)]
+    num += [block(j, pA, pD, pZ, pE) for j in range(2, s - 1)]
+    wt = list(range(s - 1))
+    if with_h:
+        tri, tri0 = sums(Y, H), sums(Zh, H)
+        for j in range(3, s - 1):
+            num[j] = num[j] * M + tri[j - 2] + tri0[j - 1]
+            wt[j] += 1
+    else:
+        tri = sums(Y)
+        for j in range(3, s - 1):
+            num[j] += tri[j - 2]
+    L3, Mw = L**3, [M**w for w in range(s + 1)]
     rows = {}
     for q in range(3, s + 1):
-        zeta = {q: lead, q - 1: sub}
-        for j in range(2, q - 1):
-            zeta[q - j] = gen[j] if j % 2 else -gen[j]
+        zeta = [v if j < 2 or j % 2 else -v for j, v in enumerate(num[: q - 1])]
         sign = -1 if q % 2 == 0 else 1  # (-1)^(q-3)
-        zeta[3] += sign * pA[q - 3]
-        zeta[2] += sign * ((q - 3) * pA[q - 2] + pD[q - 3])
-        const = block(q - 1, hA, hDA, hZ, hEY)
-        rows[q] = ZetaCombination.of(-sign * const, zeta)
+        # Extra blocks of weight q - 3 on zeta(3) and q - 2 on zeta(2).
+        zeta[q - 3] += sign * pA[q - 3] * Mw[wt[q - 3] - (q - 3)]
+        zeta[q - 2] += sign * ((q - 3) * pA[q - 2] + pD[q - 3]) * Mw[wt[q - 2] - (q - 2)]
+        const = -sign * block(q - 1, hA, hDA, hZ, hEY)  # weight q
+        rows[q] = ZetaCombination.of(
+            Fraction(const, L3 * Mw[q]),
+            {q - j: Fraction(v, L3 * Mw[wt[j]]) for j, v in enumerate(zeta)},
+        )
     return rows
 
 

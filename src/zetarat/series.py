@@ -346,6 +346,14 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     order-q total after q-3 divisions by (k+1); the order-free tail factor
     (n+1) c* B(n,k0+1)/(k0+n+1) is built once and divided by (k0+1) once
     per order.  Exact sums, so every enclosure equals the one-order result.
+
+    The sums run on integers over a denominator fixed in advance.  With
+    F = (2n+K)!, C(k,n) B(k+1,n+1)^2 = n!^2 C(k,n) g(k)^2 / F^2 where
+    g(k) = k! F/(k+n+1)! is an integer; T~(k) is an integer over L_t L_T,
+    L_t = lcm(n+1..n+K+deg T) and L_T the lcm of T's denominators; and
+    (k+1)^-(q-3) is (L_k/(k+1))^(q-3) over L_k^(q-3), L_k = lcm(n+1..n+K).
+    Walking k down from n+K-1, C(k,n) and g(k) each change by one exact
+    factor per step.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -357,24 +365,33 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     cstar = T.cstar
     if cstar == 0:
         return {q: Interval.point(Fraction(0)) for q in orders}
-    totals = [Fraction(0)] * len(orders)
-    for k in range(n, n + K):
-        tk = sum(
-            (cv / Fraction(k + 1 + i) for i, cv in enumerate(T.coeffs)), Fraction(0)
-        )
-        if not tk:
-            continue
-        term = comb(k, n) * beta_rat(k + 1, n + 1) ** 2 * tk
-        for j in range(len(orders)):
-            totals[j] += term
-            term /= k + 1
     k0 = n + K
+    LT = lcm(*(cv.denominator for cv in T.coeffs))
+    ct = [cv.numerator * (LT // cv.denominator) for cv in T.coeffs]
+    Lt = lcm(*range(n + 1, k0 + len(ct)))
+    Lk = lcm(*range(n + 1, k0 + 1))
+    totals = [0] * len(orders)
+    binom, g = comb(k0 - 1, n), factorial(k0 - 1)  # C(k,n) and g(k) at k = k0 - 1
+    for k in range(k0 - 1, n - 1, -1):
+        tk = sum(cv * (Lt // (k + 1 + i)) for i, cv in enumerate(ct) if cv)
+        if tk:
+            term = binom * g * g * tk
+            step = Lk // (k + 1)
+            for j in range(len(orders)):
+                totals[j] += term
+                term *= step
+        binom = binom * (k - n) // k
+        g = g * (k + n + 1) // k
+    den = factorial(2 * n + K) ** 2 * Lt * LT
+    scale = factorial(n) ** 2
     tail = (n + 1) * cstar * beta_rat(n, k0 + 1) / (k0 + n + 1)
+    shrink = Fraction(1, k0 + 1)
     out: dict[int, Interval] = {}
     for q, total in zip(orders, totals):
-        tail /= k0 + 1
-        value = (-1) ** n * total
+        tail *= shrink
+        value = Fraction((-1) ** n * scale * total, den)
         out[q] = Interval(value - tail, value + tail)
+        den *= Lk
     return out
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import mpmath
 
 import zetarat
+import zetarat.cli as cli_module
 import zetarat.solver as solver_module
 from zetarat.cli import main
 
@@ -263,6 +264,40 @@ def test_digits_over_budget_fails_before_rendering(capsys):
     assert elapsed < 1.0
 
 
+#: (argv, exit, stderr) of requests whose --digits fails before any row
+#: work.  At n = 200 the rows and bounds alone take about 0.9 s (Python
+#: 3.11.7, x86-64), so a check made after them would miss the time limit.
+DIGITS_FAIL_FAST = (
+    (
+        ["approx", "--s", "9", "--n", "200", "--digits", "20000"],
+        3,
+        "error: requested 20008 digits exceeds budget of 10000\n",
+    ),
+    (
+        ["digits", "--s", "9", "--n", "200", "--digits", "9993"],
+        3,
+        "error: requested 10001 digits exceeds budget of 10000\n",
+    ),
+    (["approx", "--s", "9", "--n", "200", "--digits", "0"], 2, "error: digits must be >= 1\n"),
+    (["digits", "--s", "9", "--n", "200", "--digits", "-3"], 2, "error: digits must be >= 1\n"),
+    (
+        ["table", "--s", "9", "--n-from", "200", "--n-to", "200", "--digits", "0"],
+        2,
+        "error: digits must be >= 1\n",
+    ),
+)
+
+
+def test_invalid_digits_fail_before_the_rows(capsys):
+    for argv, code, err in DIGITS_FAIL_FAST:
+        start = time.perf_counter()
+        got = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (code, "", err), argv
+        assert elapsed < 0.3, argv
+
+
 def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
     """Solver routes that disagree are a bug, not invalid input."""
     cramer = solver_module._solve_cramer
@@ -288,6 +323,31 @@ def test_usage_errors_exit_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "approx" in capsys.readouterr().out
+
+
+def test_one_parser_per_process_prints_what_a_fresh_parser_prints(capsys, monkeypatch):
+    """main reuses one parser; --help still wraps to each call's COLUMNS."""
+    cases = (
+        (["approx", "--s", "3"], "80"),  # usage error: missing --n
+        (["approx", "--help"], "80"),
+        (["approx", "--help"], "120"),
+        (["approx", "--s", "3", "--n", "4", "--t", "1,-1/2"], "80"),
+    )
+
+    def run(argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    cli_module._parser.cache_clear()
+    reused = [run(argv, columns) for argv, columns in cases]
+    assert cli_module._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli_module, "_parser", cli_module._build_parser)
+    fresh = [run(argv, columns) for argv, columns in cases]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+    assert reused[1][1] != reused[2][1]  # the usage line wraps at 80, not at 120
 
 
 # ------------------------------------------------------------ determinism

@@ -1,0 +1,94 @@
+"""The integer kernels equal their Fraction reference exactly.
+
+`coefficient_rows` and `special_series_enclosures` run their loops on
+integers over a denominator fixed in advance and build one Fraction per
+output.  tests/fraction_kernels.py keeps the Fraction bodies they replaced;
+every zeta coefficient, constant and Interval endpoint must be the same
+rational.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_kernels as reference
+from zetarat.polynomials import (
+    binomial_poly,
+    explicit_poly,
+    pad_to_degree,
+    shifted_legendre,
+)
+from zetarat.rows import TranscriptionVariant, coefficient_rows
+from zetarat.series import special_series_enclosures
+
+#: Rationals with zeros: a zero coefficient skips terms in both kernels.
+_RATIONALS = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+)
+
+
+def _poly(draw, degree):
+    size = degree + 1
+    return explicit_poly(draw(st.lists(_RATIONALS, min_size=size, max_size=size)))
+
+
+@st.composite
+def _rational_triples(draw):
+    """P, Q of a common degree 0..8 and T of degree <= n zero-padded to n."""
+    n = draw(st.integers(0, 8))
+    T = pad_to_degree(_poly(draw, draw(st.integers(0, n))), n)
+    return _poly(draw, n), _poly(draw, n), T
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rational_triples(), st.integers(3, 9), st.sampled_from(TranscriptionVariant))
+def test_rows_equal_the_fraction_reference(triple, s, variant):
+    P, Q, T = triple
+    assert coefficient_rows(P, Q, T, s, variant) == reference.coefficient_rows(
+        P, Q, T, s, variant
+    )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(3, 9), st.data())
+def test_legendre_binomial_rows_equal_the_fraction_reference(n, s, data):
+    P, Q = shifted_legendre(n), binomial_poly(n)
+    T = pad_to_degree(_poly(data.draw, data.draw(st.integers(0, min(n, 3)))), n)
+    for variant in TranscriptionVariant:
+        assert coefficient_rows(P, Q, T, s, variant) == reference.coefficient_rows(
+            P, Q, T, s, variant
+        )
+
+
+@st.composite
+def _series_cases(draw):
+    """n 1..30, T of degree <= n (sometimes zero-padded to n), K at the
+    extremes and at the K = 4n+16 start and first doubling of the bounds."""
+    n = draw(st.integers(1, 30))
+    T = _poly(draw, draw(st.integers(0, n)))
+    if draw(st.booleans()):
+        T = pad_to_degree(T, n)
+    K = draw(st.sampled_from((1, 2, 4 * n + 16, 8 * n + 32)))
+    return n, T, K
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_series_cases(), st.integers(3, 9))
+def test_series_enclosures_equal_the_fraction_reference(case, s):
+    n, T, K = case
+    assert special_series_enclosures(n, T, s, K) == reference.special_series_enclosures(
+        n, T, s, K
+    )
+
+
+def test_series_enclosures_with_a_vanishing_term_equal_the_fraction_reference():
+    """T = (k+1) - (k+2)x has T~(k) = (k+1)/(k+1) - (k+2)/(k+2) = 0 at this
+    k, so the k-term is skipped while the walk over k moves on."""
+    n, k = 3, 5
+    T = explicit_poly([k + 1, -(k + 2)])
+    assert sum(Fraction(c, k + 1 + i) for i, c in enumerate((k + 1, -(k + 2)))) == 0
+    for K in (k - n + 1, 4 * n + 16):  # k is the last term, then an inner one
+        got = special_series_enclosures(n, T, 8, K)
+        assert got == reference.special_series_enclosures(n, T, 8, K)
