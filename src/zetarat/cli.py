@@ -53,13 +53,13 @@ def _parse_rationals(text: str) -> tuple[Rat, ...]:
         raise ValueError(f"invalid rational list {text!r}: {exc}") from None
 
 
-def _check_digits(digits: int, *, budget: bool) -> None:
+def _check_digits(digits: int) -> None:
     """Reject, before any row work, a --digits value the rendering would
-    reject after it: below 1 (exit 2), or, when `budget` is set, one whose
-    first working precision digits + 8 exceeds DIGIT_BUDGET (exit 3)."""
+    reject after it: below 1 (exit 2), or one whose first working precision
+    digits + 8 exceeds DIGIT_BUDGET (exit 3)."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if budget and digits + 8 > DIGIT_BUDGET:
+    if digits + 8 > DIGIT_BUDGET:
         raise PrecisionBudgetError(
             f"requested {digits + 8} digits exceeds budget of {DIGIT_BUDGET}"
         )
@@ -78,7 +78,7 @@ def _approx(T: PolySpec, s: int, n: int) -> ApproxResult:
 
 def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
     T = explicit_poly(_parse_rationals(args.t))
-    _check_digits(args.digits, budget=True)
+    _check_digits(args.digits)
     res = _approx(T, args.s, args.n)
     fields = [
         ("s", args.s),
@@ -205,14 +205,9 @@ def cmd_lemma2(args: argparse.Namespace) -> tuple[int, str]:
 # ------------------------------------------------------------------ table
 
 
-def _error_working(alpha: Rat, digits: int) -> int:
-    """Digits of the zeta references _error_upper asks for."""
-    return digits + 40 + decimal_length(alpha.numerator)
-
-
 def _error_upper(alpha: Rat, beta: Rat, s: int, digits: int) -> Rat:
     """Certified upper bound on |alpha*zeta(2) + beta - zeta(s)|."""
-    working = _error_working(alpha, digits)
+    working = digits + 40 + decimal_length(alpha.numerator)
     err = zeta_reference(2, working).scale(alpha).shift(beta) - zeta_reference(
         s, working
     )
@@ -223,8 +218,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     T = explicit_poly(_parse_rationals(args.t))
     if args.n_from < 1 or args.n_to < args.n_from:
         raise ValueError("need 1 <= n-from <= n-to")
-    # The over-budget check needs alpha, so only digits < 1 fails early.
-    _check_digits(args.digits, budget=False)
+    _check_digits(args.digits)
     rows = []
     for n in range(args.n_from, args.n_to + 1):
         res = _approx(T, args.s, n)
@@ -260,20 +254,15 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
     T = explicit_poly(_parse_rationals(args.t))
-    _check_digits(args.digits, budget=True)
+    _check_digits(args.digits)
     res = _approx(T, args.s, args.n)
-    # Fail before rendering if the error bound's references would exceed
-    # the budget anyway.
-    working = _error_working(res.alpha, args.digits)
-    if working > DIGIT_BUDGET:
-        raise PrecisionBudgetError(
-            f"requested {working} digits exceeds budget of {DIGIT_BUDGET}"
-        )
+    # The error bound's references are the deepest; an over-budget request
+    # fails there, before any rendering.
+    err = _error_upper(res.alpha, res.beta, args.s, args.digits)
     approx = render_decimal(res.alpha, res.beta, args.digits)
     reference = render_interval_decimal(
         lambda w: zeta_reference(args.s, w), args.digits
     )
-    err = _error_upper(res.alpha, res.beta, args.s, args.digits)
     payload = {
         "s": args.s,
         "n": args.n,

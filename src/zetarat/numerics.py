@@ -1,5 +1,5 @@
-"""Exact rational scalars, certified interval enclosures, harmonic numbers,
-and certified decimal rendering.
+"""Exact rational scalars, certified interval enclosures, certified zeta
+references and certified decimal rendering.
 
 Every quantity in this module is exact: scalars are `fractions.Fraction`
 ("Rat" below), enclosures are closed intervals with rational endpoints, and
@@ -90,26 +90,6 @@ class Interval:
         return self + (-other)
 
 
-# ------------------------------------------------------- harmonic numbers
-
-
-#: H_k^(m) = sum_{i<=k} i^-m at index k of table m-1, for m = 1..3.
-#: harmonic() extends each table in place as larger k are asked for.
-_HARMONIC: tuple[list[Rat], ...] = ([Fraction(0)], [Fraction(0)], [Fraction(0)])
-
-
-def harmonic(k: int, m: int = 1) -> Rat:
-    """H_k^(m) = 1 + 1/2^m + ... + 1/k^m, with H_0^(m) = 0, for m = 1..3."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not 1 <= m <= len(_HARMONIC):
-        raise ValueError(f"harmonic order must be 1..{len(_HARMONIC)}, got {m}")
-    table = _HARMONIC[m - 1]
-    while len(table) <= k:
-        table.append(table[-1] + Fraction(1, len(table) ** m))
-    return table[k]
-
-
 # ------------------------------------------------------ reference zeta(p)
 
 
@@ -179,7 +159,7 @@ def _zeta_enclosure_raw(p: int, digits: int) -> Interval:
     return Interval(Fraction(lo - g, 1 << W), Fraction(hi + g, 1 << W))
 
 
-def zeta_reference(p: int, digits: int, budget: int = DIGIT_BUDGET) -> Interval:
+def zeta_reference(p: int, digits: int) -> Interval:
     """Certified enclosure E(d) of zeta(p), d = digits, width < 10^-d.
 
     E(d) is one raw enclosure R of width < 10^-(d+2) that contains zeta,
@@ -197,9 +177,9 @@ def zeta_reference(p: int, digits: int, budget: int = DIGIT_BUDGET) -> Interval:
         raise ValueError("p must be >= 2")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if digits > budget:
+    if digits > DIGIT_BUDGET:
         raise PrecisionBudgetError(
-            f"requested {digits} digits exceeds budget of {budget}"
+            f"requested {digits} digits exceeds budget of {DIGIT_BUDGET}"
         )
     raw = _zeta_enclosure_raw(p, digits + 2)
     margin = Fraction(1, 10 ** (digits + 1))
@@ -310,9 +290,9 @@ def render_interval_decimal(
         w = min(2 * w, DIGIT_BUDGET)
 
 
-def decimal_upper_sci(x: Rat, sig: int = 3) -> str:
+def decimal_upper_sci(x: Rat) -> str:
     """Deterministic scientific-notation UPPER bound on x > 0 (ceiling at
-    `sig` significant figures), e.g. 2.2986e-24 -> \"2.30e-24\".
+    three significant figures), e.g. 2.2986e-24 -> \"2.30e-24\".
 
     Exact integer arithmetic throughout; for x = 0 returns \"0\".
     """
@@ -328,9 +308,9 @@ def decimal_upper_sci(x: Rat, sig: int = 3) -> str:
         e -= 1
     while ten ** (e + 1) <= x:
         e += 1
-    scaled = x * ten ** (sig - 1 - e)
+    scaled = x * ten ** (2 - e)
     m = -((-scaled.numerator) // scaled.denominator)  # ceil
-    if m >= 10**sig:
+    if m >= 1000:
         m //= 10
         e += 1
     text = str(m)

@@ -215,25 +215,14 @@ def coefficient_rows(
 row_general = coefficient_rows
 
 
-def coefficient_row(
-    P: PolySpec,
-    Q: PolySpec,
-    T: PolySpec,
-    order: int,
-    variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
-) -> ZetaCombination:
-    """Closed form of I(P,Q,T; order), order >= 3."""
-    return coefficient_rows(P, Q, T, order, variant)[order]
-
-
 def row_zeta3(P: PolySpec, Q: PolySpec, T: PolySpec) -> ZetaCombination:
     """Closed form of I(P,Q,T; 3) = z3*zeta(3) + z2*zeta(2) + constant."""
-    return coefficient_row(P, Q, T, 3)
+    return coefficient_rows(P, Q, T, 3)[3]
 
 
 def row_zeta4(P: PolySpec, Q: PolySpec, T: PolySpec) -> ZetaCombination:
     """Closed form of I(P,Q,T; 4)."""
-    return coefficient_row(P, Q, T, 4)
+    return coefficient_rows(P, Q, T, 4)[4]
 
 
 # --------------------------------------------------------------- validation

@@ -3,14 +3,13 @@
     I(P,Q,T; s) = sum_{k>=0} A(k) B(k) C(k) / (k+1)^(s-3),
 
 where A(k) = sum_r p_r/(r+k+1) = integral_0^1 x^k P(x) dx and B, C likewise
-for Q, T.  Expanding the product over coefficient triples reduces everything
-to the elementary sums
+for Q, T.  With m = k+1 the summand is a rational function of m; its
+partial fractions, re-anchored at m = 1, make I an exact rational
+combination of zeta values.  That decomposition (decompose_integrals) is the
+symbolic oracle every closed-form coefficient row is validated against; for
+the monomials x^r1, x^r2, x^r3 it gives the elementary sums
 
-    sigma(r1,r2,r3; s) = sum_{m>=1} 1/((m+r1)(m+r2)(m+r3) m^(s-3)),
-
-each of which is an exact rational combination of zeta values: that
-partial-fraction decomposition is the symbolic oracle every closed-form
-coefficient row is validated against.
+    sigma(r1,r2,r3; s) = sum_{m>=1} 1/((m+r1)(m+r2)(m+r3) m^(s-3)).
 
 Two independent certified numeric evaluators are provided:
   * eval_truncated  — direct partial sums of the defining series, any P,Q,T;
@@ -24,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Callable, Mapping
 
-from .numerics import InternalError, Interval, Rat, harmonic
-from .polynomials import PolySpec
+from .numerics import InternalError, Interval, Rat
+from .polynomials import PolySpec, explicit_poly
 
 # ------------------------------------------------- zeta-combination values
 
@@ -68,113 +66,7 @@ class ZetaCombination:
         return out
 
 
-# ---------------------------------------------- partial-fraction summation
-
-
-def _taylor_inv(c: int, e: int, order: int) -> list[Rat]:
-    """Taylor coefficients of (c+t)^(-e) around t=0 up to t^order (c != 0)."""
-    base = Fraction(c)
-    return [
-        Fraction((-1) ** i * comb(e + i - 1, i)) / base ** (e + i)
-        for i in range(order + 1)
-    ]
-
-
-def _mul_trunc(p: list[Rat], q: list[Rat], order: int) -> list[Rat]:
-    out = [Fraction(0)] * (order + 1)
-    for i, a in enumerate(p):
-        if i > order:
-            break
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if i + j > order:
-                break
-            out[i + j] += a * b
-    return out
-
-
-#: Bound on the memo of _pfs_sorted.  verify (shifts <= 3, orders <= 9)
-#: touches 20 sorted triples x 7 orders = 140 entries; this leaves ample room
-#: for larger degrees while keeping a long-lived process bounded.
-_PFS_CACHE_SIZE = 2**14
-
-
-@lru_cache(maxsize=_PFS_CACHE_SIZE)
-def _pfs_sorted(r1: int, r2: int, r3: int, s: int) -> ZetaCombination:
-    """partial_fraction_sum on a sorted shift triple (the cache key)."""
-    shifts = (r1, r2, r3)
-    zero_count = shifts.count(0)
-    m0_mult = (s - 3) + zero_count  # pole multiplicity at m = 0
-    pos: dict[int, int] = {}
-    for r in shifts:
-        if r > 0:
-            pos[r] = pos.get(r, 0) + 1
-
-    constant = Fraction(0)
-    zeta: dict[int, Rat] = {}
-
-    def add_zeta(p: int, v: Rat) -> None:
-        if v:
-            zeta[p] = zeta.get(p, Fraction(0)) + v
-
-    # Expand around m = 0: the integrand times m^m0_mult is
-    # prod_rho (m+rho)^(-e_rho); its Taylor coefficients give the weights
-    # alpha_j on sum_m 1/m^j.  alpha_1 must cancel against the shifted poles.
-    alpha1 = Fraction(0)
-    if m0_mult > 0:
-        g = [Fraction(1)] + [Fraction(0)] * (m0_mult - 1)
-        for rho, e in pos.items():
-            g = _mul_trunc(g, _taylor_inv(rho, e, m0_mult - 1), m0_mult - 1)
-        for j in range(1, m0_mult + 1):
-            aj = g[m0_mult - j]
-            if j == 1:
-                alpha1 = aj
-            else:
-                add_zeta(j, aj)
-
-    # Expand around m = -rho0 for each positive shift: weights beta_j on
-    # sum_m 1/(m+rho0)^j.  The tail sums re-anchor at m=1 via
-    # sum_{m>=1} 1/(m+rho)^j = zeta(j) - H_rho^(j)  (j >= 2)
-    # and the j = 1 pieces combine with alpha_1 into finite -H_rho terms.
-    beta1_total = Fraction(0)
-    for rho0, e in pos.items():
-        g = [Fraction(1)] + [Fraction(0)] * (e - 1)
-        if m0_mult > 0:
-            g = _mul_trunc(g, _taylor_inv(-rho0, m0_mult, e - 1), e - 1)
-        for rho, e2 in pos.items():
-            if rho == rho0:
-                continue
-            g = _mul_trunc(g, _taylor_inv(rho - rho0, e2, e - 1), e - 1)
-        for j in range(1, e + 1):
-            bj = g[e - j]
-            if not bj:
-                continue
-            if j == 1:
-                beta1_total += bj
-                constant -= bj * harmonic(rho0)
-            else:
-                add_zeta(j, bj)
-                constant -= bj * harmonic(rho0, j)
-
-    if alpha1 + beta1_total != 0:
-        raise InternalError("1/m residues failed to cancel (series would diverge)")
-    return ZetaCombination.of(constant, zeta)
-
-
-def partial_fraction_sum(r1: int, r2: int, r3: int, s: int) -> ZetaCombination:
-    """Exact value of sum_{m>=1} 1/((m+r1)(m+r2)(m+r3) m^(s-3)).
-
-    Shifts must be integers >= 0 and s >= 3.  Symmetric in (r1, r2, r3);
-    results are memoized on the sorted triple.
-    """
-    for r in (r1, r2, r3):
-        if r < 0:
-            raise ValueError("shifts must be >= 0")
-    if s < 3:
-        raise ValueError("s must be >= 3")
-    a, b, c = sorted((r1, r2, r3))
-    return _pfs_sorted(a, b, c, s)
+# ------------------------------------------------ the partial-fraction oracle
 
 
 def decompose_integrals(
@@ -182,46 +74,115 @@ def decompose_integrals(
 ) -> dict[int, ZetaCombination]:
     """Exact zeta-combination value of I(P,Q,T; q) for every order q = 3..s.
 
-    sigma(r1,r2,r3; q) is symmetric in the shifts, so one pass over the
-    coefficient triples sums the weights p*q*t per sorted triple; each
-    distinct triple whose summed weight is nonzero then adds its
-    partial-fraction value once per order.  Exact sums, so every order
-    equals the ungrouped per-triple reduction.
+    With A(m) = sum_r p_r/(m+r) and B, C built likewise from Q and T,
+    I(q) = sum_{m>=1} F(m)/m^(q-3), F = A B C.  At m = -rho, rho = 0..deg,
+    each factor expands as x_-1/u + x_0 + x_1 u + ..., u = m + rho, with
+
+        x_-1 = p_rho,  x_0 = sum_{r!=rho} p_r/(r-rho),
+        x_1 = -sum_{r!=rho} p_r/(r-rho)^2,
+
+    which fixes F's principal part (weights on u^-3, u^-2, u^-1); F is
+    the sum of its principal parts.  Each order past 3 divides by m once
+    more:
+
+        1/m^j -> 1/m^(j+1),
+        1/((m+rho)^i m) = 1/(rho^i m) - sum_{l<=i} 1/(rho^(i-l+1) (m+rho)^l).
+
+    Re-anchored at m = 1, sum 1/m^j = zeta(j) and sum 1/(m+rho)^i =
+    zeta(i) - H_rho^(i); the 1/m and 1/(m+rho) pieces must cancel.
+
+    The pass runs on integers: with L the lcm of the coefficient
+    denominators and M = lcm(1..deg), the weight on 1/m^j or 1/(m+rho)^j
+    in order q is an integer over L^3 M^(q-j), and the constant an integer
+    over L^3 M^q.  M/(r-rho), M/rho and (M/k)^i serve as integer weights.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
-    summed: dict[tuple[int, int, int], Rat] = {}
-    for r1, av in enumerate(P.coeffs):
-        if not av:
-            continue
-        for r2, bv in enumerate(Q.coeffs):
-            if not bv:
-                continue
-            abv = av * bv
-            for r3, cv in enumerate(T.coeffs):
-                if cv:
-                    key = tuple(sorted((r1, r2, r3)))
-                    summed[key] = summed.get(key, 0) + abv * cv
-    weights = [(key, w) for key, w in summed.items() if w]
+    polys = (P.coeffs, Q.coeffs, T.coeffs)
+    deg = max(map(len, polys)) - 1
+    L = lcm(*(v.denominator for u in polys for v in u))
+    ints = [[v.numerator * (L // v.denominator) for v in u] for u in polys]
+    M = lcm(*range(1, deg + 1))
+
+    def laurent(u: list[int], rho: int) -> tuple[int, int, int]:
+        """L x_-1, L M x_0 and L M^2 x_1 of sum_r u_r/(m+r) at m = -rho."""
+        x0 = x1 = 0
+        for r, v in enumerate(u):
+            if v and r != rho:
+                w = M // (r - rho)
+                x0 += v * w
+                x1 -= v * w * w
+        return (u[rho] if rho < len(u) else 0), x0, x1
+
+    # at_m[j]: weight on 1/m^j; poles[rho]: weights on (m+rho)^-1..-3.
+    at_m: list[int] = [0]
+    poles: dict[int, list[int]] = {}
+    for rho in range(deg + 1):
+        (a, a0, a1), (b, b0, b1), (c, c0, c1) = (laurent(u, rho) for u in ints)
+        ab = a * b
+        part = [
+            ab * c1 + a * b1 * c + a1 * b * c + a * b0 * c0 + a0 * b * c0 + a0 * b0 * c,
+            ab * c0 + (a * b0 + a0 * b) * c,
+            ab * c,
+        ]
+        if rho == 0:
+            at_m += part
+        elif any(part):
+            poles[rho] = part
+    # Dividing by m keeps the 1/m and 1/(m+rho) weights cancelling: the new
+    # 1/m weight is minus the sum of the new (m+rho)^-1 weights.
+    if at_m[1] + sum(part[0] for part in poles.values()):
+        raise InternalError("1/m residues failed to cancel (series would diverge)")
+    # harm[rho][i-1] = M^i H_rho^(i)
+    harm, h = {}, (0, 0, 0)
+    for k in range(1, max(poles, default=0) + 1):
+        w = M // k
+        h = (h[0] + w, h[1] + w * w, h[2] + w**3)
+        harm[k] = h
+    L3 = L**3
     out: dict[int, ZetaCombination] = {}
     for q in range(3, s + 1):
-        constant = Fraction(0)
-        zeta: dict[int, Rat] = {}
-        for (a, b, c), w in weights:
-            part = _pfs_sorted(a, b, c, q)
-            constant += w * part.constant
-            for p, v in part.terms:
-                zeta[p] = zeta.get(p, 0) + w * v
-        out[q] = ZetaCombination.of(constant, zeta)
+        if q > 3:
+            residue = 0
+            for rho, (n1, n2, n3) in poles.items():
+                w = M // rho
+                t3 = n3 * w
+                t2 = (n2 + t3) * w
+                t1 = (n1 + t2) * w
+                residue += t1
+                poles[rho] = [-t1, -t2, -t3]
+            at_m.insert(1, residue)
+        zeta = at_m[:]
+        constant = 0
+        for rho, part in poles.items():
+            for i, v in enumerate(part, 1):
+                zeta[i] += v
+                constant -= v * harm[rho][i - 1]
+        out[q] = ZetaCombination.of(
+            Fraction(constant, L3 * M**q),
+            {j: Fraction(zeta[j], L3 * M ** (q - j)) for j in range(2, q + 1)},
+        )
     return out
 
 
-def decompose_integral(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> ZetaCombination:
-    """Exact zeta-combination value of I(P,Q,T; s).
+def partial_fraction_sum(r1: int, r2: int, r3: int, s: int) -> ZetaCombination:
+    """Exact value of sum_{m>=1} 1/((m+r1)(m+r2)(m+r3) m^(s-3)).
 
-    Weighted sum of partial_fraction_sum over all coefficient triples with
-    nonzero weight; the order-s view of decompose_integrals.
+    Shifts must be integers >= 0 and s >= 3.  The oracle's value for the
+    monomial triple x^r1, x^r2, x^r3.
     """
+    for r in (r1, r2, r3):
+        if r < 0:
+            raise ValueError("shifts must be >= 0")
+    if s < 3:
+        raise ValueError("s must be >= 3")
+    monomials = (explicit_poly([0] * r + [1]) for r in (r1, r2, r3))
+    return decompose_integrals(*monomials, s)[s]
+
+
+def decompose_integral(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> ZetaCombination:
+    """Exact zeta-combination value of I(P,Q,T; s): the order-s view of
+    decompose_integrals."""
     return decompose_integrals(P, Q, T, s)[s]
 
 

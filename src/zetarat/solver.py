@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .numerics import InternalError, Rat, RatLike
 from .polynomials import PolyFamily, PolySpec, pad_to_degree
-from .rows import TranscriptionVariant, coefficient_rows
+from .rows import coefficient_rows
 from .series import ZetaCombination, special_series_enclosures
 
 
@@ -74,13 +74,7 @@ class ApproxResult:
         return Fraction(0)
 
 
-def build_system(
-    P: PolySpec,
-    Q: PolySpec,
-    T: PolySpec,
-    s: int,
-    variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
-) -> TriangularSystem:
+def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSystem:
     """Assemble rows of orders s down to 3.
 
     P and Q fix the common degree n; T of lower degree is zero-padded up to
@@ -95,7 +89,7 @@ def build_system(
         )
     n = P.degree
     T = pad_to_degree(T, n)
-    rows = coefficient_rows(P, Q, T, s, variant)
+    rows = coefficient_rows(P, Q, T, s)
     return TriangularSystem(s, n, P, Q, T, tuple(rows[q] for q in range(s, 2, -1)))
 
 
@@ -276,7 +270,7 @@ def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[
     if P.degree != Q.degree:
         raise ValueError("P and Q must share a degree")
     n = P.degree
-    out = {order: theta_bound(n, T.cstar, order) for order in range(3, s + 1)}
+    out = dict.fromkeys(range(3, s + 1), theta_bound(n, T.cstar, s))
     pending = list(out)
     K = 4 * n + 16
     for _ in range(BOUND_ATTEMPTS):

@@ -13,10 +13,15 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from zetarat.numerics import Interval, Rat, harmonic
+from zetarat.numerics import Interval, Rat
 from zetarat.polynomials import PolySpec, coefficient_triple
 from zetarat.rows import TranscriptionVariant
 from zetarat.series import ZetaCombination, beta_rat
+
+
+def harmonic(k: int, m: int = 1) -> Rat:
+    """H_k^(m) = 1 + 1/2^m + ... + 1/k^m, with H_0^(m) = 0."""
+    return sum((Fraction(1, i**m) for i in range(1, k + 1)), Fraction(0))
 
 
 def _s(a: Sequence[Rat], b: Sequence[Rat], c: Sequence[Rat], mu: int, nu: int, lam: int) -> Rat:

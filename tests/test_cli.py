@@ -285,6 +285,11 @@ DIGITS_FAIL_FAST = (
         2,
         "error: digits must be >= 1\n",
     ),
+    (
+        ["table", "--s", "9", "--n-from", "200", "--n-to", "200", "--digits", "20000"],
+        3,
+        "error: requested 20008 digits exceeds budget of 10000\n",
+    ),
 )
 
 

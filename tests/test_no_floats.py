@@ -1,7 +1,7 @@
 """Certificates are exact: the package never touches a float.
 
 A float literal or a float() call would leak rounding into exact
-arithmetic.  In the two integer kernels a true division `/` inside a loop
+arithmetic.  In the integer kernels a true division `/` inside a loop
 is the quieter risk: int / int silently gives a float, where the kernels
 need `//` on an exact multiple or a Fraction.
 """
@@ -17,6 +17,7 @@ PACKAGE = Path(zetarat.__file__).parent
 #: (module, function) of the kernels that loop on Python ints.
 INTEGER_KERNELS = (
     ("rows.py", "coefficient_rows"),
+    ("series.py", "decompose_integrals"),
     ("series.py", "special_series_enclosures"),
 )
 

@@ -1,7 +1,7 @@
 """Closed-form coefficient rows validated against the symbolic oracle.
 
 Every row formula here was transcribed by hand; the oracle
-(decompose_integral, built on partial_fraction_sum) is the independent
+(decompose_integral, from the poles of A(m) B(m) C(m)) is the independent
 route that keeps the transcription honest.  The losing transcription
 variant of the triple block stays callable and must keep failing.
 """
@@ -23,7 +23,6 @@ from zetarat.polynomials import (
 )
 from zetarat.rows import (
     TranscriptionVariant,
-    coefficient_row,
     coefficient_rows,
     row_general,
     row_zeta3,
@@ -94,7 +93,7 @@ def test_row_general_matches_oracle_for_orders_five_to_eight():
     for s in (5, 6, 7, 8):
         for _ in range(12):
             P, Q, T = _random_triple(rng, rng.randint(1, 3))
-            assert coefficient_row(P, Q, T, s) == decompose_integral(P, Q, T, s)
+            assert coefficient_rows(P, Q, T, s)[s] == decompose_integral(P, Q, T, s)
 
 
 def test_row_general_rejects_low_orders():
@@ -110,14 +109,14 @@ def test_variants_coincide_up_to_degree_two():
     for _ in range(20):
         P, Q, T = _random_triple(rng, rng.randint(1, 2))
         for s in (5, 6, 7):
-            plain = coefficient_row(P, Q, T, s, TranscriptionVariant.PLAIN_POWERS)
-            harm = coefficient_row(P, Q, T, s, TranscriptionVariant.HARMONIC_WEIGHTS)
+            plain = coefficient_rows(P, Q, T, s, TranscriptionVariant.PLAIN_POWERS)[s]
+            harm = coefficient_rows(P, Q, T, s, TranscriptionVariant.HARMONIC_WEIGHTS)[s]
             assert plain == harm
 
 
 def test_harmonic_variant_disagrees_with_oracle_on_the_witness():
     P, Q, T = WITNESS
-    row = coefficient_row(P, Q, T, 5, TranscriptionVariant.HARMONIC_WEIGHTS)
+    row = coefficient_rows(P, Q, T, 5, TranscriptionVariant.HARMONIC_WEIGHTS)[5]
     want = decompose_integral(P, Q, T, 5)
     assert row.zeta(2) == Fraction(187, 24)
     assert want.zeta(2) == Fraction(337, 72)
@@ -127,7 +126,7 @@ def test_harmonic_variant_disagrees_with_oracle_on_the_witness():
 def test_plain_variant_agrees_with_oracle_on_the_witness():
     P, Q, T = WITNESS
     for s in (5, 6, 7):
-        assert coefficient_row(P, Q, T, s) == decompose_integral(P, Q, T, s)
+        assert coefficient_rows(P, Q, T, s)[s] == decompose_integral(P, Q, T, s)
 
 
 def test_oracle_zeta_coefficients_are_shared_across_orders():
@@ -180,7 +179,7 @@ def test_row_orders_expose_only_reachable_zeta_terms():
     rng = random.Random(808)
     for s in (5, 6, 7):
         P, Q, T = _random_triple(rng, 3)
-        row = coefficient_row(P, Q, T, s)
+        row = coefficient_rows(P, Q, T, s)[s]
         assert all(2 <= p <= s for p in row.orders())
 
 

@@ -8,16 +8,14 @@ from itertools import permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import zetarat.series as series_module
-from zetarat.cli import main
+import residue_oracle
 from zetarat.numerics import Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.series import (
     ZetaCombination,
-    _pfs_sorted,
     beta_rat,
     decompose_integral,
     decompose_integrals,
@@ -155,61 +153,41 @@ def test_decompose_drops_zero_coefficient_triples():
     assert all(got.zeta(p) == 2 * want.zeta(p) for p in want.orders())
 
 
-def _ungrouped_decompose(P, Q, T, s):
-    """The oracle for one order without grouping: every coefficient triple,
-    unsorted, through partial_fraction_sum."""
-    constant = Fraction(0)
-    zeta: dict = {}
-    for r1, av in enumerate(P.coeffs):
-        for r2, bv in enumerate(Q.coeffs):
-            for r3, cv in enumerate(T.coeffs):
-                w = av * bv * cv
-                if not w:
-                    continue
-                part = partial_fraction_sum(r1, r2, r3, s)
-                constant += w * part.constant
-                for p, v in part.terms:
-                    zeta[p] = zeta.get(p, Fraction(0)) + w * v
-    return ZetaCombination.of(constant, zeta)
-
-
 _coefficients = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
 )
-_polys = st.lists(_coefficients, min_size=1, max_size=5).map(explicit_poly)
+_polys = st.lists(_coefficients, min_size=1, max_size=9).map(explicit_poly)
+
+
+def _legendre_binomial(n, t, s):
+    return {"P": shifted_legendre(n), "Q": binomial_poly(n), "T": explicit_poly(t), "s": s}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(P=_polys, Q=_polys, T=_polys, s=st.integers(3, 8))
+@given(P=_polys, Q=_polys, T=_polys, s=st.integers(3, 11))
+@example(**_legendre_binomial(1, [2, -1], 11))
+@example(**_legendre_binomial(5, [1, 0, -3, 2, 0, 1], 11))
+@example(**_legendre_binomial(8, [1], 10))
+@example(**_legendre_binomial(12, [3, -1, 0, 2, 0, 0, 1, -2, 0, 1, 0, 0, -1], 9))
 def test_grouped_oracle_equals_the_ungrouped_per_order_loop(P, Q, T, s):
+    """The pole oracle against the per-triple residue route, on degrees
+    0..8 drawn independently and on Legendre x binomial triples."""
     combos = decompose_integrals(P, Q, T, s)
     assert list(combos) == list(range(3, s + 1))
     for q, combo in combos.items():
-        assert combo == _ungrouped_decompose(P, Q, T, q)
+        assert combo == residue_oracle.decompose_integral(P, Q, T, q)
         assert decompose_integral(P, Q, T, q) == combo
 
 
-def test_grouped_oracle_skips_a_sorted_triple_whose_weights_cancel(monkeypatch):
-    """(1+x)(1-x): the shift triples (0,1,0) and (1,0,0) carry weights -1
-    and +1, so the sorted triple (0,0,1) never reaches the oracle."""
-    P, Q, T = explicit_poly([1, 1]), explicit_poly([1, -1]), explicit_poly([1])
-    seen = []
-
-    def counting(a, b, c, q):
-        seen.append((a, b, c))
-        return _pfs_sorted(a, b, c, q)
-
-    monkeypatch.setattr(series_module, "_pfs_sorted", counting)
-    combos = decompose_integrals(P, Q, T, 6)
-    assert sorted(set(seen)) == [(0, 0, 0), (0, 1, 1)]
-    assert len(seen) == 2 * 4
-    for q, combo in combos.items():
-        whole, part = _pfs_sorted(0, 0, 0, q), _pfs_sorted(0, 1, 1, q)
-        assert combo.constant == whole.constant - part.constant
-        for p in set(whole.orders()) | set(part.orders()) | set(combo.orders()):
-            assert combo.zeta(p) == whole.zeta(p) - part.zeta(p)
-        assert combo == _ungrouped_decompose(P, Q, T, q)
+def test_partial_fraction_sum_equals_the_residue_route_on_small_triples():
+    for r1 in range(7):
+        for r2 in range(r1, 7):
+            for r3 in range(r2, 7):
+                for s in range(3, 11):
+                    assert partial_fraction_sum(r1, r2, r3, s) == residue_oracle.sigma(
+                        r1, r2, r3, s
+                    ), (r1, r2, r3, s)
 
 
 def test_decompose_integral_keeps_its_order_check():
@@ -218,19 +196,6 @@ def test_decompose_integral_keeps_its_order_check():
         decompose_integral(one, one, one, 2)
     with pytest.raises(ValueError):
         decompose_integrals(one, one, one, 2)
-
-
-def test_oracle_cache_is_bounded_and_warm_verify_only_hits(capsys):
-    maxsize = _pfs_sorted.cache_info().maxsize
-    assert maxsize is not None and maxsize >= 140
-    argv = ["verify", "--s", "9", "--trials", "20", "--seed", "11"]
-    assert main(argv) == 0
-    before = _pfs_sorted.cache_info()
-    assert main(argv) == 0
-    after = _pfs_sorted.cache_info()
-    assert after.misses == before.misses
-    assert after.hits > before.hits
-    capsys.readouterr()
 
 
 # -------------------------------------------------------------- beta values
