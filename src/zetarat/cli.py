@@ -115,7 +115,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     for trial in range(args.trials):
         n = rng.randint(1, 3)
         polys = [
-            explicit_poly([Fraction(rng.randint(-3, 3)) for _ in range(n + 1)])
+            explicit_poly([rng.randint(-3, 3) for _ in range(n + 1)])
             for _ in range(3)
         ]
         report = validate_rows(polys[0], polys[1], polys[2], args.s, variant)

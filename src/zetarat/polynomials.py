@@ -43,7 +43,7 @@ class PolySpec:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if self.family is not PolyFamily.EXPLICIT and len(coeffs) > 1 and coeffs[-1] == 0:
             raise ValueError(
@@ -85,16 +85,7 @@ def binomial_poly(n: int) -> PolySpec:
 
 
 def explicit_poly(coeffs: Iterable[RatLike]) -> PolySpec:
-    return PolySpec(PolyFamily.EXPLICIT, tuple(Fraction(c) for c in coeffs))
-
-
-def eval_poly(p: PolySpec, x: RatLike) -> Rat:
-    """Exact Horner evaluation."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+    return PolySpec(PolyFamily.EXPLICIT, tuple(coeffs))
 
 
 def pad_to_degree(p: PolySpec, n: int) -> PolySpec:

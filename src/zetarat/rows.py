@@ -8,11 +8,12 @@ coefficients via the cyclic symbol
 
     S_{mu,nu,lam} = a_mu b_nu c_lam + b_mu c_nu a_lam + c_mu a_nu b_lam.
 
-One kernel, coefficient_rows, builds the rows of every order 3..s in a
-single pass over the index blocks: the pass collects order-free weights
-per index, and the order only picks the inverse powers they are summed
-against.  Orders 3 and 4 are the cases where the mandatory zeta(3) and
-zeta(2) extra blocks land on the lead and sub-lead coefficients.  Every
+One integer kernel, row_numerators, builds the rows of every order 3..s
+in a single pass over the index blocks: the pass collects order-free
+weights per index, and the order only picks the inverse powers they are
+summed against.  coefficient_rows reads its output as ZetaCombinations.
+Orders 3 and 4 are the cases where the mandatory zeta(3) and zeta(2)
+extra blocks land on the lead and sub-lead coefficients.  Every
 formula was adjudicated term-by-term against the exact partial-fraction
 oracle (`series.decompose_integrals`); where the available closed forms
 admit two genuinely different readings of the triple-sum block (orders
@@ -32,7 +33,7 @@ from typing import Optional, Sequence
 
 from .numerics import Rat
 from .polynomials import PolySpec, coefficient_triple
-from .series import ZetaCombination, decompose_integrals
+from .series import IntCombination, ZetaCombination, oracle_numerators
 
 
 class TranscriptionVariant(Enum):
@@ -54,10 +55,26 @@ def coefficient_rows(
     s: int,
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> dict[int, ZetaCombination]:
-    """Closed forms of I(P,Q,T; q) for every order q = 3..s, keyed by q,
-    from one pass over the single (r), double (r > l) and triple
-    (r > l > i) index blocks; the triple block costs O(n^2), not O(n^3),
-    because its i-sums factor through sums of a_i, b_i, c_i.
+    """Closed forms of I(P,Q,T; q) for every order q = 3..s, keyed by q:
+    row_numerators as ZetaCombinations."""
+    return {
+        q: ZetaCombination.from_ints(v)
+        for q, v in row_numerators(P, Q, T, s, variant).items()
+    }
+
+
+def row_numerators(
+    P: PolySpec,
+    Q: PolySpec,
+    T: PolySpec,
+    s: int,
+    variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
+) -> dict[int, IntCombination]:
+    """coefficient_rows on integers: the closed forms of I(P,Q,T; q) for
+    every order q = 3..s as numerators over the denominators L^3 M^w
+    named below, from one pass over the single (r), double (r > l) and
+    triple (r > l > i) index blocks; the triple block costs O(n^2), not
+    O(n^3), because its i-sums factor through sums of a_i, b_i, c_i.
 
     The pass folds each block into order-free weights on one index x:
 
@@ -161,13 +178,15 @@ def coefficient_rows(
             + b[i] * (tc * ta - dot(uc, ua))
             + c[i] * (ta * tb - dot(ua, ub))
         )
-    pows = [None] + [[inv[x] ** e for e in range(s)] for x in xs]
+    cols = [[0] + [1] * n]  # cols[e][x] = (M/x)^e, and 0 at x = 0
+    for _ in range(1, s):
+        cols.append(list(map(mul, cols[-1], inv)))
 
     def sums(W, h=None):
         """[W]_e for e = 0..s-1, each W_x first multiplied by h[x] if given."""
         if h is not None:
-            W = [w * hx for w, hx in zip(W, h)]
-        return [sum(W[x] * pows[x][e] for x in xs if W[x]) for e in range(s)]
+            W = list(map(mul, W, h))
+        return [sum(map(mul, W, col)) for col in cols]
 
     def block(j, sA, sD, sZ, sE):  # K_j, weight j
         return (
@@ -196,7 +215,8 @@ def coefficient_rows(
         tri = sums(Y)
         for j in range(3, s - 1):
             num[j] += tri[j - 2]
-    L3, Mw = L**3, [M**w for w in range(s + 1)]
+    Mw = [M**w for w in range(s + 1)]
+    den = [L**3 * v for v in Mw]
     rows = {}
     for q in range(3, s + 1):
         zeta = [v if j < 2 or j % 2 else -v for j, v in enumerate(num[: q - 1])]
@@ -205,10 +225,7 @@ def coefficient_rows(
         zeta[q - 3] += sign * pA[q - 3] * Mw[wt[q - 3] - (q - 3)]
         zeta[q - 2] += sign * ((q - 3) * pA[q - 2] + pD[q - 3]) * Mw[wt[q - 2] - (q - 2)]
         const = -sign * block(q - 1, hA, hDA, hZ, hEY)  # weight q
-        rows[q] = ZetaCombination.of(
-            Fraction(const, L3 * Mw[q]),
-            {q - j: Fraction(v, L3 * Mw[wt[j]]) for j, v in enumerate(zeta)},
-        )
+        rows[q] = ((const, den[q]), {q - j: (v, den[wt[j]]) for j, v in enumerate(zeta)})
     return rows
 
 
@@ -253,6 +270,15 @@ class RowValidationReport:
         return all(c.equal for c in self.checks)
 
 
+_ZERO = (0, 1)
+
+
+def _differ(u: tuple[int, int], x: tuple[int, int]) -> bool:
+    """Whether the rationals u[0]/u[1] and x[0]/x[1] differ (positive
+    denominators)."""
+    return u[0] * x[1] != x[0] * u[1]
+
+
 def validate_rows(
     P: PolySpec,
     Q: PolySpec,
@@ -261,22 +287,26 @@ def validate_rows(
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> RowValidationReport:
     """Compare every closed-form row of order 3..s_max against the exact
-    partial-fraction oracle, component by component."""
+    partial-fraction oracle, component by component.
+
+    Both integer kernels run once.  Each gives numerators over denominators
+    of its own choosing, so a component is compared by cross-multiplying:
+    u/v = x/y iff u y = x v, for v, y > 0.  Only reported mismatches become
+    Fractions."""
     if s_max < 3:
         raise ValueError("s_max must be >= 3")
     checks = []
-    oracle = decompose_integrals(P, Q, T, s_max)
-    for order, row in coefficient_rows(P, Q, T, s_max, variant).items():
-        want = oracle[order]
+    oracle = oracle_numerators(P, Q, T, s_max)
+    for order, (const, zeta) in row_numerators(P, Q, T, s_max, variant).items():
+        want_const, want_zeta = oracle[order]
         mismatches: list[RowMismatch] = []
-        if row.constant != want.constant:
+        if _differ(const, want_const):
             mismatches.append(
-                RowMismatch(order, "constant", None, row.constant, want.constant)
+                RowMismatch(order, "constant", None, Fraction(*const), Fraction(*want_const))
             )
-        keys = sorted(set(row.orders()) | set(want.orders()))
-        for p in keys:
-            got, exp = row.zeta(p), want.zeta(p)
-            if got != exp:
-                mismatches.append(RowMismatch(order, "zeta", p, got, exp))
+        for p in sorted(zeta.keys() | want_zeta.keys()):
+            got, exp = zeta.get(p, _ZERO), want_zeta.get(p, _ZERO)
+            if _differ(got, exp):
+                mismatches.append(RowMismatch(order, "zeta", p, Fraction(*got), Fraction(*exp)))
         checks.append(RowCheck(order, not mismatches, tuple(mismatches)))
     return RowValidationReport(tuple(checks))

@@ -31,6 +31,11 @@ from .polynomials import PolySpec, explicit_poly
 
 # ------------------------------------------------- zeta-combination values
 
+#: A zeta combination as integers over positive, unreduced denominators:
+#: ((constant numerator, denominator), {p: (numerator, denominator)}).
+#: The integer kernels return these; ZetaCombination.from_ints reads one.
+IntCombination = tuple[tuple[int, int], dict[int, tuple[int, int]]]
+
 
 @dataclass(frozen=True)
 class ZetaCombination:
@@ -47,6 +52,14 @@ class ZetaCombination:
     def of(constant: Rat, zeta_coeffs: Mapping[int, Rat]) -> "ZetaCombination":
         terms = tuple(sorted((p, v) for p, v in zeta_coeffs.items() if v))
         return ZetaCombination(Fraction(constant), terms)
+
+    @staticmethod
+    def from_ints(combination: IntCombination) -> "ZetaCombination":
+        """The exact combination an integer kernel's output stands for."""
+        (num, den), zeta = combination
+        return ZetaCombination.of(
+            Fraction(num, den), {p: Fraction(v, d) for p, (v, d) in zeta.items() if v}
+        )
 
     def zeta(self, p: int) -> Rat:
         for q, v in self.terms:
@@ -72,7 +85,14 @@ class ZetaCombination:
 def decompose_integrals(
     P: PolySpec, Q: PolySpec, T: PolySpec, s: int
 ) -> dict[int, ZetaCombination]:
-    """Exact zeta-combination value of I(P,Q,T; q) for every order q = 3..s.
+    """Exact zeta-combination value of I(P,Q,T; q) for every order q = 3..s:
+    oracle_numerators as ZetaCombinations."""
+    return {q: ZetaCombination.from_ints(v) for q, v in oracle_numerators(P, Q, T, s).items()}
+
+
+def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int, IntCombination]:
+    """decompose_integrals on integers: I(P,Q,T; q) for every order q = 3..s
+    as numerators over the denominators L^3 M^w named below.
 
     With A(m) = sum_r p_r/(m+r) and B, C built likewise from Q and T,
     I(q) = sum_{m>=1} F(m)/m^(q-3), F = A B C.  At m = -rho, rho = 0..deg,
@@ -139,8 +159,8 @@ def decompose_integrals(
         w = M // k
         h = (h[0] + w, h[1] + w * w, h[2] + w**3)
         harm[k] = h
-    L3 = L**3
-    out: dict[int, ZetaCombination] = {}
+    den = [L**3 * M**w for w in range(s + 1)]
+    out: dict[int, IntCombination] = {}
     for q in range(3, s + 1):
         if q > 3:
             residue = 0
@@ -158,10 +178,7 @@ def decompose_integrals(
             for i, v in enumerate(part, 1):
                 zeta[i] += v
                 constant -= v * harm[rho][i - 1]
-        out[q] = ZetaCombination.of(
-            Fraction(constant, L3 * M**q),
-            {j: Fraction(zeta[j], L3 * M ** (q - j)) for j in range(2, q + 1)},
-        )
+        out[q] = ((constant, den[q]), {j: (zeta[j], den[q - j]) for j in range(2, q + 1)})
     return out
 
 

@@ -67,12 +67,6 @@ class ApproxResult:
     bounds: tuple[tuple[int, Rat], ...]   # (order, theta_order), ascending
     theta_bound: Rat
 
-    def weight(self, order: int) -> Rat:
-        for q, w in self.weights:
-            if q == order:
-                return w
-        return Fraction(0)
-
 
 def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSystem:
     """Assemble rows of orders s down to 3.

@@ -1,10 +1,14 @@
-"""Fraction forms of the closed-form rows and the factorial-series
-enclosures: the reference for the package's integer kernels.
+"""Fraction forms of the closed-form rows, the factorial-series
+enclosures and the row check: the reference for the package's integer
+kernels.
 
 Every loop here runs on `Fraction`, so each add and multiply normalizes by a
 gcd.  `zetarat.rows.coefficient_rows` and
 `zetarat.series.special_series_enclosures` must return exactly these
-rationals; tests/test_integer_kernels.py checks that.
+rationals; tests/test_integer_kernels.py checks that.  `validate_rows`
+compares ZetaCombinations component by component, and
+`zetarat.rows.validate_rows` must return its report; tests/test_rows.py
+checks that.
 """
 from __future__ import annotations
 
@@ -15,8 +19,14 @@ from typing import Sequence
 
 from zetarat.numerics import Interval, Rat
 from zetarat.polynomials import PolySpec, coefficient_triple
-from zetarat.rows import TranscriptionVariant
-from zetarat.series import ZetaCombination, beta_rat
+from zetarat.rows import (
+    RowCheck,
+    RowMismatch,
+    RowValidationReport,
+    TranscriptionVariant,
+)
+from zetarat.rows import coefficient_rows as package_rows
+from zetarat.series import ZetaCombination, beta_rat, decompose_integrals
 
 
 def harmonic(k: int, m: int = 1) -> Rat:
@@ -36,8 +46,8 @@ def coefficient_rows(
     s: int,
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> dict[int, ZetaCombination]:
-    """zetarat.rows.coefficient_rows on Fraction; its docstring has the
-    formulas."""
+    """zetarat.rows.coefficient_rows on Fraction; the docstring of
+    zetarat.rows.row_numerators has the formulas."""
     if s < 3:
         raise ValueError("closed-form rows need order >= 3")
     a, b, c = coefficient_triple(P, Q, T)
@@ -167,3 +177,32 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
         value = (-1) ** n * total
         out[q] = Interval(value - tail, value + tail)
     return out
+
+
+def validate_rows(
+    P: PolySpec,
+    Q: PolySpec,
+    T: PolySpec,
+    s_max: int,
+    variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
+) -> RowValidationReport:
+    """zetarat.rows.validate_rows on ZetaCombinations: each order's row from
+    the package's coefficient_rows against the oracle's decompose_integrals,
+    constant first, then the zeta orders either side carries, ascending."""
+    if s_max < 3:
+        raise ValueError("s_max must be >= 3")
+    checks = []
+    oracle = decompose_integrals(P, Q, T, s_max)
+    for order, row in package_rows(P, Q, T, s_max, variant).items():
+        want = oracle[order]
+        mismatches: list[RowMismatch] = []
+        if row.constant != want.constant:
+            mismatches.append(
+                RowMismatch(order, "constant", None, row.constant, want.constant)
+            )
+        for p in sorted(set(row.orders()) | set(want.orders())):
+            got, exp = row.zeta(p), want.zeta(p)
+            if got != exp:
+                mismatches.append(RowMismatch(order, "zeta", p, got, exp))
+        checks.append(RowCheck(order, not mismatches, tuple(mismatches)))
+    return RowValidationReport(tuple(checks))

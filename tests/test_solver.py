@@ -78,7 +78,7 @@ def test_order_three_solution_matches_the_hand_formula():
     z3, z2, c = row.zeta(3), row.zeta(2), row.constant
     assert res.alpha == -z2 / z3
     assert res.beta == -c / z3
-    assert res.weight(3) == 1 / z3
+    assert dict(res.weights)[3] == 1 / z3
     assert res.theta_bound == abs(1 / z3) * Fraction(1, 4**3)
 
 
@@ -182,7 +182,7 @@ def test_theta_total_folds_weights_and_bounds():
     assert res.theta_bound == sum(
         abs(w) * bounds[q] for q, w in dict(res.weights).items()
     )
-    assert res.weight(99) == 0
+    assert dict(res.weights).get(99, 0) == 0
 
 
 # ------------------------------------------------------------ theta bounds
