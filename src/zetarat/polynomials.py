@@ -58,7 +58,7 @@ class PolySpec:
     @property
     def cstar(self) -> Rat:
         """max_r |coeff_r| — the coefficient height."""
-        return max(abs(c) for c in self.coeffs)
+        return max((abs(c) for c in self.coeffs if c), default=Fraction(0))
 
     @property
     def sum_abs(self) -> Rat:

@@ -10,13 +10,18 @@ its magnitude.  Solving yields
 with alpha, beta and the weights w_q exact rationals, hence the certified
 error bound |zeta(s) - (alpha zeta(2) + beta)| <= sum_q |w_q| theta_q.
 
-Two independent solution routes are always computed — back-substitution and
-Cramer cofactor expansion — and must agree exactly.
+Only the first row y of A^-1 is needed, A being the upper triangular matrix
+of zeta(s), ..., zeta(3) coefficients.  Two independent routes compute it,
+each in O(s^2) arithmetic operations, and must agree exactly:
+back-substitution on y^T A = e_0^T in Fractions, and Cramer's first-column
+cofactors, which are the leading minors of one upper Hessenberg block of A,
+from one integer recurrence over the row-scaled, column-reduced matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from .numerics import InternalError, Rat, RatLike
@@ -114,72 +119,111 @@ def _det(matrix: list[list[Rat]]) -> Rat:
     return out
 
 
+def _singular(order: int) -> SingularSystemError:
+    return SingularSystemError(
+        f"singular system: zero leading coefficient in the order-{order} row"
+    )
+
+
 def _solve_back_substitution(
     system: TriangularSystem,
 ) -> tuple[Rat, Rat, dict[int, Rat]]:
-    """Express zeta(s) = alpha*zeta(2) + beta + sum_q w_q I_q by eliminating
-    zeta(3), zeta(4), ... upward through the rows."""
+    """First row y of A^-1 by substitution on y^T A = e_0^T, column by
+    column: y_0 = 1/a_00 and y_c = -sum_{nu<c} y_nu a_nu,c / a_cc.
+
+    Row nu of A is the order-(s - nu) row and column c carries zeta(s - c),
+    so w_(s-nu) = y_nu, alpha = -sum y_nu z2_nu and beta = -sum y_nu const_nu.
+    Only orders reached from s through nonzero entries carry a weight.
+    """
     s = system.s
-    # per solved order: (zeta2 weight, constant, {order: I weight})
-    solved: dict[int, tuple[Rat, Rat, dict[int, Rat]]] = {}
+    coeffs = [dict(row.terms) for row in system.rows]
     for order in range(3, s + 1):
-        row = system.row_of_order(order)
-        lead = row.zeta(order)
-        if lead == 0:
-            raise SingularSystemError(
-                f"singular system: zero leading coefficient in the order-{order} row"
-            )
-        # I_order = lead*zeta(order) + lower-order zetas + z2*zeta(2) + const
-        u = -row.zeta(2) / lead
-        v = -row.constant / lead
-        w = {order: 1 / lead}
-        for p in range(3, order):
-            zp = row.zeta(p)
-            if not zp:
-                continue
-            up, vp, wp = solved[p]
-            u -= zp * up / lead
-            v -= zp * vp / lead
-            for q, wt in wp.items():
-                w[q] = w.get(q, Fraction(0)) - zp * wt / lead
-        solved[order] = (u, v, w)
-    return solved[s]
+        if order not in coeffs[s - order]:
+            raise _singular(order)
+    y: dict[int, Rat] = {0: 1 / coeffs[0][s]}
+    for c in range(1, len(coeffs)):
+        p = s - c
+        terms = [y_nu * coeffs[nu][p] for nu, y_nu in y.items() if p in coeffs[nu]]
+        if terms:
+            y[c] = -sum(terms, Fraction(0)) / coeffs[c][p]
+    rows = system.rows
+    alpha = -sum((y_nu * coeffs[nu].get(2, 0) for nu, y_nu in y.items()), Fraction(0))
+    beta = -sum((y_nu * rows[nu].constant for nu, y_nu in y.items()), Fraction(0))
+    return alpha, beta, {s - nu: y_nu for nu, y_nu in y.items()}
 
 
 def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Cofactor route: zeta(s) = sum_nu RHS_nu * C_nu / Delta, where C_nu are
     the signed cofactors of the first column and Delta the (triangular)
-    determinant."""
+    determinant.
+
+    Deleting row nu and column 0 of A leaves a block triangular minor,
+    det H_nu * prod_{r>nu} a_rr, where H_nu is the leading nu x nu block of
+    the upper Hessenberg matrix H made of rows 0..size-2 and columns
+    1..size-1 of A.  So w_(s-nu) = (-1)^nu det H_nu / prod_{r<=nu} a_rr.
+
+    The leading minors run on integers: row nu is scaled by D_nu, the lcm
+    of its denominators, and column c divided by its content g_c, giving
+    B = diag(D) A diag(1/g).  One recurrence along the last column gives
+    every leading minor of the Hessenberg block of B,
+
+        det H_k = sum_{i=1..k} (-1)^(k-i) b_(i-1,k) (prod_{j=i..k-1} b_jj) det H_(i-1),
+
+    and then w_(s-nu) = (-1)^nu det H_nu D_nu / (g_0 prod_{r<=nu} b_rr).
+    """
     rows = system.rows
     size = len(rows)
+    s = system.s
     delta = system.delta
     if delta == 0:
-        order = system.s - system.diagonal.index(0)
-        raise SingularSystemError(
-            f"singular system: zero leading coefficient in the order-{order} row"
-        )
+        raise _singular(s - system.diagonal.index(0))
+    coeffs = [dict(row.terms) for row in rows]
+    zero = Fraction(0)
     # column c (0-based) carries the zeta(s - c) coefficients
-    matrix = [
-        [rows[r].zeta(system.s - c) for c in range(size)] for r in range(size)
-    ]
-    delta_generic = _det(matrix)
-    if delta_generic != delta:
+    matrix = [[coeffs[r].get(s - c, zero) for c in range(size)] for r in range(size)]
+    if _det(matrix) != delta:
         raise InternalError("triangular determinant mismatch")
-    alpha = Fraction(0)
-    beta = Fraction(0)
+    scale = [
+        lcm(row.constant.denominator, *(v.denominator for _, v in row.terms))
+        for row in rows
+    ]
+    ints = [
+        {p: v.numerator * (d // v.denominator) for p, v in row.terms}
+        for row, d in zip(rows, scale)
+    ]
+    consts = [
+        row.constant.numerator * (d // row.constant.denominator)
+        for row, d in zip(rows, scale)
+    ]
+    content = [gcd(*(ints[r].get(s - c, 0) for r in range(c + 1))) for c in range(size)]
+    b = [
+        [ints[r].get(s - c, 0) // g for c, g in enumerate(content)] for r in range(size)
+    ]
+    dets = [1]  # det H_0, det H_1, ..., det H_(size-1)
+    for k in range(1, size):
+        acc = 0
+        prod = 1  # (-1)^(k-i) prod_{j=i..k-1} b_jj
+        for i in range(k, 0, -1):
+            acc += b[i - 1][k] * prod * dets[i - 1]
+            prod = -prod * b[i - 1][i - 1]
+        dets.append(acc)
+    # alpha and beta over the common denominator g_0 prod_r b_rr
+    tail = [1] * (size + 1)  # tail[nu] = prod_{r>=nu} b_rr
+    for r in range(size - 1, -1, -1):
+        tail[r] = tail[r + 1] * b[r][r]
+    alpha = beta = 0
+    lead = content[0]  # g_0 prod_{r<=nu} b_rr
     weights: dict[int, Rat] = {}
-    for nu in range(size):
-        minor = [
-            [matrix[r][c] for c in range(1, size)] for r in range(size) if r != nu
-        ]
-        cofactor = Fraction((-1) ** nu) * (_det(minor) if minor else Fraction(1))
-        w = cofactor / delta
-        row = rows[nu]
-        alpha += -row.zeta(2) * w
-        beta += -row.constant * w
-        if w:
-            weights[system.s - nu] = w
-    return alpha, beta, weights
+    for nu, d in enumerate(scale):
+        lead *= b[nu][nu]
+        cofactor = -dets[nu] if nu % 2 else dets[nu]
+        if not cofactor:
+            continue
+        weights[s - nu] = Fraction(cofactor * d, lead)
+        alpha -= cofactor * ints[nu].get(2, 0) * tail[nu + 1]
+        beta -= cofactor * consts[nu] * tail[nu + 1]
+    den = content[0] * tail[0]
+    return Fraction(alpha, den), Fraction(beta, den), weights
 
 
 def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) -> ApproxResult:
@@ -271,7 +315,8 @@ def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[
         if not pending:
             break
         encs = special_series_enclosures(n, T, pending[-1], K)
-        settled = {q: encs[q].sup_abs for q in pending if encs[q].sup_abs <= out[q]}
+        sup = {q: encs[q].sup_abs for q in pending}
+        settled = {q: v for q, v in sup.items() if v <= out[q]}
         out.update(settled)
         pending = [q for q in pending if q not in settled]
         K *= 2

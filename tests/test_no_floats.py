@@ -22,6 +22,7 @@ INTEGER_KERNELS = (
     ("series.py", "decompose_integrals"),
     ("series.py", "oracle_numerators"),
     ("series.py", "special_series_enclosures"),
+    ("solver.py", "_solve_cramer"),
 )
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

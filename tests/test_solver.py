@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import solver_reference as reference
 import zetarat.solver as solver_module
 from zetarat.numerics import Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
@@ -135,15 +136,15 @@ _entries = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
 @st.composite
-def _random_systems(draw):
+def _random_systems(draw, max_s=8, entries=_entries):
     """Triangular systems of orders s..3 with arbitrary rational entries and
     nonzero leading coefficients."""
-    s = draw(st.integers(3, 8))
+    s = draw(st.integers(3, max_s))
     rows = []
     for order in range(s, 2, -1):
         lead = draw(_entries.filter(bool))
-        lower = {p: draw(_entries) for p in range(2, order)}
-        rows.append(ZetaCombination.of(draw(_entries), {**lower, order: lead}))
+        lower = {p: draw(entries) for p in range(2, order)}
+        rows.append(ZetaCombination.of(draw(entries), {**lower, order: lead}))
     one = explicit_poly([1])
     return TriangularSystem(s, 1, one, one, one, tuple(rows))
 
@@ -154,6 +155,70 @@ def test_both_solve_routes_agree_on_random_triangular_systems(system):
     alpha, beta, weights = _solve_back_substitution(system)
     assert (alpha, beta, weights) == _solve_cramer(system)
     assert weights[system.s] == 1 / system.row_of_order(system.s).zeta(system.s)
+
+
+def _routes_match_the_reference(system):
+    """Each package route returns exactly what its Fraction reference
+    returns, weight dicts included, or raises the same singular-system
+    message."""
+    for route, ref in (
+        (_solve_back_substitution, reference.solve_back_substitution),
+        (_solve_cramer, reference.solve_cramer),
+    ):
+        try:
+            expected = ref(system)
+        except SingularSystemError as exc:
+            with pytest.raises(SingularSystemError) as got:
+                route(system)
+            assert str(got.value) == str(exc)
+            continue
+        assert route(system) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    system=_random_systems(
+        max_s=12, entries=st.one_of(st.just(Fraction(0)), _entries)
+    )
+)
+def test_solve_routes_equal_the_reference_on_sparse_random_systems(system):
+    """s up to 12; about half the entries above the diagonal and of the
+    zeta(2) and constant entries are zero."""
+    _routes_match_the_reference(system)
+
+
+_t_coefficients = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), s=st.integers(3, 40), t=_t_coefficients)
+@example(n=10, s=40, t=[Fraction(1), Fraction(1, 3)])
+@example(n=2, s=40, t=[Fraction(2), Fraction(-1), Fraction(3, 5)])
+@example(n=4, s=9, t=[Fraction(0), Fraction(1)])
+def test_solve_routes_equal_the_reference_on_legendre_binomial_systems(n, s, t):
+    """Real systems: shifted Legendre x binomial of degree n, T of degree
+    0..2 (T(0) = 0 makes the system singular)."""
+    _routes_match_the_reference(_structured_system(n, s, t)[3])
+
+
+def test_cramer_takes_one_determinant_per_solve(monkeypatch):
+    """The cofactors come from one Hessenberg recurrence: the generic
+    determinant runs once, for the triangular-determinant check."""
+    calls = []
+    original = solver_module._det
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(solver_module, "_det", counting)
+    for n, s in ((2, 3), (4, 9), (6, 24)):
+        calls.clear()
+        _, _, _, system = _structured_system(n, s, [1, Fraction(1, 3)])
+        _solve_cramer(system)
+        assert calls == [s - 2]
 
 
 def test_singular_system_raises_with_a_clear_message():
@@ -279,6 +344,29 @@ def test_certified_containment_for_zeta3_at_degree_four():
     err = approx - zeta_reference(3, 40)
     assert err.sup_abs <= res.theta_bound
     assert res.theta_bound <= theta_bound(4, 1, 3)
+
+
+def test_certified_containment_for_zeta60_at_degree_twenty():
+    """The order cliff: at s = 60 the two routes agree, and zeta(60) lies
+    within theta of alpha*zeta(2) + beta.  The error sits within 1e-4
+    relative of theta, so the zeta references start at theta's digits plus
+    alpha's and refine while the enclosure straddles the bound."""
+    P, Q, T, system = _structured_system(20, 60)
+    assert _solve_back_substitution(system) == _solve_cramer(system)
+    res = solve_zeta(system, certified_row_bounds(P, Q, system.T, 60))
+    theta = res.theta_bound
+    window = Interval(-theta, theta)
+    start = len(str(theta.denominator // theta.numerator)) + len(
+        str(abs(res.alpha.numerator) // res.alpha.denominator)
+    )
+    for digits in (start, 2 * start, 4 * start):
+        err = zeta_reference(2, digits).scale(res.alpha).shift(res.beta) - zeta_reference(
+            60, digits
+        )
+        if window.contains_interval(err):
+            return
+        assert window.overlaps(err), "certified violation"
+    pytest.fail("the enclosure still straddles theta")
 
 
 def test_certified_containment_agrees_with_a_float_sanity_check():
