@@ -20,6 +20,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import random
 import sys
@@ -70,6 +71,8 @@ def _check_digits(digits: int) -> None:
 
 def _approx(T: PolySpec, s: int, n: int) -> ApproxResult:
     """zeta(s) ~ alpha*zeta(2) + beta from the degree-n Legendre/binomial rows."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     P = shifted_legendre(n)
     Q = binomial_poly(n)
     system = build_system(P, Q, T, s)
@@ -122,22 +125,19 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         if report.all_equal:
             continue
         mismatching_trials += 1
-        if len(first_mismatches) < 10:
-            for check in report.checks:
-                for m in check.mismatches:
-                    if len(first_mismatches) >= 10:
-                        break
-                    first_mismatches.append(
-                        {
-                            "trial": trial,
-                            "degree": n,
-                            "order": m.order,
-                            "component": m.component,
-                            "zeta_order": m.zeta_order,
-                            "row_value": str(m.row_value),
-                            "oracle_value": str(m.oracle_value),
-                        }
-                    )
+        mismatches = (m for check in report.checks for m in check.mismatches)
+        first_mismatches.extend(
+            {
+                "trial": trial,
+                "degree": n,
+                "order": m.order,
+                "component": m.component,
+                "zeta_order": m.zeta_order,
+                "row_value": str(m.row_value),
+                "oracle_value": str(m.oracle_value),
+            }
+            for m in itertools.islice(mismatches, 10 - len(first_mismatches))
+        )
     all_equal = mismatching_trials == 0
     payload = {
         "s_max": args.s,

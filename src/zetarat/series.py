@@ -394,9 +394,12 @@ def eval_special_series(n: int, T: PolySpec, s: int, K: int) -> Interval:
 
 
 def shift_reduction_residual(r: int, k: int, s: int, power: int) -> Rat:
-    """LHS - RHS of the exact rewrite of 1/((r+k+1)^power (k+1)^s) into
-    pieces with separated denominators (power in {1,2,3}); zero iff the
-    identity holds.
+    """LHS - RHS of the exact rewrite of 1/((r+k+1)^p (k+1)^s) into pieces
+    with separated denominators (p = power in {1,2,3}); zero iff the
+    identity holds.  With R = r and K = k+1, the right-hand side is
+
+        sum_{j=1..s} (-1)^(j-1) C(j+p-2, p-1) / (R^(j+p-1) K^(s+1-j))
+          + sum_{i=1..p} (-1)^s C(s+p-i-1, p-i) / (R^(s+p-i) (R+K)^i).
 
     These rewrites justify re-anchoring shifted series at m = 1, which is
     the step the whole symbolic decomposition rests on.
@@ -405,29 +408,14 @@ def shift_reduction_residual(r: int, k: int, s: int, power: int) -> Rat:
         raise ValueError("need r >= 1, k >= 0, s >= 1, power in {1,2,3}")
     R, Kp = Fraction(r), Fraction(k + 1)
     big = R + Kp  # r + k + 1
-    sign = Fraction((-1) ** s)
-    if power == 1:
-        lhs = 1 / (big * Kp**s)
-        rhs = sum(
-            Fraction((-1) ** (j - 1)) / (R**j * Kp ** (s + 1 - j))
-            for j in range(1, s + 1)
-        )
-        rhs += sign / (R**s * big)
-    elif power == 2:
-        lhs = 1 / (big**2 * Kp**s)
-        rhs = sum(
-            Fraction((-1) ** (j - 1) * j) / (R ** (j + 1) * Kp ** (s + 1 - j))
-            for j in range(1, s + 1)
-        )
-        rhs += sign * s / (R ** (s + 1) * big)
-        rhs += sign / (R**s * big**2)
-    else:
-        lhs = 1 / (big**3 * Kp**s)
-        rhs = sum(
-            Fraction((-1) ** (j - 1) * j * (j + 1), 2) / (R ** (j + 2) * Kp ** (s + 1 - j))
-            for j in range(1, s + 1)
-        )
-        rhs += sign * Fraction(s * (s + 1), 2) / (R ** (s + 2) * big)
-        rhs += sign * s / (R ** (s + 1) * big**2)
-        rhs += sign / (R**s * big**3)
-    return lhs - rhs
+    p = power
+    rhs = sum(
+        Fraction((-1) ** (j - 1) * comb(j + p - 2, p - 1))
+        / (R ** (j + p - 1) * Kp ** (s + 1 - j))
+        for j in range(1, s + 1)
+    )
+    rhs += sum(
+        Fraction((-1) ** s * comb(s + p - i - 1, p - i)) / (R ** (s + p - i) * big**i)
+        for i in range(1, p + 1)
+    )
+    return 1 / (big**p * Kp**s) - rhs

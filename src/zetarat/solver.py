@@ -11,11 +11,13 @@ with alpha, beta and the weights w_q exact rationals, hence the certified
 error bound |zeta(s) - (alpha zeta(2) + beta)| <= sum_q |w_q| theta_q.
 
 Only the first row y of A^-1 is needed, A being the upper triangular matrix
-of zeta(s), ..., zeta(3) coefficients.  Two independent routes compute it,
-each in O(s^2) arithmetic operations, and must agree exactly:
-back-substitution on y^T A = e_0^T in Fractions, and Cramer's first-column
-cofactors, which are the leading minors of one upper Hessenberg block of A,
-from one integer recurrence over the row-scaled, column-reduced matrix.
+of zeta(s), ..., zeta(3) coefficients.  A TriangularSystem checks that shape
+when it is built: s - 2 rows, the order-q row carrying zeta(p) only for
+2 <= p <= q.  Two independent routes compute y, each in O(s^2) arithmetic
+operations, and must agree exactly: back-substitution on y^T A = e_0^T in
+Fractions, and Cramer's first-column cofactors, which are the leading minors
+of one upper Hessenberg block of A, from one integer recurrence over the
+row-scaled, column-reduced matrix.
 """
 from __future__ import annotations
 
@@ -44,6 +46,20 @@ class TriangularSystem:
     Q: PolySpec
     T: PolySpec
     rows: tuple[ZetaCombination, ...]  # descending order: s first
+
+    def __post_init__(self) -> None:
+        """Both solve routes read the order-q row only at zeta(2), ...,
+        zeta(q); a row count or a zeta term outside that shape is a bug."""
+        if len(self.rows) != self.s - 2:
+            raise InternalError(
+                f"the order-{self.s} system has {len(self.rows)} rows, not {self.s - 2}"
+            )
+        for k, row in enumerate(self.rows):
+            order = self.s - k
+            if any(not 2 <= p <= order for p in row.orders()):
+                raise InternalError(
+                    f"the order-{order} row carries a zeta term outside zeta(2)..zeta({order})"
+                )
 
     def row_of_order(self, order: int) -> ZetaCombination:
         return self.rows[self.s - order]
@@ -95,30 +111,6 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
 # ---------------------------------------------------------------- solving
 
 
-def _det(matrix: list[list[Rat]]) -> Rat:
-    """Exact determinant by fraction Gaussian elimination."""
-    m = [row[:] for row in matrix]
-    size = len(m)
-    sign = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] / pivot
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    out = sign
-    for i in range(size):
-        out *= m[i][i]
-    return out
-
-
 def _singular(order: int) -> SingularSystemError:
     return SingularSystemError(
         f"singular system: zero leading coefficient in the order-{order} row"
@@ -154,8 +146,9 @@ def _solve_back_substitution(
 
 def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Cofactor route: zeta(s) = sum_nu RHS_nu * C_nu / Delta, where C_nu are
-    the signed cofactors of the first column and Delta the (triangular)
-    determinant.
+    the signed cofactors of the first column and Delta the determinant,
+    the product of the diagonal: the system checked its triangular shape
+    when it was built.
 
     Deleting row nu and column 0 of A leaves a block triangular minor,
     det H_nu * prod_{r>nu} a_rr, where H_nu is the leading nu x nu block of
@@ -174,15 +167,9 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     rows = system.rows
     size = len(rows)
     s = system.s
-    delta = system.delta
-    if delta == 0:
-        raise _singular(s - system.diagonal.index(0))
-    coeffs = [dict(row.terms) for row in rows]
-    zero = Fraction(0)
-    # column c (0-based) carries the zeta(s - c) coefficients
-    matrix = [[coeffs[r].get(s - c, zero) for c in range(size)] for r in range(size)]
-    if _det(matrix) != delta:
-        raise InternalError("triangular determinant mismatch")
+    diagonal = system.diagonal
+    if 0 in diagonal:
+        raise _singular(s - diagonal.index(0))
     scale = [
         lcm(row.constant.denominator, *(v.denominator for _, v in row.terms))
         for row in rows

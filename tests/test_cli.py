@@ -303,6 +303,27 @@ def test_invalid_digits_fail_before_the_rows(capsys):
         assert elapsed < 0.3, argv
 
 
+def test_degree_below_one_fails_before_the_rows(capsys, monkeypatch):
+    """n < 1 is rejected by the command, not by a polynomial constructor
+    or by the analytic bound after every row is built."""
+
+    def no_rows(*args):
+        raise AssertionError("rows built for a rejected degree")
+
+    monkeypatch.setattr(cli_module, "shifted_legendre", no_rows)
+    monkeypatch.setattr(cli_module, "build_system", no_rows)
+    for command in ("approx", "digits"):
+        for n in ("0", "-1"):
+            argv = [command, "--s", "3", "--n", n]
+            got = main(argv)
+            captured = capsys.readouterr()
+            assert (got, captured.out, captured.err) == (
+                2,
+                "",
+                "error: n must be >= 1\n",
+            ), argv
+
+
 def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
     """Solver routes that disagree are a bug, not invalid input."""
     cramer = solver_module._solve_cramer

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import solver_reference as reference
 import zetarat.solver as solver_module
-from zetarat.numerics import Interval, zeta_reference
+from zetarat.numerics import InternalError, Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.rows import row_zeta3
 from zetarat.series import ZetaCombination
@@ -54,6 +54,33 @@ def test_build_system_diagonal_and_delta():
     diag = system.diagonal
     assert diag == (system.rows[0].zeta(4), system.rows[1].zeta(3))
     assert system.delta == diag[0] * diag[1]
+
+
+def _system_of(s, rows):
+    """A system of the given {zeta order: integer coefficient} rows, every
+    constant 1."""
+    one = explicit_poly([1])
+    combos = tuple(
+        ZetaCombination.of(Fraction(1), {p: Fraction(v) for p, v in row.items()})
+        for row in rows
+    )
+    return TriangularSystem(s, 1, one, one, one, combos)
+
+
+@pytest.mark.parametrize(
+    "s, rows, message",
+    [
+        # a zeta(4) term in the order-3 row: no route reads it, and the
+        # system would certify alpha = beta = -1/2
+        (4, [{4: 2, 2: 1}, {4: 7, 3: 5, 2: 1}], "the order-3 row"),
+        (4, [{5: 1, 4: 2, 2: 1}, {3: 5, 2: 1}], "the order-4 row"),
+        (4, [{4: 2, 1: 3}, {3: 5, 2: 1}], "the order-4 row"),
+        (5, [{5: 1, 2: 1}, {4: 1, 2: 1}], "the order-5 system has 2 rows, not 3"),
+    ],
+)
+def test_malformed_systems_fail_at_construction(s, rows, message):
+    with pytest.raises(InternalError, match=message):
+        _system_of(s, rows)
 
 
 def test_build_system_validations():
@@ -203,24 +230,6 @@ def test_solve_routes_equal_the_reference_on_legendre_binomial_systems(n, s, t):
     _routes_match_the_reference(_structured_system(n, s, t)[3])
 
 
-def test_cramer_takes_one_determinant_per_solve(monkeypatch):
-    """The cofactors come from one Hessenberg recurrence: the generic
-    determinant runs once, for the triangular-determinant check."""
-    calls = []
-    original = solver_module._det
-
-    def counting(matrix):
-        calls.append(len(matrix))
-        return original(matrix)
-
-    monkeypatch.setattr(solver_module, "_det", counting)
-    for n, s in ((2, 3), (4, 9), (6, 24)):
-        calls.clear()
-        _, _, _, system = _structured_system(n, s, [1, Fraction(1, 3)])
-        _solve_cramer(system)
-        assert calls == [s - 2]
-
-
 def test_singular_system_raises_with_a_clear_message():
     P, Q = shifted_legendre(2), binomial_poly(2)
     with pytest.raises(SingularSystemError, match="singular system"):
@@ -346,14 +355,10 @@ def test_certified_containment_for_zeta3_at_degree_four():
     assert res.theta_bound <= theta_bound(4, 1, 3)
 
 
-def test_certified_containment_for_zeta60_at_degree_twenty():
-    """The order cliff: at s = 60 the two routes agree, and zeta(60) lies
-    within theta of alpha*zeta(2) + beta.  The error sits within 1e-4
-    relative of theta, so the zeta references start at theta's digits plus
-    alpha's and refine while the enclosure straddles the bound."""
-    P, Q, T, system = _structured_system(20, 60)
-    assert _solve_back_substitution(system) == _solve_cramer(system)
-    res = solve_zeta(system, certified_row_bounds(P, Q, system.T, 60))
+def _assert_within_theta(res):
+    """|alpha*zeta(2) + beta - zeta(s)| <= theta in exact intervals.  The
+    error may sit close to theta, so the zeta references start at theta's
+    digits plus alpha's and refine while the enclosure straddles the bound."""
     theta = res.theta_bound
     window = Interval(-theta, theta)
     start = len(str(theta.denominator // theta.numerator)) + len(
@@ -361,12 +366,30 @@ def test_certified_containment_for_zeta60_at_degree_twenty():
     )
     for digits in (start, 2 * start, 4 * start):
         err = zeta_reference(2, digits).scale(res.alpha).shift(res.beta) - zeta_reference(
-            60, digits
+            res.s, digits
         )
         if window.contains_interval(err):
             return
         assert window.overlaps(err), "certified violation"
     pytest.fail("the enclosure still straddles theta")
+
+
+def test_certified_containment_for_zeta60_at_degree_twenty():
+    """The order cliff: at s = 60 the two routes agree, and zeta(60) lies
+    within theta of alpha*zeta(2) + beta (within 1e-4 relative of it)."""
+    P, Q, T, system = _structured_system(20, 60)
+    assert _solve_back_substitution(system) == _solve_cramer(system)
+    _assert_within_theta(solve_zeta(system, certified_row_bounds(P, Q, system.T, 60)))
+
+
+@pytest.mark.parametrize("n, s", [(200, 3), (200, 5), (400, 3), (400, 5)])
+def test_certified_containment_past_degree_one_hundred_twenty(n, s):
+    """The degree cliff: large-n certificates still beat the analytic
+    4^-n bound and still contain zeta(s)."""
+    P, Q, T, system = _structured_system(n, s)
+    res = solve_zeta(system, certified_row_bounds(P, Q, system.T, s))
+    assert res.theta_bound <= Fraction(1, 4**n)
+    _assert_within_theta(res)
 
 
 def test_certified_containment_agrees_with_a_float_sanity_check():
