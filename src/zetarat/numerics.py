@@ -12,7 +12,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from math import lcm
+from typing import Callable, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Rat, int]
@@ -27,6 +28,17 @@ class PrecisionBudgetError(RuntimeError):
 
 class InternalError(ArithmeticError):
     """An exact-arithmetic invariant failed: a bug, never bad input."""
+
+
+# ------------------------------------------------------------ integer form
+
+
+def integer_form(*lists: Sequence[Rat]) -> tuple[int, list[list[int]]]:
+    """(L, [[L v for v in u] for u in lists]): exact rationals as integers
+    over one denominator, L the lcm of every denominator in the lists
+    (1 when they hold no value)."""
+    L = lcm(*(v.denominator for u in lists for v in u))
+    return L, [[v.numerator * (L // v.denominator) for v in u] for u in lists]
 
 
 # ---------------------------------------------------------------- intervals

@@ -31,7 +31,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .numerics import Rat
+from .numerics import Rat, integer_form
 from .polynomials import PolySpec, coefficient_triple
 from .series import IntCombination, ZetaCombination, oracle_numerators
 
@@ -119,8 +119,7 @@ def row_numerators(
     # counts the divisions by (x - l) or x it has been through: A, B, C
     # have w = 0, D and Z w = 1, E and Y w = 2.  [W]_e sums W_x (M/x)^e,
     # adding e to w, and M H, M^2 H2, M^3 H3 are integers adding 1, 2, 3.
-    L = lcm(*(v.denominator for v in (*fa, *fb, *fc)))
-    a, b, c = ([v.numerator * (L // v.denominator) for v in u] for u in (fa, fb, fc))
+    L, (a, b, c) = integer_form(fa, fb, fc)
     M = lcm(*xs)
     inv = [0] + [M // x for x in xs]  # M/x
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable, Mapping
 
-from .numerics import InternalError, Interval, Rat
+from .numerics import InternalError, Interval, Rat, integer_form
 from .polynomials import PolySpec, explicit_poly
 
 # ------------------------------------------------- zeta-combination values
@@ -50,7 +50,7 @@ class ZetaCombination:
 
     @staticmethod
     def of(constant: Rat, zeta_coeffs: Mapping[int, Rat]) -> "ZetaCombination":
-        terms = tuple(sorted((p, v) for p, v in zeta_coeffs.items() if v))
+        terms = tuple(sorted((p, Fraction(v)) for p, v in zeta_coeffs.items() if v))
         return ZetaCombination(Fraction(constant), terms)
 
     @staticmethod
@@ -58,7 +58,7 @@ class ZetaCombination:
         """The exact combination an integer kernel's output stands for."""
         (num, den), zeta = combination
         return ZetaCombination.of(
-            Fraction(num, den), {p: Fraction(v, d) for p, (v, d) in zeta.items() if v}
+            Fraction(num, den), {p: Fraction(v, d) for p, (v, d) in zeta.items()}
         )
 
     def zeta(self, p: int) -> Rat:
@@ -120,8 +120,7 @@ def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int
         raise ValueError("s must be >= 3")
     polys = (P.coeffs, Q.coeffs, T.coeffs)
     deg = max(map(len, polys)) - 1
-    L = lcm(*(v.denominator for u in polys for v in u))
-    ints = [[v.numerator * (L // v.denominator) for v in u] for u in polys]
+    L, ints = integer_form(*polys)
     M = lcm(*range(1, deg + 1))
 
     def laurent(u: list[int], rho: int) -> tuple[int, int, int]:
@@ -191,8 +190,6 @@ def partial_fraction_sum(r1: int, r2: int, r3: int, s: int) -> ZetaCombination:
     for r in (r1, r2, r3):
         if r < 0:
             raise ValueError("shifts must be >= 0")
-    if s < 3:
-        raise ValueError("s must be >= 3")
     monomials = (explicit_poly([0] * r + [1]) for r in (r1, r2, r3))
     return decompose_integrals(*monomials, s)[s]
 
@@ -216,46 +213,20 @@ def beta_rat(a: int, b: int) -> Rat:
 # ------------------------------------------- direct truncated evaluation
 
 
-def _divexact_linear(poly: list[int], root: int) -> list[int]:
-    """Exact division of an integer polynomial by (y + root).
-
-    poly is ascending; remainder must vanish (callers divide out a known
-    factor).
-    """
-    deg = len(poly) - 1
-    out = [0] * deg
-    carry = 0
-    for i in range(deg, 0, -1):
-        carry = poly[i] + carry
-        out[i - 1] = carry
-        carry = -root * carry
-    if poly[0] + carry != 0:
-        raise InternalError("inexact linear division")
-    return out
-
-
 def _integral_scaffold(p: PolySpec) -> tuple[list[int], list[int], int]:
     """Integer form of the moment function A(k) = sum_r p_r/(r+k+1).
 
     Returns (N, R, q) with A(k) = N(k) / (q * R(k)), where
-    R(y) = prod_{r=0..deg} (y + r + 1) and N, R have integer coefficients
-    (ascending).
+    R(y) = prod_{r=0..deg} (y + r + 1), N(y) = sum_r q p_r prod_{r'!=r}
+    (y + r' + 1) and N, R have integer coefficients (ascending).  Both are
+    built one factor at a time by multiplication alone: taking in y + root
+    with weight c turns N into N (y + root) + c R and R into R (y + root).
     """
-    q = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * q) for c in p.coeffs]
-    R = [1]
-    for r in range(len(p.coeffs)):
-        root = r + 1
-        R = [0] + R  # multiply by y
-        for i in range(len(R) - 1):
-            R[i] += root * R[i + 1]
-    N = [0] * max(len(R) - 1, 1)
-    for r, c in enumerate(ints):
-        if not c:
-            continue
-        part = _divexact_linear(R, r + 1)
-        for i, v in enumerate(part):
-            N[i] += c * v
+    q, (ints,) = integer_form(p.coeffs)
+    N, R = [], [1]
+    for root, c in enumerate(ints, 1):
+        N = [root * a + b + c * r for a, b, r in zip(N + [0], [0] + N, R)]
+        R = [root * a + b for a, b in zip(R + [0], [0] + R)]
     return N, R, q
 
 
@@ -344,8 +315,7 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     if cstar == 0:
         return {q: Interval.point(Fraction(0)) for q in orders}
     k0 = n + K
-    LT = lcm(*(cv.denominator for cv in T.coeffs))
-    ct = [cv.numerator * (LT // cv.denominator) for cv in T.coeffs]
+    LT, (ct,) = integer_form(T.coeffs)
     Lt = lcm(*range(n + 1, k0 + len(ct)))
     Lk = lcm(*range(n + 1, k0 + 1))
     totals = [0] * len(orders)

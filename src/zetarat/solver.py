@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping
 
-from .numerics import InternalError, Rat, RatLike
+from .numerics import InternalError, Rat, RatLike, integer_form
 from .polynomials import PolyFamily, PolySpec, pad_to_degree
 from .rows import coefficient_rows
 from .series import ZetaCombination, special_series_enclosures
@@ -170,18 +170,12 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     diagonal = system.diagonal
     if 0 in diagonal:
         raise _singular(s - diagonal.index(0))
-    scale = [
-        lcm(row.constant.denominator, *(v.denominator for _, v in row.terms))
-        for row in rows
-    ]
-    ints = [
-        {p: v.numerator * (d // v.denominator) for p, v in row.terms}
-        for row, d in zip(rows, scale)
-    ]
-    consts = [
-        row.constant.numerator * (d // row.constant.denominator)
-        for row, d in zip(rows, scale)
-    ]
+    scale, consts, ints = [], [], []
+    for row in rows:
+        d, ((const,), coeffs) = integer_form([row.constant], [v for _, v in row.terms])
+        scale.append(d)
+        consts.append(const)
+        ints.append(dict(zip(row.orders(), coeffs)))
     content = [gcd(*(ints[r].get(s - c, 0) for r in range(c + 1))) for c in range(size)]
     b = [
         [ints[r].get(s - c, 0) // g for c, g in enumerate(content)] for r in range(size)

@@ -16,12 +16,14 @@ PACKAGE = Path(zetarat.__file__).parent
 
 #: (module, function) of the kernels that loop on Python ints.
 INTEGER_KERNELS = (
+    ("numerics.py", "integer_form"),
     ("rows.py", "coefficient_rows"),
     ("rows.py", "row_numerators"),
     ("rows.py", "validate_rows"),
     ("series.py", "decompose_integrals"),
     ("series.py", "oracle_numerators"),
     ("series.py", "special_series_enclosures"),
+    ("series.py", "_integral_scaffold"),
     ("solver.py", "_solve_cramer"),
 )
 

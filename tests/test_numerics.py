@@ -10,7 +10,7 @@ from math import factorial
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetarat import numerics
@@ -22,11 +22,46 @@ from zetarat.numerics import (
     decimal_length,
     decimal_upper_sci,
     int_text,
+    integer_form,
     rational_text,
     render_decimal,
     render_interval_decimal,
     zeta_reference,
 )
+
+# ------------------------------------------------------------ integer form
+
+_SIGNED_RATIONALS = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-20, max_value=20, max_denominator=30)
+)
+
+
+def _primes_of(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(_SIGNED_RATIONALS, max_size=6), min_size=1, max_size=3))
+@example([[]])
+@example([[Fraction(1, 6)], [], [Fraction(-3, 4), Fraction(0)]])
+def test_integer_form_takes_the_least_common_denominator(lists):
+    L, ints = integer_form(*lists)
+    assert [len(u) for u in ints] == [len(u) for u in lists]
+    for u, scaled in zip(lists, ints):
+        for v, x in zip(u, scaled):
+            assert type(x) is int and x == v * L
+    # every denominator divides L, and L / p leaves some value fractional
+    values = [v for u in lists for v in u]
+    for p in _primes_of(L):
+        assert any((v * (L // p)).denominator != 1 for v in values)
+
 
 # ---------------------------------------------------------------- intervals
 

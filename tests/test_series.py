@@ -25,6 +25,7 @@ from zetarat.series import (
     shift_reduction_residual,
     special_series_enclosures,
 )
+from zetarat.series import _integral_scaffold
 
 # --------------------------------------------------------- ZetaCombination
 
@@ -221,6 +222,25 @@ def test_beta_rat_rejects_nonpositive_arguments():
 
 
 # ----------------------------------------------------- truncated evaluation
+
+
+_SCAFFOLD_COEFFS = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_SCAFFOLD_COEFFS, min_size=1, max_size=9))
+def test_integral_scaffold_is_the_moment_function(coeffs):
+    """N(k) / (q R(k)) = sum_r p_r/(r+k+1) for degree 0..8 and k = 0..50."""
+    N, R, q = _integral_scaffold(explicit_poly(coeffs))
+    assert all(type(v) is int for v in (*N, *R, q))
+    for k in range(51):
+        num = sum(c * k**i for i, c in enumerate(N))
+        den = q * sum(c * k**i for i, c in enumerate(R))
+        assert Fraction(num, den) == sum(
+            (c / (r + k + 1) for r, c in enumerate(coeffs)), Fraction(0)
+        )
 
 
 def test_eval_truncated_zero_polynomial_gives_exact_zero():

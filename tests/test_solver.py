@@ -140,6 +140,25 @@ def test_solution_satisfies_the_defining_linear_identities():
     assert solved >= 3
 
 
+def test_a_system_built_from_ints_solves_in_fractions():
+    """int entries are stored as Fractions, so both routes and solve_zeta
+    give what the same system built from Fractions gives, and no float."""
+    one = explicit_poly([1])
+    rows = [{4: 2, 2: 1}, {3: 5, 2: 1}]
+    from_ints = TriangularSystem(
+        4, 1, one, one, one, tuple(ZetaCombination.of(1, row) for row in rows)
+    )
+    exact = _system_of(4, rows)
+    for route in (_solve_back_substitution, _solve_cramer):
+        alpha, beta, weights = route(from_ints)
+        assert (alpha, beta, weights) == route(exact)
+        assert all(type(v) is Fraction for v in (alpha, beta, *weights.values()))
+    result = solve_zeta(from_ints, {3: 1, 4: 1})
+    assert result == solve_zeta(exact, {3: 1, 4: 1})
+    numbers = (result.alpha, result.beta, result.theta_bound, *dict(result.weights).values())
+    assert all(type(v) is Fraction for v in numbers)
+
+
 def test_back_substitution_and_cramer_agree_exactly():
     rng = random.Random(1313)
     solved = 0
