@@ -72,9 +72,6 @@ class Interval:
         """Least upper bound on |x| over the interval."""
         return max(abs(self.lo), abs(self.hi))
 
-    def contains(self, x: RatLike) -> bool:
-        return self.lo <= x <= self.hi
-
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 

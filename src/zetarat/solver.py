@@ -11,13 +11,15 @@ with alpha, beta and the weights w_q exact rationals, hence the certified
 error bound |zeta(s) - (alpha zeta(2) + beta)| <= sum_q |w_q| theta_q.
 
 Only the first row y of A^-1 is needed, A being the upper triangular matrix
-of zeta(s), ..., zeta(3) coefficients.  A TriangularSystem checks that shape
+of zeta(s), ..., zeta(3) coefficients.  The rows are the row kernel's
+integers: each numerator over its own denominator, every zeta denominator
+dividing the constant's D.  A TriangularSystem checks that and the shape
 when it is built: s - 2 rows, the order-q row carrying zeta(p) only for
-2 <= p <= q.  Two independent routes compute y, each in O(s^2) arithmetic
-operations, and must agree exactly: back-substitution on y^T A = e_0^T in
-Fractions, and Cramer's first-column cofactors, which are the leading minors
-of one upper Hessenberg block of A, from one integer recurrence over the
-row-scaled, column-reduced matrix.
+2 <= p <= q.  Both routes read row nu times D_nu, an integer row, and
+compute y in O(s^2) arithmetic operations; they must agree exactly:
+back-substitution on y^T A = e_0^T, and Cramer's first-column cofactors,
+which are the leading minors of one upper Hessenberg block of A, from one
+integer recurrence over the row-scaled, column-reduced matrix.
 """
 from __future__ import annotations
 
@@ -26,10 +28,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .numerics import InternalError, Rat, RatLike, integer_form
+from .numerics import InternalError, Rat, RatLike
 from .polynomials import PolyFamily, PolySpec, pad_to_degree
-from .rows import coefficient_rows
-from .series import ZetaCombination, special_series_enclosures
+from .rows import row_numerators
+from .series import IntCombination, special_series_enclosures
 
 
 class SingularSystemError(ValueError):
@@ -38,42 +40,38 @@ class SingularSystemError(ValueError):
 
 @dataclass(frozen=True)
 class TriangularSystem:
-    """Rows of orders s, s-1, ..., 3 for a common polynomial degree n."""
+    """Rows of orders s, s-1, ..., 3 for a common polynomial degree n, as
+    row_numerators gives them."""
 
     s: int
     n: int
     P: PolySpec
     Q: PolySpec
     T: PolySpec
-    rows: tuple[ZetaCombination, ...]  # descending order: s first
+    rows: tuple[IntCombination, ...]  # descending order: s first
 
     def __post_init__(self) -> None:
         """Both solve routes read the order-q row only at zeta(2), ...,
-        zeta(q); a row count or a zeta term outside that shape is a bug."""
+        zeta(q), and scale it to integers by its constant's denominator; a
+        row count, a zeta term outside that shape or a zeta denominator
+        that does not divide the constant's is a bug.  Zero numerators
+        count as absent."""
         if len(self.rows) != self.s - 2:
             raise InternalError(
                 f"the order-{self.s} system has {len(self.rows)} rows, not {self.s - 2}"
             )
-        for k, row in enumerate(self.rows):
+        for k, ((_, den), zeta) in enumerate(self.rows):
             order = self.s - k
-            if any(not 2 <= p <= order for p in row.orders()):
-                raise InternalError(
-                    f"the order-{order} row carries a zeta term outside zeta(2)..zeta({order})"
-                )
-
-    def row_of_order(self, order: int) -> ZetaCombination:
-        return self.rows[self.s - order]
-
-    @property
-    def diagonal(self) -> tuple[Rat, ...]:
-        return tuple(row.zeta(self.s - k) for k, row in enumerate(self.rows))
-
-    @property
-    def delta(self) -> Rat:
-        out = Fraction(1)
-        for d in self.diagonal:
-            out *= d
-        return out
+            for p, (v, d) in zeta.items():
+                if v and not 2 <= p <= order:
+                    raise InternalError(
+                        f"the order-{order} row carries a zeta term outside zeta(2)..zeta({order})"
+                    )
+                if v and den % d:
+                    raise InternalError(
+                        f"the order-{order} row has zeta({p}) over {d}, "
+                        f"which does not divide the constant's denominator {den}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
         )
     n = P.degree
     T = pad_to_degree(T, n)
-    rows = coefficient_rows(P, Q, T, s)
+    rows = row_numerators(P, Q, T, s)
     return TriangularSystem(s, n, P, Q, T, tuple(rows[q] for q in range(s, 2, -1)))
 
 
@@ -117,31 +115,40 @@ def _singular(order: int) -> SingularSystemError:
     )
 
 
+def _scaled_row(row: IntCombination) -> tuple[int, int, dict[int, int]]:
+    """(D, const, {p: b_p}): the row times D, its constant's denominator,
+    which every zeta denominator d divides, so b_p = v_p (D // d).  Zero
+    entries are left out."""
+    (const, den), zeta = row
+    return den, const, {p: v * (den // d) for p, (v, d) in zeta.items() if v}
+
+
 def _solve_back_substitution(
     system: TriangularSystem,
 ) -> tuple[Rat, Rat, dict[int, Rat]]:
     """First row y of A^-1 by substitution on y^T A = e_0^T, column by
-    column: y_0 = 1/a_00 and y_c = -sum_{nu<c} y_nu a_nu,c / a_cc.
+    column, run on z_nu = y_nu / D_nu over the integer rows b_nu = D_nu a_nu:
+    z_0 = 1/b_00 and z_c = -sum_{nu<c} z_nu b_nu,c / b_cc.
 
     Row nu of A is the order-(s - nu) row and column c carries zeta(s - c),
-    so w_(s-nu) = y_nu, alpha = -sum y_nu z2_nu and beta = -sum y_nu const_nu.
-    Only orders reached from s through nonzero entries carry a weight.
+    so w_(s-nu) = y_nu = z_nu D_nu, alpha = -sum z_nu b_nu,zeta(2) and
+    beta = -sum z_nu const_nu.  Only orders reached from s through nonzero
+    entries carry a weight.
     """
     s = system.s
-    coeffs = [dict(row.terms) for row in system.rows]
+    scale, consts, b = zip(*map(_scaled_row, system.rows))
     for order in range(3, s + 1):
-        if order not in coeffs[s - order]:
+        if order not in b[s - order]:
             raise _singular(order)
-    y: dict[int, Rat] = {0: 1 / coeffs[0][s]}
-    for c in range(1, len(coeffs)):
+    z: dict[int, Rat] = {0: Fraction(1, b[0][s])}
+    for c in range(1, len(b)):
         p = s - c
-        terms = [y_nu * coeffs[nu][p] for nu, y_nu in y.items() if p in coeffs[nu]]
+        terms = [z_nu * b[nu][p] for nu, z_nu in z.items() if p in b[nu]]
         if terms:
-            y[c] = -sum(terms, Fraction(0)) / coeffs[c][p]
-    rows = system.rows
-    alpha = -sum((y_nu * coeffs[nu].get(2, 0) for nu, y_nu in y.items()), Fraction(0))
-    beta = -sum((y_nu * rows[nu].constant for nu, y_nu in y.items()), Fraction(0))
-    return alpha, beta, {s - nu: y_nu for nu, y_nu in y.items()}
+            z[c] = -sum(terms, Fraction(0)) / b[c][p]
+    alpha = -sum((z_nu * b[nu].get(2, 0) for nu, z_nu in z.items()), Fraction(0))
+    beta = -sum((z_nu * consts[nu] for nu, z_nu in z.items()), Fraction(0))
+    return alpha, beta, {s - nu: z_nu * scale[nu] for nu, z_nu in z.items()}
 
 
 def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
@@ -155,27 +162,21 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     the upper Hessenberg matrix H made of rows 0..size-2 and columns
     1..size-1 of A.  So w_(s-nu) = (-1)^nu det H_nu / prod_{r<=nu} a_rr.
 
-    The leading minors run on integers: row nu is scaled by D_nu, the lcm
-    of its denominators, and column c divided by its content g_c, giving
-    B = diag(D) A diag(1/g).  One recurrence along the last column gives
-    every leading minor of the Hessenberg block of B,
+    The leading minors run on integers: row nu is scaled by D_nu, the
+    denominator of its constant, and column c divided by its content g_c,
+    giving B = diag(D) A diag(1/g).  One recurrence along the last column
+    gives every leading minor of the Hessenberg block of B,
 
         det H_k = sum_{i=1..k} (-1)^(k-i) b_(i-1,k) (prod_{j=i..k-1} b_jj) det H_(i-1),
 
     and then w_(s-nu) = (-1)^nu det H_nu D_nu / (g_0 prod_{r<=nu} b_rr).
     """
-    rows = system.rows
-    size = len(rows)
     s = system.s
-    diagonal = system.diagonal
+    scale, consts, ints = zip(*map(_scaled_row, system.rows))
+    size = len(ints)
+    diagonal = [row.get(s - nu, 0) for nu, row in enumerate(ints)]
     if 0 in diagonal:
         raise _singular(s - diagonal.index(0))
-    scale, consts, ints = [], [], []
-    for row in rows:
-        d, ((const,), coeffs) = integer_form([row.constant], [v for _, v in row.terms])
-        scale.append(d)
-        consts.append(const)
-        ints.append(dict(zip(row.orders(), coeffs)))
     content = [gcd(*(ints[r].get(s - c, 0) for r in range(c + 1))) for c in range(size)]
     b = [
         [ints[r].get(s - c, 0) // g for c, g in enumerate(content)] for r in range(size)

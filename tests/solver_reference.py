@@ -5,15 +5,22 @@ These are the O(s^3) and O(s^4) routes the package ran before its O(s^2)
 substitution and integer Hessenberg routes.  Back-substitution carries a
 (zeta(2) weight, constant, {order: I weight}) triple for every order;
 Cramer takes one generic Fraction determinant per first-column cofactor.
-The package routes must return exactly these values, weight dicts
-included; tests/test_solver.py checks that.
+They read the system's integer rows as exact combinations through
+`ZetaCombination.from_ints`.  The package routes must return exactly these
+values, weight dicts included; tests/test_solver.py checks that.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from zetarat.numerics import InternalError, Rat
+from zetarat.series import ZetaCombination
 from zetarat.solver import SingularSystemError, TriangularSystem
+
+
+def _rows(system: TriangularSystem) -> list[ZetaCombination]:
+    """The system's rows, order s first, as exact combinations."""
+    return [ZetaCombination.from_ints(row) for row in system.rows]
 
 
 def _det(matrix: list[list[Rat]]) -> Rat:
@@ -48,8 +55,9 @@ def solve_back_substitution(
     s = system.s
     # per solved order: (zeta2 weight, constant, {order: I weight})
     solved: dict[int, tuple[Rat, Rat, dict[int, Rat]]] = {}
+    rows = _rows(system)
     for order in range(3, s + 1):
-        row = system.row_of_order(order)
+        row = rows[s - order]
         lead = row.zeta(order)
         if lead == 0:
             raise SingularSystemError(
@@ -76,11 +84,14 @@ def solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Cofactor route: zeta(s) = sum_nu RHS_nu * C_nu / Delta, where C_nu are
     the signed cofactors of the first column and Delta the (triangular)
     determinant."""
-    rows = system.rows
+    rows = _rows(system)
     size = len(rows)
-    delta = system.delta
+    diagonal = [row.zeta(system.s - k) for k, row in enumerate(rows)]
+    delta = Fraction(1)
+    for d in diagonal:
+        delta *= d
     if delta == 0:
-        order = system.s - system.diagonal.index(0)
+        order = system.s - diagonal.index(0)
         raise SingularSystemError(
             f"singular system: zero leading coefficient in the order-{order} row"
         )

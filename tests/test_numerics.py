@@ -86,8 +86,9 @@ def test_interval_point_width_and_sup_abs():
 def test_interval_contains_and_containment():
     outer = Interval(Fraction(0), Fraction(1))
     inner = Interval(Fraction(1, 4), Fraction(1, 2))
-    assert outer.contains(Fraction(1, 3))
-    assert not outer.contains(2)
+    assert outer.contains_interval(Interval.point(Fraction(1, 3)))
+    assert outer.contains_interval(Interval.point(1))
+    assert not outer.contains_interval(Interval.point(2))
     assert outer.contains_interval(inner)
     assert not inner.contains_interval(outer)
 

@@ -2,8 +2,11 @@
 certified error-bound plumbing."""
 from __future__ import annotations
 
+import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,10 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import solver_reference as reference
+import zetarat.rows as rows_module
 import zetarat.solver as solver_module
+from zetarat.cli import main
 from zetarat.numerics import InternalError, Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
-from zetarat.rows import row_zeta3
+from zetarat.rows import coefficient_rows, row_numerators, row_zeta3
 from zetarat.series import ZetaCombination
 from zetarat.solver import (
     SingularSystemError,
@@ -33,13 +38,19 @@ def _structured_system(n: int, s: int, t_coeffs=None):
     return P, Q, T, build_system(P, Q, T, s)
 
 
+def _row(system, order):
+    """The order-`order` row of the system as an exact combination."""
+    return ZetaCombination.from_ints(system.rows[system.s - order])
+
+
 # ------------------------------------------------------------ system shape
 
 
 def test_build_system_rows_run_from_s_down_to_three():
-    _, _, _, system = _structured_system(2, 5)
-    assert [max(row.orders()) for row in system.rows] == [5, 4, 3]
-    assert system.row_of_order(4) is system.rows[1]
+    P, Q, _, system = _structured_system(2, 5)
+    rows = row_numerators(P, Q, system.T, 5)
+    assert system.rows == (rows[5], rows[4], rows[3])
+    assert [max(ZetaCombination.from_ints(row).orders()) for row in system.rows] == [5, 4, 3]
     assert system.n == 2
 
 
@@ -50,18 +61,23 @@ def test_build_system_pads_the_third_polynomial():
 
 
 def test_build_system_diagonal_and_delta():
-    _, _, _, system = _structured_system(2, 4)
-    diag = system.diagonal
-    assert diag == (system.rows[0].zeta(4), system.rows[1].zeta(3))
-    assert system.delta == diag[0] * diag[1]
+    """The integer rows carry the diagonal of the Fraction rows, and its
+    product, the determinant, is nonzero."""
+    P, Q, _, system = _structured_system(2, 4)
+    rows = coefficient_rows(P, Q, system.T, 4)
+    diag = tuple(_row(system, q).zeta(q) for q in (4, 3))
+    assert diag == (rows[4].zeta(4), rows[3].zeta(3))
+    assert diag[0] * diag[1] != 0
+    assert dict(solve_zeta(system, {3: 1, 4: 1}).weights)[4] == 1 / diag[0]
 
 
 def _system_of(s, rows):
-    """A system of the given {zeta order: integer coefficient} rows, every
-    constant 1."""
+    """A system of the given {zeta order: numerator or (numerator,
+    denominator)} rows, an integer numerator standing over 1, every
+    constant 1/1."""
     one = explicit_poly([1])
     combos = tuple(
-        ZetaCombination.of(Fraction(1), {p: Fraction(v) for p, v in row.items()})
+        ((1, 1), {p: v if isinstance(v, tuple) else (v, 1) for p, v in row.items()})
         for row in rows
     )
     return TriangularSystem(s, 1, one, one, one, combos)
@@ -76,10 +92,18 @@ def _system_of(s, rows):
         (4, [{5: 1, 4: 2, 2: 1}, {3: 5, 2: 1}], "the order-4 row"),
         (4, [{4: 2, 1: 3}, {3: 5, 2: 1}], "the order-4 row"),
         (5, [{5: 1, 2: 1}, {4: 1, 2: 1}], "the order-5 system has 2 rows, not 3"),
+        # 1/2 times 1/1 is no integer: the routes scale a row by its
+        # constant's denominator only
+        (
+            4,
+            [{4: 2, 2: 1}, {3: 5, 2: (1, 2)}],
+            "the order-3 row has zeta(2) over 2, "
+            "which does not divide the constant's denominator 1",
+        ),
     ],
 )
 def test_malformed_systems_fail_at_construction(s, rows, message):
-    with pytest.raises(InternalError, match=message):
+    with pytest.raises(InternalError, match=re.escape(message)):
         _system_of(s, rows)
 
 
@@ -91,6 +115,37 @@ def test_build_system_validations():
         build_system(P, binomial_poly(3), explicit_poly([1]), 3)
     with pytest.raises(ValueError):
         build_system(P, Q, explicit_poly([1, 2, 3, 4]), 3)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+
+
+def test_the_solve_builds_no_zeta_combination(monkeypatch, capsys):
+    """build_system hands the row kernel's integers to both routes: with
+    ZetaCombination.of, ZetaCombination.from_ints and rows.coefficient_rows
+    made to raise, a solve still gives the reference's answer and approx
+    still prints its recorded transcript."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve built a ZetaCombination")
+
+    argv = ["approx", "--s", "9", "--n", "9", "--t", "1/3,5/2", "--format", "json"]
+    (case,) = [c for c in GOLDEN if c["argv"] == argv]
+    P, Q = shifted_legendre(9), binomial_poly(9)
+    T = explicit_poly([Fraction(1, 3), Fraction(5, 2)])
+    with monkeypatch.context() as m:
+        m.setattr(rows_module, "coefficient_rows", refuse)
+        m.setattr(ZetaCombination, "of", staticmethod(refuse))
+        m.setattr(ZetaCombination, "from_ints", staticmethod(refuse))
+        system = build_system(P, Q, T, 9)
+        result = solve_zeta(system, dict.fromkeys(range(3, 10), 1))
+        code = main(argv)
+        with pytest.raises(AssertionError, match="built a ZetaCombination"):
+            _row(system, 9)  # the patch itself takes hold
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+    expected = reference.solve_back_substitution(system)
+    assert (result.alpha, result.beta, dict(result.weights)) == expected
 
 
 # ----------------------------------------------------------------- solving
@@ -127,33 +182,30 @@ def test_solution_satisfies_the_defining_linear_identities():
         solved += 1
         weights = dict(res.weights)
         for p in range(3, s + 1):
-            total = sum(
-                w * system.row_of_order(q).zeta(p) for q, w in weights.items()
-            )
+            total = sum(w * _row(system, q).zeta(p) for q, w in weights.items())
             assert total == (1 if p == s else 0)
-        assert res.alpha == -sum(
-            w * system.row_of_order(q).zeta(2) for q, w in weights.items()
-        )
-        assert res.beta == -sum(
-            w * system.row_of_order(q).constant for q, w in weights.items()
-        )
+        assert res.alpha == -sum(w * _row(system, q).zeta(2) for q, w in weights.items())
+        assert res.beta == -sum(w * _row(system, q).constant for q, w in weights.items())
     assert solved >= 3
 
 
 def test_a_system_built_from_ints_solves_in_fractions():
-    """int entries are stored as Fractions, so both routes and solve_zeta
-    give what the same system built from Fractions gives, and no float."""
+    """Integer rows give Fractions on both routes and in solve_zeta, never
+    a float, and the same rationals over other denominators give the same
+    answer.  Zero numerators count as absent, whatever their order or
+    denominator."""
     one = explicit_poly([1])
-    rows = [{4: 2, 2: 1}, {3: 5, 2: 1}]
-    from_ints = TriangularSystem(
-        4, 1, one, one, one, tuple(ZetaCombination.of(1, row) for row in rows)
+    exact = _system_of(4, [{4: 2, 2: 1}, {3: 5, 2: 1}])
+    rows = (
+        ((6, 6), {5: (0, 7), 4: (4, 2), 3: (0, 5), 2: (3, 3)}),
+        ((12, 12), {3: (20, 4), 2: (6, 6), 1: (0, 1)}),
     )
-    exact = _system_of(4, rows)
+    rescaled = TriangularSystem(4, 1, one, one, one, rows)
     for route in (_solve_back_substitution, _solve_cramer):
-        alpha, beta, weights = route(from_ints)
+        alpha, beta, weights = route(rescaled)
         assert (alpha, beta, weights) == route(exact)
         assert all(type(v) is Fraction for v in (alpha, beta, *weights.values()))
-    result = solve_zeta(from_ints, {3: 1, 4: 1})
+    result = solve_zeta(rescaled, {3: 1, 4: 1})
     assert result == solve_zeta(exact, {3: 1, 4: 1})
     numbers = (result.alpha, result.beta, result.theta_bound, *dict(result.weights).values())
     assert all(type(v) is Fraction for v in numbers)
@@ -178,19 +230,24 @@ def test_back_substitution_and_cramer_agree_exactly():
     assert solved >= 6
 
 
-_entries = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_numerators = st.integers(-35, 35)
+#: Constant denominators; every zeta entry of the row stands over a divisor.
+_denominators = st.sampled_from((1, 2, 6, 12, 35, 60))
 
 
 @st.composite
-def _random_systems(draw, max_s=8, entries=_entries):
-    """Triangular systems of orders s..3 with arbitrary rational entries and
-    nonzero leading coefficients."""
+def _random_systems(draw, max_s=8, numerators=_numerators):
+    """Triangular systems of orders s..3 as integer rows: the constant over
+    D, each zeta entry over its own divisor of D, so the routes' D // d
+    scaling runs, and nonzero leading coefficients."""
     s = draw(st.integers(3, max_s))
     rows = []
     for order in range(s, 2, -1):
-        lead = draw(_entries.filter(bool))
-        lower = {p: draw(entries) for p in range(2, order)}
-        rows.append(ZetaCombination.of(draw(entries), {**lower, order: lead}))
+        den = draw(_denominators)
+        divisors = st.sampled_from([d for d in range(1, den + 1) if den % d == 0])
+        zeta = {p: (draw(numerators), draw(divisors)) for p in range(2, order)}
+        zeta[order] = (draw(_numerators.filter(bool)), draw(divisors))
+        rows.append(((draw(numerators), den), zeta))
     one = explicit_poly([1])
     return TriangularSystem(s, 1, one, one, one, tuple(rows))
 
@@ -200,7 +257,7 @@ def _random_systems(draw, max_s=8, entries=_entries):
 def test_both_solve_routes_agree_on_random_triangular_systems(system):
     alpha, beta, weights = _solve_back_substitution(system)
     assert (alpha, beta, weights) == _solve_cramer(system)
-    assert weights[system.s] == 1 / system.row_of_order(system.s).zeta(system.s)
+    assert weights[system.s] == 1 / _row(system, system.s).zeta(system.s)
 
 
 def _routes_match_the_reference(system):
@@ -222,11 +279,7 @@ def _routes_match_the_reference(system):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    system=_random_systems(
-        max_s=12, entries=st.one_of(st.just(Fraction(0)), _entries)
-    )
-)
+@given(system=_random_systems(max_s=12, numerators=st.one_of(st.just(0), _numerators)))
 def test_solve_routes_equal_the_reference_on_sparse_random_systems(system):
     """s up to 12; about half the entries above the diagonal and of the
     zeta(2) and constant entries are zero."""
