@@ -11,29 +11,26 @@ Commands:
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or invalid input
 (including singular systems), 3 precision budget exceeded, 4 internal error
-(a failed exact-arithmetic invariant).  All output is byte-deterministic for
-a fixed command line.
+(a failed exact-arithmetic invariant or any unexpected exception).  All
+output is byte-deterministic for a fixed command line.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import itertools
 import json
 import random
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .numerics import (
-    DIGIT_BUDGET,
     InternalError,
     PrecisionBudgetError,
     Rat,
-    decimal_length,
+    check_digits,
     decimal_upper_sci,
+    error_upper,
     rational_text,
     render_decimal,
     render_interval_decimal,
@@ -54,18 +51,6 @@ def _parse_rationals(text: str) -> tuple[Rat, ...]:
         raise ValueError(f"invalid rational list {text!r}: {exc}") from None
 
 
-def _check_digits(digits: int) -> None:
-    """Reject, before any row work, a --digits value the rendering would
-    reject after it: below 1 (exit 2), or one whose first working precision
-    digits + 8 exceeds DIGIT_BUDGET (exit 3)."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if digits + 8 > DIGIT_BUDGET:
-        raise PrecisionBudgetError(
-            f"requested {digits + 8} digits exceeds budget of {DIGIT_BUDGET}"
-        )
-
-
 # ----------------------------------------------------------------- approx
 
 
@@ -81,7 +66,7 @@ def _approx(T: PolySpec, s: int, n: int) -> ApproxResult:
 
 def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
     T = explicit_poly(_parse_rationals(args.t))
-    _check_digits(args.digits)
+    check_digits(args.digits)
     res = _approx(T, args.s, args.n)
     fields = [
         ("s", args.s),
@@ -125,7 +110,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         if report.all_equal:
             continue
         mismatching_trials += 1
-        mismatches = (m for check in report.checks for m in check.mismatches)
         first_mismatches.extend(
             {
                 "trial": trial,
@@ -136,7 +120,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
                 "row_value": str(m.row_value),
                 "oracle_value": str(m.oracle_value),
             }
-            for m in itertools.islice(mismatches, 10 - len(first_mismatches))
+            for m in report.mismatches[: 10 - len(first_mismatches)]
         )
     all_equal = mismatching_trials == 0
     payload = {
@@ -205,20 +189,11 @@ def cmd_lemma2(args: argparse.Namespace) -> tuple[int, str]:
 # ------------------------------------------------------------------ table
 
 
-def _error_upper(alpha: Rat, beta: Rat, s: int, digits: int) -> Rat:
-    """Certified upper bound on |alpha*zeta(2) + beta - zeta(s)|."""
-    working = digits + 40 + decimal_length(alpha.numerator)
-    err = zeta_reference(2, working).scale(alpha).shift(beta) - zeta_reference(
-        s, working
-    )
-    return err.sup_abs
-
-
 def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     T = explicit_poly(_parse_rationals(args.t))
     if args.n_from < 1 or args.n_to < args.n_from:
         raise ValueError("need 1 <= n-from <= n-to")
-    _check_digits(args.digits)
+    check_digits(args.digits)
     rows = []
     for n in range(args.n_from, args.n_to + 1):
         res = _approx(T, args.s, n)
@@ -228,7 +203,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
                 "theta_bound": rational_text(res.theta_bound),
                 "theta_bound_sci": decimal_upper_sci(res.theta_bound),
                 "error_upper_sci": decimal_upper_sci(
-                    _error_upper(res.alpha, res.beta, args.s, args.digits)
+                    error_upper(res.alpha, res.beta, args.s, args.digits)
                 ),
                 "decimal": render_decimal(res.alpha, res.beta, args.digits),
             }
@@ -254,11 +229,11 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
     T = explicit_poly(_parse_rationals(args.t))
-    _check_digits(args.digits)
+    check_digits(args.digits)
     res = _approx(T, args.s, args.n)
     # The error bound's references are the deepest; an over-budget request
     # fails there, before any rendering.
-    err = _error_upper(res.alpha, res.beta, args.s, args.digits)
+    err = error_upper(res.alpha, res.beta, args.s, args.digits)
     approx = render_decimal(res.alpha, res.beta, args.digits)
     reference = render_interval_decimal(
         lambda w: zeta_reference(args.s, w), args.digits
@@ -281,11 +256,9 @@ def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _csv_text(header: list[str], rows: list[list[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+    """Comma-joined lines.  No field needs quoting: every one is an int, a
+    p/q rational, a fixed-point decimal or a d.dde+xx bound."""
+    return "\n".join(",".join(map(str, row)) for row in (header, *rows))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -302,6 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="1", help="comma-separated rational coefficients")
     p.add_argument("--digits", type=int, default=12)
     p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")
+    p.set_defaults(handler=cmd_approx)
 
     p = sub.add_parser("verify", help="validate closed-form rows against the oracle")
     p.add_argument("--s", type=int, default=7, help="validate orders 3..s")
@@ -309,11 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--variant", choices=[v.value for v in TranscriptionVariant], default="no-h")
     p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
+    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("lemma2", help="sweep the exact shift-reduction identities")
     p.add_argument("--max", dest="max_shift", type=int, default=20)
     p.add_argument("--s-max", dest="s_max", type=int, default=10)
     p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
+    p.set_defaults(handler=cmd_lemma2)
 
     p = sub.add_parser("table", help="theta bounds and certified errors over degrees")
     p.add_argument("--s", type=int, required=True)
@@ -322,6 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="1")
     p.add_argument("--digits", type=int, default=10)
     p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="csv")
+    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("digits", help="certified digits next to the reference value")
     p.add_argument("--s", type=int, required=True)
@@ -329,6 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="1")
     p.add_argument("--digits", type=int, default=12)
     p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
+    p.set_defaults(handler=cmd_digits)
 
     return parser
 
@@ -340,31 +318,28 @@ def _parser() -> argparse.ArgumentParser:
     return _build_parser()
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[int, str]]] = {
-    "approx": cmd_approx,
-    "verify": cmd_verify,
-    "lemma2": cmd_lemma2,
-    "table": cmd_table,
-    "digits": cmd_digits,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        code, text = _COMMANDS[args.command](args)
+        code, text = args.handler(args)
     except PrecisionBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, whatever its type
+        import traceback  # only here: it would add to every cold start
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     if text:
         print(text)
     return code

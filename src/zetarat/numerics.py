@@ -273,6 +273,28 @@ def render_decimal(alpha: RatLike, beta: RatLike, digits: int) -> str:
     )
 
 
+def check_digits(digits: int) -> None:
+    """Reject, before any row work, a digit count the rendering would
+    reject after it: below 1 (exit 2), or one whose first working precision
+    digits + 8 exceeds DIGIT_BUDGET (exit 3)."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if digits + 8 > DIGIT_BUDGET:
+        raise PrecisionBudgetError(
+            f"requested {digits + 8} digits exceeds budget of {DIGIT_BUDGET}"
+        )
+
+
+def error_upper(alpha: Rat, beta: Rat, s: int, digits: int) -> Rat:
+    """Certified upper bound on |alpha*zeta(2) + beta - zeta(s)|, from
+    references taken digits + 40 + len(alpha's numerator) deep."""
+    working = digits + 40 + decimal_length(alpha.numerator)
+    err = zeta_reference(2, working).scale(alpha).shift(beta) - zeta_reference(
+        s, working
+    )
+    return err.sup_abs
+
+
 def render_interval_decimal(
     make: Callable[[int], Interval], digits: int, start: int | None = None
 ) -> str:

@@ -254,28 +254,38 @@ class RowMismatch:
 
 
 @dataclass(frozen=True)
-class RowCheck:
-    order: int
-    equal: bool
-    mismatches: tuple[RowMismatch, ...]
-
-
-@dataclass(frozen=True)
 class RowValidationReport:
-    checks: tuple[RowCheck, ...]
+    """Every component where a closed-form row and the oracle differ, by
+    order ascending, and within an order the constant first, then the zeta
+    orders ascending."""
+
+    mismatches: tuple[RowMismatch, ...]
 
     @property
     def all_equal(self) -> bool:
-        return all(c.equal for c in self.checks)
+        return not self.mismatches
 
 
-_ZERO = (0, 1)
+def row_mismatches(
+    order: int, row: IntCombination, oracle: IntCombination
+) -> list[RowMismatch]:
+    """The components of one order where row and oracle differ: the
+    constant first, then the zeta orders either side carries, ascending,
+    an order absent on one side standing for 0.
 
-
-def _differ(u: tuple[int, int], x: tuple[int, int]) -> bool:
-    """Whether the rationals u[0]/u[1] and x[0]/x[1] differ (positive
-    denominators)."""
-    return u[0] * x[1] != x[0] * u[1]
+    Each side gives numerators over denominators of its own choosing, so
+    a component is compared by cross-multiplying: u/v = x/y iff u y = x v,
+    for v, y > 0.  Only mismatches become Fractions."""
+    (u, v), zeta = row
+    (x, y), want = oracle
+    out = []
+    if u * y != x * v:
+        out.append(RowMismatch(order, "constant", None, Fraction(u, v), Fraction(x, y)))
+    for p in sorted(zeta.keys() | want.keys()):
+        (u, v), (x, y) = zeta.get(p, (0, 1)), want.get(p, (0, 1))
+        if u * y != x * v:
+            out.append(RowMismatch(order, "zeta", p, Fraction(u, v), Fraction(x, y)))
+    return out
 
 
 def validate_rows(
@@ -286,26 +296,12 @@ def validate_rows(
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> RowValidationReport:
     """Compare every closed-form row of order 3..s_max against the exact
-    partial-fraction oracle, component by component.
-
-    Both integer kernels run once.  Each gives numerators over denominators
-    of its own choosing, so a component is compared by cross-multiplying:
-    u/v = x/y iff u y = x v, for v, y > 0.  Only reported mismatches become
-    Fractions."""
+    partial-fraction oracle, component by component (row_mismatches).
+    Both integer kernels run once."""
     if s_max < 3:
         raise ValueError("s_max must be >= 3")
-    checks = []
     oracle = oracle_numerators(P, Q, T, s_max)
-    for order, (const, zeta) in row_numerators(P, Q, T, s_max, variant).items():
-        want_const, want_zeta = oracle[order]
-        mismatches: list[RowMismatch] = []
-        if _differ(const, want_const):
-            mismatches.append(
-                RowMismatch(order, "constant", None, Fraction(*const), Fraction(*want_const))
-            )
-        for p in sorted(zeta.keys() | want_zeta.keys()):
-            got, exp = zeta.get(p, _ZERO), want_zeta.get(p, _ZERO)
-            if _differ(got, exp):
-                mismatches.append(RowMismatch(order, "zeta", p, Fraction(*got), Fraction(*exp)))
-        checks.append(RowCheck(order, not mismatches, tuple(mismatches)))
-    return RowValidationReport(tuple(checks))
+    rows = row_numerators(P, Q, T, s_max, variant).items()
+    return RowValidationReport(
+        tuple(m for order, row in rows for m in row_mismatches(order, row, oracle[order]))
+    )

@@ -45,8 +45,6 @@ class TriangularSystem:
 
     s: int
     n: int
-    P: PolySpec
-    Q: PolySpec
     T: PolySpec
     rows: tuple[IntCombination, ...]  # descending order: s first
 
@@ -83,7 +81,6 @@ class ApproxResult:
     alpha: Rat
     beta: Rat
     weights: tuple[tuple[int, Rat], ...]  # (order, w_order), ascending order
-    bounds: tuple[tuple[int, Rat], ...]   # (order, theta_order), ascending
     theta_bound: Rat
 
 
@@ -103,7 +100,7 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
     n = P.degree
     T = pad_to_degree(T, n)
     rows = row_numerators(P, Q, T, s)
-    return TriangularSystem(s, n, P, Q, T, tuple(rows[q] for q in range(s, 2, -1)))
+    return TriangularSystem(s, n, T, tuple(rows[q] for q in range(s, 2, -1)))
 
 
 # ---------------------------------------------------------------- solving
@@ -243,7 +240,6 @@ def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) ->
         alpha=alpha,
         beta=beta,
         weights=tuple(sorted(weights.items())),
-        bounds=tuple(sorted(bounds.items())),
         theta_bound=theta_total,
     )
 

@@ -17,6 +17,7 @@ import mpmath
 
 import zetarat
 import zetarat.cli as cli_module
+import zetarat.rows as rows_module
 import zetarat.solver as solver_module
 from zetarat.cli import main
 
@@ -337,6 +338,32 @@ def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: solver routes disagree\n"
+
+
+def test_unexpected_exception_exits_four(capsys, monkeypatch):
+    """An exception no command raises on purpose is a bug: exit 4 with the
+    traceback and one summary line, never 1 (a mismatch) or 2 (bad input)."""
+
+    def broken(exc):
+        def kernel(*args):
+            raise exc
+
+        return kernel
+
+    cases = (
+        (rows_module, "oracle_numerators", KeyError("boom"), ["verify", "--s", "5", "--trials", "2"],
+         "internal error: KeyError: 'boom'"),
+        (solver_module, "row_numerators", ZeroDivisionError("division by zero"),
+         ["approx", "--s", "3", "--n", "2"], "internal error: ZeroDivisionError: division by zero"),
+    )
+    for module, name, exc, argv, line in cases:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, broken(exc))
+            got = main(argv)
+        captured = capsys.readouterr()
+        assert (got, captured.out) == (4, ""), argv
+        assert captured.err.startswith("Traceback (most recent call last):\n"), argv
+        assert captured.err.endswith(f"\n{line}\n"), argv
 
 
 def test_usage_errors_exit_two(capsys):

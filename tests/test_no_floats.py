@@ -19,6 +19,7 @@ INTEGER_KERNELS = (
     ("numerics.py", "integer_form"),
     ("rows.py", "coefficient_rows"),
     ("rows.py", "row_numerators"),
+    ("rows.py", "row_mismatches"),
     ("rows.py", "validate_rows"),
     ("series.py", "decompose_integrals"),
     ("series.py", "oracle_numerators"),

@@ -17,7 +17,7 @@ _DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetCom
 #: The parser is built once per process; argparse objects hold no results.
 ALLOWED_CACHES = {("cli.py", "_parser")}
 #: Module-level displays that are fixed at import and never written to.
-ALLOWED_DISPLAYS = {("__init__.py", "__all__"), ("cli.py", "_COMMANDS")}
+ALLOWED_DISPLAYS = {("__init__.py", "__all__")}
 
 
 def _sources():

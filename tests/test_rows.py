@@ -24,9 +24,11 @@ from zetarat.polynomials import (
     shifted_legendre,
 )
 from zetarat.rows import (
+    RowMismatch,
     TranscriptionVariant,
     coefficient_rows,
     row_general,
+    row_mismatches,
     row_zeta3,
     row_zeta4,
     validate_rows,
@@ -192,17 +194,15 @@ def test_validate_rows_reports_all_equal_for_the_winner():
     P, Q, T = WITNESS
     report = validate_rows(P, Q, T, 7)
     assert report.all_equal
-    assert [c.order for c in report.checks] == [3, 4, 5, 6, 7]
-    assert all(c.mismatches == () for c in report.checks)
+    assert report.mismatches == ()
 
 
 def test_validate_rows_pinpoints_harmonic_mismatches_on_the_witness():
     P, Q, T = WITNESS
     report = validate_rows(P, Q, T, 5, TranscriptionVariant.HARMONIC_WEIGHTS)
     assert not report.all_equal
-    by_order = {c.order: c for c in report.checks}
-    assert by_order[3].equal and by_order[4].equal
-    (mismatch,) = by_order[5].mismatches
+    (mismatch,) = report.mismatches
+    assert mismatch.order == 5
     assert mismatch.component == "zeta"
     assert mismatch.zeta_order == 2
     assert mismatch.row_value == Fraction(187, 24)
@@ -232,7 +232,28 @@ def test_validate_rows_takes_one_oracle_pass_per_system(monkeypatch):
         report = validate_rows(P, Q, T, s)
         assert sorted(calls) == [("oracle_numerators", s), ("row_numerators", s)]
         assert report.all_equal
-        assert [c.order for c in report.checks] == list(range(3, s + 1))
+
+
+def test_row_mismatches_compares_across_denominators():
+    """The two sides of one order need not share denominators: equal
+    rationals over different ones agree, a zeta order on one side only
+    stands against 0 over any denominator, and each mismatch carries both
+    values as reduced Fractions, the constant first, then the zeta orders
+    ascending."""
+    row = ((1, 2), {5: (4, 6), 4: (0, 7), 3: (3, 4), 2: (5, 10)})
+    agree = ((3, 6), {5: (2, 3), 3: (9, 12), 2: (1, 2), 6: (0, 5)})
+    assert row_mismatches(5, row, agree) == []
+    assert row_mismatches(5, agree, row) == []
+    oracle = ((2, 6), {6: (0, 3), 5: (8, 12), 4: (1, 14), 2: (-1, 2)})
+    assert row_mismatches(5, row, oracle) == [
+        RowMismatch(5, "constant", None, Fraction(1, 2), Fraction(1, 3)),
+        RowMismatch(5, "zeta", 2, Fraction(1, 2), Fraction(-1, 2)),
+        RowMismatch(5, "zeta", 3, Fraction(3, 4), Fraction(0)),
+        RowMismatch(5, "zeta", 4, Fraction(0), Fraction(1, 14)),
+    ]
+    (mismatch,) = row_mismatches(3, ((0, 9), {}), ((0, 1), {3: (6, 4)}))
+    assert mismatch == RowMismatch(3, "zeta", 3, Fraction(0), Fraction(3, 2))
+    assert (mismatch.row_value.denominator, mismatch.oracle_value.denominator) == (1, 2)
 
 
 def test_validate_rows_builds_no_fraction_when_all_equal(monkeypatch):

@@ -80,7 +80,7 @@ def _system_of(s, rows):
         ((1, 1), {p: v if isinstance(v, tuple) else (v, 1) for p, v in row.items()})
         for row in rows
     )
-    return TriangularSystem(s, 1, one, one, one, combos)
+    return TriangularSystem(s, 1, one, combos)
 
 
 @pytest.mark.parametrize(
@@ -200,7 +200,7 @@ def test_a_system_built_from_ints_solves_in_fractions():
         ((6, 6), {5: (0, 7), 4: (4, 2), 3: (0, 5), 2: (3, 3)}),
         ((12, 12), {3: (20, 4), 2: (6, 6), 1: (0, 1)}),
     )
-    rescaled = TriangularSystem(4, 1, one, one, one, rows)
+    rescaled = TriangularSystem(4, 1, one, rows)
     for route in (_solve_back_substitution, _solve_cramer):
         alpha, beta, weights = route(rescaled)
         assert (alpha, beta, weights) == route(exact)
@@ -249,7 +249,7 @@ def _random_systems(draw, max_s=8, numerators=_numerators):
         zeta[order] = (draw(_numerators.filter(bool)), draw(divisors))
         rows.append(((draw(numerators), den), zeta))
     one = explicit_poly([1])
-    return TriangularSystem(s, 1, one, one, one, tuple(rows))
+    return TriangularSystem(s, 1, one, tuple(rows))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
