@@ -71,10 +71,11 @@ def row_numerators(
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> dict[int, IntCombination]:
     """coefficient_rows on integers: the closed forms of I(P,Q,T; q) for
-    every order q = 3..s as numerators over the denominators L^3 M^w
-    named below, from one pass over the single (r), double (r > l) and
-    triple (r > l > i) index blocks; the triple block costs O(n^2), not
-    O(n^3), because its i-sums factor through sums of a_i, b_i, c_i.
+    every order q = 3..s as numerators over one denominator L^3 M^q per
+    row, L and M named below, from one pass over the single (r), double
+    (r > l) and triple (r > l > i) index blocks; the triple block costs
+    O(n^2), not O(n^3), because its i-sums factor through sums of a_i,
+    b_i, c_i.
 
     The pass folds each block into order-free weights on one index x:
 
@@ -215,7 +216,6 @@ def row_numerators(
         for j in range(3, s - 1):
             num[j] += tri[j - 2]
     Mw = [M**w for w in range(s + 1)]
-    den = [L**3 * v for v in Mw]
     rows = {}
     for q in range(3, s + 1):
         zeta = [v if j < 2 or j % 2 else -v for j, v in enumerate(num[: q - 1])]
@@ -224,7 +224,10 @@ def row_numerators(
         zeta[q - 3] += sign * pA[q - 3] * Mw[wt[q - 3] - (q - 3)]
         zeta[q - 2] += sign * ((q - 3) * pA[q - 2] + pD[q - 3]) * Mw[wt[q - 2] - (q - 2)]
         const = -sign * block(q - 1, hA, hDA, hZ, hEY)  # weight q
-        rows[q] = ((const, den[q]), {q - j: (v, den[wt[j]]) for j, v in enumerate(zeta)})
+        # over L^3 M^q: each zeta numerator, of weight wt[j], times M^(q - wt[j])
+        rows[q] = (
+            L**3 * Mw[q], const, {q - j: v * Mw[q - wt[j]] for j, v in enumerate(zeta)}
+        )
     return rows
 
 
@@ -273,16 +276,17 @@ def row_mismatches(
     constant first, then the zeta orders either side carries, ascending,
     an order absent on one side standing for 0.
 
-    Each side gives numerators over denominators of its own choosing, so
-    a component is compared by cross-multiplying: u/v = x/y iff u y = x v,
-    for v, y > 0.  Only mismatches become Fractions."""
-    (u, v), zeta = row
-    (x, y), want = oracle
+    Each side gives numerators over a denominator of its own choosing, v
+    for the row and y for the oracle, so a component is compared by
+    cross-multiplying: u/v = x/y iff u y = x v, for v, y > 0.  Only
+    mismatches become Fractions."""
+    v, u, zeta = row
+    y, x, want = oracle
     out = []
     if u * y != x * v:
         out.append(RowMismatch(order, "constant", None, Fraction(u, v), Fraction(x, y)))
     for p in sorted(zeta.keys() | want.keys()):
-        (u, v), (x, y) = zeta.get(p, (0, 1)), want.get(p, (0, 1))
+        u, x = zeta.get(p, 0), want.get(p, 0)
         if u * y != x * v:
             out.append(RowMismatch(order, "zeta", p, Fraction(u, v), Fraction(x, y)))
     return out

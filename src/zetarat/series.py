@@ -31,10 +31,10 @@ from .polynomials import PolySpec, explicit_poly
 
 # ------------------------------------------------- zeta-combination values
 
-#: A zeta combination as integers over positive, unreduced denominators:
-#: ((constant numerator, denominator), {p: (numerator, denominator)}).
-#: The integer kernels return these; ZetaCombination.from_ints reads one.
-IntCombination = tuple[tuple[int, int], dict[int, tuple[int, int]]]
+#: A zeta combination as integers over one positive, unreduced denominator
+#: D: (D, constant numerator, {p: numerator}), a zero numerator counting as
+#: absent.  The integer kernels return these; ZetaCombination.from_ints reads one.
+IntCombination = tuple[int, int, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,9 @@ class ZetaCombination:
     @staticmethod
     def from_ints(combination: IntCombination) -> "ZetaCombination":
         """The exact combination an integer kernel's output stands for."""
-        (num, den), zeta = combination
+        den, num, zeta = combination
         return ZetaCombination.of(
-            Fraction(num, den), {p: Fraction(v, d) for p, (v, d) in zeta.items()}
+            Fraction(num, den), {p: Fraction(v, den) for p, v in zeta.items()}
         )
 
     def zeta(self, p: int) -> Rat:
@@ -92,7 +92,7 @@ def decompose_integrals(
 
 def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int, IntCombination]:
     """decompose_integrals on integers: I(P,Q,T; q) for every order q = 3..s
-    as numerators over the denominators L^3 M^w named below.
+    as numerators over the one denominator L^3 M^q named below.
 
     With A(m) = sum_r p_r/(m+r) and B, C built likewise from Q and T,
     I(q) = sum_{m>=1} F(m)/m^(q-3), F = A B C.  At m = -rho, rho = 0..deg,
@@ -114,7 +114,8 @@ def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int
     The pass runs on integers: with L the lcm of the coefficient
     denominators and M = lcm(1..deg), the weight on 1/m^j or 1/(m+rho)^j
     in order q is an integer over L^3 M^(q-j), and the constant an integer
-    over L^3 M^q.  M/(r-rho), M/rho and (M/k)^i serve as integer weights.
+    over L^3 M^q, the row's denominator (zeta(j) numerators times M^j).
+    M/(r-rho), M/rho and (M/k)^i serve as integer weights.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
@@ -158,7 +159,7 @@ def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int
         w = M // k
         h = (h[0] + w, h[1] + w * w, h[2] + w**3)
         harm[k] = h
-    den = [L**3 * M**w for w in range(s + 1)]
+    Mw = [M**w for w in range(s + 1)]
     out: dict[int, IntCombination] = {}
     for q in range(3, s + 1):
         if q > 3:
@@ -177,7 +178,7 @@ def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int
             for i, v in enumerate(part, 1):
                 zeta[i] += v
                 constant -= v * harm[rho][i - 1]
-        out[q] = ((constant, den[q]), {j: (zeta[j], den[q - j]) for j in range(2, q + 1)})
+        out[q] = (L**3 * Mw[q], constant, {j: zeta[j] * Mw[j] for j in range(2, q + 1)})
     return out
 
 

@@ -12,10 +12,10 @@ error bound |zeta(s) - (alpha zeta(2) + beta)| <= sum_q |w_q| theta_q.
 
 Only the first row y of A^-1 is needed, A being the upper triangular matrix
 of zeta(s), ..., zeta(3) coefficients.  The rows are the row kernel's
-integers: each numerator over its own denominator, every zeta denominator
-dividing the constant's D.  A TriangularSystem checks that and the shape
-when it is built: s - 2 rows, the order-q row carrying zeta(p) only for
-2 <= p <= q.  Both routes read row nu times D_nu, an integer row, and
+integers: row nu's numerators, over its one denominator D_nu, are D_nu
+times row nu of A.  A TriangularSystem checks when it is built that there
+are s - 2 rows, that the order-q row carries zeta(p) only for 2 <= p <= q,
+and that its zeta(q) is nonzero.  Both routes read the rows as they are and
 compute y in O(s^2) arithmetic operations; they must agree exactly:
 back-substitution on y^T A = e_0^T, and Cramer's first-column cofactors,
 which are the leading minors of one upper Hessenberg block of A, from one
@@ -41,7 +41,7 @@ class SingularSystemError(ValueError):
 @dataclass(frozen=True)
 class TriangularSystem:
     """Rows of orders s, s-1, ..., 3 for a common polynomial degree n, as
-    row_numerators gives them."""
+    row_numerators gives them: (D, constant, {p: numerator}) each."""
 
     s: int
     n: int
@@ -50,26 +50,24 @@ class TriangularSystem:
 
     def __post_init__(self) -> None:
         """Both solve routes read the order-q row only at zeta(2), ...,
-        zeta(q), and scale it to integers by its constant's denominator; a
-        row count, a zeta term outside that shape or a zeta denominator
-        that does not divide the constant's is a bug.  Zero numerators
-        count as absent."""
+        zeta(q) and divide by its zeta(q): a wrong row count or a zeta term
+        outside that shape is a bug, a zero zeta(q) a singular system,
+        named by its lowest such order.  Zero numerators count as absent."""
         if len(self.rows) != self.s - 2:
             raise InternalError(
                 f"the order-{self.s} system has {len(self.rows)} rows, not {self.s - 2}"
             )
-        for k, ((_, den), zeta) in enumerate(self.rows):
+        for k, (_, _, zeta) in enumerate(self.rows):
             order = self.s - k
-            for p, (v, d) in zeta.items():
-                if v and not 2 <= p <= order:
-                    raise InternalError(
-                        f"the order-{order} row carries a zeta term outside zeta(2)..zeta({order})"
-                    )
-                if v and den % d:
-                    raise InternalError(
-                        f"the order-{order} row has zeta({p}) over {d}, "
-                        f"which does not divide the constant's denominator {den}"
-                    )
+            if any(v and not 2 <= p <= order for p, v in zeta.items()):
+                raise InternalError(
+                    f"the order-{order} row carries a zeta term outside zeta(2)..zeta({order})"
+                )
+        for order, (_, _, zeta) in zip(range(3, self.s + 1), reversed(self.rows)):
+            if not zeta.get(order):
+                raise SingularSystemError(
+                    f"singular system: zero leading coefficient in the order-{order} row"
+                )
 
 
 @dataclass(frozen=True)
@@ -106,25 +104,11 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
 # ---------------------------------------------------------------- solving
 
 
-def _singular(order: int) -> SingularSystemError:
-    return SingularSystemError(
-        f"singular system: zero leading coefficient in the order-{order} row"
-    )
-
-
-def _scaled_row(row: IntCombination) -> tuple[int, int, dict[int, int]]:
-    """(D, const, {p: b_p}): the row times D, its constant's denominator,
-    which every zeta denominator d divides, so b_p = v_p (D // d).  Zero
-    entries are left out."""
-    (const, den), zeta = row
-    return den, const, {p: v * (den // d) for p, (v, d) in zeta.items() if v}
-
-
 def _solve_back_substitution(
     system: TriangularSystem,
 ) -> tuple[Rat, Rat, dict[int, Rat]]:
     """First row y of A^-1 by substitution on y^T A = e_0^T, column by
-    column, run on z_nu = y_nu / D_nu over the integer rows b_nu = D_nu a_nu:
+    column, run on z_nu = y_nu / D_nu over the rows' numerators b_nu = D_nu a_nu:
     z_0 = 1/b_00 and z_c = -sum_{nu<c} z_nu b_nu,c / b_cc.
 
     Row nu of A is the order-(s - nu) row and column c carries zeta(s - c),
@@ -133,14 +117,11 @@ def _solve_back_substitution(
     entries carry a weight.
     """
     s = system.s
-    scale, consts, b = zip(*map(_scaled_row, system.rows))
-    for order in range(3, s + 1):
-        if order not in b[s - order]:
-            raise _singular(order)
+    scale, consts, b = zip(*system.rows)
     z: dict[int, Rat] = {0: Fraction(1, b[0][s])}
     for c in range(1, len(b)):
         p = s - c
-        terms = [z_nu * b[nu][p] for nu, z_nu in z.items() if p in b[nu]]
+        terms = [z_nu * b[nu][p] for nu, z_nu in z.items() if b[nu].get(p)]
         if terms:
             z[c] = -sum(terms, Fraction(0)) / b[c][p]
     alpha = -sum((z_nu * b[nu].get(2, 0) for nu, z_nu in z.items()), Fraction(0))
@@ -152,15 +133,15 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Cofactor route: zeta(s) = sum_nu RHS_nu * C_nu / Delta, where C_nu are
     the signed cofactors of the first column and Delta the determinant,
     the product of the diagonal: the system checked its triangular shape
-    when it was built.
+    and its nonzero diagonal when it was built.
 
     Deleting row nu and column 0 of A leaves a block triangular minor,
     det H_nu * prod_{r>nu} a_rr, where H_nu is the leading nu x nu block of
     the upper Hessenberg matrix H made of rows 0..size-2 and columns
     1..size-1 of A.  So w_(s-nu) = (-1)^nu det H_nu / prod_{r<=nu} a_rr.
 
-    The leading minors run on integers: row nu is scaled by D_nu, the
-    denominator of its constant, and column c divided by its content g_c,
+    The leading minors run on integers: row nu's numerators are row nu
+    times its denominator D_nu, and column c is divided by its content g_c,
     giving B = diag(D) A diag(1/g).  One recurrence along the last column
     gives every leading minor of the Hessenberg block of B,
 
@@ -169,11 +150,8 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     and then w_(s-nu) = (-1)^nu det H_nu D_nu / (g_0 prod_{r<=nu} b_rr).
     """
     s = system.s
-    scale, consts, ints = zip(*map(_scaled_row, system.rows))
+    scale, consts, ints = zip(*system.rows)
     size = len(ints)
-    diagonal = [row.get(s - nu, 0) for nu, row in enumerate(ints)]
-    if 0 in diagonal:
-        raise _singular(s - diagonal.index(0))
     content = [gcd(*(ints[r].get(s - c, 0) for r in range(c + 1))) for c in range(size)]
     b = [
         [ints[r].get(s - c, 0) // g for c, g in enumerate(content)] for r in range(size)

@@ -237,6 +237,21 @@ def test_singular_system_exits_two_with_message(capsys):
     assert "singular system" in capsys.readouterr().err
 
 
+def test_a_singular_request_computes_no_row_bound(monkeypatch, capsys):
+    """build_system refuses a zero diagonal before any row bound runs: with
+    certified_row_bounds made to raise, a singular approx still exits 2
+    with the singular-system message."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row bound was computed")
+
+    monkeypatch.setattr(cli_module, "certified_row_bounds", refuse)
+    assert main(["approx", "--s", "5", "--n", "3", "--t=0,1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: singular system: zero leading coefficient in the order-4 row\n"
+    )
+
+
 def test_invalid_rational_list_exits_two(capsys):
     assert main(["approx", "--s", "3", "--n", "2", "--t", "1,oops"]) == 2
     assert "invalid rational list" in capsys.readouterr().err

@@ -4,7 +4,8 @@
 integers over a denominator fixed in advance and build one Fraction per
 output.  tests/fraction_kernels.py keeps the Fraction bodies they replaced;
 every zeta coefficient, constant and Interval endpoint must be the same
-rational.
+rational.  The row kernels themselves, `row_numerators` and
+`oracle_numerators`, give each row over one positive denominator.
 """
 from __future__ import annotations
 
@@ -14,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_kernels as reference
+import residue_oracle
 from zetarat.polynomials import (
     binomial_poly,
     explicit_poly,
     pad_to_degree,
     shifted_legendre,
 )
-from zetarat.rows import TranscriptionVariant, coefficient_rows
-from zetarat.series import special_series_enclosures
+from zetarat.rows import TranscriptionVariant, coefficient_rows, row_numerators
+from zetarat.series import ZetaCombination, oracle_numerators, special_series_enclosures
 
 #: Rationals with zeros: a zero coefficient skips terms in both kernels.
 _RATIONALS = st.one_of(
@@ -49,6 +51,28 @@ def test_rows_equal_the_fraction_reference(triple, s, variant):
     assert coefficient_rows(P, Q, T, s, variant) == reference.coefficient_rows(
         P, Q, T, s, variant
     )
+
+
+def _one_denominator_rows(rows, s):
+    """The rows of orders 3..s, each checked to be (D, constant, {p:
+    numerator}) of ints with D > 0, as exact combinations."""
+    assert sorted(rows) == list(range(3, s + 1))
+    for row in rows.values():
+        den, constant, zeta = row
+        assert type(den) is int and den > 0
+        assert type(constant) is int
+        assert all(type(v) is int for v in zeta.values())
+    return {q: ZetaCombination.from_ints(row) for q, row in rows.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_rational_triples(), st.integers(3, 9), st.sampled_from(TranscriptionVariant))
+def test_both_row_kernels_give_one_denominator_per_row(triple, s, variant):
+    P, Q, T = triple
+    rows = _one_denominator_rows(row_numerators(P, Q, T, s, variant), s)
+    assert rows == reference.coefficient_rows(P, Q, T, s, variant)
+    oracle = _one_denominator_rows(oracle_numerators(P, Q, T, s), s)
+    assert oracle == {q: residue_oracle.decompose_integral(P, Q, T, q) for q in oracle}
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -25,7 +25,6 @@ INTEGER_KERNELS = (
     ("series.py", "oracle_numerators"),
     ("series.py", "special_series_enclosures"),
     ("series.py", "_integral_scaffold"),
-    ("solver.py", "_scaled_row"),
     ("solver.py", "_solve_cramer"),
 )
 

@@ -29,11 +29,12 @@ from zetarat.rows import (
     coefficient_rows,
     row_general,
     row_mismatches,
+    row_numerators,
     row_zeta3,
     row_zeta4,
     validate_rows,
 )
-from zetarat.series import ZetaCombination, decompose_integral
+from zetarat.series import ZetaCombination, decompose_integral, oracle_numerators
 
 
 def _random_triple(rng: random.Random, n: int):
@@ -240,20 +241,51 @@ def test_row_mismatches_compares_across_denominators():
     stands against 0 over any denominator, and each mismatch carries both
     values as reduced Fractions, the constant first, then the zeta orders
     ascending."""
-    row = ((1, 2), {5: (4, 6), 4: (0, 7), 3: (3, 4), 2: (5, 10)})
-    agree = ((3, 6), {5: (2, 3), 3: (9, 12), 2: (1, 2), 6: (0, 5)})
+    row = (12, 6, {5: 8, 4: 0, 3: 9, 2: 6})
+    agree = (24, 12, {5: 16, 3: 18, 2: 12, 6: 0})
     assert row_mismatches(5, row, agree) == []
     assert row_mismatches(5, agree, row) == []
-    oracle = ((2, 6), {6: (0, 3), 5: (8, 12), 4: (1, 14), 2: (-1, 2)})
+    oracle = (42, 14, {6: 0, 5: 28, 4: 3, 2: -21})
     assert row_mismatches(5, row, oracle) == [
         RowMismatch(5, "constant", None, Fraction(1, 2), Fraction(1, 3)),
         RowMismatch(5, "zeta", 2, Fraction(1, 2), Fraction(-1, 2)),
         RowMismatch(5, "zeta", 3, Fraction(3, 4), Fraction(0)),
         RowMismatch(5, "zeta", 4, Fraction(0), Fraction(1, 14)),
     ]
-    (mismatch,) = row_mismatches(3, ((0, 9), {}), ((0, 1), {3: (6, 4)}))
+    (mismatch,) = row_mismatches(3, (9, 0, {}), (4, 0, {3: 6}))
     assert mismatch == RowMismatch(3, "zeta", 3, Fraction(0), Fraction(3, 2))
     assert (mismatch.row_value.denominator, mismatch.oracle_value.denominator) == (1, 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.integers(3, 7), st.integers(1, 10**12), st.data())
+def test_row_mismatches_compares_values_not_denominators(rng, s, k, data):
+    """On a real row and its oracle value: scaling every entry of one side
+    by k > 0 changes no value and leaves no mismatch; adding 1 to one
+    numerator of the row gives exactly that component's mismatch, with
+    both values reduced."""
+    P, Q, T = _random_triple(rng, rng.randint(1, 3))
+    order = data.draw(st.integers(3, s))
+    row = row_numerators(P, Q, T, s)[order]
+    oracle = oracle_numerators(P, Q, T, s)[order]
+    for side, other in ((row, oracle), (oracle, row)):
+        den, constant, zeta = side
+        scaled = (k * den, k * constant, {p: k * v for p, v in zeta.items()})
+        assert row_mismatches(order, scaled, other) == []
+        assert row_mismatches(order, other, scaled) == []
+    (den, constant, zeta), (y, x, want) = row, oracle
+    p = data.draw(st.sampled_from([None, *sorted(zeta)]))
+    if p is None:
+        bumped = (den, constant + 1, zeta)
+        expected = RowMismatch(
+            order, "constant", None, Fraction(constant + 1, den), Fraction(x, y)
+        )
+    else:
+        bumped = (den, constant, {**zeta, p: zeta[p] + 1})
+        expected = RowMismatch(
+            order, "zeta", p, Fraction(zeta[p] + 1, den), Fraction(want.get(p, 0), y)
+        )
+    assert row_mismatches(order, bumped, oracle) == [expected]
 
 
 def test_validate_rows_builds_no_fraction_when_all_equal(monkeypatch):

@@ -18,7 +18,7 @@ import zetarat.rows as rows_module
 import zetarat.solver as solver_module
 from zetarat.cli import main
 from zetarat.numerics import InternalError, Interval, zeta_reference
-from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
+from zetarat.polynomials import binomial_poly, explicit_poly, pad_to_degree, shifted_legendre
 from zetarat.rows import coefficient_rows, row_numerators, row_zeta3
 from zetarat.series import ZetaCombination
 from zetarat.solver import (
@@ -41,6 +41,20 @@ def _structured_system(n: int, s: int, t_coeffs=None):
 def _row(system, order):
     """The order-`order` row of the system as an exact combination."""
     return ZetaCombination.from_ints(system.rows[system.s - order])
+
+
+def _system_or_refusal(n, s, t):
+    """The degree-n Legendre/binomial system of order s, or None when
+    build_system refuses it as singular; the refusal must name the lowest
+    order whose row_numerators diagonal is zero."""
+    P, Q, T = shifted_legendre(n), binomial_poly(n), explicit_poly(t)
+    try:
+        return build_system(P, Q, T, s)
+    except SingularSystemError as exc:
+        rows = row_numerators(P, Q, pad_to_degree(T, n), s)
+        order = min(q for q, (_, _, zeta) in rows.items() if not zeta.get(q))
+        assert str(exc) == f"singular system: zero leading coefficient in the order-{order} row"
+        return None
 
 
 # ------------------------------------------------------------ system shape
@@ -72,15 +86,9 @@ def test_build_system_diagonal_and_delta():
 
 
 def _system_of(s, rows):
-    """A system of the given {zeta order: numerator or (numerator,
-    denominator)} rows, an integer numerator standing over 1, every
-    constant 1/1."""
-    one = explicit_poly([1])
-    combos = tuple(
-        ((1, 1), {p: v if isinstance(v, tuple) else (v, 1) for p, v in row.items()})
-        for row in rows
-    )
-    return TriangularSystem(s, 1, one, combos)
+    """A system of the given {zeta order: numerator} rows, each over the
+    denominator 1 with the constant 1."""
+    return TriangularSystem(s, 1, explicit_poly([1]), tuple((1, 1, row) for row in rows))
 
 
 @pytest.mark.parametrize(
@@ -92,18 +100,18 @@ def _system_of(s, rows):
         (4, [{5: 1, 4: 2, 2: 1}, {3: 5, 2: 1}], "the order-4 row"),
         (4, [{4: 2, 1: 3}, {3: 5, 2: 1}], "the order-4 row"),
         (5, [{5: 1, 2: 1}, {4: 1, 2: 1}], "the order-5 system has 2 rows, not 3"),
-        # 1/2 times 1/1 is no integer: the routes scale a row by its
-        # constant's denominator only
+        # zero diagonals at orders 5 and 4: the lowest is named, before
+        # any route or row bound runs
         (
-            4,
-            [{4: 2, 2: 1}, {3: 5, 2: (1, 2)}],
-            "the order-3 row has zeta(2) over 2, "
-            "which does not divide the constant's denominator 1",
+            5,
+            [{5: 0, 4: 1, 2: 1}, {4: 0, 3: 1}, {3: 5, 2: 1}],
+            "singular system: zero leading coefficient in the order-4 row",
         ),
     ],
 )
 def test_malformed_systems_fail_at_construction(s, rows, message):
-    with pytest.raises(InternalError, match=re.escape(message)):
+    error = SingularSystemError if message.startswith("singular") else InternalError
+    with pytest.raises(error, match=re.escape(message)):
         _system_of(s, rows)
 
 
@@ -174,11 +182,10 @@ def test_solution_satisfies_the_defining_linear_identities():
     for s in (3, 4, 5, 6, 7):
         n = rng.randint(1, 3)
         t = [Fraction(rng.randint(-3, 3)) for _ in range(n)] + [Fraction(1)]
-        P, Q, T, system = _structured_system(n, s, t)
-        try:
-            res = solve_zeta(system, {q: Fraction(1) for q in range(3, s + 1)})
-        except SingularSystemError:
+        system = _system_or_refusal(n, s, t)
+        if system is None:
             continue  # a random T may legitimately kill a diagonal entry
+        res = solve_zeta(system, {q: Fraction(1) for q in range(3, s + 1)})
         solved += 1
         weights = dict(res.weights)
         for p in range(3, s + 1):
@@ -192,13 +199,12 @@ def test_solution_satisfies_the_defining_linear_identities():
 def test_a_system_built_from_ints_solves_in_fractions():
     """Integer rows give Fractions on both routes and in solve_zeta, never
     a float, and the same rationals over other denominators give the same
-    answer.  Zero numerators count as absent, whatever their order or
-    denominator."""
+    answer.  Zero numerators count as absent, whatever their order."""
     one = explicit_poly([1])
     exact = _system_of(4, [{4: 2, 2: 1}, {3: 5, 2: 1}])
     rows = (
-        ((6, 6), {5: (0, 7), 4: (4, 2), 3: (0, 5), 2: (3, 3)}),
-        ((12, 12), {3: (20, 4), 2: (6, 6), 1: (0, 1)}),
+        (6, 6, {5: 0, 4: 12, 3: 0, 2: 6}),
+        (12, 12, {3: 60, 2: 12, 1: 0}),
     )
     rescaled = TriangularSystem(4, 1, one, rows)
     for route in (_solve_back_substitution, _solve_cramer):
@@ -218,36 +224,27 @@ def test_back_substitution_and_cramer_agree_exactly():
         n = rng.randint(1, 3)
         s = rng.randint(3, 7)
         t = [Fraction(rng.randint(-2, 2)) for _ in range(n)] + [Fraction(1)]
-        _, _, _, system = _structured_system(n, s, t)
-        try:
-            back = _solve_back_substitution(system)
-        except SingularSystemError:
-            with pytest.raises(SingularSystemError):
-                _solve_cramer(system)
+        system = _system_or_refusal(n, s, t)
+        if system is None:
             continue
-        assert back == _solve_cramer(system)
+        assert _solve_back_substitution(system) == _solve_cramer(system)
         solved += 1
     assert solved >= 6
 
 
 _numerators = st.integers(-35, 35)
-#: Constant denominators; every zeta entry of the row stands over a divisor.
-_denominators = st.sampled_from((1, 2, 6, 12, 35, 60))
 
 
 @st.composite
 def _random_systems(draw, max_s=8, numerators=_numerators):
-    """Triangular systems of orders s..3 as integer rows: the constant over
-    D, each zeta entry over its own divisor of D, so the routes' D // d
-    scaling runs, and nonzero leading coefficients."""
+    """Triangular systems of orders s..3 as integer rows, each over its own
+    denominator D in 1..60, with nonzero leading coefficients."""
     s = draw(st.integers(3, max_s))
     rows = []
     for order in range(s, 2, -1):
-        den = draw(_denominators)
-        divisors = st.sampled_from([d for d in range(1, den + 1) if den % d == 0])
-        zeta = {p: (draw(numerators), draw(divisors)) for p in range(2, order)}
-        zeta[order] = (draw(_numerators.filter(bool)), draw(divisors))
-        rows.append(((draw(numerators), den), zeta))
+        zeta = {p: draw(numerators) for p in range(2, order)}
+        zeta[order] = draw(_numerators.filter(bool))
+        rows.append((draw(st.integers(1, 60)), draw(numerators), zeta))
     one = explicit_poly([1])
     return TriangularSystem(s, 1, one, tuple(rows))
 
@@ -262,20 +259,9 @@ def test_both_solve_routes_agree_on_random_triangular_systems(system):
 
 def _routes_match_the_reference(system):
     """Each package route returns exactly what its Fraction reference
-    returns, weight dicts included, or raises the same singular-system
-    message."""
-    for route, ref in (
-        (_solve_back_substitution, reference.solve_back_substitution),
-        (_solve_cramer, reference.solve_cramer),
-    ):
-        try:
-            expected = ref(system)
-        except SingularSystemError as exc:
-            with pytest.raises(SingularSystemError) as got:
-                route(system)
-            assert str(got.value) == str(exc)
-            continue
-        assert route(system) == expected
+    returns, weight dicts included."""
+    assert _solve_back_substitution(system) == reference.solve_back_substitution(system)
+    assert _solve_cramer(system) == reference.solve_cramer(system)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -298,15 +284,16 @@ _t_coefficients = st.lists(
 @example(n=4, s=9, t=[Fraction(0), Fraction(1)])
 def test_solve_routes_equal_the_reference_on_legendre_binomial_systems(n, s, t):
     """Real systems: shifted Legendre x binomial of degree n, T of degree
-    0..2 (T(0) = 0 makes the system singular)."""
-    _routes_match_the_reference(_structured_system(n, s, t)[3])
+    0..2 (T(0) = 0 makes the system singular, and build_system refuses it)."""
+    system = _system_or_refusal(n, s, t)
+    if system is not None:
+        _routes_match_the_reference(system)
 
 
 def test_singular_system_raises_with_a_clear_message():
     P, Q = shifted_legendre(2), binomial_poly(2)
     with pytest.raises(SingularSystemError, match="singular system"):
-        system = build_system(P, Q, explicit_poly([0, 1]), 4)
-        solve_zeta(system, {3: 1, 4: 1})
+        build_system(P, Q, explicit_poly([0, 1]), 4)
 
 
 def test_singular_system_error_is_a_value_error():
