@@ -10,7 +10,6 @@ anywhere.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence, Union
@@ -41,26 +40,74 @@ def integer_form(*lists: Sequence[Rat]) -> tuple[int, list[list[int]]]:
     return L, [[v.numerator * (L // v.denominator) for v in u] for u in lists]
 
 
+# ------------------------------------------------------------------ records
+
+
+class Record:
+    """An immutable value: the base of the package's records.
+
+    A subclass names its fields in __slots__ and sets them in its own
+    __init__ through object.__setattr__.  Records compare and hash by
+    class and field values, in slot order, refuse any assignment or
+    deletion after __init__, and copy and pickle by calling the class on
+    their field values.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+def as_rational(x: object) -> Rat:
+    """Fraction(x) for an int, a Fraction or a string such as "1/2"; a
+    float is refused, since it would stand for its binary value, not the
+    decimal it was written as."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float, not an exact rational")
+    return Fraction(x)
+
+
 # ---------------------------------------------------------------- intervals
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+class Interval(Record):
+    """Closed interval [lo, hi] with exact rational endpoints, given as
+    ints, Fractions or strings such as "1/2", never as floats."""
 
-    lo: Rat
-    hi: Rat
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo: RatLike, hi: RatLike) -> None:
+        if not isinstance(lo, Fraction) or not isinstance(hi, Fraction):
+            lo, hi = as_rational(lo), as_rational(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @staticmethod
     def point(x: RatLike) -> "Interval":
-        x = Fraction(x)
         return Interval(x, x)
 
     @property
@@ -79,12 +126,12 @@ class Interval:
         return max(self.lo, other.lo) <= min(self.hi, other.hi)
 
     def shift(self, c: RatLike) -> "Interval":
-        c = Fraction(c)
+        c = as_rational(c)
         return Interval(self.lo + c, self.hi + c)
 
     def scale(self, c: RatLike) -> "Interval":
         """{c*x : x in self}; flips endpoints when c < 0."""
-        c = Fraction(c)
+        c = as_rational(c)
         if c >= 0:
             return Interval(self.lo * c, self.hi * c)
         return Interval(self.hi * c, self.lo * c)

@@ -13,13 +13,12 @@ Coefficients are stored in ascending powers: coeffs[r] multiplies x^r.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .numerics import Rat, RatLike
+from .numerics import Rat, RatLike, Record, as_rational
 
 
 class PolyFamily(Enum):
@@ -28,27 +27,32 @@ class PolyFamily(Enum):
     EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class PolySpec:
+class PolySpec(Record):
     """A polynomial with exact rational coefficients and a family tag.
 
     The family tag records which analytic guarantees apply (e.g. the
     certified theta bound requires shifted-Legendre x binomial rows); a
     nonzero leading coefficient is enforced except for EXPLICIT.
+    Coefficients may be given as ints, Fractions or strings such as "1/2",
+    never as floats.
     """
 
-    family: PolyFamily
-    coeffs: tuple[Rat, ...]
+    __slots__ = ("family", "coeffs")
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, family: PolyFamily, coeffs: tuple[RatLike, ...]) -> None:
+        if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if self.family is not PolyFamily.EXPLICIT and len(coeffs) > 1 and coeffs[-1] == 0:
+        # as_rational, inlined for the Fractions and ints most callers pass
+        coeffs = tuple(
+            c if isinstance(c, Fraction) else Fraction(c) if isinstance(c, int) else as_rational(c)
+            for c in coeffs
+        )
+        if family is not PolyFamily.EXPLICIT and len(coeffs) > 1 and coeffs[-1] == 0:
             raise ValueError(
-                f"{self.family.value} polynomial cannot have a zero leading coefficient"
+                f"{family.value} polynomial cannot have a zero leading coefficient"
             )
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:

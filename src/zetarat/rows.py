@@ -24,14 +24,13 @@ the disagreement itself can be demonstrated (see validate_rows and the CLI
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .numerics import Rat, integer_form
+from .numerics import Rat, Record, integer_form
 from .polynomials import PolySpec, coefficient_triple
 from .series import IntCombination, ZetaCombination, oracle_numerators
 
@@ -247,22 +246,37 @@ def row_zeta4(P: PolySpec, Q: PolySpec, T: PolySpec) -> ZetaCombination:
 # --------------------------------------------------------------- validation
 
 
-@dataclass(frozen=True)
-class RowMismatch:
-    order: int
-    component: str  # "constant" or "zeta"
-    zeta_order: Optional[int]
-    row_value: Rat
-    oracle_value: Rat
+class RowMismatch(Record):
+    """One component where the order-`order` row and the oracle differ:
+    component "constant" with zeta_order None, or "zeta" with the order p
+    of the zeta(p) coefficient."""
+
+    __slots__ = ("order", "component", "zeta_order", "row_value", "oracle_value")
+
+    def __init__(
+        self,
+        order: int,
+        component: str,
+        zeta_order: Optional[int],
+        row_value: Rat,
+        oracle_value: Rat,
+    ) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "zeta_order", zeta_order)
+        object.__setattr__(self, "row_value", row_value)
+        object.__setattr__(self, "oracle_value", oracle_value)
 
 
-@dataclass(frozen=True)
-class RowValidationReport:
+class RowValidationReport(Record):
     """Every component where a closed-form row and the oracle differ, by
     order ascending, and within an order the constant first, then the zeta
     orders ascending."""
 
-    mismatches: tuple[RowMismatch, ...]
+    __slots__ = ("mismatches",)
+
+    def __init__(self, mismatches: tuple[RowMismatch, ...]) -> None:
+        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def all_equal(self) -> bool:

@@ -21,12 +21,11 @@ summed terms K grows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable, Mapping
 
-from .numerics import InternalError, Interval, Rat, integer_form
+from .numerics import InternalError, Interval, Rat, Record, integer_form
 from .polynomials import PolySpec, explicit_poly
 
 # ------------------------------------------------- zeta-combination values
@@ -37,16 +36,18 @@ from .polynomials import PolySpec, explicit_poly
 IntCombination = tuple[int, int, dict[int, int]]
 
 
-@dataclass(frozen=True)
-class ZetaCombination:
+class ZetaCombination(Record):
     """constant + sum_p coeff_p * zeta(p), all coefficients exact rationals.
 
     `terms` is sorted by zeta order and never stores zero coefficients, so
     equality of combinations is plain structural equality.
     """
 
-    constant: Rat
-    terms: tuple[tuple[int, Rat], ...]
+    __slots__ = ("constant", "terms")
+
+    def __init__(self, constant: Rat, terms: tuple[tuple[int, Rat], ...]) -> None:
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def of(constant: Rat, zeta_coeffs: Mapping[int, Rat]) -> "ZetaCombination":
@@ -300,7 +301,8 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     The sums run on integers over a denominator fixed in advance.  With
     F = (2n+K)!, C(k,n) B(k+1,n+1)^2 = n!^2 C(k,n) g(k)^2 / F^2 where
     g(k) = k! F/(k+n+1)! is an integer; T~(k) is an integer over L_t L_T,
-    L_t = lcm(n+1..n+K+deg T) and L_T the lcm of T's denominators; and
+    L_t = lcm(n+1..n+K+deg T), deg T not counting T's trailing zero
+    coefficients, and L_T the lcm of T's denominators; and
     (k+1)^-(q-3) is (L_k/(k+1))^(q-3) over L_k^(q-3), L_k = lcm(n+1..n+K).
     Walking k down from n+K-1, C(k,n) and g(k) each change by one exact
     factor per step.
@@ -317,6 +319,8 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
         return {q: Interval.point(Fraction(0)) for q in orders}
     k0 = n + K
     LT, (ct,) = integer_form(T.coeffs)
+    while not ct[-1]:  # zero padding adds no term to T~(k)
+        ct.pop()
     Lt = lcm(*range(n + 1, k0 + len(ct)))
     Lk = lcm(*range(n + 1, k0 + 1))
     totals = [0] * len(orders)

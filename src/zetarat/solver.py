@@ -23,12 +23,11 @@ integer recurrence over the row-scaled, column-reduced matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .numerics import InternalError, Rat, RatLike
+from .numerics import InternalError, Rat, RatLike, Record
 from .polynomials import PolyFamily, PolySpec, pad_to_degree
 from .rows import row_numerators
 from .series import IntCombination, special_series_enclosures
@@ -38,48 +37,57 @@ class SingularSystemError(ValueError):
     """A diagonal coefficient vanished; the triangular system cannot be solved."""
 
 
-@dataclass(frozen=True)
-class TriangularSystem:
+class TriangularSystem(Record):
     """Rows of orders s, s-1, ..., 3 for a common polynomial degree n, as
-    row_numerators gives them: (D, constant, {p: numerator}) each."""
+    row_numerators gives them: (D, constant, {p: numerator}) each, s first."""
 
-    s: int
-    n: int
-    T: PolySpec
-    rows: tuple[IntCombination, ...]  # descending order: s first
+    __slots__ = ("s", "n", "T", "rows")
 
-    def __post_init__(self) -> None:
+    def __init__(self, s: int, n: int, T: PolySpec, rows: tuple[IntCombination, ...]) -> None:
         """Both solve routes read the order-q row only at zeta(2), ...,
         zeta(q) and divide by its zeta(q): a wrong row count or a zeta term
         outside that shape is a bug, a zero zeta(q) a singular system,
         named by its lowest such order.  Zero numerators count as absent."""
-        if len(self.rows) != self.s - 2:
-            raise InternalError(
-                f"the order-{self.s} system has {len(self.rows)} rows, not {self.s - 2}"
-            )
-        for k, (_, _, zeta) in enumerate(self.rows):
-            order = self.s - k
+        if len(rows) != s - 2:
+            raise InternalError(f"the order-{s} system has {len(rows)} rows, not {s - 2}")
+        for k, (_, _, zeta) in enumerate(rows):
+            order = s - k
             if any(v and not 2 <= p <= order for p, v in zeta.items()):
                 raise InternalError(
                     f"the order-{order} row carries a zeta term outside zeta(2)..zeta({order})"
                 )
-        for order, (_, _, zeta) in zip(range(3, self.s + 1), reversed(self.rows)):
+        for order, (_, _, zeta) in zip(range(3, s + 1), reversed(rows)):
             if not zeta.get(order):
                 raise SingularSystemError(
                     f"singular system: zero leading coefficient in the order-{order} row"
                 )
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "rows", rows)
 
 
-@dataclass(frozen=True)
-class ApproxResult:
-    """zeta(s) ~ alpha*zeta(2) + beta with certified |error| <= theta_bound."""
+class ApproxResult(Record):
+    """zeta(s) ~ alpha*zeta(2) + beta with certified |error| <= theta_bound;
+    weights holds (order, w_order) pairs, ascending order."""
 
-    s: int
-    n: int
-    alpha: Rat
-    beta: Rat
-    weights: tuple[tuple[int, Rat], ...]  # (order, w_order), ascending order
-    theta_bound: Rat
+    __slots__ = ("s", "n", "alpha", "beta", "weights", "theta_bound")
+
+    def __init__(
+        self,
+        s: int,
+        n: int,
+        alpha: Rat,
+        beta: Rat,
+        weights: tuple[tuple[int, Rat], ...],
+        theta_bound: Rat,
+    ) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "theta_bound", theta_bound)
 
 
 def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSystem:

@@ -107,6 +107,16 @@ def test_series_enclosures_equal_the_fraction_reference(case, s):
     )
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_series_cases(), st.integers(3, 9), st.integers(1, 40))
+def test_series_enclosures_ignore_the_zero_padding_of_T(case, s, extra):
+    """Zero coefficients past T's degree add no term: T with `extra` more
+    of them gives exactly the enclosures of T itself."""
+    n, T, K = case
+    padded = explicit_poly(T.coeffs + (Fraction(0),) * extra)
+    assert special_series_enclosures(n, padded, s, K) == special_series_enclosures(n, T, s, K)
+
+
 def test_series_enclosures_with_a_vanishing_term_equal_the_fraction_reference():
     """T = (k+1) - (k+2)x has T~(k) = (k+1)/(k+1) - (k+2)/(k+2) = 0 at this
     k, so the k-term is skipped while the walk over k moves on."""

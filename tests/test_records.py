@@ -1,0 +1,152 @@
+"""The package's seven value records behave as frozen values.
+
+Each record is built from its fields, by position or by keyword; two
+records of one class with equal fields are equal and hash alike; a changed
+field, or a record of another class, makes them unequal; the repr names
+every field in order; and no field can be assigned or deleted.
+"""
+from __future__ import annotations
+
+import copy
+import pickle
+import re
+from fractions import Fraction
+
+import pytest
+
+from zetarat.numerics import Interval
+from zetarat.polynomials import PolyFamily, PolySpec, explicit_poly
+from zetarat.rows import RowMismatch, RowValidationReport
+from zetarat.series import ZetaCombination
+from zetarat.solver import ApproxResult, TriangularSystem
+
+_MISMATCH = (3, "zeta", 3, Fraction(0), Fraction(3, 2))
+
+#: (class, field names in order, field values, the same with one field changed)
+RECORDS = [
+    (Interval, ("lo", "hi"), (Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))),
+    (
+        PolySpec,
+        ("family", "coeffs"),
+        (PolyFamily.EXPLICIT, (Fraction(1), Fraction(-1, 2))),
+        (PolyFamily.EXPLICIT, (Fraction(1), Fraction(1, 2))),
+    ),
+    (
+        ZetaCombination,
+        ("constant", "terms"),
+        (Fraction(1, 2), ((3, Fraction(2)),)),
+        (Fraction(1, 2), ((4, Fraction(2)),)),
+    ),
+    (
+        TriangularSystem,
+        ("s", "n", "T", "rows"),
+        (4, 1, explicit_poly([1, 0]), ((2, 1, {4: 3, 2: 1}), (1, 0, {3: 1}))),
+        (4, 1, explicit_poly([1, 0]), ((2, 1, {4: 3, 2: 1}), (1, 0, {3: 2}))),
+    ),
+    (
+        ApproxResult,
+        ("s", "n", "alpha", "beta", "weights", "theta_bound"),
+        (3, 2, Fraction(5), Fraction(-7, 3), ((3, Fraction(1, 4)),), Fraction(1, 64)),
+        (3, 2, Fraction(5), Fraction(-7, 3), ((3, Fraction(1, 4)),), Fraction(1, 32)),
+    ),
+    (
+        RowMismatch,
+        ("order", "component", "zeta_order", "row_value", "oracle_value"),
+        _MISMATCH,
+        (3, "zeta", 2, Fraction(0), Fraction(3, 2)),
+    ),
+    (
+        RowValidationReport,
+        ("mismatches",),
+        ((RowMismatch(*_MISMATCH),),),
+        ((),),
+    ),
+]
+
+_IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+
+def _hashable(values) -> bool:
+    try:
+        hash(values)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("cls, names, values, changed", RECORDS, ids=_IDS)
+def test_equal_fields_give_equal_records_with_equal_hashes(cls, names, values, changed):
+    a, b = cls(*values), cls(*values)
+    assert a == b and not a != b
+    if _hashable(values):
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    else:  # a field holds a dict: unhashable, as the field values are
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+@pytest.mark.parametrize("cls, names, values, changed", RECORDS, ids=_IDS)
+def test_a_changed_field_or_another_class_compares_unequal(cls, names, values, changed):
+    a = cls(*values)
+    assert a != cls(*changed) and not a == cls(*changed)
+    assert a != values
+    for other, _, other_values, _ in RECORDS:
+        if other is not cls:
+            assert a != other(*other_values)
+
+
+@pytest.mark.parametrize("cls, names, values, changed", RECORDS, ids=_IDS)
+def test_keyword_and_positional_construction_agree(cls, names, values, changed):
+    record = cls(**dict(zip(names, values)))
+    assert record == cls(*values)
+    assert all(getattr(record, name) == value for name, value in zip(names, values))
+
+
+@pytest.mark.parametrize("cls, names, values, changed", RECORDS, ids=_IDS)
+def test_repr_names_every_field_in_order(cls, names, values, changed):
+    record = cls(*values)
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
+    assert repr(record) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize("cls, names, values, changed", RECORDS, ids=_IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls, names, values, changed):
+    record = cls(*values)
+    for name, value in zip(names, changed):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == cls(*values)
+
+
+@pytest.mark.parametrize("cls, names, values, changed", RECORDS, ids=_IDS)
+def test_records_survive_copy_and_pickle(cls, names, values, changed):
+    record = cls(*values)
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record
+
+
+def test_records_refuse_a_float_and_take_exact_values():
+    """A float stands for its binary value (0.1 would become
+    3602879701896397/36028797018963968), so the rational records refuse it
+    and name it; ints, Fractions and strings such as "1/2" stay exact."""
+    for make, value in (
+        (lambda: explicit_poly([0.1]), "0.1"),
+        (lambda: explicit_poly([1, 0.5]), "0.5"),
+        (lambda: Interval(0.1, 1), "0.1"),
+        (lambda: Interval(Fraction(0), 0.25), "0.25"),
+        (lambda: Interval.point(0.5), "0.5"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(f"{value} is a float")):
+            make()
+    assert explicit_poly([1, "1/2", Fraction(-3, 4)]).coeffs == (
+        Fraction(1),
+        Fraction(1, 2),
+        Fraction(-3, 4),
+    )
+    assert Interval("1/3", 1) == Interval(Fraction(1, 3), Fraction(1))
+    assert Interval.point("-2/7").scale(-7).shift("1/2") == Interval.point(Fraction(5, 2))
