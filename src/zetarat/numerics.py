@@ -37,6 +37,8 @@ def integer_form(*lists: Sequence[Rat]) -> tuple[int, list[list[int]]]:
     over one denominator, L the lcm of every denominator in the lists
     (1 when they hold no value)."""
     L = lcm(*(v.denominator for u in lists for v in u))
+    if L == 1:
+        return L, [[v.numerator for v in u] for u in lists]
     return L, [[v.numerator * (L // v.denominator) for v in u] for u in lists]
 
 
@@ -309,7 +311,7 @@ def render_decimal(alpha: RatLike, beta: RatLike, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = as_rational(alpha), as_rational(beta)
     if alpha == 0:
         return _round_half_even(beta, digits)
     deeper = min(digits + 8 + decimal_length(alpha.numerator), DIGIT_BUDGET)
@@ -374,7 +376,7 @@ def decimal_upper_sci(x: Rat) -> str:
 
     Exact integer arithmetic throughout; for x = 0 returns \"0\".
     """
-    x = Fraction(x)
+    x = as_rational(x)
     if x < 0:
         raise ValueError("x must be >= 0")
     if x == 0:

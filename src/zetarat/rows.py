@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
 from .numerics import Rat, Record, integer_form
 from .polynomials import PolySpec, coefficient_triple
@@ -40,11 +40,6 @@ class TranscriptionVariant(Enum):
 
     PLAIN_POWERS = "no-h"        # inverse powers, innermost index from 1
     HARMONIC_WEIGHTS = "with-h"  # harmonic-number weights, index from 0
-
-
-def _s(a: Sequence[Rat], b: Sequence[Rat], c: Sequence[Rat], mu: int, nu: int, lam: int) -> Rat:
-    """Cyclic symbol S_{mu,nu,lam} of the coefficient lists a, b, c."""
-    return a[mu] * b[nu] * c[lam] + b[mu] * c[nu] * a[lam] + c[mu] * a[nu] * b[lam]
 
 
 def coefficient_rows(
@@ -87,27 +82,29 @@ def row_numerators(
               of f(x) in the second divided difference f[i,l,r].
 
     The order enters only through the exponent e of x^-e.  With
-    [W]_e = sum_{x=1..n} W_x x^-e, H = H_x, H2 = H_x^(2), H3 = H_x^(3) and
+    [V]_e = sum_{x=1..n} V_x x^-e, H = H_x, H2 = H_x^(2), H3 = H_x^(3),
+    W = Z/x + E + Y and
 
-        K_j(A, D, Z, E) = C(j-1,2) [A]_j + [(j-2) D + Z]_(j-1) + [E]_(j-2),
+        K_j(A, D, W) = C(j-1,2) [A]_j + (j-2) [D]_(j-1) + [W]_(j-2),
 
     the order-q row is
 
         coeff(zeta(q))   = a_0 b_0 c_0
         coeff(zeta(q-1)) = [C]_1
         coeff(zeta(q-j)) = (-1)^(j-1) G_j,  j = 2..q-2, the same for every q,
-        G_j              = K_j(A, D, Z, E) + triple_j   (triple_2 = 0)
+        G_j              = K_j(A, D, W)
         coeff(zeta(3))  += (-1)^(q-3) [A]_(q-3)
         coeff(zeta(2))  += (-1)^(q-3) ([(q-3) A]_(q-2) + [D]_(q-3))
-        constant         = (-1)^q K_(q-1)(HA, HD + H2 A, HZ, H(E + Y) + H3 A + H2 D).
+        constant         = (-1)^q K_(q-1)(HA, HD + H2 A, HW + H3 A + H2 D),
 
-    PLAIN_POWERS reads the triple block as triple_j = [Y]_(j-2), the
-    divided difference of f(x) = x^-(j-2) over r > l > i >= 1.
+    six power sums in all.  PLAIN_POWERS reads the triple block as the
+    [Y]_(j-2) inside G_j, the divided difference of f(x) = x^-(j-2) over
+    r > l > i >= 1; at j = 2 it is [Y]_0 = 0, as f is constant.
     HARMONIC_WEIGHTS reads it with f(x) = H_x x^-(j-2) over r > l >= 2,
-    i >= 0, which adds the i = 0 slice: triple_j = [HY]_(j-2) + [H Z']_(j-1),
-    Z' being Z restricted to l >= 2.  PLAIN_POWERS reproduces the oracle
-    exactly; HARMONIC_WEIGHTS can diverge from it from degree 3 and
-    order 5 on.
+    i >= 0, which adds the i = 0 slice: G_2 = K_2(A, D, W - Y) and, for
+    j >= 3, G_j = K_j(A, D, W - Y) + [H (Y + Z'/x)]_(j-2), Z' being Z
+    restricted to l >= 2.  PLAIN_POWERS reproduces the oracle exactly;
+    HARMONIC_WEIGHTS can diverge from it from degree 3 and order 5 on.
     """
     if s < 3:
         raise ValueError("closed-form rows need order >= 3")
@@ -122,17 +119,11 @@ def row_numerators(
     L, (a, b, c) = integer_form(fa, fb, fc)
     M = lcm(*xs)
     inv = [0] + [M // x for x in xs]  # M/x
-
-    def dot(u, v):
-        return sum(map(mul, u, v))
-
-    A = [0] + [a[x] * b[x] * c[x] for x in xs]
-    C = [0] + [_s(a, b, c, 0, 0, x) for x in xs]
-    B = [0] + [_s(a, b, c, 0, x, x) for x in xs]
-    # D and E start from the l = 0 slice of the doubles: S_xx0 = S_0xx = B_x
-    D = [0] + [-B[x] * inv[x] for x in xs]
-    E = [0] + [(C[x] - B[x]) * inv[x] ** 2 for x in xs]
-    Z, Y, Zh = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    # Pair products: S_mu,mu,lam = ab_mu c_lam + bc_mu a_lam + ca_mu b_lam.
+    ab, bc, ca = list(map(mul, a, b)), list(map(mul, b, c)), list(map(mul, c, a))
+    a0, b0, c0 = a[0], b[0], c[0]
+    A, D, E, Z, Y, Zh = ([0] * (n + 1) for _ in range(6))
+    C1 = 0  # [C]_1
     with_h = variant is TranscriptionVariant.HARMONIC_WEIGHTS
     # Triples: S_irl + S_ilr = a_i pa + b_i pb + c_i pc, p = (pa, pb, pc)
     # depending on (r, l) only, and
@@ -143,90 +134,96 @@ def row_numerators(
     # with l and serves the f(r) slot.
     near = [None] * (n + 1)
     for r in xs:
-        near_r = (0, 0, 0)
+        ar, br, cr, t = a[r], b[r], c[r], inv[r]
+        A[r] = ab[r] * cr
+        # C_r = S_00r; D and E start from the l = 0 slice, S_rr0 = S_0rr = B
+        C, B = bc[0] * ar + ca[0] * br + ab[0] * cr, a0 * bc[r] + b0 * ca[r] + c0 * ab[r]
+        D[r] -= B * t
+        E[r] += (C - B) * t * t
+        C1 += C * t
+        na = nb = nc = 0  # near_r
         for l in range(1, r):
             d = inv[r - l]
-            s_llr, s_rrl = _s(a, b, c, l, l, r), _s(a, b, c, r, r, l)
+            al, bl, cl = a[l], b[l], c[l]
+            s_llr = ab[l] * cr + bc[l] * ar + ca[l] * br
+            s_rrl = ab[r] * cl + bc[r] * al + ca[r] * bl
             D[l] += d * s_llr
             D[r] -= d * s_rrl
             m = d * d * (s_llr - s_rrl)
             E[r] += m
             E[l] -= m
-            p = (
-                b[r] * c[l] + b[l] * c[r],
-                c[r] * a[l] + c[l] * a[r],
-                a[r] * b[l] + a[l] * b[r],
-            )
-            z = d * (a[0] * p[0] + b[0] * p[1] + c[0] * p[2])
+            pa, pb, pc = br * cl + bl * cr, cr * al + cl * ar, ar * bl + al * br
+            z = d * (a0 * pa + b0 * pb + c0 * pc)
             Z[r] += z
             Z[l] -= z
             if with_h and l > 1:
                 Zh[r] += z
                 Zh[l] -= z
-            Y[r] += d * dot(p, near_r)
-            Y[l] -= d * dot(p, near[l])
-            near_r = (near_r[0] + a[l] * d, near_r[1] + b[l] * d, near_r[2] + c[l] * d)
-        near[r] = near_r
-    # The f(i) slot: sum_{r>l>i} (a_i pa + b_i pb + c_i pc)/((r-i)(l-i)),
-    # where sum_{r>l} (u_r v_l + u_l v_r) = sum(u) sum(v) - sum(u v).
-    for i in xs:
-        ua, ub, uc = ([v[x] * inv[x - i] for x in range(i + 1, n + 1)] for v in (a, b, c))
-        ta, tb, tc = sum(ua), sum(ub), sum(uc)
-        Y[i] += (
-            a[i] * (tb * tc - dot(ub, uc))
-            + b[i] * (tc * ta - dot(uc, ua))
-            + c[i] * (ta * tb - dot(ua, ub))
-        )
-    cols = [[0] + [1] * n]  # cols[e][x] = (M/x)^e, and 0 at x = 0
-    for _ in range(1, s):
-        cols.append(list(map(mul, cols[-1], inv)))
-
-    def sums(W, h=None):
-        """[W]_e for e = 0..s-1, each W_x first multiplied by h[x] if given."""
-        if h is not None:
-            W = list(map(mul, W, h))
-        return [sum(map(mul, W, col)) for col in cols]
-
-    def block(j, sA, sD, sZ, sE):  # K_j, weight j
-        return (
-            (j - 1) * (j - 2) // 2 * sA[j] + (j - 2) * sD[j - 1] + sZ[j - 1] + sE[j - 2]
-        )
-
-    H, H2, H3 = ([0] * (n + 1) for _ in range(3))
+            ma, mb, mc = near[l]
+            Y[r] += d * (pa * na + pb * nb + pc * nc)
+            Y[l] -= d * (pa * ma + pb * mb + pc * mc)
+            na, nb, nc = na + al * d, nb + bl * d, nc + cl * d
+        near[r] = (na, nb, nc)
+    # Per x, the f(i) slot at i = x: sum_{r>l>i} (a_i pa + b_i pb + c_i pc)
+    # /((r-i)(l-i)), as sum_{r>l} (u_r v_l + u_l v_r) = sum(u) sum(v) - sum(u v)
+    # over u_r = a_r/(r-i) and the like (empty at i = n); then the six power
+    # sums [V]_e = sum_x V_x (M/x)^e, e < s - 1, and [HA]_(s-1), walking up
+    # the powers of M/x.  [Z]_(e+1) is [Z M/x]_e, so W takes in Z;
+    # HARMONIC_WEIGHTS keeps Y out of W and sums its triple block apart.
+    pA, pD, pW, hA, hDA, hW, tri = ([0] * s for _ in range(7))
+    H = H2 = H3 = 0
     for x in xs:
-        H[x], H2[x], H3[x] = H[x - 1] + inv[x], H2[x - 1] + inv[x] ** 2, H3[x - 1] + inv[x] ** 3
-    pA, pD, pZ, pE = sums(A), sums(D), sums(Z), sums(E)
-    hA, hZ = sums(A, H), sums(Z, H)
-    hDA = sums([H[x] * D[x] + H2[x] * A[x] for x in range(n + 1)])
-    hEY = sums([H[x] * (E[x] + Y[x]) + H3[x] * A[x] + H2[x] * D[x] for x in range(n + 1)])
+        y = Y[x]
+        if x < n:
+            ta = tb = tc = sbc = sca = sab = 0
+            for r in range(x + 1, n + 1):
+                d = inv[r - x]
+                ta, tb, tc = ta + a[r] * d, tb + b[r] * d, tc + c[r] * d
+                d *= d
+                sbc, sca, sab = sbc + bc[r] * d, sca + ca[r] * d, sab + ab[r] * d
+            y += a[x] * (tb * tc - sbc) + b[x] * (tc * ta - sca) + c[x] * (ta * tb - sab)
+        t = inv[x]
+        H, H2, H3 = H + t, H2 + t * t, H3 + t**3
+        vA, vD, w = A[x], D[x], Z[x] * t + E[x]
+        uA, uD, uW = H * vA, H * vD + H2 * vA, H * (w + y) + H3 * vA + H2 * vD
+        if with_h:
+            v = H * (y + Zh[x] * t)
+            for e in range(1, s - 3):
+                v *= t
+                tri[e] += v
+        else:
+            w += y
+        for e in range(s - 1):
+            pA[e] += vA
+            pD[e] += vD
+            pW[e] += w
+            hA[e] += uA
+            hDA[e] += uD
+            hW[e] += uW
+            vA, vD, w, uA, uD, uW = vA * t, vD * t, w * t, uA * t, uD * t, uW * t
+        hA[s - 1] += uA
     # num[j] over L^3 M^wt[j] is the coefficient G_j of zeta(q - j) up to
     # sign; j = 0 and 1 hold the lead and sub-lead.  HARMONIC_WEIGHTS's
     # triple block carries one more H, so its G_j, j >= 3, have weight j + 1.
-    num = [a[0] * b[0] * c[0], sum(C[x] * inv[x] for x in xs)]
-    num += [block(j, pA, pD, pZ, pE) for j in range(2, s - 1)]
-    wt = list(range(s - 1))
-    if with_h:
-        tri, tri0 = sums(Y, H), sums(Zh, H)
-        for j in range(3, s - 1):
-            num[j] = num[j] * M + tri[j - 2] + tri0[j - 1]
-            wt[j] += 1
-    else:
-        tri = sums(Y)
-        for j in range(3, s - 1):
-            num[j] += tri[j - 2]
+    wt = [j + 1 if with_h and j >= 3 else j for j in range(s - 1)]
+    num = [ab[0] * c0, C1]
+    for j in range(2, s - 1):
+        g = (j - 1) * (j - 2) // 2 * pA[j] + (j - 2) * pD[j - 1] + pW[j - 2]
+        num.append(g * M + tri[j - 2] if wt[j] > j else g)
+    # zeta(q - j) carries (-1)^(j-1) G_j from j = 2 on.
+    signed = [v if j < 2 or j % 2 else -v for j, v in enumerate(num)]
     Mw = [M**w for w in range(s + 1)]
+    L3 = L**3
     rows = {}
     for q in range(3, s + 1):
-        zeta = [v if j < 2 or j % 2 else -v for j, v in enumerate(num[: q - 1])]
+        zeta = signed[: q - 1]
         sign = -1 if q % 2 == 0 else 1  # (-1)^(q-3)
         # Extra blocks of weight q - 3 on zeta(3) and q - 2 on zeta(2).
         zeta[q - 3] += sign * pA[q - 3] * Mw[wt[q - 3] - (q - 3)]
         zeta[q - 2] += sign * ((q - 3) * pA[q - 2] + pD[q - 3]) * Mw[wt[q - 2] - (q - 2)]
-        const = -sign * block(q - 1, hA, hDA, hZ, hEY)  # weight q
+        const = -sign * ((q - 2) * (q - 3) // 2 * hA[q - 1] + (q - 3) * hDA[q - 2] + hW[q - 3])
         # over L^3 M^q: each zeta numerator, of weight wt[j], times M^(q - wt[j])
-        rows[q] = (
-            L**3 * Mw[q], const, {q - j: v * Mw[q - wt[j]] for j, v in enumerate(zeta)}
-        )
+        rows[q] = (L3 * Mw[q], const, {q - j: v * Mw[q - wt[j]] for j, v in enumerate(zeta)})
     return rows
 
 
@@ -314,12 +311,13 @@ def validate_rows(
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> RowValidationReport:
     """Compare every closed-form row of order 3..s_max against the exact
-    partial-fraction oracle, component by component (row_mismatches).
-    Both integer kernels run once."""
+    partial-fraction oracle: when the two kernels, run once each, give the
+    same integers there is nothing to compare; else row_mismatches per order."""
     if s_max < 3:
         raise ValueError("s_max must be >= 3")
     oracle = oracle_numerators(P, Q, T, s_max)
-    rows = row_numerators(P, Q, T, s_max, variant).items()
-    return RowValidationReport(
-        tuple(m for order, row in rows for m in row_mismatches(order, row, oracle[order]))
+    rows = row_numerators(P, Q, T, s_max, variant)
+    mismatches = () if rows == oracle else tuple(
+        m for order, row in rows.items() for m in row_mismatches(order, row, oracle[order])
     )
+    return RowValidationReport(mismatches)

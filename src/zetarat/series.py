@@ -124,62 +124,59 @@ def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int
     deg = max(map(len, polys)) - 1
     L, ints = integer_form(*polys)
     M = lcm(*range(1, deg + 1))
-
-    def laurent(u: list[int], rho: int) -> tuple[int, int, int]:
-        """L x_-1, L M x_0 and L M^2 x_1 of sum_r u_r/(m+r) at m = -rho."""
-        x0 = x1 = 0
-        for r, v in enumerate(u):
-            if v and r != rho:
-                w = M // (r - rho)
-                x0 += v * w
-                x1 -= v * w * w
-        return (u[rho] if rho < len(u) else 0), x0, x1
-
-    # at_m[j]: weight on 1/m^j; poles[rho]: weights on (m+rho)^-1..-3.
-    at_m: list[int] = [0]
-    poles: dict[int, list[int]] = {}
-    for rho in range(deg + 1):
-        (a, a0, a1), (b, b0, b1), (c, c0, c1) = (laurent(u, rho) for u in ints)
-        ab = a * b
-        part = [
-            ab * c1 + a * b1 * c + a1 * b * c + a * b0 * c0 + a0 * b * c0 + a0 * b0 * c,
-            ab * c0 + (a * b0 + a0 * b) * c,
-            ab * c,
-        ]
+    # L x_-1, L M x_0 and L M^2 x_1 of each factor at m = -rho, from each
+    # pair r > rho once: M/(r-rho) serves both, with opposite signs.
+    a, b, c = (u + [0] * (deg + 1 - len(u)) for u in ints)
+    a0, a1, b0, b1, c0, c1 = ([0] * (deg + 1) for _ in range(6))
+    for rho in range(deg):
+        for r in range(rho + 1, deg + 1):
+            w = M // (r - rho)
+            w2 = w * w
+            for u, u0, u1 in ((a, a0, a1), (b, b0, b1), (c, c0, c1)):
+                u0[rho] += u[r] * w
+                u0[r] -= u[rho] * w
+                u1[rho] -= u[r] * w2
+                u1[r] -= u[rho] * w2
+    # at_m[j]: weight on 1/m^j.  poles: for every rho > 0 with a nonzero
+    # principal part, its weights on (m+rho)^-1..-3, M/rho and
+    # (M H_rho, M^2 H_rho^(2), M^3 H_rho^(3)).
+    at_m, poles, h = [0], [], (0, 0, 0)
+    for rho, (x, x0, x1, y, y0, y1, z, z0, z1) in enumerate(zip(a, a0, a1, b, b0, b1, c, c0, c1)):
+        xy, t = x * y, x * y0 + x0 * y
+        part = (xy * z1 + (x * y1 + x1 * y + x0 * y0) * z + t * z0, xy * z0 + t * z, xy * z)
         if rho == 0:
             at_m += part
-        elif any(part):
-            poles[rho] = part
+            continue
+        w = M // rho
+        h = (h[0] + w, h[1] + w * w, h[2] + w**3)
+        if any(part):
+            poles.append((part, w, h))
     # Dividing by m keeps the 1/m and 1/(m+rho) weights cancelling: the new
     # 1/m weight is minus the sum of the new (m+rho)^-1 weights.
-    if at_m[1] + sum(part[0] for part in poles.values()):
+    if at_m[1] + sum(part[0] for part, _, _ in poles):
         raise InternalError("1/m residues failed to cancel (series would diverge)")
-    # harm[rho][i-1] = M^i H_rho^(i)
-    harm, h = {}, (0, 0, 0)
-    for k in range(1, max(poles, default=0) + 1):
-        w = M // k
-        h = (h[0] + w, h[1] + w * w, h[2] + w**3)
-        harm[k] = h
-    Mw = [M**w for w in range(s + 1)]
+    # Each pole's weights after q - 3 divisions by m, summed per order q.
+    orders = range(3, s + 1)
+    residue, z2, z3, constant = ([0] * (s + 1) for _ in range(4))
+    for (n1, n2, n3), w, (h1, h2, h3) in poles:
+        for q in orders:
+            if q > 3:  # divided by m once more
+                n3 = -n3 * w
+                n2 = (n3 - n2) * w
+                n1 = (n2 - n1) * w
+                residue[q] -= n1
+            z2[q] += n2
+            z3[q] += n3
+            constant[q] -= n1 * h1 + n2 * h2 + n3 * h3
+    den, Mw = L**3, [M**w for w in range(s + 1)]
     out: dict[int, IntCombination] = {}
-    for q in range(3, s + 1):
+    for q in orders:
         if q > 3:
-            residue = 0
-            for rho, (n1, n2, n3) in poles.items():
-                w = M // rho
-                t3 = n3 * w
-                t2 = (n2 + t3) * w
-                t1 = (n1 + t2) * w
-                residue += t1
-                poles[rho] = [-t1, -t2, -t3]
-            at_m.insert(1, residue)
-        zeta = at_m[:]
-        constant = 0
-        for rho, part in poles.items():
-            for i, v in enumerate(part, 1):
-                zeta[i] += v
-                constant -= v * harm[rho][i - 1]
-        out[q] = (L**3 * Mw[q], constant, {j: zeta[j] * Mw[j] for j in range(2, q + 1)})
+            at_m.insert(1, residue[q])
+        zeta = {j: at_m[j] * Mw[j] for j in range(2, q + 1)}
+        zeta[2] += z2[q] * Mw[2]
+        zeta[3] += z3[q] * Mw[3]
+        out[q] = (den * Mw[q], constant[q], zeta)
     return out
 
 
@@ -304,8 +301,8 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     L_t = lcm(n+1..n+K+deg T), deg T not counting T's trailing zero
     coefficients, and L_T the lcm of T's denominators; and
     (k+1)^-(q-3) is (L_k/(k+1))^(q-3) over L_k^(q-3), L_k = lcm(n+1..n+K).
-    Walking k down from n+K-1, C(k,n) and g(k) each change by one exact
-    factor per step.
+    Walking k down from n+K-1, X = C(k,n) g(k)^2 is one integer, which
+    changes by the exact factor (k-n)(k+n+1)^2/k^3 per step.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -324,17 +321,16 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     Lt = lcm(*range(n + 1, k0 + len(ct)))
     Lk = lcm(*range(n + 1, k0 + 1))
     totals = [0] * len(orders)
-    binom, g = comb(k0 - 1, n), factorial(k0 - 1)  # C(k,n) and g(k) at k = k0 - 1
+    X = comb(k0 - 1, n) * factorial(k0 - 1) ** 2  # C(k,n) g(k)^2 at k = k0 - 1
     for k in range(k0 - 1, n - 1, -1):
         tk = sum(cv * (Lt // (k + 1 + i)) for i, cv in enumerate(ct) if cv)
         if tk:
-            term = binom * g * g * tk
+            term = X * tk
             step = Lk // (k + 1)
             for j in range(len(orders)):
                 totals[j] += term
                 term *= step
-        binom = binom * (k - n) // k
-        g = g * (k + n + 1) // k
+        X = X * ((k - n) * (k + n + 1) ** 2) // k**3
     den = factorial(2 * n + K) ** 2 * Lt * LT
     scale = factorial(n) ** 2
     tail = (n + 1) * cstar * beta_rat(n, k0 + 1) / (k0 + n + 1)

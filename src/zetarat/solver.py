@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .numerics import InternalError, Rat, RatLike, Record
+from .numerics import InternalError, Rat, RatLike, Record, as_rational
 from .polynomials import PolyFamily, PolySpec, pad_to_degree
 from .rows import row_numerators
 from .series import IntCombination, special_series_enclosures
@@ -112,29 +112,37 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
 # ---------------------------------------------------------------- solving
 
 
+def _column_reduced(system: TriangularSystem) -> tuple[list[int], list[list[int]]]:
+    """(g, B) for both routes: g_c > 0 is the gcd of column c (the zeta(s - c)
+    numerators, zero below row c), and B the numerators, column c over g_c."""
+    s, rows = system.s, system.rows
+    g = [gcd(*(rows[r][2].get(s - c, 0) for r in range(c + 1))) for c in range(len(rows))]
+    return g, [[zeta.get(s - c, 0) // gc for c, gc in enumerate(g)] for _, _, zeta in rows]
+
+
 def _solve_back_substitution(
     system: TriangularSystem,
 ) -> tuple[Rat, Rat, dict[int, Rat]]:
     """First row y of A^-1 by substitution on y^T A = e_0^T, column by
-    column, run on z_nu = y_nu / D_nu over the rows' numerators b_nu = D_nu a_nu:
-    z_0 = 1/b_00 and z_c = -sum_{nu<c} z_nu b_nu,c / b_cc.
+    column, run on z_nu = g_0 y_nu / D_nu over the column-reduced rows B,
+    as z^T B = e_0^T: z_0 = 1/B_00 and z_c = -sum_{nu<c} z_nu B_nu,c / B_cc.
 
     Row nu of A is the order-(s - nu) row and column c carries zeta(s - c),
-    so w_(s-nu) = y_nu = z_nu D_nu, alpha = -sum z_nu b_nu,zeta(2) and
-    beta = -sum z_nu const_nu.  Only orders reached from s through nonzero
-    entries carry a weight.
+    so w_(s-nu) = y_nu = z_nu D_nu / g_0, and alpha and beta are -sum z_nu
+    b_nu / g_0 over the rows' zeta(2) and constant numerators b_nu.  Only
+    orders reached from s through nonzero entries carry a weight.
     """
     s = system.s
-    scale, consts, b = zip(*system.rows)
-    z: dict[int, Rat] = {0: Fraction(1, b[0][s])}
+    scale, consts, ints = zip(*system.rows)
+    g, b = _column_reduced(system)
+    z: dict[int, Rat] = {0: Fraction(1, b[0][0])}
     for c in range(1, len(b)):
-        p = s - c
-        terms = [z_nu * b[nu][p] for nu, z_nu in z.items() if b[nu].get(p)]
+        terms = [z_nu * b[nu][c] for nu, z_nu in z.items() if b[nu][c]]
         if terms:
-            z[c] = -sum(terms, Fraction(0)) / b[c][p]
-    alpha = -sum((z_nu * b[nu].get(2, 0) for nu, z_nu in z.items()), Fraction(0))
-    beta = -sum((z_nu * consts[nu] for nu, z_nu in z.items()), Fraction(0))
-    return alpha, beta, {s - nu: z_nu * scale[nu] for nu, z_nu in z.items()}
+            z[c] = -sum(terms, Fraction(0)) / b[c][c]
+    alpha = -sum((z_nu * ints[nu].get(2, 0) for nu, z_nu in z.items()), Fraction(0)) / g[0]
+    beta = -sum((z_nu * consts[nu] for nu, z_nu in z.items()), Fraction(0)) / g[0]
+    return alpha, beta, {s - nu: z_nu * scale[nu] / g[0] for nu, z_nu in z.items()}
 
 
 def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
@@ -148,10 +156,9 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     the upper Hessenberg matrix H made of rows 0..size-2 and columns
     1..size-1 of A.  So w_(s-nu) = (-1)^nu det H_nu / prod_{r<=nu} a_rr.
 
-    The leading minors run on integers: row nu's numerators are row nu
-    times its denominator D_nu, and column c is divided by its content g_c,
-    giving B = diag(D) A diag(1/g).  One recurrence along the last column
-    gives every leading minor of the Hessenberg block of B,
+    The leading minors run on the integers of the column-reduced rows,
+    B = diag(D) A diag(1/g).  One recurrence along the last column gives
+    every leading minor of the Hessenberg block of B,
 
         det H_k = sum_{i=1..k} (-1)^(k-i) b_(i-1,k) (prod_{j=i..k-1} b_jj) det H_(i-1),
 
@@ -160,10 +167,7 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     s = system.s
     scale, consts, ints = zip(*system.rows)
     size = len(ints)
-    content = [gcd(*(ints[r].get(s - c, 0) for r in range(c + 1))) for c in range(size)]
-    b = [
-        [ints[r].get(s - c, 0) // g for c, g in enumerate(content)] for r in range(size)
-    ]
+    content, b = _column_reduced(system)
     dets = [1]  # det H_0, det H_1, ..., det H_(size-1)
     for k in range(1, size):
         acc = 0
@@ -204,7 +208,7 @@ def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) ->
     for order in range(3, s + 1):
         if order not in theta_bounds:
             raise ValueError(f"missing theta bound for order {order}")
-        b = Fraction(theta_bounds[order])
+        b = as_rational(theta_bounds[order])
         if b < 0:
             raise ValueError(f"theta bound for order {order} is negative")
         bounds[order] = b
@@ -244,7 +248,7 @@ def theta_bound(n: int, cstar: RatLike, s: int) -> Rat:
         raise ValueError("n must be >= 1")
     if s < 3:
         raise ValueError("s must be >= 3")
-    cstar = Fraction(cstar)
+    cstar = as_rational(cstar)
     if cstar < 0:
         raise ValueError("cstar must be >= 0")
     return cstar * Fraction(1, 4**n)

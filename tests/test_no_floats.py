@@ -25,6 +25,7 @@ INTEGER_KERNELS = (
     ("series.py", "oracle_numerators"),
     ("series.py", "special_series_enclosures"),
     ("series.py", "_integral_scaffold"),
+    ("solver.py", "_column_reduced"),
     ("solver.py", "_solve_cramer"),
 )
 

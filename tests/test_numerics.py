@@ -3,6 +3,7 @@ rendering."""
 from __future__ import annotations
 
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -459,3 +460,19 @@ def test_exact_text_of_integers_and_rationals_past_the_int_str_limit():
 def test_decimal_upper_sci_rejects_negatives():
     with pytest.raises(ValueError):
         decimal_upper_sci(Fraction(-1))
+
+
+def test_rendering_entry_points_refuse_a_float():
+    """A float stands for its binary value: render_decimal(0.1, 0, 20) used
+    to print 0.16449340668482265278, where 0.1 zeta(2) is
+    0.16449340668482264365.  Each float is refused by name; a string such
+    as "1/10" stays exact."""
+    for call, value in (
+        (lambda: render_decimal(0.1, 0, 20), "0.1"),
+        (lambda: render_decimal(1, 0.5, 20), "0.5"),
+        (lambda: decimal_upper_sci(0.1), "0.1"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(f"{value} is a float")):
+            call()
+    assert render_decimal("1/10", 0, 20) == "0.16449340668482264365"
+    assert decimal_upper_sci("1/10") == "1.00e-01"

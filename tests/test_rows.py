@@ -309,6 +309,65 @@ def test_validate_rows_builds_no_fraction_when_all_equal(monkeypatch):
         Fraction(1, 2)  # the patch itself takes hold
 
 
+def test_validate_rows_reports_an_equal_pair_without_comparing_components(monkeypatch):
+    """When both kernels return the same integers, the report is empty and
+    no component is compared: row_mismatches, made to raise, never runs."""
+
+    def refuse(*args):
+        raise AssertionError("row_mismatches ran on an all-equal trial")
+
+    monkeypatch.setattr(rows_module, "row_mismatches", refuse)
+    rng = random.Random(5)
+    for _ in range(40):
+        P, Q, T = _random_triple(rng, rng.randint(1, 3))
+        assert validate_rows(P, Q, T, rng.randint(3, 9)).mismatches == ()
+
+
+def _scaled(combination, k):
+    den, constant, zeta = combination
+    return k * den, k * constant, {p: k * v for p, v in zeta.items()}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.integers(3, 9), st.integers(2, 10**12), st.data())
+def test_validate_rows_compares_values_when_the_integers_differ(rng, s, k, data):
+    """An oracle scaled by k > 1 has other integers but the same values:
+    the check falls through to row_mismatches for every order and reports
+    nothing.  A row with 1 added to one numerator reports exactly that
+    component."""
+    P, Q, T = _random_triple(rng, rng.randint(1, 3))
+    oracle = oracle_numerators(P, Q, T, s)
+    rows = row_numerators(P, Q, T, s)
+    scaled = {q: _scaled(v, k) for q, v in oracle.items()}
+    compared = []
+
+    def counted(order, row, other):
+        compared.append(order)
+        return row_mismatches(order, row, other)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rows_module, "oracle_numerators", lambda *args: scaled)
+        m.setattr(rows_module, "row_mismatches", counted)
+        assert validate_rows(P, Q, T, s).mismatches == ()
+    assert compared == list(range(3, s + 1))
+    order = data.draw(st.integers(3, s))
+    (den, constant, zeta), (y, x, want) = rows[order], oracle[order]
+    p = data.draw(st.sampled_from([None, *sorted(zeta)]))
+    if p is None:
+        bumped = (den, constant + 1, zeta)
+        expected = RowMismatch(
+            order, "constant", None, Fraction(constant + 1, den), Fraction(x, y)
+        )
+    else:
+        bumped = (den, constant, {**zeta, p: zeta[p] + 1})
+        expected = RowMismatch(
+            order, "zeta", p, Fraction(zeta[p] + 1, den), Fraction(want.get(p, 0), y)
+        )
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rows_module, "row_numerators", lambda *args: {**rows, order: bumped})
+        assert validate_rows(P, Q, T, s).mismatches == (expected,)
+
+
 #: Rationals with zeros and non-integers.
 _CHECK_RATIONALS = st.one_of(
     st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))

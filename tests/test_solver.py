@@ -264,6 +264,42 @@ def _routes_match_the_reference(system):
     assert _solve_cramer(system) == reference.solve_cramer(system)
 
 
+#: Large common factors of a column: powers of 2 and 3 times a large prime.
+_column_factors = st.builds(
+    lambda e2, e3, p: 2**e2 * 3**e3 * p,
+    st.integers(0, 90),
+    st.integers(0, 60),
+    st.sampled_from((1, 2**61 - 1, 2**127 - 1)),
+)
+
+
+@st.composite
+def _systems_with_large_column_factors(draw):
+    """_random_systems with each column c, the zeta(s - c) entries of rows
+    0..c, multiplied by a factor f_c of up to about 370 bits."""
+    system = draw(_random_systems(max_s=10, numerators=st.one_of(st.just(0), _numerators)))
+    s = system.s
+    factors = [draw(_column_factors) for _ in range(s - 2)]
+    rows = tuple(
+        (den, constant, {p: v * factors[s - p] if p > 2 else v for p, v in zeta.items()})
+        for den, constant, zeta in system.rows
+    )
+    return TriangularSystem(s, system.n, system.T, rows), factors
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_systems_with_large_column_factors())
+def test_solve_routes_equal_the_reference_on_columns_with_large_common_factors(case):
+    """Both routes divide column c by its content g_c, which f_c divides,
+    and still return exactly the reference values."""
+    system, factors = case
+    contents, reduced = solver_module._column_reduced(system)
+    assert all(g % f == 0 for g, f in zip(contents, factors))
+    assert all(row[c] * g == system.rows[r][2].get(system.s - c, 0)
+               for r, row in enumerate(reduced) for c, g in enumerate(contents))
+    _routes_match_the_reference(system)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(system=_random_systems(max_s=12, numerators=st.one_of(st.just(0), _numerators)))
 def test_solve_routes_equal_the_reference_on_sparse_random_systems(system):
@@ -319,6 +355,19 @@ def test_theta_total_folds_weights_and_bounds():
 
 
 # ------------------------------------------------------------ theta bounds
+
+
+def test_theta_entry_points_refuse_a_float():
+    """A float stands for its binary value: theta_bound(1, 0.1, 3) used to
+    return 3602879701896397/144115188075855872.  A float cstar or theta
+    bound is refused by name; a string such as "1/10" stays exact."""
+    _, _, _, system = _structured_system(2, 4)
+    with pytest.raises(TypeError, match=re.escape("0.1 is a float")):
+        theta_bound(1, 0.1, 3)
+    with pytest.raises(TypeError, match=re.escape("0.25 is a float")):
+        solve_zeta(system, {3: Fraction(1, 7), 4: 0.25})
+    assert theta_bound(1, "1/10", 3) == Fraction(1, 40)
+    assert solve_zeta(system, {3: "1/7", 4: 1}) == solve_zeta(system, {3: Fraction(1, 7), 4: 1})
 
 
 def test_theta_bound_frozen_values():
