@@ -307,14 +307,18 @@ def render_decimal(alpha: RatLike, beta: RatLike, digits: int) -> str:
     even).  Otherwise the zeta(2) enclosure is refined until both endpoints
     round to the same string, which is then correct by containment.  Scaling
     by |alpha| < 10^L widens the enclosure up to 10^L times, so the first
-    enclosure is taken L digits deeper, as far as the budget allows.
+    enclosure is taken L digits deeper, as far as the budget allows, with
+    L = len(numerator) - len(denominator) + 1 (at least 0): the numerator
+    is below 10^len(numerator) and the denominator at least
+    10^(len(denominator) - 1).
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     alpha, beta = as_rational(alpha), as_rational(beta)
     if alpha == 0:
         return _round_half_even(beta, digits)
-    deeper = min(digits + 8 + decimal_length(alpha.numerator), DIGIT_BUDGET)
+    L = decimal_length(alpha.numerator) - decimal_length(alpha.denominator) + 1
+    deeper = min(digits + 8 + max(0, L), DIGIT_BUDGET)
     return render_interval_decimal(
         lambda w: zeta_reference(2, w).scale(alpha).shift(beta),
         digits,

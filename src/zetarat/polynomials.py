@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Sequence
 
 from .numerics import Rat, RatLike, Record, as_rational
@@ -42,9 +42,10 @@ class PolySpec(Record):
     def __init__(self, family: PolyFamily, coeffs: tuple[RatLike, ...]) -> None:
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        # as_rational, inlined for the Fractions and ints most callers pass
+        # as_rational, inlined for the Fractions and ints most callers pass;
+        # exact type checks skip the numbers ABCs' isinstance path
         coeffs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) if isinstance(c, int) else as_rational(c)
+            c if type(c) is Fraction else Fraction(c) if type(c) is int else as_rational(c)
             for c in coeffs
         )
         if family is not PolyFamily.EXPLICIT and len(coeffs) > 1 and coeffs[-1] == 0:
@@ -73,10 +74,8 @@ def shifted_legendre(n: int) -> PolySpec:
     """Shifted Legendre polynomial on [0,1], normalized with L_n(0) = 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    coeffs = tuple(
-        Fraction((-1) ** r * factorial(n + r), factorial(r) ** 2 * factorial(n - r))
-        for r in range(n + 1)
-    )
+    # (n+r)!/(r!^2 (n-r)!) = C(n,r) C(n+r,r), an integer
+    coeffs = tuple((-1) ** r * comb(n, r) * comb(n + r, r) for r in range(n + 1))
     return PolySpec(PolyFamily.SHIFTED_LEGENDRE, coeffs)
 
 

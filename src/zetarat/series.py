@@ -287,22 +287,35 @@ def eval_truncated(P: PolySpec, Q: PolySpec, T: PolySpec, s: int, K: int) -> Int
 # --------------------------------------- factorial-form series evaluation
 
 
-def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, Interval]:
-    """eval_special_series for every order 3..s from one pass over k.
+#: An enclosure as integers over one positive denominator D: (D, v, t)
+#: stands for [(v - t)/D, (v + t)/D], with the tail numerator t >= 0.
+IntEnclosure = tuple[int, int, int]
+
+
+def special_series_numerators(n: int, T: PolySpec, s: int, K: int) -> dict[int, IntEnclosure]:
+    """special_series_enclosures on integers: the value and the tail of
+    every order q = 3..s from one pass over k, as numerators over one
+    denominator D_q per order.
 
     Each k-term C(k,n) B(k+1,n+1)^2 T~(k) is built once and added to the
     order-q total after q-3 divisions by (k+1); the order-free tail factor
     (n+1) c* B(n,k0+1)/(k0+n+1) is built once and divided by (k0+1) once
-    per order.  Exact sums, so every enclosure equals the one-order result.
+    per order.
 
-    The sums run on integers over a denominator fixed in advance.  With
-    F = (2n+K)!, C(k,n) B(k+1,n+1)^2 = n!^2 C(k,n) g(k)^2 / F^2 where
+    With F = (2n+K)!, C(k,n) B(k+1,n+1)^2 = n!^2 C(k,n) g(k)^2 / F^2 where
     g(k) = k! F/(k+n+1)! is an integer; T~(k) is an integer over L_t L_T,
     L_t = lcm(n+1..n+K+deg T), deg T not counting T's trailing zero
     coefficients, and L_T the lcm of T's denominators; and
     (k+1)^-(q-3) is (L_k/(k+1))^(q-3) over L_k^(q-3), L_k = lcm(n+1..n+K).
     Walking k down from n+K-1, X = C(k,n) g(k)^2 is one integer, which
-    changes by the exact factor (k-n)(k+n+1)^2/k^3 per step.
+    changes by the exact factor (k-n)(k+n+1)^2/k^3 per step.  So the value
+    of order q is an integer over F^2 L_t L_T L_k^(q-3), and, with
+    B(n,k0+1) = (n-1)! k0!/F, the tail is (n+1) (L_T c*) (n-1)! k0! over
+    L_T F (k0+n+1) (k0+1)^(q-2).  Both are numerators over
+
+        D_q = F^2 L_t L_T L_k^(q-3) (k0+n+1) (k0+1)^(q-2),
+
+    the tail's (n+1) (L_T c*) (n-1)! k0! F L_t L_k^(q-3) >= 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -311,11 +324,11 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     if K < 1:
         raise ValueError("K must be >= 1")
     orders = range(3, s + 1)
-    cstar = T.cstar
-    if cstar == 0:
-        return {q: Interval.point(Fraction(0)) for q in orders}
-    k0 = n + K
     LT, (ct,) = integer_form(T.coeffs)
+    cstar = max(map(abs, ct))  # L_T c*
+    if not cstar:
+        return {q: (1, 0, 0) for q in orders}
+    k0 = n + K
     while not ct[-1]:  # zero padding adds no term to T~(k)
         ct.pop()
     Lt = lcm(*range(n + 1, k0 + len(ct)))
@@ -331,17 +344,29 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
                 totals[j] += term
                 term *= step
         X = X * ((k - n) * (k + n + 1) ** 2) // k**3
-    den = factorial(2 * n + K) ** 2 * Lt * LT
-    scale = factorial(n) ** 2
-    tail = (n + 1) * cstar * beta_rat(n, k0 + 1) / (k0 + n + 1)
-    shrink = Fraction(1, k0 + 1)
-    out: dict[int, Interval] = {}
+    F = factorial(2 * n + K)
+    den = F * F * Lt * LT * (k0 + n + 1) * (k0 + 1)
+    scale = (-1) ** n * factorial(n) ** 2 * (k0 + n + 1) * (k0 + 1)
+    tail = (n + 1) * cstar * factorial(n - 1) * factorial(k0) * F * Lt
+    out: dict[int, IntEnclosure] = {}
     for q, total in zip(orders, totals):
-        tail *= shrink
-        value = Fraction((-1) ** n * scale * total, den)
-        out[q] = Interval(value - tail, value + tail)
-        den *= Lk
+        out[q] = (den, scale * total, tail)
+        den *= Lk * (k0 + 1)
+        scale *= k0 + 1
+        tail *= Lk
     return out
+
+
+def _interval(enclosure: IntEnclosure) -> Interval:
+    den, v, t = enclosure
+    return Interval(Fraction(v - t, den), Fraction(v + t, den))
+
+
+def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, Interval]:
+    """eval_special_series for every order 3..s from one pass over k:
+    special_series_numerators as Intervals.  The sums are exact, so every
+    enclosure equals the one-order result."""
+    return {q: _interval(e) for q, e in special_series_numerators(n, T, s, K).items()}
 
 
 def eval_special_series(n: int, T: PolySpec, s: int, K: int) -> Interval:
@@ -358,7 +383,7 @@ def eval_special_series(n: int, T: PolySpec, s: int, K: int) -> Interval:
 
     which also telescopes step-by-step, so enclosures are nested in K.
     """
-    return special_series_enclosures(n, T, s, K)[s]
+    return _interval(special_series_numerators(n, T, s, K)[s])
 
 
 # --------------------------------------------- shift-reduction identities

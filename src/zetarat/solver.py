@@ -30,7 +30,7 @@ from typing import Mapping
 from .numerics import InternalError, Rat, RatLike, Record, as_rational
 from .polynomials import PolyFamily, PolySpec, pad_to_degree
 from .rows import row_numerators
-from .series import IntCombination, special_series_enclosures
+from .series import IntCombination, special_series_numerators
 
 
 class SingularSystemError(ValueError):
@@ -217,7 +217,7 @@ def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) ->
     alpha2, beta2, weights2 = _solve_cramer(system)
     keys = set(weights) | set(weights2)
     if alpha != alpha2 or beta != beta2 or any(
-        weights.get(q, Fraction(0)) != weights2.get(q, Fraction(0)) for q in keys
+        weights.get(q, 0) != weights2.get(q, 0) for q in keys
     ):
         raise InternalError("solver routes disagree")
 
@@ -262,10 +262,12 @@ def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[
     """Tight certified bounds on |I_q| for q = 3..s via adaptive enclosures.
 
     Each attempt encloses every pending order from one
-    special_series_enclosures pass; an order settles on the sup-abs of its
-    enclosure once that is at most the analytic theta_bound, otherwise K
-    doubles.  Orders still pending after BOUND_ATTEMPTS keep the analytic
-    bound, the certified fallback.  Requires the shifted-Legendre /
+    special_series_numerators pass, as (D, v, t) with the tail t >= 0; an
+    order settles on the sup-abs (|v| + t)/D of its enclosure once that is
+    at most the analytic theta_bound, compared on integers, otherwise K
+    doubles.  Only a settled order becomes a Fraction.  Orders still
+    pending after BOUND_ATTEMPTS keep the analytic bound, the certified
+    fallback.  Requires the shifted-Legendre /
     binomial family pair — the fast series form is only valid there.
     """
     if P.family is not PolyFamily.SHIFTED_LEGENDRE or Q.family is not PolyFamily.BINOMIAL:
@@ -276,16 +278,22 @@ def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[
     if P.degree != Q.degree:
         raise ValueError("P and Q must share a degree")
     n = P.degree
-    out = dict.fromkeys(range(3, s + 1), theta_bound(n, T.cstar, s))
+    theta = theta_bound(n, T.cstar, s)
+    out = dict.fromkeys(range(3, s + 1), theta)
     pending = list(out)
     K = 4 * n + 16
     for _ in range(BOUND_ATTEMPTS):
         if not pending:
             break
-        encs = special_series_enclosures(n, T, pending[-1], K)
-        sup = {q: encs[q].sup_abs for q in pending}
-        settled = {q: v for q, v in sup.items() if v <= out[q]}
-        out.update(settled)
-        pending = [q for q in pending if q not in settled]
+        encs = special_series_numerators(n, T, pending[-1], K)
+        unsettled = []
+        for q in pending:
+            den, v, t = encs[q]
+            sup = abs(v) + t
+            if sup * theta.denominator <= theta.numerator * den:
+                out[q] = Fraction(sup, den)
+            else:
+                unsettled.append(q)
+        pending = unsettled
         K *= 2
     return out

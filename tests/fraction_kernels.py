@@ -1,11 +1,12 @@
 """Fraction forms of the closed-form rows, the factorial-series
-enclosures and the row check: the reference for the package's integer
-kernels.
+enclosures, the row bounds and the row check: the reference for the
+package's integer kernels.
 
 Every loop here runs on `Fraction`, so each add and multiply normalizes by a
 gcd.  `zetarat.rows.coefficient_rows` and
-`zetarat.series.special_series_enclosures` must return exactly these
-rationals; tests/test_integer_kernels.py checks that.  `validate_rows`
+`zetarat.series.special_series_enclosures` and
+`zetarat.solver.certified_row_bounds` must return exactly these rationals;
+tests/test_integer_kernels.py checks that.  `validate_rows`
 compares ZetaCombinations component by component, and
 `zetarat.rows.validate_rows` must return its report; tests/test_rows.py
 checks that.
@@ -173,6 +174,25 @@ def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
         out[q] = Interval(value - tail, value + tail)
     return out
 
+
+
+def certified_row_bounds(n: int, T: PolySpec, s: int) -> dict[int, Rat]:
+    """zetarat.solver.certified_row_bounds on Fraction: each pending order
+    settles on its enclosure's sup_abs once that is at most c* 4^-n, K
+    starting at 4n+16 and doubling, for at most eight attempts."""
+    theta = T.cstar / Fraction(4**n)
+    out = dict.fromkeys(range(3, s + 1), theta)
+    pending = list(out)
+    K = 4 * n + 16
+    for _ in range(8):
+        if not pending:
+            break
+        encs = special_series_enclosures(n, T, pending[-1], K)
+        settled = {q: encs[q].sup_abs for q in pending if encs[q].sup_abs <= theta}
+        out.update(settled)
+        pending = [q for q in pending if q not in settled]
+        K *= 2
+    return out
 
 def validate_rows(
     P: PolySpec,

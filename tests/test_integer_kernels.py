@@ -2,7 +2,8 @@
 
 `coefficient_rows` and `special_series_enclosures` run their loops on
 integers over a denominator fixed in advance and build one Fraction per
-output.  tests/fraction_kernels.py keeps the Fraction bodies they replaced;
+output; `certified_row_bounds` settles its orders on the integers of
+`special_series_numerators`.  tests/fraction_kernels.py keeps the Fraction bodies they replaced;
 every zeta coefficient, constant and Interval endpoint must be the same
 rational.  The row kernels themselves, `row_numerators` and
 `oracle_numerators`, give each row over one positive denominator.
@@ -23,7 +24,13 @@ from zetarat.polynomials import (
     shifted_legendre,
 )
 from zetarat.rows import TranscriptionVariant, coefficient_rows, row_numerators
-from zetarat.series import ZetaCombination, oracle_numerators, special_series_enclosures
+from zetarat.series import (
+    ZetaCombination,
+    oracle_numerators,
+    special_series_enclosures,
+    special_series_numerators,
+)
+from zetarat.solver import certified_row_bounds
 
 #: Rationals with zeros: a zero coefficient skips terms in both kernels.
 _RATIONALS = st.one_of(
@@ -115,6 +122,28 @@ def test_series_enclosures_ignore_the_zero_padding_of_T(case, s, extra):
     n, T, K = case
     padded = explicit_poly(T.coeffs + (Fraction(0),) * extra)
     assert special_series_enclosures(n, padded, s, K) == special_series_enclosures(n, T, s, K)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_series_cases(), st.integers(3, 9), st.booleans())
+def test_series_numerators_and_row_bounds_equal_the_fraction_reference(case, s, zero):
+    """The integer core gives each order as (D, v, t) with D > 0 and t >= 0;
+    (|v| + t)/D is the reference enclosure's sup_abs, the Interval view is
+    the reference enclosure, and the row bounds settled on these integers
+    are the reference's.  T = 0 (c* = 0) gives zero enclosures."""
+    n, T, K = case
+    if zero:
+        T = explicit_poly([0] * len(T.coeffs))
+    want = reference.special_series_enclosures(n, T, s, K)
+    core = special_series_numerators(n, T, s, K)
+    assert sorted(core) == list(range(3, s + 1))
+    for q, (den, v, t) in core.items():
+        assert all(type(x) is int for x in (den, v, t))
+        assert den > 0 and t >= 0
+        assert Fraction(abs(v) + t, den) == want[q].sup_abs
+    assert special_series_enclosures(n, T, s, K) == want
+    P, Q = shifted_legendre(n), binomial_poly(n)
+    assert certified_row_bounds(P, Q, T, s) == reference.certified_row_bounds(n, T, s)
 
 
 def test_series_enclosures_with_a_vanishing_term_equal_the_fraction_reference():

@@ -23,10 +23,12 @@ INTEGER_KERNELS = (
     ("rows.py", "validate_rows"),
     ("series.py", "decompose_integrals"),
     ("series.py", "oracle_numerators"),
+    ("series.py", "special_series_numerators"),
     ("series.py", "special_series_enclosures"),
     ("series.py", "_integral_scaffold"),
     ("solver.py", "_column_reduced"),
     ("solver.py", "_solve_cramer"),
+    ("solver.py", "certified_row_bounds"),
 )
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

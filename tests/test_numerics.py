@@ -354,7 +354,8 @@ def test_render_decimal_is_within_half_a_unit_of_a_containing_enclosure(
 
 def test_render_decimal_of_a_large_alpha_stays_within_budget(monkeypatch):
     """alpha ~ 6e8 (s = 5, n = 9) widens the zeta(2) enclosure 6e8 times;
-    5000 digits render from one enclosure L = 18 digits deeper, never from
+    5000 digits render from one enclosure L = 18 - 9 + 1 = 10 digits
+    deeper (an 18-digit numerator over a 9-digit denominator), never from
     a refinement past the budget."""
     alpha = Fraction(302879766081952141, 500094000)
     asked = []
@@ -366,10 +367,41 @@ def test_render_decimal_of_a_large_alpha_stays_within_budget(monkeypatch):
 
     monkeypatch.setattr(numerics, "zeta_reference", recording)
     got = render_decimal(alpha, 0, 5000)
-    assert asked == [5000 + 8 + 18]
+    assert asked == [5000 + 8 + 10]
     enc = reference(2, 5040).scale(alpha)
     assert numerics._round_half_even(enc.lo, 5000) == got
     assert numerics._round_half_even(enc.hi, 5000) == got
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 10**70).flatmap(lambda a: st.sampled_from((a, -a))),
+    st.integers(10**5, 10**45),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**12),
+)
+def test_render_decimal_depth_follows_the_size_of_alpha(digits, num, den, beta):
+    """The first zeta(2) enclosure is taken digits + 8 + L deep, L =
+    len(numerator) - len(denominator) + 1 floored at 0, since |alpha| <
+    10^L; it renders at once, and to the string a far deeper enclosure
+    gives."""
+    alpha = Fraction(num, den)
+    L = max(0, len(str(abs(alpha.numerator))) - len(str(alpha.denominator)) + 1)
+    assert abs(alpha) < 10**L
+    asked = []
+
+    def recording(p, w):
+        asked.append((p, w))
+        return zeta_reference(p, w)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "zeta_reference", recording)
+        got = render_decimal(alpha, beta, digits)
+    assert asked == [(2, digits + 8 + L)]
+    deep = zeta_reference(2, digits + 80 + len(str(abs(alpha.numerator))))
+    enc = deep.scale(alpha).shift(beta)
+    assert numerics._round_half_even(enc.lo, digits) == got
+    assert numerics._round_half_even(enc.hi, digits) == got
 
 
 def test_render_interval_decimal_caps_refinement_at_the_budget():

@@ -20,7 +20,7 @@ from zetarat.cli import main
 from zetarat.numerics import InternalError, Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, pad_to_degree, shifted_legendre
 from zetarat.rows import coefficient_rows, row_numerators, row_zeta3
-from zetarat.series import ZetaCombination
+from zetarat.series import ZetaCombination, special_series_enclosures
 from zetarat.solver import (
     SingularSystemError,
     TriangularSystem,
@@ -398,13 +398,13 @@ def test_certified_bounds_never_exceed_the_analytic_bound():
 def test_certified_bounds_take_one_series_pass_per_system(monkeypatch):
     """With no K doubling, every order settles from one shared pass."""
     calls = []
-    original = solver_module.special_series_enclosures
+    original = solver_module.special_series_numerators
 
     def counting(n, T, s, K):
         calls.append((n, s, K))
         return original(n, T, s, K)
 
-    monkeypatch.setattr(solver_module, "special_series_enclosures", counting)
+    monkeypatch.setattr(solver_module, "special_series_numerators", counting)
     for n, s in ((4, 3), (6, 7), (12, 9)):
         calls.clear()
         P, Q = shifted_legendre(n), binomial_poly(n)
@@ -418,9 +418,9 @@ def test_certified_bounds_double_k_only_for_pending_orders(monkeypatch):
     an order that never does keeps the analytic bound after the last attempt."""
     n, s, T = 3, 6, explicit_poly([1])
     K0 = 4 * n + 16
-    wide = Interval(Fraction(-1), Fraction(1))
+    wide = (1, 0, 1)  # [-1, 1]
     calls = []
-    original = solver_module.special_series_enclosures
+    original = solver_module.special_series_numerators
 
     def stubborn(n, T, s, K):
         """Order 3 never beats theta, orders 5+ only from K = 4 K0 on."""
@@ -431,15 +431,32 @@ def test_certified_bounds_double_k_only_for_pending_orders(monkeypatch):
             for q in range(3, s + 1)
         }
 
-    monkeypatch.setattr(solver_module, "special_series_enclosures", stubborn)
+    monkeypatch.setattr(solver_module, "special_series_numerators", stubborn)
     bounds = certified_row_bounds(shifted_legendre(n), binomial_poly(n), T, s)
     assert calls == [(6, K0), (6, 2 * K0), (6, 4 * K0)] + [
         (3, K0 << i) for i in range(3, 8)
     ]
     assert bounds[3] == theta_bound(n, 1, 3)
-    assert bounds[4] == original(n, T, 4, K0)[4].sup_abs
+    assert bounds[4] == special_series_enclosures(n, T, 4, K0)[4].sup_abs
     for q in (5, 6):
-        assert bounds[q] == original(n, T, q, 4 * K0)[q].sup_abs
+        assert bounds[q] == special_series_enclosures(n, T, q, 4 * K0)[q].sup_abs
+
+
+def test_certified_bounds_build_no_interval(monkeypatch):
+    """Orders settle on integers: the only rationals built are the settled
+    bounds, each the sup-abs of the Interval view's enclosure."""
+    cases = [(n, s, explicit_poly(t)) for n, s, t in ((4, 3, [1, -1]), (12, 9, [2, 0, -1]))]
+    want = [
+        {q: e.sup_abs for q, e in special_series_enclosures(n, T, s, 4 * n + 16).items()}
+        for n, s, T in cases
+    ]
+
+    def refuse(self, lo, hi):
+        raise AssertionError("certified_row_bounds built an Interval")
+
+    monkeypatch.setattr(Interval, "__init__", refuse)
+    for (n, s, T), expected in zip(cases, want):
+        assert certified_row_bounds(shifted_legendre(n), binomial_poly(n), T, s) == expected
 
 
 def test_certified_bounds_guard_the_polynomial_families():
