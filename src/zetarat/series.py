@@ -199,16 +199,6 @@ def decompose_integral(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> ZetaCom
     return decompose_integrals(P, Q, T, s)[s]
 
 
-# ------------------------------------------------------------- beta values
-
-
-def beta_rat(a: int, b: int) -> Rat:
-    """Euler beta at positive integers: B(a,b) = (a-1)!(b-1)!/(a+b-1)!."""
-    if a < 1 or b < 1:
-        raise ValueError("beta_rat needs integer arguments >= 1")
-    return Fraction(factorial(a - 1) * factorial(b - 1), factorial(a + b - 1))
-
-
 # ------------------------------------------- direct truncated evaluation
 
 

@@ -15,10 +15,10 @@ of zeta(s), ..., zeta(3) coefficients.  The rows are the row kernel's
 integers: row nu's numerators, over its one denominator D_nu, are D_nu
 times row nu of A.  A TriangularSystem checks when it is built that there
 are s - 2 rows, that the order-q row carries zeta(p) only for 2 <= p <= q,
-and that its zeta(q) is nonzero.  Both routes read the rows as they are and
-compute y in O(s^2) arithmetic operations; they must agree exactly:
-back-substitution on y^T A = e_0^T, and Cramer's first-column cofactors,
-which are the leading minors of one upper Hessenberg block of A, from one
+and that its zeta(q) is nonzero.  One column reduction per solve reads the
+rows for both routes, which compute y in O(s^2) operations and must agree
+exactly: back-substitution on y^T A = e_0^T, and Cramer's first-column
+cofactors, the leading minors of one upper Hessenberg block of A, from one
 integer recurrence over the row-scaled, column-reduced matrix.
 """
 from __future__ import annotations
@@ -112,17 +112,20 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
 # ---------------------------------------------------------------- solving
 
 
-def _column_reduced(system: TriangularSystem) -> tuple[list[int], list[list[int]]]:
-    """(g, B) for both routes: g_c > 0 is the gcd of column c (the zeta(s - c)
-    numerators, zero below row c), and B the numerators, column c over g_c."""
-    s, rows = system.s, system.rows
-    g = [gcd(*(rows[r][2].get(s - c, 0) for r in range(c + 1))) for c in range(len(rows))]
-    return g, [[zeta.get(s - c, 0) // gc for c, gc in enumerate(g)] for _, _, zeta in rows]
+def _column_reduced(system: TriangularSystem) -> tuple:
+    """All that both routes read of the system, taken once per solve as the
+    plain tuple (s, D, zeta2, consts, g, B): the row denominators D_nu, the
+    rows' zeta(2) and constant numerators, the column contents g_c > 0, the
+    gcd of column c (the zeta(s - c) numerators, zero below row c), and the
+    reduced integers B, column c over g_c."""
+    s = system.s
+    scale, consts, ints = zip(*system.rows)
+    g = [gcd(*(ints[r].get(s - c, 0) for r in range(c + 1))) for c in range(len(ints))]
+    b = [[zeta.get(s - c, 0) // gc for c, gc in enumerate(g)] for zeta in ints]
+    return s, scale, [zeta.get(2, 0) for zeta in ints], consts, g, b
 
 
-def _solve_back_substitution(
-    system: TriangularSystem,
-) -> tuple[Rat, Rat, dict[int, Rat]]:
+def _solve_back_substitution(reduced: tuple) -> tuple[Rat, Rat, dict[int, Rat]]:
     """First row y of A^-1 by substitution on y^T A = e_0^T, column by
     column, run on z_nu = g_0 y_nu / D_nu over the column-reduced rows B,
     as z^T B = e_0^T: z_0 = 1/B_00 and z_c = -sum_{nu<c} z_nu B_nu,c / B_cc.
@@ -132,20 +135,18 @@ def _solve_back_substitution(
     b_nu / g_0 over the rows' zeta(2) and constant numerators b_nu.  Only
     orders reached from s through nonzero entries carry a weight.
     """
-    s = system.s
-    scale, consts, ints = zip(*system.rows)
-    g, b = _column_reduced(system)
+    s, scale, zeta2, consts, g, b = reduced
     z: dict[int, Rat] = {0: Fraction(1, b[0][0])}
     for c in range(1, len(b)):
         terms = [z_nu * b[nu][c] for nu, z_nu in z.items() if b[nu][c]]
         if terms:
             z[c] = -sum(terms, Fraction(0)) / b[c][c]
-    alpha = -sum((z_nu * ints[nu].get(2, 0) for nu, z_nu in z.items()), Fraction(0)) / g[0]
+    alpha = -sum((z_nu * zeta2[nu] for nu, z_nu in z.items()), Fraction(0)) / g[0]
     beta = -sum((z_nu * consts[nu] for nu, z_nu in z.items()), Fraction(0)) / g[0]
     return alpha, beta, {s - nu: z_nu * scale[nu] / g[0] for nu, z_nu in z.items()}
 
 
-def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
+def _solve_cramer(reduced: tuple) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Cofactor route: zeta(s) = sum_nu RHS_nu * C_nu / Delta, where C_nu are
     the signed cofactors of the first column and Delta the determinant,
     the product of the diagonal: the system checked its triangular shape
@@ -164,10 +165,8 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
 
     and then w_(s-nu) = (-1)^nu det H_nu D_nu / (g_0 prod_{r<=nu} b_rr).
     """
-    s = system.s
-    scale, consts, ints = zip(*system.rows)
-    size = len(ints)
-    content, b = _column_reduced(system)
+    s, scale, zeta2, consts, g, b = reduced
+    size = len(b)
     dets = [1]  # det H_0, det H_1, ..., det H_(size-1)
     for k in range(1, size):
         acc = 0
@@ -181,7 +180,7 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     for r in range(size - 1, -1, -1):
         tail[r] = tail[r + 1] * b[r][r]
     alpha = beta = 0
-    lead = content[0]  # g_0 prod_{r<=nu} b_rr
+    lead = g[0]  # g_0 prod_{r<=nu} b_rr
     weights: dict[int, Rat] = {}
     for nu, d in enumerate(scale):
         lead *= b[nu][nu]
@@ -189,9 +188,9 @@ def _solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
         if not cofactor:
             continue
         weights[s - nu] = Fraction(cofactor * d, lead)
-        alpha -= cofactor * ints[nu].get(2, 0) * tail[nu + 1]
+        alpha -= cofactor * zeta2[nu] * tail[nu + 1]
         beta -= cofactor * consts[nu] * tail[nu + 1]
-    den = content[0] * tail[0]
+    den = g[0] * tail[0]
     return Fraction(alpha, den), Fraction(beta, den), weights
 
 
@@ -213,8 +212,9 @@ def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) ->
             raise ValueError(f"theta bound for order {order} is negative")
         bounds[order] = b
 
-    alpha, beta, weights = _solve_back_substitution(system)
-    alpha2, beta2, weights2 = _solve_cramer(system)
+    reduced = _column_reduced(system)
+    alpha, beta, weights = _solve_back_substitution(reduced)
+    alpha2, beta2, weights2 = _solve_cramer(reduced)
     keys = set(weights) | set(weights2)
     if alpha != alpha2 or beta != beta2 or any(
         weights.get(q, 0) != weights2.get(q, 0) for q in keys

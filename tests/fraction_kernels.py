@@ -14,7 +14,7 @@ checks that.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from operator import mul
 from typing import Sequence
 
@@ -22,7 +22,14 @@ from zetarat.numerics import Interval, Rat
 from zetarat.polynomials import PolySpec, coefficient_triple
 from zetarat.rows import RowMismatch, RowValidationReport, TranscriptionVariant
 from zetarat.rows import coefficient_rows as package_rows
-from zetarat.series import ZetaCombination, beta_rat, decompose_integrals
+from zetarat.series import ZetaCombination, decompose_integrals
+
+
+def beta_rat(a: int, b: int) -> Rat:
+    """Euler beta at positive integers: B(a,b) = (a-1)!(b-1)!/(a+b-1)!."""
+    if a < 1 or b < 1:
+        raise ValueError("beta_rat needs integer arguments >= 1")
+    return Fraction(factorial(a - 1) * factorial(b - 1), factorial(a + b - 1))
 
 
 def harmonic(k: int, m: int = 1) -> Rat:

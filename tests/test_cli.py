@@ -344,8 +344,8 @@ def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
     """Solver routes that disagree are a bug, not invalid input."""
     cramer = solver_module._solve_cramer
 
-    def skewed(system):
-        alpha, beta, weights = cramer(system)
+    def skewed(reduced):
+        alpha, beta, weights = cramer(reduced)
         return alpha + 1, beta, weights
 
     monkeypatch.setattr(solver_module, "_solve_cramer", skewed)

@@ -12,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import residue_oracle
+from fraction_kernels import beta_rat
 from zetarat.numerics import Interval, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.series import (
     ZetaCombination,
-    beta_rat,
     decompose_integral,
     decompose_integrals,
     eval_special_series,

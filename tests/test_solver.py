@@ -29,7 +29,7 @@ from zetarat.solver import (
     solve_zeta,
     theta_bound,
 )
-from zetarat.solver import _solve_back_substitution, _solve_cramer
+from zetarat.solver import _column_reduced, _solve_back_substitution, _solve_cramer
 
 
 def _structured_system(n: int, s: int, t_coeffs=None):
@@ -208,8 +208,8 @@ def test_a_system_built_from_ints_solves_in_fractions():
     )
     rescaled = TriangularSystem(4, 1, one, rows)
     for route in (_solve_back_substitution, _solve_cramer):
-        alpha, beta, weights = route(rescaled)
-        assert (alpha, beta, weights) == route(exact)
+        alpha, beta, weights = route(_column_reduced(rescaled))
+        assert (alpha, beta, weights) == route(_column_reduced(exact))
         assert all(type(v) is Fraction for v in (alpha, beta, *weights.values()))
     result = solve_zeta(rescaled, {3: 1, 4: 1})
     assert result == solve_zeta(exact, {3: 1, 4: 1})
@@ -227,7 +227,8 @@ def test_back_substitution_and_cramer_agree_exactly():
         system = _system_or_refusal(n, s, t)
         if system is None:
             continue
-        assert _solve_back_substitution(system) == _solve_cramer(system)
+        reduced = _column_reduced(system)
+        assert _solve_back_substitution(reduced) == _solve_cramer(reduced)
         solved += 1
     assert solved >= 6
 
@@ -251,17 +252,25 @@ def _random_systems(draw, max_s=8, numerators=_numerators):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(system=_random_systems())
+@example(system=_system_of(5, [{5: 1, 4: 1, 3: 1}, {4: 1, 3: 1}, {3: 1}]))
 def test_both_solve_routes_agree_on_random_triangular_systems(system):
-    alpha, beta, weights = _solve_back_substitution(system)
-    assert (alpha, beta, weights) == _solve_cramer(system)
+    """Equal alpha, beta and weights.  A weight may cancel to zero: then
+    back-substitution keeps its order and Cramer, which skips a zero
+    cofactor, leaves it out, as their references do (the example has
+    w_3 = 0)."""
+    reduced = _column_reduced(system)
+    alpha, beta, weights = _solve_back_substitution(reduced)
+    nonzero = {q: w for q, w in weights.items() if w}
+    assert (alpha, beta, nonzero) == _solve_cramer(reduced)
     assert weights[system.s] == 1 / _row(system, system.s).zeta(system.s)
 
 
 def _routes_match_the_reference(system):
     """Each package route returns exactly what its Fraction reference
     returns, weight dicts included."""
-    assert _solve_back_substitution(system) == reference.solve_back_substitution(system)
-    assert _solve_cramer(system) == reference.solve_cramer(system)
+    reduced = _column_reduced(system)
+    assert _solve_back_substitution(reduced) == reference.solve_back_substitution(system)
+    assert _solve_cramer(reduced) == reference.solve_cramer(system)
 
 
 #: Large common factors of a column: powers of 2 and 3 times a large prime.
@@ -293,11 +302,26 @@ def test_solve_routes_equal_the_reference_on_columns_with_large_common_factors(c
     """Both routes divide column c by its content g_c, which f_c divides,
     and still return exactly the reference values."""
     system, factors = case
-    contents, reduced = solver_module._column_reduced(system)
+    *_, contents, reduced = _column_reduced(system)
     assert all(g % f == 0 for g, f in zip(contents, factors))
     assert all(row[c] * g == system.rows[r][2].get(system.s - c, 0)
                for r, row in enumerate(reduced) for c, g in enumerate(contents))
     _routes_match_the_reference(system)
+
+
+def test_one_solve_reduces_the_columns_once(monkeypatch):
+    """solve_zeta reduces the columns once and hands that to both routes."""
+    calls = []
+    original = solver_module._column_reduced
+
+    def counting(system):
+        calls.append(system)
+        return original(system)
+
+    monkeypatch.setattr(solver_module, "_column_reduced", counting)
+    *_, system = _structured_system(4, 7, [1, Fraction(1, 3)])
+    solve_zeta(system, dict.fromkeys(range(3, 8), 1))
+    assert calls == [system]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -503,7 +527,8 @@ def test_certified_containment_for_zeta60_at_degree_twenty():
     """The order cliff: at s = 60 the two routes agree, and zeta(60) lies
     within theta of alpha*zeta(2) + beta (within 1e-4 relative of it)."""
     P, Q, T, system = _structured_system(20, 60)
-    assert _solve_back_substitution(system) == _solve_cramer(system)
+    reduced = _column_reduced(system)
+    assert _solve_back_substitution(reduced) == _solve_cramer(reduced)
     _assert_within_theta(solve_zeta(system, certified_row_bounds(P, Q, system.T, 60)))
 
 
