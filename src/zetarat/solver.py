@@ -69,7 +69,7 @@ class TriangularSystem(Record):
 
 class ApproxResult(Record):
     """zeta(s) ~ alpha*zeta(2) + beta with certified |error| <= theta_bound;
-    weights holds (order, w_order) pairs, ascending order."""
+    weights holds the nonzero (order, w_order) pairs, ascending order."""
 
     __slots__ = ("s", "n", "alpha", "beta", "weights", "theta_bound")
 
@@ -112,7 +112,11 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
 # ---------------------------------------------------------------- solving
 
 
-def _column_reduced(system: TriangularSystem) -> tuple:
+#: (s, D, zeta2, consts, g, B), as _column_reduced returns it.
+Reduced = tuple[int, tuple[int, ...], list[int], tuple[int, ...], list[int], list[list[int]]]
+
+
+def _column_reduced(system: TriangularSystem) -> Reduced:
     """All that both routes read of the system, taken once per solve as the
     plain tuple (s, D, zeta2, consts, g, B): the row denominators D_nu, the
     rows' zeta(2) and constant numerators, the column contents g_c > 0, the
@@ -125,7 +129,7 @@ def _column_reduced(system: TriangularSystem) -> tuple:
     return s, scale, [zeta.get(2, 0) for zeta in ints], consts, g, b
 
 
-def _solve_back_substitution(reduced: tuple) -> tuple[Rat, Rat, dict[int, Rat]]:
+def _solve_back_substitution(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]]:
     """First row y of A^-1 by substitution on y^T A = e_0^T, column by
     column, run on z_nu = g_0 y_nu / D_nu over the column-reduced rows B,
     as z^T B = e_0^T: z_0 = 1/B_00 and z_c = -sum_{nu<c} z_nu B_nu,c / B_cc.
@@ -133,20 +137,20 @@ def _solve_back_substitution(reduced: tuple) -> tuple[Rat, Rat, dict[int, Rat]]:
     Row nu of A is the order-(s - nu) row and column c carries zeta(s - c),
     so w_(s-nu) = y_nu = z_nu D_nu / g_0, and alpha and beta are -sum z_nu
     b_nu / g_0 over the rows' zeta(2) and constant numerators b_nu.  Only
-    orders reached from s through nonzero entries carry a weight.
+    orders with a nonzero z_nu carry a weight, as in the Cramer route.
     """
     s, scale, zeta2, consts, g, b = reduced
     z: dict[int, Rat] = {0: Fraction(1, b[0][0])}
     for c in range(1, len(b)):
-        terms = [z_nu * b[nu][c] for nu, z_nu in z.items() if b[nu][c]]
-        if terms:
-            z[c] = -sum(terms, Fraction(0)) / b[c][c]
+        z_c = -sum((z_nu * b[nu][c] for nu, z_nu in z.items() if b[nu][c]), Fraction(0))
+        if z_c:
+            z[c] = z_c / b[c][c]
     alpha = -sum((z_nu * zeta2[nu] for nu, z_nu in z.items()), Fraction(0)) / g[0]
     beta = -sum((z_nu * consts[nu] for nu, z_nu in z.items()), Fraction(0)) / g[0]
     return alpha, beta, {s - nu: z_nu * scale[nu] / g[0] for nu, z_nu in z.items()}
 
 
-def _solve_cramer(reduced: tuple) -> tuple[Rat, Rat, dict[int, Rat]]:
+def _solve_cramer(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Cofactor route: zeta(s) = sum_nu RHS_nu * C_nu / Delta, where C_nu are
     the signed cofactors of the first column and Delta the determinant,
     the product of the diagonal: the system checked its triangular shape
@@ -214,11 +218,7 @@ def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) ->
 
     reduced = _column_reduced(system)
     alpha, beta, weights = _solve_back_substitution(reduced)
-    alpha2, beta2, weights2 = _solve_cramer(reduced)
-    keys = set(weights) | set(weights2)
-    if alpha != alpha2 or beta != beta2 or any(
-        weights.get(q, 0) != weights2.get(q, 0) for q in keys
-    ):
+    if (alpha, beta, weights) != _solve_cramer(reduced):
         raise InternalError("solver routes disagree")
 
     theta_total = sum(

@@ -254,15 +254,21 @@ def _random_systems(draw, max_s=8, numerators=_numerators):
 @given(system=_random_systems())
 @example(system=_system_of(5, [{5: 1, 4: 1, 3: 1}, {4: 1, 3: 1}, {3: 1}]))
 def test_both_solve_routes_agree_on_random_triangular_systems(system):
-    """Equal alpha, beta and weights.  A weight may cancel to zero: then
-    back-substitution keeps its order and Cramer, which skips a zero
-    cofactor, leaves it out, as their references do (the example has
-    w_3 = 0)."""
+    """Equal alpha, beta and weights, also where a weight cancels to zero
+    (the example has w_3 = 0): neither route keeps that order."""
     reduced = _column_reduced(system)
     alpha, beta, weights = _solve_back_substitution(reduced)
-    nonzero = {q: w for q, w in weights.items() if w}
-    assert (alpha, beta, nonzero) == _solve_cramer(reduced)
+    assert (alpha, beta, weights) == _solve_cramer(reduced)
     assert weights[system.s] == 1 / _row(system, system.s).zeta(system.s)
+
+
+def test_a_weight_that_cancels_is_left_out_of_the_result():
+    """zeta(5) = I_5 - I_4 here: I_3 enters the order-5 row and, through
+    the order-4 row, cancels, so the result lists no (3, 0) pair."""
+    system = _system_of(5, [{5: 1, 4: 1, 3: 1}, {4: 1, 3: 1}, {3: 1}])
+    result = solve_zeta(system, dict.fromkeys(range(3, 6), 1))
+    assert (result.alpha, result.beta, result.theta_bound) == (0, 0, 2)
+    assert result.weights == ((4, -1), (5, 1))
 
 
 def _routes_match_the_reference(system):
