@@ -48,14 +48,34 @@ def integer_form(*lists: Sequence[Rat]) -> tuple[int, list[list[int]]]:
 class Record:
     """An immutable value: the base of the package's records.
 
-    A subclass names its fields in __slots__ and sets them in its own
-    __init__ through object.__setattr__.  Records compare and hash by
-    class and field values, in slot order, refuse any assignment or
-    deletion after __init__, and copy and pickle by calling the class on
-    their field values.
+    A subclass names its fields in __slots__, and that is its constructor:
+    Record.__init__ binds the values to the slots in order, by position or
+    by keyword, and raises TypeError on too many values, a missing field,
+    an unknown keyword or a field given twice.  A subclass with checks
+    runs them in its own __init__ and ends it with Record.__init__.
+    Records compare and hash by class and field values, in slot order,
+    refuse any assignment or deletion once built, and copy and pickle by
+    calling the class on their field values.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(names)} fields, got {len(args)}"
+            )
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            object.__setattr__(self, name, kwargs.pop(name))
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "is given twice" if name in names else "is not a field"
+            raise TypeError(f"{type(self).__name__}: {name!r} {problem}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -86,6 +106,8 @@ def as_rational(x: object) -> Rat:
     """Fraction(x) for an int, a Fraction or a string such as "1/2"; a
     float is refused, since it would stand for its binary value, not the
     decimal it was written as."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"{x!r} is a float, not an exact rational")
     return Fraction(x)
@@ -101,12 +123,10 @@ class Interval(Record):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: RatLike, hi: RatLike) -> None:
-        if not isinstance(lo, Fraction) or not isinstance(hi, Fraction):
-            lo, hi = as_rational(lo), as_rational(hi)
+        lo, hi = as_rational(lo), as_rational(hi)
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        Record.__init__(self, lo, hi)
 
     @staticmethod
     def point(x: RatLike) -> "Interval":

@@ -42,18 +42,12 @@ class PolySpec(Record):
     def __init__(self, family: PolyFamily, coeffs: tuple[RatLike, ...]) -> None:
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        # as_rational, inlined for the Fractions and ints most callers pass;
-        # exact type checks skip the numbers ABCs' isinstance path
-        coeffs = tuple(
-            c if type(c) is Fraction else Fraction(c) if type(c) is int else as_rational(c)
-            for c in coeffs
-        )
+        coeffs = tuple(map(as_rational, coeffs))
         if family is not PolyFamily.EXPLICIT and len(coeffs) > 1 and coeffs[-1] == 0:
             raise ValueError(
                 f"{family.value} polynomial cannot have a zero leading coefficient"
             )
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "coeffs", coeffs)
+        Record.__init__(self, family, coeffs)
 
     @property
     def degree(self) -> int:

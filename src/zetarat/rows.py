@@ -28,7 +28,6 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional
 
 from .numerics import Rat, Record, integer_form
 from .polynomials import PolySpec, coefficient_triple
@@ -250,20 +249,6 @@ class RowMismatch(Record):
 
     __slots__ = ("order", "component", "zeta_order", "row_value", "oracle_value")
 
-    def __init__(
-        self,
-        order: int,
-        component: str,
-        zeta_order: Optional[int],
-        row_value: Rat,
-        oracle_value: Rat,
-    ) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "zeta_order", zeta_order)
-        object.__setattr__(self, "row_value", row_value)
-        object.__setattr__(self, "oracle_value", oracle_value)
-
 
 class RowValidationReport(Record):
     """Every component where a closed-form row and the oracle differ, by
@@ -271,9 +256,6 @@ class RowValidationReport(Record):
     orders ascending."""
 
     __slots__ = ("mismatches",)
-
-    def __init__(self, mismatches: tuple[RowMismatch, ...]) -> None:
-        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def all_equal(self) -> bool:

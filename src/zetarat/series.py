@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable, Mapping
 
-from .numerics import InternalError, Interval, Rat, Record, integer_form
+from .numerics import InternalError, Interval, Rat, Record, as_rational, integer_form
 from .polynomials import PolySpec, explicit_poly
 
 # ------------------------------------------------- zeta-combination values
@@ -45,14 +45,11 @@ class ZetaCombination(Record):
 
     __slots__ = ("constant", "terms")
 
-    def __init__(self, constant: Rat, terms: tuple[tuple[int, Rat], ...]) -> None:
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "terms", terms)
-
     @staticmethod
     def of(constant: Rat, zeta_coeffs: Mapping[int, Rat]) -> "ZetaCombination":
-        terms = tuple(sorted((p, Fraction(v)) for p, v in zeta_coeffs.items() if v))
-        return ZetaCombination(Fraction(constant), terms)
+        """Zero terms dropped; each value taken exactly by as_rational, never a float."""
+        terms = sorted((p, as_rational(v)) for p, v in zeta_coeffs.items())
+        return ZetaCombination(as_rational(constant), tuple((p, v) for p, v in terms if v))
 
     @staticmethod
     def from_ints(combination: IntCombination) -> "ZetaCombination":

@@ -61,10 +61,7 @@ class TriangularSystem(Record):
                 raise SingularSystemError(
                     f"singular system: zero leading coefficient in the order-{order} row"
                 )
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "rows", rows)
+        Record.__init__(self, s, n, T, rows)
 
 
 class ApproxResult(Record):
@@ -72,22 +69,6 @@ class ApproxResult(Record):
     weights holds the nonzero (order, w_order) pairs, ascending order."""
 
     __slots__ = ("s", "n", "alpha", "beta", "weights", "theta_bound")
-
-    def __init__(
-        self,
-        s: int,
-        n: int,
-        alpha: Rat,
-        beta: Rat,
-        weights: tuple[tuple[int, Rat], ...],
-        theta_bound: Rat,
-    ) -> None:
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "theta_bound", theta_bound)
 
 
 def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSystem:

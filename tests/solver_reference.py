@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from zetarat.numerics import InternalError, Rat
 from zetarat.series import ZetaCombination
-from zetarat.solver import SingularSystemError, TriangularSystem
+from zetarat.solver import TriangularSystem
 
 
 def _rows(system: TriangularSystem) -> list[ZetaCombination]:
@@ -51,7 +51,8 @@ def solve_back_substitution(
     system: TriangularSystem,
 ) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Express zeta(s) = alpha*zeta(2) + beta + sum_q w_q I_q by eliminating
-    zeta(3), zeta(4), ... upward through the rows."""
+    zeta(3), zeta(4), ... upward through the rows; a weight that cancels to
+    zero is left out, as in the package routes."""
     s = system.s
     # per solved order: (zeta2 weight, constant, {order: I weight})
     solved: dict[int, tuple[Rat, Rat, dict[int, Rat]]] = {}
@@ -59,10 +60,6 @@ def solve_back_substitution(
     for order in range(3, s + 1):
         row = rows[s - order]
         lead = row.zeta(order)
-        if lead == 0:
-            raise SingularSystemError(
-                f"singular system: zero leading coefficient in the order-{order} row"
-            )
         # I_order = lead*zeta(order) + lower-order zetas + z2*zeta(2) + const
         u = -row.zeta(2) / lead
         v = -row.constant / lead
@@ -77,7 +74,8 @@ def solve_back_substitution(
             for q, wt in wp.items():
                 w[q] = w.get(q, Fraction(0)) - zp * wt / lead
         solved[order] = (u, v, w)
-    return solved[s]
+    u, v, w = solved[s]
+    return u, v, {q: wt for q, wt in w.items() if wt}
 
 
 def solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
@@ -90,11 +88,6 @@ def solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
     delta = Fraction(1)
     for d in diagonal:
         delta *= d
-    if delta == 0:
-        order = system.s - diagonal.index(0)
-        raise SingularSystemError(
-            f"singular system: zero leading coefficient in the order-{order} row"
-        )
     # column c (0-based) carries the zeta(s - c) coefficients
     matrix = [
         [rows[r].zeta(system.s - c) for c in range(size)] for r in range(size)

@@ -104,6 +104,20 @@ def test_keyword_and_positional_construction_agree(cls, names, values, changed):
 
 
 @pytest.mark.parametrize("cls, names, values, changed", RECORDS, ids=_IDS)
+def test_a_wrong_set_of_fields_is_refused(cls, names, values, changed):
+    """One value too few or too many, an unknown keyword, or a field given
+    both by position and by keyword: each is a TypeError."""
+    for args, kwargs in (
+        (values[:-1], {}),
+        ((*values, values[-1]), {}),
+        (values, {"extra": 1}),
+        (values, {names[0]: values[0]}),
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cls, names, values, changed", RECORDS, ids=_IDS)
 def test_repr_names_every_field_in_order(cls, names, values, changed):
     record = cls(*values)
     fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
@@ -140,6 +154,9 @@ def test_records_refuse_a_float_and_take_exact_values():
         (lambda: Interval(0.1, 1), "0.1"),
         (lambda: Interval(Fraction(0), 0.25), "0.25"),
         (lambda: Interval.point(0.5), "0.5"),
+        (lambda: ZetaCombination.of(0.1, {3: Fraction(1, 2)}), "0.1"),
+        (lambda: ZetaCombination.of(1, {3: 0.5}), "0.5"),
+        (lambda: ZetaCombination.of(1, {3: 0.0}), "0.0"),
     ):
         with pytest.raises(TypeError, match=re.escape(f"{value} is a float")):
             make()
@@ -150,3 +167,6 @@ def test_records_refuse_a_float_and_take_exact_values():
     )
     assert Interval("1/3", 1) == Interval(Fraction(1, 3), Fraction(1))
     assert Interval.point("-2/7").scale(-7).shift("1/2") == Interval.point(Fraction(5, 2))
+    assert ZetaCombination.of("1/2", {4: 2, 3: "-1/3", 2: 0}) == ZetaCombination(
+        Fraction(1, 2), ((3, Fraction(-1, 3)), (4, Fraction(2)))
+    )
