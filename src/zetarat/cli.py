@@ -11,8 +11,9 @@ Commands:
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or invalid input
 (including singular systems), 3 precision budget exceeded, 4 internal error
-(a failed exact-arithmetic invariant or any unexpected exception).  All
-output is byte-deterministic for a fixed command line.
+(a failed exact-arithmetic invariant or any unexpected exception) or output
+that cannot be written.  All output is byte-deterministic for a fixed
+command line.
 """
 from __future__ import annotations
 
@@ -321,10 +322,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:  # argparse handles usage errors and --help
-        return int(exc.code or 0)
-    try:
         code, text = args.handler(args)
+    except SystemExit as exc:  # argparse handles usage errors and --help
+        code, text = int(exc.code or 0), ""
     except PrecisionBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -340,8 +340,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    if text:
-        print(text)
+    try:  # the output, --help's too: a closed pipe or a full disk exits 4, no traceback
+        if text:
+            print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        try:  # stdout's descriptor goes to devnull, so the flush at exit cannot fail again
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no descriptor, as for a StringIO
+            return 4
+        import os  # loaded at start-up already; named only on this path
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 4
     return code
 
 

@@ -8,10 +8,12 @@ coefficients via the cyclic symbol
 
     S_{mu,nu,lam} = a_mu b_nu c_lam + b_mu c_nu a_lam + c_mu a_nu b_lam.
 
-One integer kernel, row_numerators, builds the rows of every order 3..s
-in a single pass over the index blocks: the pass collects order-free
-weights per index, and the order only picks the inverse powers they are
-summed against.  coefficient_rows reads its output as ZetaCombinations.
+One integer kernel, row_core, builds the rows of every order 3..s in a
+single pass over the index blocks: the pass collects order-free weights
+per index, and the order only picks the inverse powers they are summed
+against.  It returns them as one order-free sequence plus three numbers
+per order (series.IntCore), which series.layout turns into the rows;
+coefficient_rows reads those as ZetaCombinations.
 Orders 3 and 4 are the cases where the mandatory zeta(3) and zeta(2)
 extra blocks land on the lead and sub-lead coefficients.  Every
 formula was adjudicated term-by-term against the exact partial-fraction
@@ -31,7 +33,7 @@ from operator import mul
 
 from .numerics import Rat, Record, integer_form
 from .polynomials import PolySpec, coefficient_triple
-from .series import IntCombination, ZetaCombination, oracle_numerators
+from .series import IntCombination, IntCore, ZetaCombination, layout, oracle_core
 
 
 class TranscriptionVariant(Enum):
@@ -63,12 +65,21 @@ def row_numerators(
     s: int,
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> dict[int, IntCombination]:
-    """coefficient_rows on integers: the closed forms of I(P,Q,T; q) for
-    every order q = 3..s as numerators over one denominator L^3 M^q per
-    row, L and M named below, from one pass over the single (r), double
-    (r > l) and triple (r > l > i) index blocks; the triple block costs
-    O(n^2), not O(n^3), because its i-sums factor through sums of a_i,
-    b_i, c_i.
+    """coefficient_rows on integers: the layout of row_core."""
+    return layout(row_core(P, Q, T, s, variant))
+
+
+def row_core(
+    P: PolySpec,
+    Q: PolySpec,
+    T: PolySpec,
+    s: int,
+    variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
+) -> IntCore:
+    """The closed forms of I(P,Q,T; q), q = 3..s, as an IntCore, L and M
+    named below, from one pass over the single (r), double (r > l) and
+    triple (r > l > i) index blocks; the triple block costs O(n^2), not
+    O(n^3), because its i-sums factor through sums of a_i, b_i, c_i.
 
     The pass folds each block into order-free weights on one index x:
 
@@ -201,29 +212,24 @@ def row_numerators(
             hW[e] += uW
             vA, vD, w, uA, uD, uW = vA * t, vD * t, w * t, uA * t, uD * t, uW * t
         hA[s - 1] += uA
-    # num[j] over L^3 M^wt[j] is the coefficient G_j of zeta(q - j) up to
-    # sign; j = 0 and 1 hold the lead and sub-lead.  HARMONIC_WEIGHTS's
-    # triple block carries one more H, so its G_j, j >= 3, have weight j + 1.
+    # g[j] over L^3 M^wt[j] is the coefficient of zeta(q - j): the lead and
+    # sub-lead, then (-1)^(j-1) G_j.  HARMONIC_WEIGHTS's triple block
+    # carries one more H, so its G_j, j >= 3, have weight j + 1.
     wt = [j + 1 if with_h and j >= 3 else j for j in range(s - 1)]
-    num = [ab[0] * c0, C1]
+    g = [ab[0] * c0, C1]
     for j in range(2, s - 1):
-        g = (j - 1) * (j - 2) // 2 * pA[j] + (j - 2) * pD[j - 1] + pW[j - 2]
-        num.append(g * M + tri[j - 2] if wt[j] > j else g)
-    # zeta(q - j) carries (-1)^(j-1) G_j from j = 2 on.
-    signed = [v if j < 2 or j % 2 else -v for j, v in enumerate(num)]
-    Mw = [M**w for w in range(s + 1)]
-    L3 = L**3
-    rows = {}
+        G = (j - 1) * (j - 2) // 2 * pA[j] + (j - 2) * pD[j - 1] + pW[j - 2]
+        if wt[j] > j:
+            G = G * M + tri[j - 2]
+        g.append(G if j % 2 else -G)
+    # Extra blocks of weight q - 3 on zeta(3) and q - 2 on zeta(2).
+    z3, z2, const = ([0] * (s + 1) for _ in range(3))
     for q in range(3, s + 1):
-        zeta = signed[: q - 1]
         sign = -1 if q % 2 == 0 else 1  # (-1)^(q-3)
-        # Extra blocks of weight q - 3 on zeta(3) and q - 2 on zeta(2).
-        zeta[q - 3] += sign * pA[q - 3] * Mw[wt[q - 3] - (q - 3)]
-        zeta[q - 2] += sign * ((q - 3) * pA[q - 2] + pD[q - 3]) * Mw[wt[q - 2] - (q - 2)]
-        const = -sign * ((q - 2) * (q - 3) // 2 * hA[q - 1] + (q - 3) * hDA[q - 2] + hW[q - 3])
-        # over L^3 M^q: each zeta numerator, of weight wt[j], times M^(q - wt[j])
-        rows[q] = (L3 * Mw[q], const, {q - j: v * Mw[q - wt[j]] for j, v in enumerate(zeta)})
-    return rows
+        z3[q] = sign * pA[q - 3]
+        z2[q] = sign * ((q - 3) * pA[q - 2] + pD[q - 3])
+        const[q] = -sign * ((q - 2) * (q - 3) // 2 * hA[q - 1] + (q - 3) * hDA[q - 2] + hW[q - 3])
+    return L**3, M, wt, g, z3, z2, const
 
 
 row_general = coefficient_rows
@@ -293,13 +299,16 @@ def validate_rows(
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> RowValidationReport:
     """Compare every closed-form row of order 3..s_max against the exact
-    partial-fraction oracle: when the two kernels, run once each, give the
-    same integers there is nothing to compare; else row_mismatches per order."""
+    partial-fraction oracle.  Each kernel runs once: equal cores lay out
+    to equal rows, so there is nothing to compare; else both cores are
+    laid out and row_mismatches runs per order."""
     if s_max < 3:
         raise ValueError("s_max must be >= 3")
-    oracle = oracle_numerators(P, Q, T, s_max)
-    rows = row_numerators(P, Q, T, s_max, variant)
-    mismatches = () if rows == oracle else tuple(
+    want = oracle_core(P, Q, T, s_max)
+    got = row_core(P, Q, T, s_max, variant)
+    if got == want:
+        return RowValidationReport(())
+    rows, oracle = layout(got), layout(want)
+    return RowValidationReport(tuple(
         m for order, row in rows.items() for m in row_mismatches(order, row, oracle[order])
-    )
-    return RowValidationReport(mismatches)
+    ))

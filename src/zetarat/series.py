@@ -11,6 +11,10 @@ the monomials x^r1, x^r2, x^r3 it gives the elementary sums
 
     sigma(r1,r2,r3; s) = sum_{m>=1} 1/((m+r1)(m+r2)(m+r3) m^(s-3)).
 
+The oracle's integer kernel (oracle_core) and the closed-form one in
+rows.py (row_core) both return an IntCore, defined here with the one
+layout that turns a core into the rows of orders 3..s.
+
 Two independent certified numeric evaluators are provided:
   * eval_truncated  — direct partial sums of the defining series, any P,Q,T;
   * eval_special_series — a fast factorial-form series valid for the
@@ -34,6 +38,27 @@ from .polynomials import PolySpec, explicit_poly
 #: D: (D, constant numerator, {p: numerator}), a zero numerator counting as
 #: absent.  The integer kernels return these; ZetaCombination.from_ints reads one.
 IntCombination = tuple[int, int, dict[int, int]]
+
+#: The rows of orders 3..s as one order-free sequence and three numbers per
+#: order, (L^3, M, w, g, z3, z2, constant): g[i] over L^3 M^w[i] is the
+#: coefficient of zeta(q - i) in every order q with q - i >= 2; in order q,
+#: z3[q] over L^3 M^(q-3) adds to zeta(3), z2[q] over L^3 M^(q-2) to zeta(2),
+#: and constant[q] is over L^3 M^q.  Both integer kernels return one.
+IntCore = tuple[int, int, list[int], list[int], list[int], list[int], list[int]]
+
+
+def layout(core: IntCore) -> dict[int, IntCombination]:
+    """The rows a core stands for, order q over its one denominator L^3 M^q."""
+    L3, M, w, g, z3, z2, constant = core
+    s = len(g) + 1
+    Mw = [M**e for e in range(s + 1)]
+    rows = {}
+    for q in range(3, s + 1):
+        zeta = {q - i: v * Mw[q - w[i]] for i, v in enumerate(g[: q - 1])}
+        zeta[3] += z3[q] * Mw[3]
+        zeta[2] += z2[q] * Mw[2]
+        rows[q] = (L3 * Mw[q], constant[q], zeta)
+    return rows
 
 
 class ZetaCombination(Record):
@@ -89,8 +114,12 @@ def decompose_integrals(
 
 
 def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int, IntCombination]:
-    """decompose_integrals on integers: I(P,Q,T; q) for every order q = 3..s
-    as numerators over the one denominator L^3 M^q named below.
+    """decompose_integrals on integers: the layout of oracle_core."""
+    return layout(oracle_core(P, Q, T, s))
+
+
+def oracle_core(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> IntCore:
+    """The oracle's values of I(P,Q,T; q), q = 3..s, as an IntCore.
 
     With A(m) = sum_r p_r/(m+r) and B, C built likewise from Q and T,
     I(q) = sum_{m>=1} F(m)/m^(q-3), F = A B C.  At m = -rho, rho = 0..deg,
@@ -107,13 +136,14 @@ def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int
         1/((m+rho)^i m) = 1/(rho^i m) - sum_{l<=i} 1/(rho^(i-l+1) (m+rho)^l).
 
     Re-anchored at m = 1, sum 1/m^j = zeta(j) and sum 1/(m+rho)^i =
-    zeta(i) - H_rho^(i); the 1/m and 1/(m+rho) pieces must cancel.
+    zeta(i) - H_rho^(i); the 1/m and 1/(m+rho) pieces must cancel.  The
+    weights of rho = 0 on m^-3, m^-2, m^-1, then the 1/m weight each order
+    hands the next, are the sequence g; the poles rho > 0 give the rest.
 
     The pass runs on integers: with L the lcm of the coefficient
     denominators and M = lcm(1..deg), the weight on 1/m^j or 1/(m+rho)^j
     in order q is an integer over L^3 M^(q-j), and the constant an integer
-    over L^3 M^q, the row's denominator (zeta(j) numerators times M^j).
-    M/(r-rho), M/rho and (M/k)^i serve as integer weights.
+    over L^3 M^q.  M/(r-rho), M/rho and (M/k)^i serve as integer weights.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
@@ -153,10 +183,9 @@ def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int
     if at_m[1] + sum(part[0] for part, _, _ in poles):
         raise InternalError("1/m residues failed to cancel (series would diverge)")
     # Each pole's weights after q - 3 divisions by m, summed per order q.
-    orders = range(3, s + 1)
     residue, z2, z3, constant = ([0] * (s + 1) for _ in range(4))
     for (n1, n2, n3), w, (h1, h2, h3) in poles:
-        for q in orders:
+        for q in range(3, s + 1):
             if q > 3:  # divided by m once more
                 n3 = -n3 * w
                 n2 = (n3 - n2) * w
@@ -165,16 +194,9 @@ def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int
             z2[q] += n2
             z3[q] += n3
             constant[q] -= n1 * h1 + n2 * h2 + n3 * h3
-    den, Mw = L**3, [M**w for w in range(s + 1)]
-    out: dict[int, IntCombination] = {}
-    for q in orders:
-        if q > 3:
-            at_m.insert(1, residue[q])
-        zeta = {j: at_m[j] * Mw[j] for j in range(2, q + 1)}
-        zeta[2] += z2[q] * Mw[2]
-        zeta[3] += z3[q] * Mw[3]
-        out[q] = (den * Mw[q], constant[q], zeta)
-    return out
+    # residue[q], the 1/m weight of order q, is the zeta(2) weight of order q + 1.
+    g = at_m[:0:-1][: s - 1] + residue[4:s]
+    return L**3, M, list(range(s - 1)), g, z3, z2, constant
 
 
 def partial_fraction_sum(r1: int, r2: int, r3: int, s: int) -> ZetaCombination:

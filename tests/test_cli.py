@@ -1,10 +1,12 @@
 """Command-line behavior: output shape, determinism, and exit codes.
 
 Exit-code contract: 0 success, 1 verification mismatch, 2 usage or invalid
-input, 3 precision budget exceeded, 4 internal error.
+input, 3 precision budget exceeded, 4 internal error or output that cannot
+be written.
 """
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import pytest
 
 import zetarat
 import zetarat.cli as cli_module
@@ -366,7 +369,7 @@ def test_unexpected_exception_exits_four(capsys, monkeypatch):
         return kernel
 
     cases = (
-        (rows_module, "oracle_numerators", KeyError("boom"), ["verify", "--s", "5", "--trials", "2"],
+        (rows_module, "oracle_core", KeyError("boom"), ["verify", "--s", "5", "--trials", "2"],
          "internal error: KeyError: 'boom'"),
         (solver_module, "row_numerators", ZeroDivisionError("division by zero"),
          ["approx", "--s", "3", "--n", "2"], "internal error: ZeroDivisionError: division by zero"),
@@ -379,6 +382,39 @@ def test_unexpected_exception_exits_four(capsys, monkeypatch):
         assert (got, captured.out) == (4, ""), argv
         assert captured.err.startswith("Traceback (most recent call last):\n"), argv
         assert captured.err.endswith(f"\n{line}\n"), argv
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_pipe_exits_four_with_one_line(capsys, monkeypatch):
+    """Output that cannot be written is neither a mismatch (1) nor a bug
+    with a traceback: exit 4, one line on stderr."""
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["verify", "--s", "5", "--trials", "2"]) == 4
+    assert capsys.readouterr().err == "error: cannot write the output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", (["approx", "--s", "3", "--n", "4"], ["--help"]))
+def test_a_full_disk_exits_four_with_one_line_and_nothing_at_shutdown(argv):
+    """Cold, with stdout on /dev/full: exit 4 and one line on stderr, no
+    traceback and no "Exception ignored" from the flush at exit, for a
+    command's output and for argparse's help alike."""
+    env = dict(os.environ, PYTHONPATH=str(Path(zetarat.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, so the flush at exit has data to fail on
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "zetarat", *argv],
+            env=env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            check=False,
+        )
+    assert run.returncode == 4
+    assert run.stderr == b"error: cannot write the output: [Errno 28] No space left on device\n"
 
 
 def test_usage_errors_exit_two(capsys):

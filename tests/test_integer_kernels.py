@@ -6,7 +6,8 @@ output; `certified_row_bounds` settles its orders on the integers of
 `special_series_numerators`.  tests/fraction_kernels.py keeps the Fraction bodies they replaced;
 every zeta coefficient, constant and Interval endpoint must be the same
 rational.  The row kernels themselves, `row_numerators` and
-`oracle_numerators`, give each row over one positive denominator.
+`oracle_numerators`, give each row over one positive denominator: each is
+`series.layout` of its kernel's core.
 """
 from __future__ import annotations
 
@@ -23,9 +24,11 @@ from zetarat.polynomials import (
     pad_to_degree,
     shifted_legendre,
 )
-from zetarat.rows import TranscriptionVariant, coefficient_rows, row_numerators
+from zetarat.rows import TranscriptionVariant, coefficient_rows, row_core, row_numerators
 from zetarat.series import (
     ZetaCombination,
+    layout,
+    oracle_core,
     oracle_numerators,
     special_series_enclosures,
     special_series_numerators,
@@ -80,6 +83,26 @@ def test_both_row_kernels_give_one_denominator_per_row(triple, s, variant):
     assert rows == reference.coefficient_rows(P, Q, T, s, variant)
     oracle = _one_denominator_rows(oracle_numerators(P, Q, T, s), s)
     assert oracle == {q: residue_oracle.decompose_integral(P, Q, T, q) for q in oracle}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_rational_triples(), st.integers(3, 12), st.sampled_from(TranscriptionVariant))
+def test_the_layout_of_each_core_equals_the_fraction_reference(triple, s, variant):
+    """Each kernel's core holds one sequence entry per zeta(q - i), i < s - 1,
+    with its weight, and three numbers per order 3..s; the one layout of the
+    row core gives the reference rows of its variant, and that of the
+    oracle's core the PLAIN_POWERS reference rows."""
+    P, Q, T = triple
+    cores = (
+        (row_core(P, Q, T, s, variant), reference.coefficient_rows(P, Q, T, s, variant)),
+        (oracle_core(P, Q, T, s), reference.coefficient_rows(P, Q, T, s)),
+    )
+    for core, want in cores:
+        L3, M, w, g, z3, z2, constant = core
+        assert L3 > 0 and M > 0
+        assert len(w) == len(g) == s - 1
+        assert len(z3) == len(z2) == len(constant) == s + 1
+        assert _one_denominator_rows(layout(core), s) == want
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

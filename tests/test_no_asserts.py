@@ -1,5 +1,6 @@
 """Invariants in the package must survive `python -O`, which strips every
-`assert` statement: the package raises instead."""
+`assert` statement: the package raises instead, and so do the reference
+modules the tests import."""
 from __future__ import annotations
 
 import ast
@@ -21,6 +22,25 @@ def test_package_source_has_no_assert_statements():
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+#: The reference modules the tests import.  pytest rewrites the asserts of
+#: test_*.py files only, and `python -O` strips a bare assert anywhere, so a
+#: helper that checks something raises instead.
+HELPERS = ("fraction_kernels.py", "residue_oracle.py", "solver_reference.py")
+
+
+def test_test_helpers_have_no_assert_statements():
+    tests = Path(__file__).parent
+    helpers = sorted(p.name for p in tests.glob("*.py") if not p.name.startswith("test_"))
+    assert set(HELPERS) <= set(helpers)
+    found = [
+        f"{name}:{node.lineno}"
+        for name in helpers
+        for node in ast.walk(ast.parse((tests / name).read_text(), filename=name))
         if isinstance(node, ast.Assert)
     ]
     assert found == []

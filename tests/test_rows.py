@@ -27,6 +27,7 @@ from zetarat.rows import (
     RowMismatch,
     TranscriptionVariant,
     coefficient_rows,
+    row_core,
     row_general,
     row_mismatches,
     row_numerators,
@@ -34,7 +35,13 @@ from zetarat.rows import (
     row_zeta4,
     validate_rows,
 )
-from zetarat.series import ZetaCombination, decompose_integral, oracle_numerators
+from zetarat.series import (
+    ZetaCombination,
+    decompose_integral,
+    layout,
+    oracle_core,
+    oracle_numerators,
+)
 
 
 def _random_triple(rng: random.Random, n: int):
@@ -212,7 +219,7 @@ def test_validate_rows_pinpoints_harmonic_mismatches_on_the_witness():
 
 def test_validate_rows_takes_one_oracle_pass_per_system(monkeypatch):
     """Every order's row and oracle value come from one pass of each
-    integer kernel."""
+    integer kernel, which returns its core."""
     calls = []
 
     def counting(name):
@@ -224,14 +231,14 @@ def test_validate_rows_takes_one_oracle_pass_per_system(monkeypatch):
 
         return counted
 
-    for name in ("oracle_numerators", "row_numerators"):
+    for name in ("oracle_core", "row_core"):
         monkeypatch.setattr(rows_module, name, counting(name))
     rng = random.Random(77)
     for s in (3, 5, 9):
         calls.clear()
         P, Q, T = _random_triple(rng, rng.randint(1, 3))
         report = validate_rows(P, Q, T, s)
-        assert sorted(calls) == [("oracle_numerators", s), ("row_numerators", s)]
+        assert sorted(calls) == [("oracle_core", s), ("row_core", s)]
         assert report.all_equal
 
 
@@ -290,8 +297,9 @@ def test_row_mismatches_compares_values_not_denominators(rng, s, k, data):
 
 def test_validate_rows_builds_no_fraction_when_all_equal(monkeypatch):
     """An agreeing system is checked on integers alone: with the Fraction
-    wrappers of both kernels, ZetaCombination.of and Fraction itself made
-    to raise, the check still runs and passes."""
+    wrappers of both kernels, the layout of a core into rows,
+    ZetaCombination.of and Fraction itself made to raise, the check still
+    runs and passes."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the all-equal path built a Fraction")
@@ -300,6 +308,7 @@ def test_validate_rows_builds_no_fraction_when_all_equal(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(rows_module, "coefficient_rows", refuse)
         m.setattr(series_module, "decompose_integrals", refuse)
+        m.setattr(rows_module, "layout", refuse)
         m.setattr(ZetaCombination, "of", staticmethod(refuse))
         m.setattr(Fraction, "__new__", refuse)
         report = validate_rows(P, Q, T, 9)
@@ -328,17 +337,24 @@ def _scaled(combination, k):
     return k * den, k * constant, {p: k * v for p, v in zeta.items()}
 
 
+def _scaled_core(core, k):
+    """A core whose layout is every row of `core` scaled by k."""
+    L3, M, w, g, z3, z2, constant = core
+    return (k * L3, M, w, *([k * v for v in u] for u in (g, z3, z2, constant)))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.randoms(use_true_random=False), st.integers(3, 9), st.integers(2, 10**12), st.data())
 def test_validate_rows_compares_values_when_the_integers_differ(rng, s, k, data):
-    """An oracle scaled by k > 1 has other integers but the same values:
-    the check falls through to row_mismatches for every order and reports
-    nothing.  A row with 1 added to one numerator reports exactly that
-    component."""
+    """An oracle core scaled by k > 1 has other integers but the same
+    values: the check falls through to row_mismatches for every order and
+    reports nothing.  A row core laid out with 1 added to one numerator
+    reports exactly that component."""
     P, Q, T = _random_triple(rng, rng.randint(1, 3))
     oracle = oracle_numerators(P, Q, T, s)
     rows = row_numerators(P, Q, T, s)
-    scaled = {q: _scaled(v, k) for q, v in oracle.items()}
+    scaled = _scaled_core(oracle_core(P, Q, T, s), k)
+    assert layout(scaled) == {q: _scaled(v, k) for q, v in oracle.items()}
     compared = []
 
     def counted(order, row, other):
@@ -346,7 +362,7 @@ def test_validate_rows_compares_values_when_the_integers_differ(rng, s, k, data)
         return row_mismatches(order, row, other)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(rows_module, "oracle_numerators", lambda *args: scaled)
+        m.setattr(rows_module, "oracle_core", lambda *args: scaled)
         m.setattr(rows_module, "row_mismatches", counted)
         assert validate_rows(P, Q, T, s).mismatches == ()
     assert compared == list(range(3, s + 1))
@@ -364,8 +380,16 @@ def test_validate_rows_compares_values_when_the_integers_differ(rng, s, k, data)
             order, "zeta", p, Fraction(zeta[p] + 1, den), Fraction(want.get(p, 0), y)
         )
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(rows_module, "row_numerators", lambda *args: {**rows, order: bumped})
+        _lay_out_as(m, {**rows, order: bumped})
         assert validate_rows(P, Q, T, s).mismatches == (expected,)
+
+
+def _lay_out_as(patch, rows):
+    """Make validate_rows see a row core that differs from the oracle's and
+    lays out to `rows`."""
+    core = object()
+    patch.setattr(rows_module, "row_core", lambda *args: core)
+    patch.setattr(rows_module, "layout", lambda c: rows if c is core else layout(c))
 
 
 #: Rationals with zeros and non-integers.
@@ -375,9 +399,10 @@ _CHECK_RATIONALS = st.one_of(
 
 
 @st.composite
-def _check_triples(draw):
-    """P, Q of a common degree 0..8 and T of degree <= n zero-padded to n."""
-    n = draw(st.integers(0, 8))
+def _check_triples(draw, least_degree=0):
+    """P, Q of a common degree least_degree..8 and T of degree <= n
+    zero-padded to n."""
+    n = draw(st.integers(least_degree, 8))
 
     def poly(degree):
         size = degree + 1
@@ -409,6 +434,76 @@ def test_with_h_mismatch_lists_equal_the_fraction_reference():
         assert report == reference.validate_rows(P, Q, T, 9, with_h)
         mismatching += not report.all_equal
     assert mismatching >= 10
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    _check_triples(1),
+    st.integers(3, 12),
+    st.sampled_from(TranscriptionVariant),
+    st.sampled_from(("g", "z3", "z2", "constant")),
+    st.data(),
+)
+def test_a_bumped_core_reports_what_its_bumped_rows_report(triple, s, variant, kind, data):
+    """Adding 1 to one component of the row core, a sequence entry g[i], a
+    zeta(3) or zeta(2) addition or a constant, moves exactly the per-order
+    entries the layout reads it into: M^(q - w[i]) on zeta(q - i) in every
+    order q with q - i >= 2, M^3 on zeta(3), M^2 on zeta(2) or 1 on the
+    constant of its order.  The check on the bumped core reports what
+    row_mismatches reports on those bumped rows, and what the Fraction
+    reference reports on them."""
+    P, Q, T = triple
+    core = row_core(P, Q, T, s, variant)
+    L3, M, w, g, z3, z2, constant = core
+    rows = layout(core)
+    bumped = {q: (den, c, dict(zeta)) for q, (den, c, zeta) in rows.items()}
+    if kind == "g":
+        i = data.draw(st.integers(0, s - 2))
+        g = [v + (j == i) for j, v in enumerate(g)]
+        moved = [(q, q - i, M ** (q - w[i])) for q in range(max(i + 2, 3), s + 1)]
+    else:
+        order = data.draw(st.integers(3, s))
+        part = {"z3": z3, "z2": z2, "constant": constant}[kind]
+        part[order] += 1
+        p, step = {"z3": (3, M**3), "z2": (2, M**2), "constant": (None, 1)}[kind]
+        moved = [(order, p, step)]
+    for q, p, step in moved:
+        den, c, zeta = bumped[q]
+        if p is None:
+            bumped[q] = (den, c + step, zeta)
+        else:
+            zeta[p] += step
+    bumped_core = (L3, M, w, g, z3, z2, constant)
+    assert layout(bumped_core) == bumped
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rows_module, "row_core", lambda *args: bumped_core)
+        report = validate_rows(P, Q, T, s, variant)
+    with pytest.MonkeyPatch.context() as m:
+        _lay_out_as(m, bumped)
+        assert validate_rows(P, Q, T, s, variant) == report
+    if variant is TranscriptionVariant.PLAIN_POWERS:  # rows equal to the oracle's until bumped
+        places = [(x.order, x.zeta_order) for x in report.mismatches]
+        assert places == sorted((q, p) for q, p, _ in moved)
+    with pytest.MonkeyPatch.context() as m:
+        as_combinations = {q: ZetaCombination.from_ints(v) for q, v in bumped.items()}
+        m.setattr(reference, "package_rows", lambda *args: as_combinations)
+        assert reference.validate_rows(P, Q, T, s, variant) == report
+
+
+def test_an_all_equal_trial_lays_out_no_row(monkeypatch):
+    """At s = 60 an agreeing trial compares the two cores and lays out
+    neither; the refusing layout does take hold when they differ."""
+
+    def refuse(core):
+        raise AssertionError("laid out the rows of a trial")
+
+    monkeypatch.setattr(rows_module, "layout", refuse)
+    rng = random.Random(60)
+    for n in (1, 2, 3):
+        P, Q, T = _random_triple(rng, n)
+        assert validate_rows(P, Q, T, 60).mismatches == ()
+    with pytest.raises(AssertionError, match="laid out"):
+        validate_rows(*WITNESS, 60, TranscriptionVariant.HARMONIC_WEIGHTS)
 
 
 def test_validate_rows_rejects_small_s_max():
