@@ -4,7 +4,8 @@ Commands:
   approx   solve for zeta(s) ~ alpha*zeta(2) + beta at degree n, with the
            certified error bound and a certified decimal rendering
   verify   validate the closed-form rows against the symbolic oracle on
-           seeded random polynomial triples (exit 1 on any mismatch)
+           seeded random polynomial triples (exit 1 on any mismatch); the
+           drawn ints go straight into the integer row check
   lemma2   exact sweep of the shift-reduction identities (exit 1 on failure)
   table    theta bounds and certified errors across a degree range
   digits   certified digits of the approximation next to the reference value
@@ -12,8 +13,9 @@ Commands:
 Exit codes: 0 success, 1 verification mismatch, 2 usage or invalid input
 (including singular systems), 3 precision budget exceeded, 4 internal error
 (a failed exact-arithmetic invariant or any unexpected exception) or output
-that cannot be written.  All output is byte-deterministic for a fixed
-command line.
+that cannot be written.  A stderr that cannot be written loses its message,
+never the exit code.  All output is byte-deterministic for a fixed command
+line.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .numerics import (
     zeta_reference,
 )
 from .polynomials import PolySpec, binomial_poly, explicit_poly, shifted_legendre
-from .rows import TranscriptionVariant, validate_rows
+from .rows import TranscriptionVariant, validate_int_rows
 from .series import shift_reduction_residual
 from .solver import ApproxResult, build_system, certified_row_bounds, solve_zeta
 
@@ -93,7 +95,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
     Draw order per trial is fixed: n in 1..3 first, then the coefficients
     of the three polynomials (each uniform in -3..3), so a seed pins the
-    whole trial sequence.
+    whole trial sequence.  The drawn ints are their own integer form, over
+    L = 1, and go straight into the row check: a trial whose cores agree
+    builds no PolySpec and no Fraction.
     """
     if args.trials < 1:
         raise ValueError("need --trials >= 1")
@@ -103,11 +107,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     first_mismatches: list[dict] = []
     for trial in range(args.trials):
         n = rng.randint(1, 3)
-        polys = [
-            explicit_poly([rng.randint(-3, 3) for _ in range(n + 1)])
-            for _ in range(3)
-        ]
-        report = validate_rows(polys[0], polys[1], polys[2], args.s, variant)
+        abc = [[rng.randint(-3, 3) for _ in range(n + 1)] for _ in range(3)]
+        report = validate_int_rows(1, abc, args.s, variant)
         if report.all_equal:
             continue
         mismatching_trials += 1
@@ -319,41 +320,57 @@ def _parser() -> argparse.ArgumentParser:
     return _build_parser()
 
 
+def _to_devnull(stream) -> None:
+    """Point the stream's descriptor at devnull, so that the flush at exit
+    cannot fail again on what the stream still holds."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, ValueError):  # no descriptor, as for a StringIO
+        return
+    import os  # loaded at start-up already; named only on this path
+
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _exit_with(code: int, message: str = "") -> int:
+    """Print the message, if any, on stderr, flush stderr and return the
+    code.  A stderr that cannot be written (a full disk, a closed pipe)
+    loses the message, never the code."""
+    try:
+        if message:
+            print(message, file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+    return code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         code, text = args.handler(args)
-    except SystemExit as exc:  # argparse handles usage errors and --help
-        code, text = int(exc.code or 0), ""
+    except SystemExit as exc:  # argparse has written its usage error or --help
+        code, text = _exit_with(int(exc.code or 0)), ""
     except PrecisionBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _exit_with(3, f"error: {exc}")
     except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+        return _exit_with(4, f"internal error: {exc}")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _exit_with(2, f"error: {exc}")
     except Exception as exc:  # a bug, whatever its type
         import traceback  # only here: it would add to every cold start
 
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        summary = f"internal error: {type(exc).__name__}: {exc}"
+        return _exit_with(4, traceback.format_exc() + summary)
     try:  # the output, --help's too: a closed pipe or a full disk exits 4, no traceback
         if text:
             print(text)
         sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write the output: {exc}", file=sys.stderr)
-        try:  # stdout's descriptor goes to devnull, so the flush at exit cannot fail again
-            fd = sys.stdout.fileno()
-        except (AttributeError, ValueError):  # no descriptor, as for a StringIO
-            return 4
-        import os  # loaded at start-up already; named only on this path
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-        return 4
+        _to_devnull(sys.stdout)
+        return _exit_with(4, f"error: cannot write the output: {exc}")
     return code
 
 

@@ -107,9 +107,17 @@ def coefficient_triple(
     Raises ValueError when the formal degrees disagree — the closed-form
     rows are transcribed for a common degree n.
     """
-    if not (P.degree == Q.degree == T.degree):
+    return equal_degree_lists(P.coeffs, Q.coeffs, T.coeffs)
+
+
+def equal_degree_lists(
+    a: Sequence, b: Sequence, c: Sequence
+) -> tuple[Sequence, Sequence, Sequence]:
+    """coefficient_triple on three coefficient lists, rational or in
+    integer form: (a, b, c) itself, or ValueError when their lengths differ."""
+    if not (len(a) == len(b) == len(c)):
         raise ValueError(
             "polynomial degrees must match "
-            f"(got {P.degree}, {Q.degree}, {T.degree})"
+            f"(got {len(a) - 1}, {len(b) - 1}, {len(c) - 1})"
         )
-    return P.coeffs, Q.coeffs, T.coeffs
+    return a, b, c

@@ -11,9 +11,11 @@ coefficients via the cyclic symbol
 One integer kernel, row_core, builds the rows of every order 3..s in a
 single pass over the index blocks: the pass collects order-free weights
 per index, and the order only picks the inverse powers they are summed
-against.  It returns them as one order-free sequence plus three numbers
-per order (series.IntCore), which series.layout turns into the rows;
-coefficient_rows reads those as ZetaCombinations.
+against.  It takes the integer form (L, [a, b, c]) of the three
+coefficient lists, as numerics.integer_form returns it, and returns one
+order-free sequence plus three numbers per order (series.IntCore), which
+series.layout turns into the rows; coefficient_rows reads those as
+ZetaCombinations.
 Orders 3 and 4 are the cases where the mandatory zeta(3) and zeta(2)
 extra blocks land on the lead and sub-lead coefficients.  Every
 formula was adjudicated term-by-term against the exact partial-fraction
@@ -22,7 +24,9 @@ admit two genuinely different readings of the triple-sum block (orders
 >= 5), both are implemented and selectable via TranscriptionVariant.  Only
 PLAIN_POWERS agrees with the oracle — HARMONIC_WEIGHTS is kept callable so
 the disagreement itself can be demonstrated (see validate_rows and the CLI
-`verify` command).
+`verify` command).  The row check itself, validate_int_rows, runs on one
+integer form, handed to both kernels; validate_rows takes that form from
+three PolySpecs, and `verify` passes its drawn ints straight in.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from math import lcm
 from operator import mul
 
 from .numerics import Rat, Record, integer_form
-from .polynomials import PolySpec, coefficient_triple
+from .polynomials import PolySpec, equal_degree_lists
 from .series import IntCombination, IntCore, ZetaCombination, layout, oracle_core
 
 
@@ -65,21 +69,25 @@ def row_numerators(
     s: int,
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> dict[int, IntCombination]:
-    """coefficient_rows on integers: the layout of row_core."""
-    return layout(row_core(P, Q, T, s, variant))
+    """coefficient_rows on integers: the layout of row_core on the integer
+    form of the three coefficient lists."""
+    return layout(row_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s, variant))
 
 
 def row_core(
-    P: PolySpec,
-    Q: PolySpec,
-    T: PolySpec,
+    L: int,
+    abc: list[list[int]],
     s: int,
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> IntCore:
-    """The closed forms of I(P,Q,T; q), q = 3..s, as an IntCore, L and M
-    named below, from one pass over the single (r), double (r > l) and
-    triple (r > l > i) index blocks; the triple block costs O(n^2), not
-    O(n^3), because its i-sums factor through sums of a_i, b_i, c_i.
+    """The closed forms of I(P,Q,T; q), q = 3..s, as an IntCore, from the
+    integer form (L, [a, b, c]) of P, Q, T that numerics.integer_form
+    returns: a, b, c are L times the coefficient lists, of one formal
+    degree (else the ValueError of polynomials.equal_degree_lists), and
+    are only read.  M is named below.  One pass runs over the single (r),
+    double (r > l) and triple (r > l > i) index blocks; the triple block
+    costs O(n^2), not O(n^3), because its i-sums factor through sums of
+    a_i, b_i, c_i.
 
     The pass folds each block into order-free weights on one index x:
 
@@ -118,15 +126,14 @@ def row_core(
     """
     if s < 3:
         raise ValueError("closed-form rows need order >= 3")
-    fa, fb, fc = coefficient_triple(P, Q, T)
-    n = len(fa) - 1
+    a, b, c = equal_degree_lists(*abc)
+    n = len(a) - 1
     xs = range(1, n + 1)
-    # Integer scaling: a, b, c times L are integers, and every weight on
-    # index x is an integer once scaled by L^3 M^w, M = lcm(1..n), where w
-    # counts the divisions by (x - l) or x it has been through: A, B, C
-    # have w = 0, D and Z w = 1, E and Y w = 2.  [W]_e sums W_x (M/x)^e,
-    # adding e to w, and M H, M^2 H2, M^3 H3 are integers adding 1, 2, 3.
-    L, (a, b, c) = integer_form(fa, fb, fc)
+    # Integer scaling: every weight on index x is an integer once scaled
+    # by L^3 M^w, M = lcm(1..n), where w counts the divisions by (x - l)
+    # or x it has been through: A, B, C have w = 0, D and Z w = 1, E and
+    # Y w = 2.  [W]_e sums W_x (M/x)^e, adding e to w, and M H, M^2 H2,
+    # M^3 H3 are integers adding 1, 2, 3.
     M = lcm(*xs)
     inv = [0] + [M // x for x in xs]  # M/x
     # Pair products: S_mu,mu,lam = ab_mu c_lam + bc_mu a_lam + ca_mu b_lam.
@@ -299,13 +306,26 @@ def validate_rows(
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> RowValidationReport:
     """Compare every closed-form row of order 3..s_max against the exact
-    partial-fraction oracle.  Each kernel runs once: equal cores lay out
-    to equal rows, so there is nothing to compare; else both cores are
-    laid out and row_mismatches runs per order."""
+    partial-fraction oracle: validate_int_rows on the one integer form of
+    the three coefficient lists."""
+    L, abc = integer_form(P.coeffs, Q.coeffs, T.coeffs)
+    return validate_int_rows(L, abc, s_max, variant)
+
+
+def validate_int_rows(
+    L: int,
+    abc: list[list[int]],
+    s_max: int,
+    variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
+) -> RowValidationReport:
+    """validate_rows on an integer form (L, [a, b, c]), handed to both
+    kernels.  Each kernel runs once: equal cores lay out to equal rows, so
+    there is nothing to compare; else both cores are laid out and
+    row_mismatches runs per order."""
     if s_max < 3:
         raise ValueError("s_max must be >= 3")
-    want = oracle_core(P, Q, T, s_max)
-    got = row_core(P, Q, T, s_max, variant)
+    want = oracle_core(L, abc, s_max)
+    got = row_core(L, abc, s_max, variant)
     if got == want:
         return RowValidationReport(())
     rows, oracle = layout(got), layout(want)

@@ -12,8 +12,10 @@ the monomials x^r1, x^r2, x^r3 it gives the elementary sums
     sigma(r1,r2,r3; s) = sum_{m>=1} 1/((m+r1)(m+r2)(m+r3) m^(s-3)).
 
 The oracle's integer kernel (oracle_core) and the closed-form one in
-rows.py (row_core) both return an IntCore, defined here with the one
-layout that turns a core into the rows of orders 3..s.
+rows.py (row_core) both take the integer form (L, [a, b, c]) of the three
+coefficient lists that numerics.integer_form returns, and both return an
+IntCore, defined here with the one layout that turns a core into the rows
+of orders 3..s.
 
 Two independent certified numeric evaluators are provided:
   * eval_truncated  — direct partial sums of the defining series, any P,Q,T;
@@ -114,12 +116,16 @@ def decompose_integrals(
 
 
 def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int, IntCombination]:
-    """decompose_integrals on integers: the layout of oracle_core."""
-    return layout(oracle_core(P, Q, T, s))
+    """decompose_integrals on integers: the layout of oracle_core on the
+    integer form of the three coefficient lists."""
+    return layout(oracle_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s))
 
 
-def oracle_core(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> IntCore:
-    """The oracle's values of I(P,Q,T; q), q = 3..s, as an IntCore.
+def oracle_core(L: int, abc: list[list[int]], s: int) -> IntCore:
+    """The oracle's values of I(P,Q,T; q), q = 3..s, as an IntCore, from the
+    integer form (L, [a, b, c]) of P, Q, T that numerics.integer_form
+    returns: a, b, c are L times the coefficient lists, of any lengths
+    (the shorter ones read as zero-padded), and are only read.
 
     With A(m) = sum_r p_r/(m+r) and B, C built likewise from Q and T,
     I(q) = sum_{m>=1} F(m)/m^(q-3), F = A B C.  At m = -rho, rho = 0..deg,
@@ -140,20 +146,18 @@ def oracle_core(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> IntCore:
     weights of rho = 0 on m^-3, m^-2, m^-1, then the 1/m weight each order
     hands the next, are the sequence g; the poles rho > 0 give the rest.
 
-    The pass runs on integers: with L the lcm of the coefficient
-    denominators and M = lcm(1..deg), the weight on 1/m^j or 1/(m+rho)^j
-    in order q is an integer over L^3 M^(q-j), and the constant an integer
-    over L^3 M^q.  M/(r-rho), M/rho and (M/k)^i serve as integer weights.
+    The pass runs on integers: with M = lcm(1..deg), the weight on 1/m^j
+    or 1/(m+rho)^j in order q is an integer over L^3 M^(q-j), and the
+    constant an integer over L^3 M^q.  M/(r-rho), M/rho and (M/k)^i serve
+    as integer weights.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
-    polys = (P.coeffs, Q.coeffs, T.coeffs)
-    deg = max(map(len, polys)) - 1
-    L, ints = integer_form(*polys)
+    deg = max(map(len, abc)) - 1
     M = lcm(*range(1, deg + 1))
     # L x_-1, L M x_0 and L M^2 x_1 of each factor at m = -rho, from each
     # pair r > rho once: M/(r-rho) serves both, with opposite signs.
-    a, b, c = (u + [0] * (deg + 1 - len(u)) for u in ints)
+    a, b, c = (u + [0] * (deg + 1 - len(u)) for u in abc)
     a0, a1, b0, b1, c0, c1 = ([0] * (deg + 1) for _ in range(6))
     for rho in range(deg):
         for r in range(rho + 1, deg + 1):

@@ -6,6 +6,7 @@ be written.
 """
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import os
@@ -115,6 +116,101 @@ def test_verify_that_checks_nothing_exits_two(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: need --trials >= 1\n"
+
+
+#: perfbench/workloads.py, whose request mix assumes cmd_verify's draw order.
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _workloads(monkeypatch):
+    """The benchmark's workloads module, loaded without writing bytecode
+    beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _capture_checks(monkeypatch):
+    """Record the (L, [a, b, c]) of every trial cmd_verify checks."""
+    seen = []
+    check = cli_module.validate_int_rows
+
+    def recorded(L, abc, s_max, variant):
+        seen.append((L, [list(u) for u in abc]))
+        return check(L, abc, s_max, variant)
+
+    monkeypatch.setattr(cli_module, "validate_int_rows", recorded)
+    return seen
+
+
+def test_verify_draws_the_degrees_the_benchmark_mirrors(monkeypatch, capsys):
+    """The benchmark picks verify seeds by the trial degrees that
+    workloads._verify_degrees predicts; the check receives, over L = 1,
+    three int lists of exactly those degrees plus one entries in -3..3."""
+    workloads = _workloads(monkeypatch)
+    seen = _capture_checks(monkeypatch)
+    trials = 25
+    for seed in (0, 1, 5, 42, 12345, 2**31 - 1):
+        seen.clear()
+        assert main(["verify", "--s", "5", "--trials", str(trials), "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        degrees = []
+        for L, abc in seen:
+            assert L == 1
+            assert len(abc) == 3 and len({len(u) for u in abc}) == 1
+            assert all(type(v) is int and -3 <= v <= 3 for u in abc for v in u)
+            degrees.append(len(abc[0]) - 1)
+        assert degrees == workloads._verify_degrees(seed, trials), seed
+
+
+def test_a_failing_with_h_run_reports_the_trials_and_degrees_it_did(monkeypatch, capsys):
+    """The losing variant at seed 3: the same mismatching trials, with the
+    same degrees, in json and text, as before the check took ints; each
+    reported degree is that of the trial's drawn lists."""
+    seen = _capture_checks(monkeypatch)
+    argv = ["verify", "--variant", "with-h", "--s", "5", "--trials", "40", "--seed", "3"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    trials = [1, 2, 5, 7, 9, 10, 12, 13, 15, 17]
+    assert payload["mismatching_trials"] == 16
+    assert [(m["trial"], m["degree"]) for m in payload["first_mismatches"]] == [
+        (t, 3) for t in trials
+    ]
+    assert all(len(seen[m["trial"]][1][0]) - 1 == m["degree"] for m in payload["first_mismatches"])
+    assert main([*argv, "--format", "text"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "all_equal: False (16 mismatching trials)"
+    assert [line.split(":")[0] for line in lines[2:]] == [f"  trial {t} (degree 3)" for t in trials]
+
+
+def test_an_agreeing_verify_builds_no_fraction_no_polyspec_and_no_integer_form(monkeypatch, capsys):
+    """Drawn ints go straight to the integer check: with Fraction,
+    PolySpec and every binding of numerics.integer_form made to raise, a
+    run whose trials all agree exits 0 with the usual bytes."""
+    import zetarat.numerics as numerics_module
+    import zetarat.series as series_module
+    from zetarat.polynomials import PolySpec
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an agreeing verify run took the rational route")
+
+    argv = ["verify", "--s", "9", "--trials", "30", "--seed", "5"]
+    expected = (
+        '{\n  "s_max": 9,\n  "trials": 30,\n  "seed": 5,\n  "variant": "no-h",\n'
+        '  "all_equal": true,\n  "mismatching_trials": 0,\n  "first_mismatches": []\n}\n'
+    )
+    with monkeypatch.context() as m:
+        for module in (numerics_module, rows_module, series_module):
+            m.setattr(module, "integer_form", refuse)
+        m.setattr(PolySpec, "__init__", refuse)
+        m.setattr(Fraction, "__new__", refuse)
+        assert main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 # ----------------------------------------------------------------- lemma2
@@ -415,6 +511,33 @@ def test_a_full_disk_exits_four_with_one_line_and_nothing_at_shutdown(argv):
         )
     assert run.returncode == 4
     assert run.stderr == b"error: cannot write the output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, stdout_full, code",
+    (
+        (["approx", "--s", "2", "--n", "4"], False, 2),  # invalid input
+        (["approx", "--s", "3"], False, 2),  # argparse's usage error
+        (["approx", "--s", "3", "--n", "4"], True, 4),  # output that cannot be written
+    ),
+)
+def test_a_full_stderr_keeps_the_exit_code(argv, stdout_full, code):
+    """Cold, with stderr on /dev/full: the message is lost, the exit code
+    is not, and nothing is printed at shutdown (exit 120 would say a flush
+    at exit failed)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(zetarat.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, so the flush at exit has data to fail on
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(
+            [sys.executable, "-m", "zetarat", *argv],
+            env=env,
+            stdout=full if stdout_full else subprocess.PIPE,
+            stderr=full,
+            check=False,
+        )
+    assert run.returncode == code
+    assert stdout_full or run.stdout == b""
 
 
 def test_usage_errors_exit_two(capsys):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import fraction_kernels as reference
 import residue_oracle
+from zetarat.numerics import integer_form
 from zetarat.polynomials import (
     binomial_poly,
     explicit_poly,
@@ -93,9 +94,10 @@ def test_the_layout_of_each_core_equals_the_fraction_reference(triple, s, varian
     row core gives the reference rows of its variant, and that of the
     oracle's core the PLAIN_POWERS reference rows."""
     P, Q, T = triple
+    L, abc = integer_form(P.coeffs, Q.coeffs, T.coeffs)
     cores = (
-        (row_core(P, Q, T, s, variant), reference.coefficient_rows(P, Q, T, s, variant)),
-        (oracle_core(P, Q, T, s), reference.coefficient_rows(P, Q, T, s)),
+        (row_core(L, abc, s, variant), reference.coefficient_rows(P, Q, T, s, variant)),
+        (oracle_core(L, abc, s), reference.coefficient_rows(P, Q, T, s)),
     )
     for core, want in cores:
         L3, M, w, g, z3, z2, constant = core

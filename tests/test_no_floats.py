@@ -22,6 +22,7 @@ INTEGER_KERNELS = (
     ("rows.py", "row_core"),
     ("rows.py", "row_mismatches"),
     ("rows.py", "validate_rows"),
+    ("rows.py", "validate_int_rows"),
     ("series.py", "layout"),
     ("series.py", "decompose_integrals"),
     ("series.py", "oracle_numerators"),

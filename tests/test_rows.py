@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import fraction_kernels as reference
 import zetarat.rows as rows_module
 import zetarat.series as series_module
+from zetarat.numerics import integer_form
 from zetarat.polynomials import (
     binomial_poly,
     explicit_poly,
@@ -33,6 +34,7 @@ from zetarat.rows import (
     row_numerators,
     row_zeta3,
     row_zeta4,
+    validate_int_rows,
     validate_rows,
 )
 from zetarat.series import (
@@ -42,6 +44,11 @@ from zetarat.series import (
     oracle_core,
     oracle_numerators,
 )
+
+
+def _integer_form(P, Q, T):
+    """The (L, [a, b, c]) that both kernel cores take."""
+    return integer_form(P.coeffs, Q.coeffs, T.coeffs)
 
 
 def _random_triple(rng: random.Random, n: int):
@@ -225,9 +232,9 @@ def test_validate_rows_takes_one_oracle_pass_per_system(monkeypatch):
     def counting(name):
         original = getattr(rows_module, name)
 
-        def counted(P, Q, T, s, *rest):
+        def counted(L, abc, s, *rest):
             calls.append((name, s))
-            return original(P, Q, T, s, *rest)
+            return original(L, abc, s, *rest)
 
         return counted
 
@@ -353,7 +360,7 @@ def test_validate_rows_compares_values_when_the_integers_differ(rng, s, k, data)
     P, Q, T = _random_triple(rng, rng.randint(1, 3))
     oracle = oracle_numerators(P, Q, T, s)
     rows = row_numerators(P, Q, T, s)
-    scaled = _scaled_core(oracle_core(P, Q, T, s), k)
+    scaled = _scaled_core(oracle_core(*_integer_form(P, Q, T), s), k)
     assert layout(scaled) == {q: _scaled(v, k) for q, v in oracle.items()}
     compared = []
 
@@ -421,6 +428,48 @@ def test_validate_rows_equals_the_fraction_reference(triple, s, variant):
     assert validate_rows(P, Q, T, s, variant) == reference.validate_rows(P, Q, T, s, variant)
 
 
+@st.composite
+def _int_lists(draw):
+    """Three int lists of one length 1..9, entries in -9..9."""
+    size = draw(st.integers(1, 9))
+    entries = st.lists(st.integers(-9, 9), min_size=size, max_size=size)
+    return [draw(entries) for _ in range(3)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    _int_lists(),
+    st.integers(3, 12),
+    st.sampled_from(TranscriptionVariant),
+    st.integers(0, 2),
+    st.integers(-9, 9),
+)
+@example(
+    [[3, 0, -3, -1], [1, 0, 0, 3], [3, -1, 0, -1]], 5, TranscriptionVariant.HARMONIC_WEIGHTS, 2, 1
+)
+def test_the_integer_check_equals_validate_rows_and_the_fraction_reference(
+    abc, s, variant, longer, extra
+):
+    """Int lists over L = 1 give the report of validate_rows on the
+    explicit polynomials with those coefficients, and the Fraction
+    reference's; both kernels leave the shared lists as they were.  Lists
+    of unequal lengths (list `longer` given one more entry) raise
+    validate_rows' ValueError."""
+    drawn = [list(u) for u in abc]
+    report = validate_int_rows(1, abc, s, variant)
+    assert abc == drawn
+    P, Q, T = map(explicit_poly, abc)
+    assert report == validate_rows(P, Q, T, s, variant)
+    assert report == reference.validate_rows(P, Q, T, s, variant)
+    uneven = [u + [extra] if i == longer else u for i, u in enumerate(abc)]
+    with pytest.raises(ValueError) as want:
+        validate_rows(*map(explicit_poly, uneven), s, variant)
+    with pytest.raises(ValueError) as got:
+        validate_int_rows(1, uneven, s, variant)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("polynomial degrees must match")
+
+
 def test_with_h_mismatch_lists_equal_the_fraction_reference():
     """The losing variant's reports carry mismatches, and the integer check
     reports the same ones: same orders, components, zeta orders and
@@ -453,7 +502,7 @@ def test_a_bumped_core_reports_what_its_bumped_rows_report(triple, s, variant, k
     row_mismatches reports on those bumped rows, and what the Fraction
     reference reports on them."""
     P, Q, T = triple
-    core = row_core(P, Q, T, s, variant)
+    core = row_core(*_integer_form(P, Q, T), s, variant)
     L3, M, w, g, z3, z2, constant = core
     rows = layout(core)
     bumped = {q: (den, c, dict(zeta)) for q, (den, c, zeta) in rows.items()}
