@@ -2,13 +2,13 @@
 
     PYTHONPATH=src python bench/solve_layers.py [--repeats 3]
 
-For each (s, n) on a fixed grid, with P the shifted Legendre and Q the
-binomial polynomial of degree n and T = 1 + x/3, the script times
-build_system and then solve_zeta, the latter fed the analytic theta_bound
-of every order so that no row-bound work enters it.  Each layer runs
-`repeats` times; the script prints the median process time per layer and
-grid point, in s, as JSON, with one sha256 over the reprs of the
-ApproxResults so that two trees' outputs can be compared.
+For each (s, n) on a fixed grid, s up to 400, with P the shifted
+Legendre and Q the binomial polynomial of degree n and T = 1 + x/3, the
+script times build_system and then solve_zeta, the latter fed the
+analytic theta_bound of every order so that no row-bound work enters it.
+Each layer runs `repeats` times; the script prints the median process
+time per layer and grid point, in s, as JSON, with one sha256 over the
+reprs of the ApproxResults so that two trees' outputs can be compared.
 
 Only public calls are used and zetarat is imported from sys.path, so
 PYTHONPATH picks the source tree: run it once per tree to compare two
@@ -27,7 +27,7 @@ from time import process_time
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.solver import build_system, solve_zeta, theta_bound
 
-GRID = ((9, 24), (60, 10), (200, 10), (200, 20))
+GRID = ((9, 24), (60, 10), (200, 10), (200, 20), (400, 10))
 
 
 def timed(fn, *args):

@@ -11,15 +11,14 @@ with alpha, beta and the weights w_q exact rationals, hence the certified
 error bound |zeta(s) - (alpha zeta(2) + beta)| <= sum_q |w_q| theta_q.
 
 Only the first row y of A^-1 is needed, A being the upper triangular matrix
-of zeta(s), ..., zeta(3) coefficients.  The rows are the row kernel's
-integers: row nu's numerators, over its one denominator D_nu, are D_nu
-times row nu of A.  A TriangularSystem checks when it is built that there
-are s - 2 rows, that the order-q row carries zeta(p) only for 2 <= p <= q,
-and that its zeta(q) is nonzero.  One column reduction per solve reads the
-rows for both routes, which compute y in O(s^2) operations and must agree
+of zeta(s), ..., zeta(3) coefficients.  A TriangularSystem holds the
+PLAIN_POWERS row core (weights w[i] = i), one order-free sequence g, and
+_column_reduced reads B from it once per solve: the Toeplitz matrix of g
+plus the zeta(3) column, over one content, with no per-order row and no
+gcd per column.  The routes compute y in O(s^2) operations and must agree
 exactly: back-substitution on y^T A = e_0^T, and Cramer's first-column
-cofactors, the leading minors of one upper Hessenberg block of A, from one
-integer recurrence over the row-scaled, column-reduced matrix.
+cofactors, the leading minors of one upper Hessenberg block of A, from
+one integer recurrence over B.
 """
 from __future__ import annotations
 
@@ -27,10 +26,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .numerics import InternalError, Rat, RatLike, Record, as_rational
+from .numerics import InternalError, Rat, RatLike, Record, as_rational, integer_form
 from .polynomials import PolyFamily, PolySpec, pad_to_degree
-from .rows import row_numerators
-from .series import IntCombination, special_series_numerators
+from .rows import row_core
+from .series import IntCore, special_series_numerators
 
 
 class SingularSystemError(ValueError):
@@ -38,30 +37,22 @@ class SingularSystemError(ValueError):
 
 
 class TriangularSystem(Record):
-    """Rows of orders s, s-1, ..., 3 for a common polynomial degree n, as
-    row_numerators gives them: (D, constant, {p: numerator}) each, s first."""
+    """The rows of orders s, s-1, ..., 3 for a common polynomial degree n,
+    as the PLAIN_POWERS core (series.IntCore) that rows.row_core gives."""
 
-    __slots__ = ("s", "n", "T", "rows")
+    __slots__ = ("s", "n", "T", "core")
 
-    def __init__(self, s: int, n: int, T: PolySpec, rows: tuple[IntCombination, ...]) -> None:
-        """Both solve routes read the order-q row only at zeta(2), ...,
-        zeta(q) and divide by its zeta(q): a wrong row count or a zeta term
-        outside that shape is a bug, a zero zeta(q) a singular system,
-        named by its lowest such order.  Zero numerators count as absent."""
-        if len(rows) != s - 2:
-            raise InternalError(f"the order-{s} system has {len(rows)} rows, not {s - 2}")
-        for k, (_, _, zeta) in enumerate(rows):
-            order = s - k
-            if any(v and not 2 <= p <= order for p, v in zeta.items()):
-                raise InternalError(
-                    f"the order-{order} row carries a zeta term outside zeta(2)..zeta({order})"
-                )
-        for order, (_, _, zeta) in zip(range(3, s + 1), reversed(rows)):
-            if not zeta.get(order):
+    def __init__(self, s: int, n: int, T: PolySpec, core: IntCore) -> None:
+        """Both solve routes divide by each order's zeta(q) coefficient,
+        g[0] + z3[3] in order 3 and g[0] in every order >= 4: a zero one
+        makes the system singular, named by its lowest such order."""
+        _, _, _, g, z3, _, _ = core
+        for order, lead in ((3, g[0] + z3[3]), (4, g[0])):
+            if order <= s and not lead:
                 raise SingularSystemError(
                     f"singular system: zero leading coefficient in the order-{order} row"
                 )
-        Record.__init__(self, s, n, T, rows)
+        Record.__init__(self, s, n, T, core)
 
 
 class ApproxResult(Record):
@@ -81,33 +72,42 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
     if s < 3:
         raise ValueError("s must be >= 3")
     if P.degree != Q.degree:
-        raise ValueError(
-            f"P and Q must share a degree (got {P.degree} and {Q.degree})"
-        )
+        raise ValueError(f"P and Q must share a degree (got {P.degree} and {Q.degree})")
     n = P.degree
     T = pad_to_degree(T, n)
-    rows = row_numerators(P, Q, T, s)
-    return TriangularSystem(s, n, T, tuple(rows[q] for q in range(s, 2, -1)))
+    return TriangularSystem(s, n, T, row_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s))
 
 
 # ---------------------------------------------------------------- solving
 
 
 #: (s, D, zeta2, consts, g, B), as _column_reduced returns it.
-Reduced = tuple[int, tuple[int, ...], list[int], tuple[int, ...], list[int], list[list[int]]]
+Reduced = tuple[int, list[int], list[int], list[int], list[int], list[list[int]]]
 
 
 def _column_reduced(system: TriangularSystem) -> Reduced:
     """All that both routes read of the system, taken once per solve as the
     plain tuple (s, D, zeta2, consts, g, B): the row denominators D_nu, the
-    rows' zeta(2) and constant numerators, the column contents g_c > 0, the
-    gcd of column c (the zeta(s - c) numerators, zero below row c), and the
-    reduced integers B, column c over g_c."""
+    rows' zeta(2) and constant numerators, the column contents g_c > 0, and
+    the integers B, column c over g_c.
+
+    Row nu, order q = s - nu, is over D_nu = L^3 M^q; with w[i] = i its
+    zeta(s - c) numerator is g[c - nu] M^(s-c), g[i] the core's sequence,
+    plus z3[q] M^3 in the zeta(3) column, its zeta(2) one (g[q-2] + z2[q])
+    M^2, and its constant constant[q].  So g_c = gamma M^(s-c), gamma the
+    gcd of the sequence and the zeta(3) column, and B is the Toeplitz
+    matrix of the sequence over gamma, but for that column.
+    """
     s = system.s
-    scale, consts, ints = zip(*system.rows)
-    g = [gcd(*(ints[r].get(s - c, 0) for r in range(c + 1))) for c in range(len(ints))]
-    b = [[zeta.get(s - c, 0) // gc for c, gc in enumerate(g)] for zeta in ints]
-    return s, scale, [zeta.get(2, 0) for zeta in ints], consts, g, b
+    L3, M, _, g, z3, z2, constant = system.core
+    orders = range(s, 2, -1)
+    col3 = [g[q - 3] + z3[q] for q in orders]
+    gamma = gcd(*g[: s - 3], *col3)
+    seq = [v // gamma for v in g[: s - 3]]
+    b = [[0] * nu + seq[: s - 3 - nu] + [v // gamma] for nu, v in enumerate(col3)]
+    Mq = [M**e for e in range(s + 1)]
+    return (s, [L3 * Mq[q] for q in orders], [(g[q - 2] + z2[q]) * Mq[2] for q in orders],
+            constant[s:2:-1], [gamma * Mq[q] for q in orders], b)
 
 
 def _solve_back_substitution(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]]:
@@ -134,8 +134,8 @@ def _solve_back_substitution(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]
 def _solve_cramer(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Cofactor route: zeta(s) = sum_nu RHS_nu * C_nu / Delta, where C_nu are
     the signed cofactors of the first column and Delta the determinant,
-    the product of the diagonal: the system checked its triangular shape
-    and its nonzero diagonal when it was built.
+    the product of the diagonal: the system checked its nonzero diagonal
+    when it was built.
 
     Deleting row nu and column 0 of A leaves a block triangular minor,
     det H_nu * prod_{r>nu} a_rr, where H_nu is the leading nu x nu block of

@@ -5,22 +5,24 @@ These are the O(s^3) and O(s^4) routes the package ran before its O(s^2)
 substitution and integer Hessenberg routes.  Back-substitution carries a
 (zeta(2) weight, constant, {order: I weight}) triple for every order;
 Cramer takes one generic Fraction determinant per first-column cofactor.
-They read the system's integer rows as exact combinations through
-`ZetaCombination.from_ints`.  The package routes must return exactly these
-values, weight dicts included; tests/test_solver.py checks that.
+They take integer rows {order: (D, constant, {p: numerator})} for the
+orders 3..s, `series.layout(system.core)` for a real system, and read them
+as exact combinations through `ZetaCombination.from_ints`.  The package
+routes must return exactly these values, weight dicts included;
+tests/test_solver.py checks that.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from zetarat.numerics import InternalError, Rat
-from zetarat.series import ZetaCombination
-from zetarat.solver import TriangularSystem
+from zetarat.series import IntCombination, ZetaCombination
 
 
-def _rows(system: TriangularSystem) -> list[ZetaCombination]:
-    """The system's rows, order s first, as exact combinations."""
-    return [ZetaCombination.from_ints(row) for row in system.rows]
+def _rows(rows: Mapping[int, IntCombination]) -> list[ZetaCombination]:
+    """The rows, order s first, as exact combinations."""
+    return [ZetaCombination.from_ints(rows[q]) for q in range(max(rows), 2, -1)]
 
 
 def _det(matrix: list[list[Rat]]) -> Rat:
@@ -48,15 +50,15 @@ def _det(matrix: list[list[Rat]]) -> Rat:
 
 
 def solve_back_substitution(
-    system: TriangularSystem,
+    rows: Mapping[int, IntCombination],
 ) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Express zeta(s) = alpha*zeta(2) + beta + sum_q w_q I_q by eliminating
     zeta(3), zeta(4), ... upward through the rows; a weight that cancels to
     zero is left out, as in the package routes."""
-    s = system.s
+    s = max(rows)
     # per solved order: (zeta2 weight, constant, {order: I weight})
     solved: dict[int, tuple[Rat, Rat, dict[int, Rat]]] = {}
-    rows = _rows(system)
+    rows = _rows(rows)
     for order in range(3, s + 1):
         row = rows[s - order]
         lead = row.zeta(order)
@@ -78,19 +80,20 @@ def solve_back_substitution(
     return u, v, {q: wt for q, wt in w.items() if wt}
 
 
-def solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
+def solve_cramer(rows: Mapping[int, IntCombination]) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Cofactor route: zeta(s) = sum_nu RHS_nu * C_nu / Delta, where C_nu are
     the signed cofactors of the first column and Delta the (triangular)
     determinant."""
-    rows = _rows(system)
+    s = max(rows)
+    rows = _rows(rows)
     size = len(rows)
-    diagonal = [row.zeta(system.s - k) for k, row in enumerate(rows)]
+    diagonal = [row.zeta(s - k) for k, row in enumerate(rows)]
     delta = Fraction(1)
     for d in diagonal:
         delta *= d
     # column c (0-based) carries the zeta(s - c) coefficients
     matrix = [
-        [rows[r].zeta(system.s - c) for c in range(size)] for r in range(size)
+        [rows[r].zeta(s - c) for c in range(size)] for r in range(size)
     ]
     delta_generic = _det(matrix)
     if delta_generic != delta:
@@ -108,5 +111,5 @@ def solve_cramer(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
         alpha += -row.zeta(2) * w
         beta += -row.constant * w
         if w:
-            weights[system.s - nu] = w
+            weights[s - nu] = w
     return alpha, beta, weights

@@ -339,16 +339,22 @@ def test_singular_system_exits_two_with_message(capsys):
 def test_a_singular_request_computes_no_row_bound(monkeypatch, capsys):
     """build_system refuses a zero diagonal before any row bound runs: with
     certified_row_bounds made to raise, a singular approx still exits 2
-    with the singular-system message."""
+    with the singular-system message, naming the lowest zero order.  At
+    T = 2 - x, n = 1 only order 3 is singular: its lead a0 b0 c0 = 2 meets
+    the zeta(3) extra block, -2."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a row bound was computed")
 
     monkeypatch.setattr(cli_module, "certified_row_bounds", refuse)
-    assert main(["approx", "--s", "5", "--n", "3", "--t=0,1"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: singular system: zero leading coefficient in the order-4 row\n"
-    )
+    for argv, order in (
+        (["approx", "--s", "5", "--n", "3", "--t=0,1"], 4),
+        (["approx", "--s", "4", "--n", "1", "--t=2,-1"], 3),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: singular system: zero leading coefficient in the order-{order} row\n"
+        )
 
 
 def test_invalid_rational_list_exits_two(capsys):
@@ -467,7 +473,7 @@ def test_unexpected_exception_exits_four(capsys, monkeypatch):
     cases = (
         (rows_module, "oracle_core", KeyError("boom"), ["verify", "--s", "5", "--trials", "2"],
          "internal error: KeyError: 'boom'"),
-        (solver_module, "row_numerators", ZeroDivisionError("division by zero"),
+        (solver_module, "row_core", ZeroDivisionError("division by zero"),
          ["approx", "--s", "3", "--n", "2"], "internal error: ZeroDivisionError: division by zero"),
     )
     for module, name, exc, argv, line in cases:

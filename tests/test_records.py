@@ -22,6 +22,12 @@ from zetarat.solver import ApproxResult, TriangularSystem
 
 _MISMATCH = (3, "zeta", 3, Fraction(0), Fraction(3, 2))
 
+
+def _core(z3):
+    """A row core (series.IntCore) of orders 3 and 4, z3 the zeta(3) extra of order 3."""
+    return (1, 1, [0, 1, 2], [3, 0, 1], [0, 0, 0, z3, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 2])
+
+
 #: (class, field names in order, field values, the same with one field changed)
 RECORDS = [
     (Interval, ("lo", "hi"), (Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))),
@@ -39,9 +45,9 @@ RECORDS = [
     ),
     (
         TriangularSystem,
-        ("s", "n", "T", "rows"),
-        (4, 1, explicit_poly([1, 0]), ((2, 1, {4: 3, 2: 1}), (1, 0, {3: 1}))),
-        (4, 1, explicit_poly([1, 0]), ((2, 1, {4: 3, 2: 1}), (1, 0, {3: 2}))),
+        ("s", "n", "T", "core"),
+        (4, 1, explicit_poly([1, 0]), _core(1)),
+        (4, 1, explicit_poly([1, 0]), _core(2)),
     ),
     (
         ApproxResult,
@@ -81,7 +87,7 @@ def test_equal_fields_give_equal_records_with_equal_hashes(cls, names, values, c
     if _hashable(values):
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
-    else:  # a field holds a dict: unhashable, as the field values are
+    else:  # a field holds a dict or a list: unhashable, as the field values are
         with pytest.raises(TypeError):
             hash(a)
 

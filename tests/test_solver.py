@@ -10,17 +10,17 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import solver_reference as reference
 import zetarat.rows as rows_module
 import zetarat.solver as solver_module
 from zetarat.cli import main
-from zetarat.numerics import InternalError, Interval, zeta_reference
+from zetarat.numerics import Interval, integer_form, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, pad_to_degree, shifted_legendre
-from zetarat.rows import coefficient_rows, row_numerators, row_zeta3
-from zetarat.series import ZetaCombination, special_series_enclosures
+from zetarat.rows import coefficient_rows, row_core, row_numerators, row_zeta3
+from zetarat.series import ZetaCombination, layout, special_series_enclosures
 from zetarat.solver import (
     SingularSystemError,
     TriangularSystem,
@@ -40,7 +40,33 @@ def _structured_system(n: int, s: int, t_coeffs=None):
 
 def _row(system, order):
     """The order-`order` row of the system as an exact combination."""
-    return ZetaCombination.from_ints(system.rows[system.s - order])
+    return ZetaCombination.from_ints(layout(system.core)[order])
+
+
+def _rows_of(s, zetas):
+    """Rows {order: (D, constant, {zeta order: numerator})} of orders s,
+    s-1, ..., 3 from their numerators, each over the denominator 1 with the
+    constant 1."""
+    return {s - k: (1, 1, zeta) for k, zeta in enumerate(zetas)}
+
+
+def _reduced(rows, contents=None):
+    """What _column_reduced hands the routes, built from general upper
+    triangular rows of orders 3..s, {order: (D, constant, {p: numerator})}
+    with zero numerators counting as absent: column c, the zeta(s - c)
+    numerators, over its content contents[c] > 0 (1 by default), which
+    must divide it."""
+    s = max(rows)
+    dens, consts, zetas = zip(*(rows[q] for q in range(s, 2, -1)))
+    g = list(contents or [1] * len(zetas))
+    b = []
+    for zeta in zetas:
+        b.append([])
+        for c, gc in enumerate(g):
+            entry, rest = divmod(zeta.get(s - c, 0), gc)
+            assert rest == 0, "a content must divide its column"
+            b[-1].append(entry)
+    return s, list(dens), [zeta.get(2, 0) for zeta in zetas], list(consts), g, b
 
 
 def _system_or_refusal(n, s, t):
@@ -61,10 +87,13 @@ def _system_or_refusal(n, s, t):
 
 
 def test_build_system_rows_run_from_s_down_to_three():
+    """The system holds the PLAIN_POWERS row core, which lays out to the
+    rows of orders 5, 4 and 3."""
     P, Q, _, system = _structured_system(2, 5)
-    rows = row_numerators(P, Q, system.T, 5)
-    assert system.rows == (rows[5], rows[4], rows[3])
-    assert [max(ZetaCombination.from_ints(row).orders()) for row in system.rows] == [5, 4, 3]
+    assert system.core == row_core(*integer_form(P.coeffs, Q.coeffs, system.T.coeffs), 5)
+    rows = layout(system.core)
+    assert rows == row_numerators(P, Q, system.T, 5)
+    assert [max(ZetaCombination.from_ints(rows[q]).orders()) for q in (5, 4, 3)] == [5, 4, 3]
     assert system.n == 2
 
 
@@ -85,34 +114,23 @@ def test_build_system_diagonal_and_delta():
     assert dict(solve_zeta(system, {3: 1, 4: 1}).weights)[4] == 1 / diag[0]
 
 
-def _system_of(s, rows):
-    """A system of the given {zeta order: numerator} rows, each over the
-    denominator 1 with the constant 1."""
-    return TriangularSystem(s, 1, explicit_poly([1]), tuple((1, 1, row) for row in rows))
-
-
 @pytest.mark.parametrize(
-    "s, rows, message",
+    "s, core, message",
     [
-        # a zeta(4) term in the order-3 row: no route reads it, and the
-        # system would certify alpha = beta = -1/2
-        (4, [{4: 2, 2: 1}, {4: 7, 3: 5, 2: 1}], "the order-3 row"),
-        (4, [{5: 1, 4: 2, 2: 1}, {3: 5, 2: 1}], "the order-4 row"),
-        (4, [{4: 2, 1: 3}, {3: 5, 2: 1}], "the order-4 row"),
-        (5, [{5: 1, 2: 1}, {4: 1, 2: 1}], "the order-5 system has 2 rows, not 3"),
-        # zero diagonals at orders 5 and 4: the lowest is named, before
-        # any route or row bound runs
-        (
+        # g[0] = 0 zeroes the diagonal at orders 5 and 4, while order 3 has
+        # g[0] + z3[3] = 5: the lowest zero order is named, before any
+        # route or row bound runs
+        pytest.param(
             5,
-            [{5: 0, 4: 1, 2: 1}, {4: 0, 3: 1}, {3: 5, 2: 1}],
+            (1, 1, [0, 1, 2, 3], [0, 1, 0, 1], [0, 0, 0, 5, 0, 0], [0] * 6, [0] * 6),
             "singular system: zero leading coefficient in the order-4 row",
+            id="5-rows4-singular system: zero leading coefficient in the order-4 row",
         ),
     ],
 )
-def test_malformed_systems_fail_at_construction(s, rows, message):
-    error = SingularSystemError if message.startswith("singular") else InternalError
-    with pytest.raises(error, match=re.escape(message)):
-        _system_of(s, rows)
+def test_malformed_systems_fail_at_construction(s, core, message):
+    with pytest.raises(SingularSystemError, match=re.escape(message)):
+        TriangularSystem(s, 1, explicit_poly([1]), core)
 
 
 def test_build_system_validations():
@@ -152,7 +170,7 @@ def test_the_solve_builds_no_zeta_combination(monkeypatch, capsys):
             _row(system, 9)  # the patch itself takes hold
     out, err = capsys.readouterr()
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
-    expected = reference.solve_back_substitution(system)
+    expected = reference.solve_back_substitution(layout(system.core))
     assert (result.alpha, result.beta, dict(result.weights)) == expected
 
 
@@ -197,22 +215,28 @@ def test_solution_satisfies_the_defining_linear_identities():
 
 
 def test_a_system_built_from_ints_solves_in_fractions():
-    """Integer rows give Fractions on both routes and in solve_zeta, never
-    a float, and the same rationals over other denominators give the same
-    answer.  Zero numerators count as absent, whatever their order."""
-    one = explicit_poly([1])
-    exact = _system_of(4, [{4: 2, 2: 1}, {3: 5, 2: 1}])
-    rows = (
-        (6, 6, {5: 0, 4: 12, 3: 0, 2: 6}),
-        (12, 12, {3: 60, 2: 12, 1: 0}),
-    )
-    rescaled = TriangularSystem(4, 1, one, rows)
+    """Integer rows give Fractions on both routes, never a float, and the
+    same rationals over other denominators and column contents give the
+    same answer; zero numerators count as absent, whatever their order.
+    In solve_zeta, the same two rows as a core with L^3 = M = 1 and as one
+    with L^3 = 6, M = 2 solve to the same Fractions."""
+    rows = _rows_of(4, [{4: 2, 2: 1}, {3: 5, 2: 1}])
+    rescaled = {4: (6, 6, {5: 0, 4: 12, 3: 0, 2: 6}), 3: (12, 12, {3: 60, 2: 12, 1: 0})}
     for route in (_solve_back_substitution, _solve_cramer):
-        alpha, beta, weights = route(_column_reduced(rescaled))
-        assert (alpha, beta, weights) == route(_column_reduced(exact))
+        alpha, beta, weights = route(_reduced(rescaled, [4, 12]))
+        assert (alpha, beta, weights) == route(_reduced(rows))
         assert all(type(v) is Fraction for v in (alpha, beta, *weights.values()))
-    result = solve_zeta(rescaled, {3: 1, 4: 1})
-    assert result == solve_zeta(exact, {3: 1, 4: 1})
+    one = explicit_poly([1])
+    core = (1, 1, [0, 1, 2], [2, 0, 0], [0, 0, 0, 3, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 1])
+    scaled = (6, 2, [0, 1, 2], [12, 0, 0], [0, 0, 0, 18, 0], [0, 0, 0, 12, 24], [0, 0, 0, 48, 96])
+    for c in (core, scaled):
+        assert {q: ZetaCombination.from_ints(r) for q, r in layout(c).items()} == {
+            q: ZetaCombination.from_ints(r) for q, r in rows.items()
+        }
+    result = solve_zeta(TriangularSystem(4, 1, one, scaled), {3: 1, 4: 1})
+    assert result == solve_zeta(TriangularSystem(4, 1, one, core), {3: 1, 4: 1})
+    alpha, beta, weights = _solve_back_substitution(_reduced(rows))
+    assert (result.alpha, result.beta, dict(result.weights)) == (alpha, beta, weights)
     numbers = (result.alpha, result.beta, result.theta_bound, *dict(result.weights).values())
     assert all(type(v) is Fraction for v in numbers)
 
@@ -238,45 +262,55 @@ _numerators = st.integers(-35, 35)
 
 @st.composite
 def _random_systems(draw, max_s=8, numerators=_numerators):
-    """Triangular systems of orders s..3 as integer rows, each over its own
-    denominator D in 1..60, with nonzero leading coefficients."""
+    """General upper triangular rows of orders s..3, {order: (D, constant,
+    {p: numerator})}, each over its own denominator D in 1..60, with
+    nonzero leading coefficients."""
     s = draw(st.integers(3, max_s))
-    rows = []
+    rows = {}
     for order in range(s, 2, -1):
         zeta = {p: draw(numerators) for p in range(2, order)}
         zeta[order] = draw(_numerators.filter(bool))
-        rows.append((draw(st.integers(1, 60)), draw(numerators), zeta))
-    one = explicit_poly([1])
-    return TriangularSystem(s, 1, one, tuple(rows))
+        rows[order] = (draw(st.integers(1, 60)), draw(numerators), zeta)
+    return rows
+
+
+#: Rows in which w_3 cancels to zero.
+_CANCELLING = _rows_of(5, [{5: 1, 4: 1, 3: 1}, {4: 1, 3: 1}, {3: 1}])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(system=_random_systems())
-@example(system=_system_of(5, [{5: 1, 4: 1, 3: 1}, {4: 1, 3: 1}, {3: 1}]))
-def test_both_solve_routes_agree_on_random_triangular_systems(system):
+@given(rows=_random_systems())
+@example(rows=_CANCELLING)
+def test_both_solve_routes_agree_on_random_triangular_systems(rows):
     """Equal alpha, beta and weights, also where a weight cancels to zero
     (the example has w_3 = 0): neither route keeps that order."""
-    reduced = _column_reduced(system)
+    s = max(rows)
+    reduced = _reduced(rows)
     alpha, beta, weights = _solve_back_substitution(reduced)
     assert (alpha, beta, weights) == _solve_cramer(reduced)
-    assert weights[system.s] == 1 / _row(system, system.s).zeta(system.s)
+    den, _, zeta = rows[s]
+    assert weights[s] == Fraction(den, zeta[s])
 
 
 def test_a_weight_that_cancels_is_left_out_of_the_result():
     """zeta(5) = I_5 - I_4 here: I_3 enters the order-5 row and, through
-    the order-4 row, cancels, so the result lists no (3, 0) pair."""
-    system = _system_of(5, [{5: 1, 4: 1, 3: 1}, {4: 1, 3: 1}, {3: 1}])
+    the order-4 row, cancels, so the result lists no (3, 0) pair.  The
+    rows are those of a core: g = 1, 1, 1, 0 and z2 cancelling zeta(2)."""
+    core = (1, 1, [0, 1, 2, 3], [1, 1, 1, 0], [0] * 6, [0, 0, 0, -1, -1, 0], [0, 0, 0, 1, 1, 1])
+    assert {q: ZetaCombination.from_ints(r) for q, r in layout(core).items()} == {
+        q: ZetaCombination.from_ints(r) for q, r in _CANCELLING.items()
+    }
+    system = TriangularSystem(5, 1, explicit_poly([1]), core)
     result = solve_zeta(system, dict.fromkeys(range(3, 6), 1))
     assert (result.alpha, result.beta, result.theta_bound) == (0, 0, 2)
     assert result.weights == ((4, -1), (5, 1))
 
 
-def _routes_match_the_reference(system):
-    """Each package route returns exactly what its Fraction reference
-    returns, weight dicts included."""
-    reduced = _column_reduced(system)
-    assert _solve_back_substitution(reduced) == reference.solve_back_substitution(system)
-    assert _solve_cramer(reduced) == reference.solve_cramer(system)
+def _routes_match_the_reference(rows, reduced):
+    """Each package route returns on the reduced rows exactly what its
+    Fraction reference returns on the rows, weight dicts included."""
+    assert _solve_back_substitution(reduced) == reference.solve_back_substitution(rows)
+    assert _solve_cramer(reduced) == reference.solve_cramer(rows)
 
 
 #: Large common factors of a column: powers of 2 and 3 times a large prime.
@@ -292,27 +326,22 @@ _column_factors = st.builds(
 def _systems_with_large_column_factors(draw):
     """_random_systems with each column c, the zeta(s - c) entries of rows
     0..c, multiplied by a factor f_c of up to about 370 bits."""
-    system = draw(_random_systems(max_s=10, numerators=st.one_of(st.just(0), _numerators)))
-    s = system.s
+    rows = draw(_random_systems(max_s=10, numerators=st.one_of(st.just(0), _numerators)))
+    s = max(rows)
     factors = [draw(_column_factors) for _ in range(s - 2)]
-    rows = tuple(
-        (den, constant, {p: v * factors[s - p] if p > 2 else v for p, v in zeta.items()})
-        for den, constant, zeta in system.rows
-    )
-    return TriangularSystem(s, system.n, system.T, rows), factors
+    return {
+        order: (den, constant, {p: v * factors[s - p] if p > 2 else v for p, v in zeta.items()})
+        for order, (den, constant, zeta) in rows.items()
+    }, factors
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=_systems_with_large_column_factors())
 def test_solve_routes_equal_the_reference_on_columns_with_large_common_factors(case):
-    """Both routes divide column c by its content g_c, which f_c divides,
-    and still return exactly the reference values."""
-    system, factors = case
-    *_, contents, reduced = _column_reduced(system)
-    assert all(g % f == 0 for g, f in zip(contents, factors))
-    assert all(row[c] * g == system.rows[r][2].get(system.s - c, 0)
-               for r, row in enumerate(reduced) for c, g in enumerate(contents))
-    _routes_match_the_reference(system)
+    """Both routes run on column c over the content f_c, and still return
+    exactly the reference values."""
+    rows, factors = case
+    _routes_match_the_reference(rows, _reduced(rows, factors))
 
 
 def test_one_solve_reduces_the_columns_once(monkeypatch):
@@ -331,13 +360,13 @@ def test_one_solve_reduces_the_columns_once(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(system=_random_systems(max_s=12, numerators=st.one_of(st.just(0), _numerators)))
-@example(system=_system_of(5, [{5: 1, 4: 1, 3: 1}, {4: 1, 3: 1}, {3: 1}]))
-def test_solve_routes_equal_the_reference_on_sparse_random_systems(system):
+@given(rows=_random_systems(max_s=12, numerators=st.one_of(st.just(0), _numerators)))
+@example(rows=_CANCELLING)
+def test_solve_routes_equal_the_reference_on_sparse_random_systems(rows):
     """s up to 12; about half the entries above the diagonal and of the
     zeta(2) and constant entries are zero.  In the example w_3 cancels to
     zero, and no route, the references included, keeps it."""
-    _routes_match_the_reference(system)
+    _routes_match_the_reference(rows, _reduced(rows))
 
 
 _t_coefficients = st.lists(
@@ -355,7 +384,35 @@ def test_solve_routes_equal_the_reference_on_legendre_binomial_systems(n, s, t):
     0..2 (T(0) = 0 makes the system singular, and build_system refuses it)."""
     system = _system_or_refusal(n, s, t)
     if system is not None:
-        _routes_match_the_reference(system)
+        _routes_match_the_reference(layout(system.core), _column_reduced(system))
+
+
+_int_triples = st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1),
+                       min_size=3, max_size=3)
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(abc=_int_triples, s=st.integers(3, 12))
+def test_the_reduced_system_reads_the_rows_of_the_one_layout(abc, s):
+    """On the row core of an integer triple (L = 1), B[nu][c] g_c / D_nu is
+    the zeta(s - c) coefficient of the order-(s - nu) row of series.layout,
+    for every nu and c, and the zeta(2) and constant numerators over D_nu
+    are that row's zeta(2) coefficient and constant."""
+    core = row_core(1, abc, s)
+    try:
+        system = TriangularSystem(s, len(abc[0]) - 1, explicit_poly([1]), core)
+    except SingularSystemError:
+        reject()
+    _, dens, zeta2, consts, contents, b = _column_reduced(system)
+    rows = layout(core)
+    for nu, d in enumerate(dens):
+        den, constant, zeta = rows[s - nu]
+        assert Fraction(zeta2[nu], d) == Fraction(zeta[2], den)
+        assert Fraction(consts[nu], d) == Fraction(constant, den)
+        for c, g in enumerate(contents):
+            assert Fraction(b[nu][c] * g, d) == Fraction(zeta.get(s - c, 0), den)
 
 
 def test_singular_system_raises_with_a_clear_message():
