@@ -260,8 +260,9 @@ def zeta_reference(p: int, digits: int) -> Interval:
             f"requested {digits} digits exceeds budget of {DIGIT_BUDGET}"
         )
     raw = _zeta_enclosure_raw(p, digits + 2)
-    margin = Fraction(1, 10 ** (digits + 1))
-    return Interval(raw.lo - margin, raw.hi + margin)
+    m, lo, hi = 10 ** (digits + 1), raw.lo, raw.hi  # x -+ 1/m = (x_num m -+ x_den) / (x_den m)
+    return Interval(Fraction(lo.numerator * m - lo.denominator, lo.denominator * m),
+                    Fraction(hi.numerator * m + hi.denominator, hi.denominator * m))
 
 
 # ------------------------------------------------------ decimal rendering
@@ -306,8 +307,8 @@ def _round_half_even(x: Rat, digits: int) -> str:
 
     Ties round to even; a value that rounds to zero is rendered unsigned.
     """
-    sign = x < 0
-    p, q = abs(x).numerator, abs(x).denominator
+    sign = x.numerator < 0
+    p, q = abs(x.numerator), x.denominator
     scaled = p * 10**digits
     whole, rem = divmod(scaled, q)
     double = 2 * rem
@@ -328,9 +329,10 @@ def render_decimal(alpha: RatLike, beta: RatLike, digits: int) -> str:
     round to the same string, which is then correct by containment.  Scaling
     by |alpha| < 10^L widens the enclosure up to 10^L times, so the first
     enclosure is taken L digits deeper, as far as the budget allows, with
-    L = len(numerator) - len(denominator) + 1 (at least 0): the numerator
-    is below 10^len(numerator) and the denominator at least
-    10^(len(denominator) - 1).
+    L = len(numerator) - len(denominator) + 1 (at least 0), since the
+    numerator is below 10^len(numerator), the denominator not below
+    10^(len(denominator) - 1).  Each depth maps the enclosure through alpha
+    and beta on integers, as one Interval.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -339,11 +341,15 @@ def render_decimal(alpha: RatLike, beta: RatLike, digits: int) -> str:
         return _round_half_even(beta, digits)
     L = decimal_length(alpha.numerator) - decimal_length(alpha.denominator) + 1
     deeper = min(digits + 8 + max(0, L), DIGIT_BUDGET)
-    return render_interval_decimal(
-        lambda w: zeta_reference(2, w).scale(alpha).shift(beta),
-        digits,
-        start=max(digits + 8, deeper),
-    )
+    (a, b), (c, d) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+
+    def make(w: int) -> Interval:  # alpha x + beta = (a d x_num + c b x_den) / (b d x_den)
+        enc = zeta_reference(2, w)
+        lo, hi = (Fraction(a * d * x.numerator + c * b * x.denominator, b * d * x.denominator)
+                  for x in (enc.lo, enc.hi))
+        return Interval(lo, hi) if a > 0 else Interval(hi, lo)
+
+    return render_interval_decimal(make, digits, start=max(digits + 8, deeper))
 
 
 def check_digits(digits: int) -> None:

@@ -11,19 +11,15 @@ with alpha, beta and the weights w_q exact rationals, hence the certified
 error bound |zeta(s) - (alpha zeta(2) + beta)| <= sum_q |w_q| theta_q.
 
 Only the first row y of A^-1 is needed, A being the upper triangular matrix
-of zeta(s), ..., zeta(3) coefficients.  A TriangularSystem holds the
-PLAIN_POWERS row core (weights w[i] = i), one order-free sequence g, and
-_column_reduced reads B from it once per solve: the Toeplitz matrix of g
-plus the zeta(3) column, over one content, with no per-order row and no
-gcd per column.  The routes compute y in O(s^2) operations and must agree
-exactly: back-substitution on y^T A = e_0^T, and Cramer's first-column
-cofactors, the leading minors of one upper Hessenberg block of A, from
-one integer recurrence over B.
+of zeta(s), ..., zeta(3) coefficients, which _column_reduced reads once per
+solve from the system's row core as integers B.  Two O(s^2) routes must
+agree exactly: back-substitution on y^T A = e_0^T, one gcd per column, and
+Cramer's first-column cofactors, from one integer recurrence over B.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping
 
 from .numerics import InternalError, Rat, RatLike, Record, as_rational, integer_form
@@ -114,21 +110,30 @@ def _solve_back_substitution(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]
     """First row y of A^-1 by substitution on y^T A = e_0^T, column by
     column, run on z_nu = g_0 y_nu / D_nu over the column-reduced rows B,
     as z^T B = e_0^T: z_0 = 1/B_00 and z_c = -sum_{nu<c} z_nu B_nu,c / B_cc.
-
-    Row nu of A is the order-(s - nu) row and column c carries zeta(s - c),
-    so w_(s-nu) = y_nu = z_nu D_nu / g_0, and alpha and beta are -sum z_nu
-    b_nu / g_0 over the rows' zeta(2) and constant numerators b_nu.  Only
-    orders with a nonzero z_nu carry a weight, as in the Cramer route.
+    Each z_nu is kept reduced, Z_nu / E_nu with E_nu > 0, and as N_nu over
+    E, the lcm of the E_nu so far, so that a column takes one gcd.  Row nu
+    of A is the order-(s - nu) row and column c carries zeta(s - c), so
+    w_(s-nu) = y_nu = z_nu D_nu / g_0, and alpha and beta are -sum z_nu b_nu
+    / g_0 over the rows' zeta(2) and constant numerators b_nu.  Only orders
+    with a nonzero z_nu carry a weight, as in the Cramer route.
     """
     s, scale, zeta2, consts, g, b = reduced
-    z: dict[int, Rat] = {0: Fraction(1, b[0][0])}
+    E = abs(b[0][0])
+    z = {0: (b[0][0] // E, E)}  # nu: (Z_nu, E_nu), z_nu = Z_nu / E_nu reduced
+    over = {0: b[0][0] // E}  # nu: N_nu = z_nu E
     for c in range(1, len(b)):
-        z_c = -sum((z_nu * b[nu][c] for nu, z_nu in z.items() if b[nu][c]), Fraction(0))
-        if z_c:
-            z[c] = z_c / b[c][c]
-    alpha = -sum((z_nu * zeta2[nu] for nu, z_nu in z.items()), Fraction(0)) / g[0]
-    beta = -sum((z_nu * consts[nu] for nu, z_nu in z.items()), Fraction(0)) / g[0]
-    return alpha, beta, {s - nu: z_nu * scale[nu] / g[0] for nu, z_nu in z.items()}
+        total = sum(N * b[nu][c] for nu, N in over.items() if b[nu][c])
+        if total:
+            d = E * b[c][c]
+            k = gcd(total, d) if d > 0 else -gcd(total, d)
+            Z, e = -total // k, d // k
+            f = e // gcd(E, e)
+            if f != 1:
+                E, over = E * f, {nu: N * f for nu, N in over.items()}
+            z[c], over[c] = (Z, e), Z * (E // e)
+    alpha = Fraction(-sum(N * zeta2[nu] for nu, N in over.items()), E * g[0])
+    beta = Fraction(-sum(N * consts[nu] for nu, N in over.items()), E * g[0])
+    return alpha, beta, {s - nu: Fraction(Z * scale[nu], e * g[0]) for nu, (Z, e) in z.items()}
 
 
 def _solve_cramer(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]]:
@@ -179,6 +184,19 @@ def _solve_cramer(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]]:
     return Fraction(alpha, den), Fraction(beta, den), weights
 
 
+def _theta_total(weights: Mapping[int, Rat], bounds: Mapping[int, Rat]) -> Rat:
+    """sum_q |w_q| theta_q, ascending q, over a denominator grown by lcm on need."""
+    num, den = 0, 1
+    for q in sorted(weights):
+        w, b = weights[q], bounds[q]
+        d = w.denominator * b.denominator
+        if den % d:
+            m = lcm(den, d)
+            num, den = num * (m // den), m
+        num += abs(w.numerator) * b.numerator * (den // d)
+    return Fraction(num, den)
+
+
 def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) -> ApproxResult:
     """Solve for zeta(s) and fold the per-row magnitude bounds into one
     certified error bound.
@@ -202,17 +220,8 @@ def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) ->
     if (alpha, beta, weights) != _solve_cramer(reduced):
         raise InternalError("solver routes disagree")
 
-    theta_total = sum(
-        (abs(w) * bounds[q] for q, w in weights.items()), Fraction(0)
-    )
-    return ApproxResult(
-        s=s,
-        n=system.n,
-        alpha=alpha,
-        beta=beta,
-        weights=tuple(sorted(weights.items())),
-        theta_bound=theta_total,
-    )
+    return ApproxResult(s, system.n, alpha, beta, tuple(sorted(weights.items())),
+                        _theta_total(weights, bounds))
 
 
 # ------------------------------------------------------------ theta bounds

@@ -31,7 +31,9 @@ INTEGER_KERNELS = (
     ("series.py", "special_series_enclosures"),
     ("series.py", "_integral_scaffold"),
     ("solver.py", "_column_reduced"),
+    ("solver.py", "_solve_back_substitution"),
     ("solver.py", "_solve_cramer"),
+    ("solver.py", "_theta_total"),
     ("solver.py", "certified_row_bounds"),
 )
 

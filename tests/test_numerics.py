@@ -352,6 +352,57 @@ def test_render_decimal_is_within_half_a_unit_of_a_containing_enclosure(
     assert Interval(got - half_unit, got + half_unit).contains_interval(enc)
 
 
+def _interval_render(alpha, beta, digits):
+    """The reference render of alpha*zeta(2) + beta: the zeta(2) enclosure
+    scaled and shifted as Intervals, from render_decimal's start depth."""
+    L = decimal_length(alpha.numerator) - decimal_length(alpha.denominator) + 1
+    start = max(digits + 8, min(digits + 8 + max(0, L), DIGIT_BUDGET))
+    return render_interval_decimal(
+        lambda w: zeta_reference(2, w).scale(alpha).shift(beta), digits, start=start
+    )
+
+
+_ALPHAS = st.one_of(
+    st.just(Fraction(0)),
+    _RATIONALS,
+    st.builds(Fraction, st.integers(10**9, 10**40), st.integers(1, 10**3)).flatmap(
+        lambda a: st.sampled_from((a, -a))
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_ALPHAS, _RATIONALS, st.integers(1, 60))
+@example(Fraction(-7, 3), Fraction(-5, 2), 1)
+@example(Fraction(-(10**9)), Fraction(-1, 7), 60)
+@example(Fraction(0), Fraction(-1, 3), 30)
+def test_render_decimal_equals_the_interval_render(alpha, beta, digits):
+    """Mapping the enclosure through alpha and beta on integers renders the
+    same string as scaling and shifting it as Intervals, for negative and
+    zero alpha, |alpha| >= 10^9 and negative beta."""
+    assert render_decimal(alpha, beta, digits) == _interval_render(alpha, beta, digits)
+
+
+def test_render_decimal_over_budget_fails_as_the_interval_render():
+    """digits + 8 past the budget: the same error, byte for byte."""
+    messages = []
+    for render in (render_decimal, _interval_render):
+        with pytest.raises(PrecisionBudgetError) as caught:
+            render(Fraction(-3, 2), Fraction(1, 5), DIGIT_BUDGET - 7)
+        messages.append(str(caught.value))
+    expected = f"requested {DIGIT_BUDGET + 1} digits exceeds budget of {DIGIT_BUDGET}"
+    assert messages == [expected, expected]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 9), st.integers(1, 300))
+def test_zeta_reference_widens_the_raw_enclosure_by_its_margin(p, digits):
+    """The integer widening equals the Fraction one: the raw enclosure at
+    digits + 2, each side moved out by 10^-(digits+1)."""
+    raw, margin = numerics._zeta_enclosure_raw(p, digits + 2), Fraction(1, 10 ** (digits + 1))
+    assert zeta_reference(p, digits) == Interval(raw.lo - margin, raw.hi + margin)
+
+
 def test_render_decimal_of_a_large_alpha_stays_within_budget(monkeypatch):
     """alpha ~ 6e8 (s = 5, n = 9) widens the zeta(2) enclosure 6e8 times;
     5000 digits render from one enclosure L = 18 - 9 + 1 = 10 digits

@@ -29,7 +29,12 @@ from zetarat.solver import (
     solve_zeta,
     theta_bound,
 )
-from zetarat.solver import _column_reduced, _solve_back_substitution, _solve_cramer
+from zetarat.solver import (
+    _column_reduced,
+    _solve_back_substitution,
+    _solve_cramer,
+    _theta_total,
+)
 
 
 def _structured_system(n: int, s: int, t_coeffs=None):
@@ -277,10 +282,20 @@ def _random_systems(draw, max_s=8, numerators=_numerators):
 #: Rows in which w_3 cancels to zero.
 _CANCELLING = _rows_of(5, [{5: 1, 4: 1, 3: 1}, {4: 1, 3: 1}, {3: 1}])
 
+#: Rows with negative diagonal entries, B_00 = -2 and B_22 = -1, in which the
+#: zeta(3) column sums to zero: z_2 = -(z_0 B_02 + z_1 B_12) / B_22 with
+#: z_0 = -1/2, z_1 = 1, B_02 = 2 and B_12 = 1, so w_3 cancels.
+_NEGATIVE_CANCELLING = {
+    5: (3, -1, {5: -2, 4: 2, 3: 2, 2: 3}),
+    4: (5, 2, {4: 1, 3: 1, 2: -1}),
+    3: (7, 4, {3: -1, 2: 1}),
+}
+
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(rows=_random_systems())
 @example(rows=_CANCELLING)
+@example(rows=_NEGATIVE_CANCELLING)
 def test_both_solve_routes_agree_on_random_triangular_systems(rows):
     """Equal alpha, beta and weights, also where a weight cancels to zero
     (the example has w_3 = 0): neither route keeps that order."""
@@ -362,11 +377,28 @@ def test_one_solve_reduces_the_columns_once(monkeypatch):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(rows=_random_systems(max_s=12, numerators=st.one_of(st.just(0), _numerators)))
 @example(rows=_CANCELLING)
+@example(rows=_NEGATIVE_CANCELLING)
 def test_solve_routes_equal_the_reference_on_sparse_random_systems(rows):
     """s up to 12; about half the entries above the diagonal and of the
-    zeta(2) and constant entries are zero.  In the example w_3 cancels to
-    zero, and no route, the references included, keeps it."""
+    zeta(2) and constant entries are zero.  In the examples w_3 cancels to
+    zero, and no route, the references included, keeps it; the second has
+    negative diagonal entries, so back-substitution moves a sign from a
+    denominator to its numerator."""
     _routes_match_the_reference(rows, _reduced(rows))
+
+
+def test_a_negative_diagonal_and_a_cancelling_column_match_the_reference():
+    """The same rows with the columns over the contents 4, 6 and 9: the
+    reduced z_nu keep positive denominators, w_3 is left out, and both
+    routes return the reference values."""
+    factors = [4, 6, 9]
+    rows = {
+        order: (den, constant, {p: v * factors[5 - p] if p > 2 else v for p, v in zeta.items()})
+        for order, (den, constant, zeta) in _NEGATIVE_CANCELLING.items()
+    }
+    _routes_match_the_reference(rows, _reduced(rows, factors))
+    alpha, beta, weights = _solve_back_substitution(_reduced(rows, factors))
+    assert sorted(weights) == [4, 5]
 
 
 _t_coefficients = st.lists(
@@ -431,6 +463,31 @@ def test_solve_zeta_requires_a_bound_for_every_order():
         solve_zeta(system, {4: 1})
     with pytest.raises(ValueError, match="negative"):
         solve_zeta(system, {3: -1, 4: 1})
+
+
+_weights = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9).filter(bool)
+_bounds = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=0, max_value=10, max_denominator=10**12)
+)
+_terms = st.dictionaries(st.integers(3, 60), st.tuples(_weights, _bounds), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(terms=_terms)
+@example(terms={7: (Fraction(-3, 8), Fraction(5, 12))})
+@example(terms={3: (Fraction(1, 6), Fraction(1, 10)), 4: (Fraction(-5, 21), Fraction(0)),
+                5: (Fraction(7, 4), Fraction(2, 9)), 6: (Fraction(-1, 35), Fraction(3, 22))})
+def test_theta_total_equals_the_fraction_sum_in_either_order(terms):
+    """_theta_total is the Fraction sum of |w_q| theta_q, walked in either
+    order, also for a single order, a zero bound and weight denominators
+    that do not divide one another (6, 21, 4 and 35 in the second
+    example); a bound of an order with no weight is not read."""
+    weights = {q: w for q, (w, _) in sorted(terms.items(), reverse=True)}
+    bounds = {q: b for q, (_, b) in terms.items()} | {99: Fraction(1, 3)}
+    total = _theta_total(weights, bounds)
+    assert type(total) is Fraction
+    for order in (sorted(weights), sorted(weights, reverse=True)):
+        assert total == sum((abs(weights[q]) * bounds[q] for q in order), Fraction(0))
 
 
 def test_theta_total_folds_weights_and_bounds():
