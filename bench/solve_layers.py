@@ -47,8 +47,6 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     if args.repeats < 1:
         p.error("need --repeats >= 1")
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # a certified theta_bound runs past 4300 digits
     T = explicit_poly([1, Fraction(1, 3)])
     digest = hashlib.sha256()
     medians = {}

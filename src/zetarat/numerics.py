@@ -10,9 +10,10 @@ anywhere.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Rat, int]
@@ -37,8 +38,6 @@ def integer_form(*lists: Sequence[Rat]) -> tuple[int, list[list[int]]]:
     over one denominator, L the lcm of every denominator in the lists
     (1 when they hold no value)."""
     L = lcm(*(v.denominator for u in lists for v in u))
-    if L == 1:
-        return L, [[v.numerator for v in u] for u in lists]
     return L, [[v.numerator * (L // v.denominator) for v in u] for u in lists]
 
 
@@ -89,7 +88,8 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        with _any_int_length():
+            fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -278,21 +278,29 @@ def decimal_length(n: int) -> int:
     return length
 
 
-def int_text(n: int) -> str:
-    """str(n) for an exact integer of any size.
+@contextmanager
+def _any_int_length() -> Iterator[None]:
+    """Lift the int-to-str digit limit for the duration of the block.
 
     CPython (3.11, and 3.10.7 on) refuses to convert an int of more than
-    4300 decimal digits by default; the limit is lifted for this one
-    conversion and restored afterwards.
+    4300 decimal digits by default; the limit is lifted here and restored
+    afterwards.  Earlier CPythons have no limit.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
-        return str(n)
+        yield
+        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(n)
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def int_text(n: int) -> str:
+    """str(n) for an exact integer of any size."""
+    with _any_int_length():
+        return str(n)
 
 
 def rational_text(x: Rat) -> str:

@@ -99,22 +99,12 @@ def pad_to_degree(p: PolySpec, n: int) -> PolySpec:
     return PolySpec(PolyFamily.EXPLICIT, coeffs)
 
 
-def coefficient_triple(
-    P: PolySpec, Q: PolySpec, T: PolySpec
-) -> tuple[Sequence[Rat], Sequence[Rat], Sequence[Rat]]:
-    """Coefficient views of three equal-degree polynomials.
-
-    Raises ValueError when the formal degrees disagree — the closed-form
-    rows are transcribed for a common degree n.
-    """
-    return equal_degree_lists(P.coeffs, Q.coeffs, T.coeffs)
-
-
 def equal_degree_lists(
     a: Sequence, b: Sequence, c: Sequence
 ) -> tuple[Sequence, Sequence, Sequence]:
-    """coefficient_triple on three coefficient lists, rational or in
-    integer form: (a, b, c) itself, or ValueError when their lengths differ."""
+    """Three coefficient lists, rational or in integer form, of one formal
+    degree: (a, b, c) itself, or ValueError when their lengths differ, as
+    the closed-form rows are transcribed for a common degree n."""
     if not (len(a) == len(b) == len(c)):
         raise ValueError(
             "polynomial degrees must match "

@@ -8,14 +8,14 @@ coefficients via the cyclic symbol
 
     S_{mu,nu,lam} = a_mu b_nu c_lam + b_mu c_nu a_lam + c_mu a_nu b_lam.
 
-One integer kernel, row_core, builds the rows of every order 3..s in a
-single pass over the index blocks: the pass collects order-free weights
-per index, and the order only picks the inverse powers they are summed
-against.  It takes the integer form (L, [a, b, c]) of the three
-coefficient lists, as numerics.integer_form returns it, and returns one
-order-free sequence plus three numbers per order (series.IntCore), which
-series.layout turns into the rows; coefficient_rows reads those as
-ZetaCombinations.
+Rows come in two forms.  One integer kernel, row_core, builds the rows
+of every order 3..s in a single pass over the index blocks: the pass
+collects order-free weights per index, and the order only picks the
+inverse powers they are summed against.  It takes the integer form
+(L, [a, b, c]) of the three coefficient lists, as numerics.integer_form
+returns it, and returns the core: one order-free sequence plus three
+numbers per order (series.IntCore).  series.layout turns a core into the
+other form, one ZetaCombination per order, which coefficient_rows returns.
 Orders 3 and 4 are the cases where the mandatory zeta(3) and zeta(2)
 extra blocks land on the lead and sub-lead coefficients.  Every
 formula was adjudicated term-by-term against the exact partial-fraction
@@ -31,13 +31,12 @@ three PolySpecs, and `verify` passes its drawn ints straight in.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .numerics import Rat, Record, integer_form
+from .numerics import Record, integer_form
 from .polynomials import PolySpec, equal_degree_lists
-from .series import IntCombination, IntCore, ZetaCombination, layout, oracle_core
+from .series import IntCore, ZetaCombination, layout, oracle_core
 
 
 class TranscriptionVariant(Enum):
@@ -55,22 +54,8 @@ def coefficient_rows(
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> dict[int, ZetaCombination]:
     """Closed forms of I(P,Q,T; q) for every order q = 3..s, keyed by q:
-    row_numerators as ZetaCombinations."""
-    return {
-        q: ZetaCombination.from_ints(v)
-        for q, v in row_numerators(P, Q, T, s, variant).items()
-    }
-
-
-def row_numerators(
-    P: PolySpec,
-    Q: PolySpec,
-    T: PolySpec,
-    s: int,
-    variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
-) -> dict[int, IntCombination]:
-    """coefficient_rows on integers: the layout of row_core on the integer
-    form of the three coefficient lists."""
+    the layout of row_core on the integer form of the three coefficient
+    lists."""
     return layout(row_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s, variant))
 
 
@@ -276,25 +261,17 @@ class RowValidationReport(Record):
 
 
 def row_mismatches(
-    order: int, row: IntCombination, oracle: IntCombination
+    order: int, row: ZetaCombination, oracle: ZetaCombination
 ) -> list[RowMismatch]:
     """The components of one order where row and oracle differ: the
     constant first, then the zeta orders either side carries, ascending,
-    an order absent on one side standing for 0.
-
-    Each side gives numerators over a denominator of its own choosing, v
-    for the row and y for the oracle, so a component is compared by
-    cross-multiplying: u/v = x/y iff u y = x v, for v, y > 0.  Only
-    mismatches become Fractions."""
-    v, u, zeta = row
-    y, x, want = oracle
+    an order absent on one side standing for 0."""
     out = []
-    if u * y != x * v:
-        out.append(RowMismatch(order, "constant", None, Fraction(u, v), Fraction(x, y)))
-    for p in sorted(zeta.keys() | want.keys()):
-        u, x = zeta.get(p, 0), want.get(p, 0)
-        if u * y != x * v:
-            out.append(RowMismatch(order, "zeta", p, Fraction(u, v), Fraction(x, y)))
+    if row.constant != oracle.constant:
+        out.append(RowMismatch(order, "constant", None, row.constant, oracle.constant))
+    for p in sorted({*row.orders(), *oracle.orders()}):
+        if row.zeta(p) != oracle.zeta(p):
+            out.append(RowMismatch(order, "zeta", p, row.zeta(p), oracle.zeta(p)))
     return out
 
 

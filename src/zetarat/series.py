@@ -11,11 +11,11 @@ the monomials x^r1, x^r2, x^r3 it gives the elementary sums
 
     sigma(r1,r2,r3; s) = sum_{m>=1} 1/((m+r1)(m+r2)(m+r3) m^(s-3)).
 
-The oracle's integer kernel (oracle_core) and the closed-form one in
-rows.py (row_core) both take the integer form (L, [a, b, c]) of the three
-coefficient lists that numerics.integer_form returns, and both return an
-IntCore, defined here with the one layout that turns a core into the rows
-of orders 3..s.
+Rows come in two forms.  The oracle's integer kernel (oracle_core) and
+the closed-form one in rows.py (row_core) both take the integer form
+(L, [a, b, c]) of the three coefficient lists that numerics.integer_form
+returns, and both return the order-free IntCore defined here; layout
+turns a core into the ZetaCombination rows of orders 3..s.
 
 Two independent certified numeric evaluators are provided:
   * eval_truncated  — direct partial sums of the defining series, any P,Q,T;
@@ -36,31 +36,12 @@ from .polynomials import PolySpec, explicit_poly
 
 # ------------------------------------------------- zeta-combination values
 
-#: A zeta combination as integers over one positive, unreduced denominator
-#: D: (D, constant numerator, {p: numerator}), a zero numerator counting as
-#: absent.  The integer kernels return these; ZetaCombination.from_ints reads one.
-IntCombination = tuple[int, int, dict[int, int]]
-
 #: The rows of orders 3..s as one order-free sequence and three numbers per
 #: order, (L^3, M, w, g, z3, z2, constant): g[i] over L^3 M^w[i] is the
 #: coefficient of zeta(q - i) in every order q with q - i >= 2; in order q,
 #: z3[q] over L^3 M^(q-3) adds to zeta(3), z2[q] over L^3 M^(q-2) to zeta(2),
 #: and constant[q] is over L^3 M^q.  Both integer kernels return one.
 IntCore = tuple[int, int, list[int], list[int], list[int], list[int], list[int]]
-
-
-def layout(core: IntCore) -> dict[int, IntCombination]:
-    """The rows a core stands for, order q over its one denominator L^3 M^q."""
-    L3, M, w, g, z3, z2, constant = core
-    s = len(g) + 1
-    Mw = [M**e for e in range(s + 1)]
-    rows = {}
-    for q in range(3, s + 1):
-        zeta = {q - i: v * Mw[q - w[i]] for i, v in enumerate(g[: q - 1])}
-        zeta[3] += z3[q] * Mw[3]
-        zeta[2] += z2[q] * Mw[2]
-        rows[q] = (L3 * Mw[q], constant[q], zeta)
-    return rows
 
 
 class ZetaCombination(Record):
@@ -77,14 +58,6 @@ class ZetaCombination(Record):
         """Zero terms dropped; each value taken exactly by as_rational, never a float."""
         terms = sorted((p, as_rational(v)) for p, v in zeta_coeffs.items())
         return ZetaCombination(as_rational(constant), tuple((p, v) for p, v in terms if v))
-
-    @staticmethod
-    def from_ints(combination: IntCombination) -> "ZetaCombination":
-        """The exact combination an integer kernel's output stands for."""
-        den, num, zeta = combination
-        return ZetaCombination.of(
-            Fraction(num, den), {p: Fraction(v, den) for p, v in zeta.items()}
-        )
 
     def zeta(self, p: int) -> Rat:
         for q, v in self.terms:
@@ -104,6 +77,24 @@ class ZetaCombination(Record):
         return out
 
 
+def layout(core: IntCore) -> dict[int, ZetaCombination]:
+    """The rows a core stands for, order q as a ZetaCombination whose
+    components are Fractions over L^3 M^q.  The sequence entries are read
+    once for every order; zeta(3) and zeta(2) take in their order's
+    additions as one integer over L^3 M^q each."""
+    L3, M, w, g, z3, z2, constant = core
+    s = len(g) + 1
+    sequence = [Fraction(v, L3 * M**e) for v, e in zip(g, w)]
+    rows = {}
+    for q in range(3, s + 1):
+        den = L3 * M**q
+        zeta = {q - i: v for i, v in enumerate(sequence[: q - 3])}
+        zeta[3] = Fraction(g[q - 3] * M ** (q - w[q - 3]) + z3[q] * M**3, den)
+        zeta[2] = Fraction(g[q - 2] * M ** (q - w[q - 2]) + z2[q] * M**2, den)
+        rows[q] = ZetaCombination.of(Fraction(constant[q], den), zeta)
+    return rows
+
+
 # ------------------------------------------------ the partial-fraction oracle
 
 
@@ -111,13 +102,8 @@ def decompose_integrals(
     P: PolySpec, Q: PolySpec, T: PolySpec, s: int
 ) -> dict[int, ZetaCombination]:
     """Exact zeta-combination value of I(P,Q,T; q) for every order q = 3..s:
-    oracle_numerators as ZetaCombinations."""
-    return {q: ZetaCombination.from_ints(v) for q, v in oracle_numerators(P, Q, T, s).items()}
-
-
-def oracle_numerators(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int, IntCombination]:
-    """decompose_integrals on integers: the layout of oracle_core on the
-    integer form of the three coefficient lists."""
+    the layout of oracle_core on the integer form of the three coefficient
+    lists."""
     return layout(oracle_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s))
 
 

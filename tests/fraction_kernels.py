@@ -19,7 +19,7 @@ from operator import mul
 from typing import Sequence
 
 from zetarat.numerics import Interval, Rat
-from zetarat.polynomials import PolySpec, coefficient_triple
+from zetarat.polynomials import PolySpec, equal_degree_lists
 from zetarat.rows import RowMismatch, RowValidationReport, TranscriptionVariant
 from zetarat.rows import coefficient_rows as package_rows
 from zetarat.series import ZetaCombination, decompose_integrals
@@ -50,10 +50,10 @@ def coefficient_rows(
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> dict[int, ZetaCombination]:
     """zetarat.rows.coefficient_rows on Fraction; the docstring of
-    zetarat.rows.row_numerators has the formulas."""
+    zetarat.rows.row_core has the formulas."""
     if s < 3:
         raise ValueError("closed-form rows need order >= 3")
-    a, b, c = coefficient_triple(P, Q, T)
+    a, b, c = equal_degree_lists(P.coeffs, Q.coeffs, T.coeffs)
     n = len(a) - 1
     xs = range(1, n + 1)
     zero = Fraction(0)

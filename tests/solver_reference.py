@@ -5,11 +5,10 @@ These are the O(s^3) and O(s^4) routes the package ran before its O(s^2)
 substitution and integer Hessenberg routes.  Back-substitution carries a
 (zeta(2) weight, constant, {order: I weight}) triple for every order;
 Cramer takes one generic Fraction determinant per first-column cofactor.
-They take integer rows {order: (D, constant, {p: numerator})} for the
-orders 3..s, `series.layout(system.core)` for a real system, and read them
-as exact combinations through `ZetaCombination.from_ints`.  The package
-routes must return exactly these values, weight dicts included;
-tests/test_solver.py checks that.
+They take the rows {order: ZetaCombination} of the orders 3..s,
+`series.layout(system.core)` for a real system.  The package routes must
+return exactly these values, weight dicts included; tests/test_solver.py
+checks that.
 """
 from __future__ import annotations
 
@@ -17,12 +16,12 @@ from fractions import Fraction
 from typing import Mapping
 
 from zetarat.numerics import InternalError, Rat
-from zetarat.series import IntCombination, ZetaCombination
+from zetarat.series import ZetaCombination
 
 
-def _rows(rows: Mapping[int, IntCombination]) -> list[ZetaCombination]:
-    """The rows, order s first, as exact combinations."""
-    return [ZetaCombination.from_ints(rows[q]) for q in range(max(rows), 2, -1)]
+def _rows(rows: Mapping[int, ZetaCombination]) -> list[ZetaCombination]:
+    """The rows, order s first."""
+    return [rows[q] for q in range(max(rows), 2, -1)]
 
 
 def _det(matrix: list[list[Rat]]) -> Rat:
@@ -50,7 +49,7 @@ def _det(matrix: list[list[Rat]]) -> Rat:
 
 
 def solve_back_substitution(
-    rows: Mapping[int, IntCombination],
+    rows: Mapping[int, ZetaCombination],
 ) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Express zeta(s) = alpha*zeta(2) + beta + sum_q w_q I_q by eliminating
     zeta(3), zeta(4), ... upward through the rows; a weight that cancels to
@@ -80,7 +79,7 @@ def solve_back_substitution(
     return u, v, {q: wt for q, wt in w.items() if wt}
 
 
-def solve_cramer(rows: Mapping[int, IntCombination]) -> tuple[Rat, Rat, dict[int, Rat]]:
+def solve_cramer(rows: Mapping[int, ZetaCombination]) -> tuple[Rat, Rat, dict[int, Rat]]:
     """Cofactor route: zeta(s) = sum_nu RHS_nu * C_nu / Delta, where C_nu are
     the signed cofactors of the first column and Delta the (triangular)
     determinant."""

@@ -5,9 +5,9 @@ integers over a denominator fixed in advance and build one Fraction per
 output; `certified_row_bounds` settles its orders on the integers of
 `special_series_numerators`.  tests/fraction_kernels.py keeps the Fraction bodies they replaced;
 every zeta coefficient, constant and Interval endpoint must be the same
-rational.  The row kernels themselves, `row_numerators` and
-`oracle_numerators`, give each row over one positive denominator: each is
-`series.layout` of its kernel's core.
+rational.  The row kernels themselves, `row_core` and `oracle_core`, return
+an order-free core; `series.layout` turns it into rows whose components
+are Fractions over one denominator per order.
 """
 from __future__ import annotations
 
@@ -25,12 +25,10 @@ from zetarat.polynomials import (
     pad_to_degree,
     shifted_legendre,
 )
-from zetarat.rows import TranscriptionVariant, coefficient_rows, row_core, row_numerators
+from zetarat.rows import TranscriptionVariant, coefficient_rows, row_core
 from zetarat.series import (
-    ZetaCombination,
     layout,
     oracle_core,
-    oracle_numerators,
     special_series_enclosures,
     special_series_numerators,
 )
@@ -64,25 +62,26 @@ def test_rows_equal_the_fraction_reference(triple, s, variant):
     )
 
 
-def _one_denominator_rows(rows, s):
-    """The rows of orders 3..s, each checked to be (D, constant, {p:
-    numerator}) of ints with D > 0, as exact combinations."""
+def _one_denominator_rows(core, s):
+    """The layout of a core: the rows of orders 3..s, each component
+    checked to be a Fraction over L^3 M^q, the one denominator of order q."""
+    rows = layout(core)
     assert sorted(rows) == list(range(3, s + 1))
-    for row in rows.values():
-        den, constant, zeta = row
-        assert type(den) is int and den > 0
-        assert type(constant) is int
-        assert all(type(v) is int for v in zeta.values())
-    return {q: ZetaCombination.from_ints(row) for q, row in rows.items()}
+    L3, M = core[:2]
+    for q, row in rows.items():
+        for v in (row.constant, *(v for _, v in row.terms)):
+            assert type(v) is Fraction and L3 * M**q % v.denominator == 0
+    return rows
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_rational_triples(), st.integers(3, 9), st.sampled_from(TranscriptionVariant))
 def test_both_row_kernels_give_one_denominator_per_row(triple, s, variant):
     P, Q, T = triple
-    rows = _one_denominator_rows(row_numerators(P, Q, T, s, variant), s)
+    L, abc = integer_form(P.coeffs, Q.coeffs, T.coeffs)
+    rows = _one_denominator_rows(row_core(L, abc, s, variant), s)
     assert rows == reference.coefficient_rows(P, Q, T, s, variant)
-    oracle = _one_denominator_rows(oracle_numerators(P, Q, T, s), s)
+    oracle = _one_denominator_rows(oracle_core(L, abc, s), s)
     assert oracle == {q: residue_oracle.decompose_integral(P, Q, T, q) for q in oracle}
 
 
@@ -104,7 +103,7 @@ def test_the_layout_of_each_core_equals_the_fraction_reference(triple, s, varian
         assert L3 > 0 and M > 0
         assert len(w) == len(g) == s - 1
         assert len(z3) == len(z2) == len(constant) == s + 1
-        assert _one_denominator_rows(layout(core), s) == want
+        assert _one_denominator_rows(core, s) == want
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

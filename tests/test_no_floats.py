@@ -18,14 +18,12 @@ PACKAGE = Path(zetarat.__file__).parent
 INTEGER_KERNELS = (
     ("numerics.py", "integer_form"),
     ("rows.py", "coefficient_rows"),
-    ("rows.py", "row_numerators"),
     ("rows.py", "row_core"),
     ("rows.py", "row_mismatches"),
     ("rows.py", "validate_rows"),
     ("rows.py", "validate_int_rows"),
     ("series.py", "layout"),
     ("series.py", "decompose_integrals"),
-    ("series.py", "oracle_numerators"),
     ("series.py", "oracle_core"),
     ("series.py", "special_series_numerators"),
     ("series.py", "special_series_enclosures"),

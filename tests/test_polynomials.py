@@ -12,7 +12,7 @@ from zetarat.polynomials import (
     PolyFamily,
     PolySpec,
     binomial_poly,
-    coefficient_triple,
+    equal_degree_lists,
     explicit_poly,
     pad_to_degree,
     shifted_legendre,
@@ -179,10 +179,9 @@ def test_padding_preserves_values_everywhere():
         assert eval_poly(p, x) == eval_poly(padded, x)
 
 
-def test_coefficient_triple_requires_matching_degrees():
+def test_equal_degree_lists_requires_matching_degrees():
+    P, Q = shifted_legendre(2), binomial_poly(2)
     with pytest.raises(ValueError, match="polynomial degrees must match"):
-        coefficient_triple(shifted_legendre(2), binomial_poly(2), explicit_poly([1]))
-    a, b, c = coefficient_triple(
-        shifted_legendre(2), binomial_poly(2), explicit_poly([1, 0, 0])
-    )
+        equal_degree_lists(P.coeffs, Q.coeffs, explicit_poly([1]).coeffs)
+    a, b, c = equal_degree_lists(P.coeffs, Q.coeffs, explicit_poly([1, 0, 0]).coeffs)
     assert len(a) == len(b) == len(c) == 3

@@ -3,13 +3,14 @@
 Each record is built from its fields, by position or by keyword; two
 records of one class with equal fields are equal and hash alike; a changed
 field, or a record of another class, makes them unequal; the repr names
-every field in order; and no field can be assigned or deleted.
+every field in order, at any length; and no field can be assigned or deleted.
 """
 from __future__ import annotations
 
 import copy
 import pickle
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,17 @@ def test_repr_names_every_field_in_order(cls, names, values, changed):
     record = cls(*values)
     fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
     assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_repr_of_a_field_past_the_int_str_limit():
+    """A Fraction field of more than CPython's default 4300 digits reprs in
+    full, and the int-to-str limit is the same afterwards."""
+    limit = sys.get_int_max_str_digits()
+    x = Fraction(10**5000 + 1, 3)
+    text = repr(Interval(x, x))
+    assert sys.get_int_max_str_digits() == limit
+    digits = "1" + "0" * 4999 + "1"
+    assert text == f"Interval(lo=Fraction({digits}, 3), hi=Fraction({digits}, 3))"
 
 
 @pytest.mark.parametrize("cls, names, values, changed", RECORDS, ids=_IDS)

@@ -31,7 +31,6 @@ from zetarat.rows import (
     row_core,
     row_general,
     row_mismatches,
-    row_numerators,
     row_zeta3,
     row_zeta4,
     validate_int_rows,
@@ -40,15 +39,29 @@ from zetarat.rows import (
 from zetarat.series import (
     ZetaCombination,
     decompose_integral,
+    decompose_integrals,
     layout,
     oracle_core,
-    oracle_numerators,
 )
 
 
 def _integer_form(P, Q, T):
     """The (L, [a, b, c]) that both kernel cores take."""
     return integer_form(P.coeffs, Q.coeffs, T.coeffs)
+
+
+def _combination(den, constant, zeta):
+    """The combination that numerators over one denominator stand for."""
+    return ZetaCombination.of(
+        Fraction(constant, den), {p: Fraction(v, den) for p, v in zeta.items()}
+    )
+
+
+def _bumped(row, p, step):
+    """row with step added to its constant (p None) or its zeta(p) coefficient."""
+    if p is None:
+        return ZetaCombination.of(row.constant + step, dict(row.terms))
+    return ZetaCombination.of(row.constant, {**dict(row.terms), p: row.zeta(p) + step})
 
 
 def _random_triple(rng: random.Random, n: int):
@@ -250,23 +263,22 @@ def test_validate_rows_takes_one_oracle_pass_per_system(monkeypatch):
 
 
 def test_row_mismatches_compares_across_denominators():
-    """The two sides of one order need not share denominators: equal
-    rationals over different ones agree, a zeta order on one side only
-    stands against 0 over any denominator, and each mismatch carries both
-    values as reduced Fractions, the constant first, then the zeta orders
-    ascending."""
-    row = (12, 6, {5: 8, 4: 0, 3: 9, 2: 6})
-    agree = (24, 12, {5: 16, 3: 18, 2: 12, 6: 0})
+    """The two sides of one order compare values: equal rationals written
+    over different denominators agree, a zeta order on one side only
+    stands against 0, and each mismatch carries both values as reduced
+    Fractions, the constant first, then the zeta orders ascending."""
+    row = _combination(12, 6, {5: 8, 4: 0, 3: 9, 2: 6})
+    agree = _combination(24, 12, {5: 16, 3: 18, 2: 12, 6: 0})
     assert row_mismatches(5, row, agree) == []
     assert row_mismatches(5, agree, row) == []
-    oracle = (42, 14, {6: 0, 5: 28, 4: 3, 2: -21})
+    oracle = _combination(42, 14, {6: 0, 5: 28, 4: 3, 2: -21})
     assert row_mismatches(5, row, oracle) == [
         RowMismatch(5, "constant", None, Fraction(1, 2), Fraction(1, 3)),
         RowMismatch(5, "zeta", 2, Fraction(1, 2), Fraction(-1, 2)),
         RowMismatch(5, "zeta", 3, Fraction(3, 4), Fraction(0)),
         RowMismatch(5, "zeta", 4, Fraction(0), Fraction(1, 14)),
     ]
-    (mismatch,) = row_mismatches(3, (9, 0, {}), (4, 0, {3: 6}))
+    (mismatch,) = row_mismatches(3, _combination(9, 0, {}), _combination(4, 0, {3: 6}))
     assert mismatch == RowMismatch(3, "zeta", 3, Fraction(0), Fraction(3, 2))
     assert (mismatch.row_value.denominator, mismatch.oracle_value.denominator) == (1, 2)
 
@@ -274,32 +286,28 @@ def test_row_mismatches_compares_across_denominators():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.randoms(use_true_random=False), st.integers(3, 7), st.integers(1, 10**12), st.data())
 def test_row_mismatches_compares_values_not_denominators(rng, s, k, data):
-    """On a real row and its oracle value: scaling every entry of one side
-    by k > 0 changes no value and leaves no mismatch; adding 1 to one
-    numerator of the row gives exactly that component's mismatch, with
-    both values reduced."""
+    """On a real row and its oracle value: the layout of either core with
+    every entry scaled by k > 0 gives the same row and leaves no mismatch;
+    adding 1/k to one component of the row gives exactly that component's
+    mismatch, with both values reduced."""
     P, Q, T = _random_triple(rng, rng.randint(1, 3))
     order = data.draw(st.integers(3, s))
-    row = row_numerators(P, Q, T, s)[order]
-    oracle = oracle_numerators(P, Q, T, s)[order]
-    for side, other in ((row, oracle), (oracle, row)):
-        den, constant, zeta = side
-        scaled = (k * den, k * constant, {p: k * v for p, v in zeta.items()})
+    L, abc = _integer_form(P, Q, T)
+    row = coefficient_rows(P, Q, T, s)[order]
+    oracle = decompose_integrals(P, Q, T, s)[order]
+    cores = ((row_core(L, abc, s), row, oracle), (oracle_core(L, abc, s), oracle, row))
+    for core, side, other in cores:
+        scaled = layout(_scaled_core(core, k))[order]
+        assert scaled == side
         assert row_mismatches(order, scaled, other) == []
         assert row_mismatches(order, other, scaled) == []
-    (den, constant, zeta), (y, x, want) = row, oracle
-    p = data.draw(st.sampled_from([None, *sorted(zeta)]))
+    p = data.draw(st.sampled_from([None, *row.orders()]))
+    step = Fraction(1, k)
     if p is None:
-        bumped = (den, constant + 1, zeta)
-        expected = RowMismatch(
-            order, "constant", None, Fraction(constant + 1, den), Fraction(x, y)
-        )
+        expected = RowMismatch(order, "constant", None, row.constant + step, oracle.constant)
     else:
-        bumped = (den, constant, {**zeta, p: zeta[p] + 1})
-        expected = RowMismatch(
-            order, "zeta", p, Fraction(zeta[p] + 1, den), Fraction(want.get(p, 0), y)
-        )
-    assert row_mismatches(order, bumped, oracle) == [expected]
+        expected = RowMismatch(order, "zeta", p, row.zeta(p) + step, oracle.zeta(p))
+    assert row_mismatches(order, _bumped(row, p, step), oracle) == [expected]
 
 
 def test_validate_rows_builds_no_fraction_when_all_equal(monkeypatch):
@@ -339,13 +347,9 @@ def test_validate_rows_reports_an_equal_pair_without_comparing_components(monkey
         assert validate_rows(P, Q, T, rng.randint(3, 9)).mismatches == ()
 
 
-def _scaled(combination, k):
-    den, constant, zeta = combination
-    return k * den, k * constant, {p: k * v for p, v in zeta.items()}
-
-
 def _scaled_core(core, k):
-    """A core whose layout is every row of `core` scaled by k."""
+    """`core` with L^3 and every numerator scaled by k: other integers, the
+    same layout."""
     L3, M, w, g, z3, z2, constant = core
     return (k * L3, M, w, *([k * v for v in u] for u in (g, z3, z2, constant)))
 
@@ -355,13 +359,13 @@ def _scaled_core(core, k):
 def test_validate_rows_compares_values_when_the_integers_differ(rng, s, k, data):
     """An oracle core scaled by k > 1 has other integers but the same
     values: the check falls through to row_mismatches for every order and
-    reports nothing.  A row core laid out with 1 added to one numerator
+    reports nothing.  A row core laid out with 1 added to one component
     reports exactly that component."""
     P, Q, T = _random_triple(rng, rng.randint(1, 3))
-    oracle = oracle_numerators(P, Q, T, s)
-    rows = row_numerators(P, Q, T, s)
+    oracle = decompose_integrals(P, Q, T, s)
+    rows = coefficient_rows(P, Q, T, s)
     scaled = _scaled_core(oracle_core(*_integer_form(P, Q, T), s), k)
-    assert layout(scaled) == {q: _scaled(v, k) for q, v in oracle.items()}
+    assert layout(scaled) == oracle
     compared = []
 
     def counted(order, row, other):
@@ -374,20 +378,14 @@ def test_validate_rows_compares_values_when_the_integers_differ(rng, s, k, data)
         assert validate_rows(P, Q, T, s).mismatches == ()
     assert compared == list(range(3, s + 1))
     order = data.draw(st.integers(3, s))
-    (den, constant, zeta), (y, x, want) = rows[order], oracle[order]
-    p = data.draw(st.sampled_from([None, *sorted(zeta)]))
+    row, want = rows[order], oracle[order]
+    p = data.draw(st.sampled_from([None, *row.orders()]))
     if p is None:
-        bumped = (den, constant + 1, zeta)
-        expected = RowMismatch(
-            order, "constant", None, Fraction(constant + 1, den), Fraction(x, y)
-        )
+        expected = RowMismatch(order, "constant", None, row.constant + 1, want.constant)
     else:
-        bumped = (den, constant, {**zeta, p: zeta[p] + 1})
-        expected = RowMismatch(
-            order, "zeta", p, Fraction(zeta[p] + 1, den), Fraction(want.get(p, 0), y)
-        )
+        expected = RowMismatch(order, "zeta", p, row.zeta(p) + 1, want.zeta(p))
     with pytest.MonkeyPatch.context() as m:
-        _lay_out_as(m, {**rows, order: bumped})
+        _lay_out_as(m, {**rows, order: _bumped(row, p, 1)})
         assert validate_rows(P, Q, T, s).mismatches == (expected,)
 
 
@@ -496,32 +494,28 @@ def test_with_h_mismatch_lists_equal_the_fraction_reference():
 def test_a_bumped_core_reports_what_its_bumped_rows_report(triple, s, variant, kind, data):
     """Adding 1 to one component of the row core, a sequence entry g[i], a
     zeta(3) or zeta(2) addition or a constant, moves exactly the per-order
-    entries the layout reads it into: M^(q - w[i]) on zeta(q - i) in every
-    order q with q - i >= 2, M^3 on zeta(3), M^2 on zeta(2) or 1 on the
-    constant of its order.  The check on the bumped core reports what
+    components the layout reads it into: 1/(L^3 M^w[i]) on zeta(q - i) in
+    every order q with q - i >= 2, 1/(L^3 M^(q-3)) on zeta(3),
+    1/(L^3 M^(q-2)) on zeta(2) or 1/(L^3 M^q) on the constant of its order
+    q.  The check on the bumped core reports what
     row_mismatches reports on those bumped rows, and what the Fraction
     reference reports on them."""
     P, Q, T = triple
     core = row_core(*_integer_form(P, Q, T), s, variant)
     L3, M, w, g, z3, z2, constant = core
-    rows = layout(core)
-    bumped = {q: (den, c, dict(zeta)) for q, (den, c, zeta) in rows.items()}
+    bumped = layout(core)
     if kind == "g":
         i = data.draw(st.integers(0, s - 2))
         g = [v + (j == i) for j, v in enumerate(g)]
-        moved = [(q, q - i, M ** (q - w[i])) for q in range(max(i + 2, 3), s + 1)]
+        moved = [(q, q - i, Fraction(1, L3 * M ** w[i])) for q in range(max(i + 2, 3), s + 1)]
     else:
         order = data.draw(st.integers(3, s))
         part = {"z3": z3, "z2": z2, "constant": constant}[kind]
         part[order] += 1
-        p, step = {"z3": (3, M**3), "z2": (2, M**2), "constant": (None, 1)}[kind]
-        moved = [(order, p, step)]
+        p, e = {"z3": (3, order - 3), "z2": (2, order - 2), "constant": (None, order)}[kind]
+        moved = [(order, p, Fraction(1, L3 * M**e))]
     for q, p, step in moved:
-        den, c, zeta = bumped[q]
-        if p is None:
-            bumped[q] = (den, c + step, zeta)
-        else:
-            zeta[p] += step
+        bumped[q] = _bumped(bumped[q], p, step)
     bumped_core = (L3, M, w, g, z3, z2, constant)
     assert layout(bumped_core) == bumped
     with pytest.MonkeyPatch.context() as m:
@@ -534,8 +528,7 @@ def test_a_bumped_core_reports_what_its_bumped_rows_report(triple, s, variant, k
         places = [(x.order, x.zeta_order) for x in report.mismatches]
         assert places == sorted((q, p) for q, p, _ in moved)
     with pytest.MonkeyPatch.context() as m:
-        as_combinations = {q: ZetaCombination.from_ints(v) for q, v in bumped.items()}
-        m.setattr(reference, "package_rows", lambda *args: as_combinations)
+        m.setattr(reference, "package_rows", lambda *args: bumped)
         assert reference.validate_rows(P, Q, T, s, variant) == report
 
 

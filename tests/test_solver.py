@@ -19,7 +19,7 @@ import zetarat.solver as solver_module
 from zetarat.cli import main
 from zetarat.numerics import Interval, integer_form, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, pad_to_degree, shifted_legendre
-from zetarat.rows import coefficient_rows, row_core, row_numerators, row_zeta3
+from zetarat.rows import coefficient_rows, row_core, row_zeta3
 from zetarat.series import ZetaCombination, layout, special_series_enclosures
 from zetarat.solver import (
     SingularSystemError,
@@ -45,7 +45,16 @@ def _structured_system(n: int, s: int, t_coeffs=None):
 
 def _row(system, order):
     """The order-`order` row of the system as an exact combination."""
-    return ZetaCombination.from_ints(layout(system.core)[order])
+    return layout(system.core)[order]
+
+
+def _combinations(rows):
+    """Integer rows {order: (D, constant, {p: numerator})}, zero numerators
+    counting as absent, as the exact combinations they stand for."""
+    return {
+        q: ZetaCombination.of(Fraction(c, d), {p: Fraction(v, d) for p, v in zeta.items()})
+        for q, (d, c, zeta) in rows.items()
+    }
 
 
 def _rows_of(s, zetas):
@@ -77,13 +86,13 @@ def _reduced(rows, contents=None):
 def _system_or_refusal(n, s, t):
     """The degree-n Legendre/binomial system of order s, or None when
     build_system refuses it as singular; the refusal must name the lowest
-    order whose row_numerators diagonal is zero."""
+    order whose row diagonal is zero."""
     P, Q, T = shifted_legendre(n), binomial_poly(n), explicit_poly(t)
     try:
         return build_system(P, Q, T, s)
     except SingularSystemError as exc:
-        rows = row_numerators(P, Q, pad_to_degree(T, n), s)
-        order = min(q for q, (_, _, zeta) in rows.items() if not zeta.get(q))
+        rows = coefficient_rows(P, Q, pad_to_degree(T, n), s)
+        order = min(q for q, row in rows.items() if not row.zeta(q))
         assert str(exc) == f"singular system: zero leading coefficient in the order-{order} row"
         return None
 
@@ -97,8 +106,8 @@ def test_build_system_rows_run_from_s_down_to_three():
     P, Q, _, system = _structured_system(2, 5)
     assert system.core == row_core(*integer_form(P.coeffs, Q.coeffs, system.T.coeffs), 5)
     rows = layout(system.core)
-    assert rows == row_numerators(P, Q, system.T, 5)
-    assert [max(ZetaCombination.from_ints(rows[q]).orders()) for q in (5, 4, 3)] == [5, 4, 3]
+    assert rows == coefficient_rows(P, Q, system.T, 5)
+    assert [max(rows[q].orders()) for q in (5, 4, 3)] == [5, 4, 3]
     assert system.n == 2
 
 
@@ -153,8 +162,7 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
 
 def test_the_solve_builds_no_zeta_combination(monkeypatch, capsys):
     """build_system hands the row kernel's integers to both routes: with
-    ZetaCombination.of, ZetaCombination.from_ints and rows.coefficient_rows
-    made to raise, a solve still gives the reference's answer and approx
+    ZetaCombination.of and rows.coefficient_rows made to raise, a solve still gives the reference's answer and approx
     still prints its recorded transcript."""
 
     def refuse(*args, **kwargs):
@@ -167,7 +175,6 @@ def test_the_solve_builds_no_zeta_combination(monkeypatch, capsys):
     with monkeypatch.context() as m:
         m.setattr(rows_module, "coefficient_rows", refuse)
         m.setattr(ZetaCombination, "of", staticmethod(refuse))
-        m.setattr(ZetaCombination, "from_ints", staticmethod(refuse))
         system = build_system(P, Q, T, 9)
         result = solve_zeta(system, dict.fromkeys(range(3, 10), 1))
         code = main(argv)
@@ -235,9 +242,7 @@ def test_a_system_built_from_ints_solves_in_fractions():
     core = (1, 1, [0, 1, 2], [2, 0, 0], [0, 0, 0, 3, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 1])
     scaled = (6, 2, [0, 1, 2], [12, 0, 0], [0, 0, 0, 18, 0], [0, 0, 0, 12, 24], [0, 0, 0, 48, 96])
     for c in (core, scaled):
-        assert {q: ZetaCombination.from_ints(r) for q, r in layout(c).items()} == {
-            q: ZetaCombination.from_ints(r) for q, r in rows.items()
-        }
+        assert layout(c) == _combinations(rows)
     result = solve_zeta(TriangularSystem(4, 1, one, scaled), {3: 1, 4: 1})
     assert result == solve_zeta(TriangularSystem(4, 1, one, core), {3: 1, 4: 1})
     alpha, beta, weights = _solve_back_substitution(_reduced(rows))
@@ -312,9 +317,7 @@ def test_a_weight_that_cancels_is_left_out_of_the_result():
     the order-4 row, cancels, so the result lists no (3, 0) pair.  The
     rows are those of a core: g = 1, 1, 1, 0 and z2 cancelling zeta(2)."""
     core = (1, 1, [0, 1, 2, 3], [1, 1, 1, 0], [0] * 6, [0, 0, 0, -1, -1, 0], [0, 0, 0, 1, 1, 1])
-    assert {q: ZetaCombination.from_ints(r) for q, r in layout(core).items()} == {
-        q: ZetaCombination.from_ints(r) for q, r in _CANCELLING.items()
-    }
+    assert layout(core) == _combinations(_CANCELLING)
     system = TriangularSystem(5, 1, explicit_poly([1]), core)
     result = solve_zeta(system, dict.fromkeys(range(3, 6), 1))
     assert (result.alpha, result.beta, result.theta_bound) == (0, 0, 2)
@@ -323,7 +326,8 @@ def test_a_weight_that_cancels_is_left_out_of_the_result():
 
 def _routes_match_the_reference(rows, reduced):
     """Each package route returns on the reduced rows exactly what its
-    Fraction reference returns on the rows, weight dicts included."""
+    Fraction reference returns on the rows {order: ZetaCombination},
+    weight dicts included."""
     assert _solve_back_substitution(reduced) == reference.solve_back_substitution(rows)
     assert _solve_cramer(reduced) == reference.solve_cramer(rows)
 
@@ -356,7 +360,7 @@ def test_solve_routes_equal_the_reference_on_columns_with_large_common_factors(c
     """Both routes run on column c over the content f_c, and still return
     exactly the reference values."""
     rows, factors = case
-    _routes_match_the_reference(rows, _reduced(rows, factors))
+    _routes_match_the_reference(_combinations(rows), _reduced(rows, factors))
 
 
 def test_one_solve_reduces_the_columns_once(monkeypatch):
@@ -384,7 +388,7 @@ def test_solve_routes_equal_the_reference_on_sparse_random_systems(rows):
     zero, and no route, the references included, keeps it; the second has
     negative diagonal entries, so back-substitution moves a sign from a
     denominator to its numerator."""
-    _routes_match_the_reference(rows, _reduced(rows))
+    _routes_match_the_reference(_combinations(rows), _reduced(rows))
 
 
 def test_a_negative_diagonal_and_a_cancelling_column_match_the_reference():
@@ -396,7 +400,7 @@ def test_a_negative_diagonal_and_a_cancelling_column_match_the_reference():
         order: (den, constant, {p: v * factors[5 - p] if p > 2 else v for p, v in zeta.items()})
         for order, (den, constant, zeta) in _NEGATIVE_CANCELLING.items()
     }
-    _routes_match_the_reference(rows, _reduced(rows, factors))
+    _routes_match_the_reference(_combinations(rows), _reduced(rows, factors))
     alpha, beta, weights = _solve_back_substitution(_reduced(rows, factors))
     assert sorted(weights) == [4, 5]
 
@@ -440,11 +444,11 @@ def test_the_reduced_system_reads_the_rows_of_the_one_layout(abc, s):
     _, dens, zeta2, consts, contents, b = _column_reduced(system)
     rows = layout(core)
     for nu, d in enumerate(dens):
-        den, constant, zeta = rows[s - nu]
-        assert Fraction(zeta2[nu], d) == Fraction(zeta[2], den)
-        assert Fraction(consts[nu], d) == Fraction(constant, den)
+        row = rows[s - nu]
+        assert Fraction(zeta2[nu], d) == row.zeta(2)
+        assert Fraction(consts[nu], d) == row.constant
         for c, g in enumerate(contents):
-            assert Fraction(b[nu][c] * g, d) == Fraction(zeta.get(s - c, 0), den)
+            assert Fraction(b[nu][c] * g, d) == row.zeta(s - c)
 
 
 def test_singular_system_raises_with_a_clear_message():
