@@ -199,15 +199,14 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     rows = []
     for n in range(args.n_from, args.n_to + 1):
         res = _approx(T, args.s, n)
+        err, w, zeta2, _ = error_upper(res.alpha, res.beta, args.s, args.digits)
         rows.append(
             {
                 "n": n,
                 "theta_bound": rational_text(res.theta_bound),
                 "theta_bound_sci": decimal_upper_sci(res.theta_bound),
-                "error_upper_sci": decimal_upper_sci(
-                    error_upper(res.alpha, res.beta, args.s, args.digits)
-                ),
-                "decimal": render_decimal(res.alpha, res.beta, args.digits),
+                "error_upper_sci": decimal_upper_sci(err),
+                "decimal": render_decimal(res.alpha, res.beta, args.digits, (w, zeta2)),
             }
         )
     if args.fmt == "json":
@@ -234,11 +233,12 @@ def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
     check_digits(args.digits)
     res = _approx(T, args.s, args.n)
     # The error bound's references are the deepest; an over-budget request
-    # fails there, before any rendering.
-    err = error_upper(res.alpha, res.beta, args.s, args.digits)
-    approx = render_decimal(res.alpha, res.beta, args.digits)
+    # fails there, before any rendering.  Both renders take them as their
+    # first try, which moves no byte (error_upper).
+    err, w, zeta2, zeta_s = error_upper(res.alpha, res.beta, args.s, args.digits)
+    approx = render_decimal(res.alpha, res.beta, args.digits, (w, zeta2))
     reference = render_interval_decimal(
-        lambda w: zeta_reference(args.s, w), args.digits
+        lambda d: zeta_s if d == w else zeta_reference(args.s, d), args.digits, w
     )
     payload = {
         "s": args.s,

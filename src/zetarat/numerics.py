@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Callable, Iterator, Sequence, Union
 
 Rat = Fraction
@@ -203,9 +203,9 @@ def _borwein_sum(p: int, N: int, G: int) -> tuple[int, int, int]:
     return lo, hi, e + 1
 
 
-def _zeta_enclosure_raw(p: int, digits: int) -> Interval:
-    """One enclosure of zeta(p), p >= 2, with width < 10^-digits, from
-    Borwein's alternating series (P. Borwein, "An efficient algorithm for the
+def _zeta_enclosure_raw(p: int, digits: int) -> tuple[int, int, int]:
+    """(lo, hi, D): lo/D <= zeta(p) <= hi/D, p >= 2, hi/D - lo/D < 10^-digits,
+    from Borwein's alternating series (P. Borwein, "An efficient algorithm for the
     Riemann zeta function", CMS Conf. Proc. 27, 2000, Algorithm 2).
 
     With c = 2^(p-1) and the integer weights
@@ -234,7 +234,98 @@ def _zeta_enclosure_raw(p: int, digits: int) -> Interval:
     g = -((-3 * 5**N << (p - 1 + W)) // ((c - 1) * 29**N))
     if (hi - lo + 2 * g) * 10**digits >= 1 << W:
         raise InternalError("Borwein enclosure wider than requested")
-    return Interval(Fraction(lo - g, 1 << W), Fraction(hi + g, 1 << W))
+    return lo - g, hi + g, 1 << W
+
+
+#: Chudnovsky's series: pi = 426880 sqrt(10005) / S, S = sum_k a_k,
+#: a_k = (-1)^k (6k)! (A + B k) / ((3k)! k!^3 C^(3k)).
+_CHUD_A, _CHUD_B, _CHUD_C3_24 = 13591409, 545140134, 640320**3 // 24
+
+
+def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) for a <= k < b by binary splitting (B. Haible and T.
+    Papanikolaou, "Fast multiprecision evaluation of series of rational
+    numbers", ANTS-III, 1998): with p(k) = (6k-5)(2k-1)(6k-1), q(k) =
+    k^3 C^3/24 and p(0) = q(0) = 1, a_k/a_(k-1) = -p(k)/q(k), P = prod p(k),
+    Q = prod q(k) and T/Q = sum_k (-1)^k (A + B k) prod_(a<=j<=k) p(j)/q(j)."""
+    if b - a == 1:
+        if a == 0:
+            return 1, 1, _CHUD_A
+        p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        t = p * (_CHUD_A + _CHUD_B * a)
+        return p, a**3 * _CHUD_C3_24, -t if a % 2 else t
+    m = (a + b) // 2
+    P1, Q1, T1 = _chudnovsky_split(a, m)
+    P2, Q2, T2 = _chudnovsky_split(m, b)
+    return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+
+def _pi_enclosure(digits: int) -> tuple[int, int, int]:
+    """(lo, hi, D), D = 2^W: lo/D <= pi <= hi/D and hi - lo <= 3, where
+    2^W > 16 10^digits, so the width is below 10^-digits / 5.  Integers only
+    (D. V. and G. V. Chudnovsky, "Approximations and complex multiplication
+    according to Ramanujan", 1988).
+
+    Tail: |a_(k+1)/a_k| = 8(6k+1)(6k+3)(6k+5)/((k+1)^3 C^3) times
+    (A + B(k+1))/(A + B k).  The first factor is below 8 6^3/C^3 = 1728/C^3
+    and the second at most (A + B)/A, so the ratio is below
+    1728 (A + B)/(A C^3) < 10^-12 < 1: the terms alternate in sign and
+    strictly decrease in size, and S lies between the partial sums S_N and
+    S_(N+1), within |a_N| of S_N.  The first factors multiply to
+    (6N)!/((3N)! N!^3) < 1728^N and the second ones telescope to
+    (A + B N)/A, so |a_N| < (A + B N) 1728^N / C^(3N) = (A + B N)/53360^(3N);
+    N is the least N >= 1 with (A + B N) 2^W <= 53360^(3N), so |S - S_N| <= 2^-W.
+
+    With S_N = T/Q from binary splitting (Q > 0, and S_N >= A - |a_1| > 1)
+    and r = isqrt(10005 4^W),
+    r/2^W <= sqrt 10005 < (r+1)/2^W, so pi = 426880 sqrt(10005)/S lies in
+    [426880 r Q/(2^W T + Q), 426880 (r+1) Q/(2^W T - Q)], rounded outward to
+    2^-W.  Each bound is off pi by at most about pi 2^-W/100 from the root
+    and pi 2^-W/S_N < 10^-6 2^-W from the tail, so hi - lo <= 3.
+    """
+    W = (16 * 10**digits).bit_length()
+    N, tail = 1, 53360**3
+    while tail < (_CHUD_A + _CHUD_B * N) << W:
+        N, tail = N + 1, tail * 53360**3
+    _, Q, T = _chudnovsky_split(0, N)
+    r = isqrt(10005 << 2 * W)
+    lo = (426880 * r * Q << W) // ((T << W) + Q)
+    hi = -((-426880 * (r + 1) * Q << W) // ((T << W) - Q))
+    if hi - lo > 3:
+        raise InternalError("pi enclosure wider than requested")
+    return lo, hi, 1 << W
+
+
+def _zeta2_enclosure_raw(digits: int) -> tuple[int, int, int]:
+    """(lo, hi, D): lo/D <= zeta(2) <= hi/D, hi/D - lo/D < 10^-digits, from
+    zeta(2) = pi^2/6 on _pi_enclosure's D = 2^W, rounded outward.  With pi
+    in [x/D, y/D], y - x <= 3 and y < 4D: (y^2 - x^2)/(6D) < 3 8/6 = 4, so
+    hi - lo < 6, below D/10^digits, since D > 16 10^digits."""
+    x, y, den = _pi_enclosure(digits)
+    lo, hi = x * x // (6 * den), -(-y * y // (6 * den))
+    if (hi - lo) * 10**digits >= den:
+        raise InternalError("zeta(2) enclosure wider than requested")
+    return lo, hi, den
+
+
+def _zeta_enclosure(p: int, digits: int) -> tuple[int, int, int]:
+    """zeta_reference(p, digits) as (lo, hi, D), integer numerators over
+    one denominator D > 0: the raw enclosure at digits + 2, from pi for
+    p = 2 and from Borwein's sum for p >= 3, widened by 10^-(digits+1)."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if digits > DIGIT_BUDGET:
+        raise PrecisionBudgetError(
+            f"requested {digits} digits exceeds budget of {DIGIT_BUDGET}"
+        )
+    if p == 2:
+        lo, hi, den = _zeta2_enclosure_raw(digits + 2)
+    else:
+        lo, hi, den = _zeta_enclosure_raw(p, digits + 2)
+    m = 10 ** (digits + 1)  # x -+ 1/m = (x_num m -+ D) / (D m)
+    return lo * m - den, hi * m + den, den * m
 
 
 def zeta_reference(p: int, digits: int) -> Interval:
@@ -248,21 +339,13 @@ def zeta_reference(p: int, digits: int) -> Interval:
     - for d2 > d, every point of E(d2) lies within
       10^-(d2+2) + m_d2 <= 10^-(d+3) + 10^-(d+2) < m_d of zeta.
 
-    So E(d1) contains E(d2) for every d1 <= d2, from one Borwein sum per
-    call.
+    So E(d1) contains E(d2) for every d1 <= d2, from one sum per call:
+    Chudnovsky's series for pi when p = 2 (zeta(2) = pi^2/6), Borwein's
+    for p >= 3.  This is the Interval view of _zeta_enclosure, which
+    computes E(d) on integers.
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if digits > DIGIT_BUDGET:
-        raise PrecisionBudgetError(
-            f"requested {digits} digits exceeds budget of {DIGIT_BUDGET}"
-        )
-    raw = _zeta_enclosure_raw(p, digits + 2)
-    m, lo, hi = 10 ** (digits + 1), raw.lo, raw.hi  # x -+ 1/m = (x_num m -+ x_den) / (x_den m)
-    return Interval(Fraction(lo.numerator * m - lo.denominator, lo.denominator * m),
-                    Fraction(hi.numerator * m + hi.denominator, hi.denominator * m))
+    lo, hi, den = _zeta_enclosure(p, digits)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 # ------------------------------------------------------ decimal rendering
@@ -298,9 +381,13 @@ def _any_int_length() -> Iterator[None]:
 
 
 def int_text(n: int) -> str:
-    """str(n) for an exact integer of any size."""
-    with _any_int_length():
+    """str(n) for an exact integer of any size.  The limit is lifted only
+    for an integer past it, which str refuses before converting."""
+    try:
         return str(n)
+    except ValueError:
+        with _any_int_length():
+            return str(n)
 
 
 def rational_text(x: Rat) -> str:
@@ -310,17 +397,18 @@ def rational_text(x: Rat) -> str:
     return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
-def _round_half_even(x: Rat, digits: int) -> str:
-    """Fixed-point decimal string of x with exactly `digits` decimals.
+def _round_half_even(num: int, den: int, digits: int) -> str:
+    """Fixed-point decimal string of num/den, den > 0, with exactly
+    `digits` decimals.
 
     Ties round to even; a value that rounds to zero is rendered unsigned.
+    Only the value counts, so num/den need not be in lowest terms.
     """
-    sign = x.numerator < 0
-    p, q = abs(x.numerator), x.denominator
-    scaled = p * 10**digits
-    whole, rem = divmod(scaled, q)
+    sign = num < 0
+    scaled = abs(num) * 10**digits
+    whole, rem = divmod(scaled, den)
     double = 2 * rem
-    if double > q or (double == q and whole % 2 == 1):
+    if double > den or (double == den and whole % 2 == 1):
         whole += 1
     text = int_text(whole).rjust(digits + 1, "0")
     out = f"{text[:-digits]}.{text[-digits:]}" if digits else text
@@ -329,7 +417,12 @@ def _round_half_even(x: Rat, digits: int) -> str:
     return out
 
 
-def render_decimal(alpha: RatLike, beta: RatLike, digits: int) -> str:
+def render_decimal(
+    alpha: RatLike,
+    beta: RatLike,
+    digits: int,
+    first: tuple[int, Interval] | None = None,
+) -> str:
     """Certified decimal rendering of alpha*zeta(2) + beta to `digits` places.
 
     For alpha = 0 the value is rational and rendered directly (round half to
@@ -339,25 +432,34 @@ def render_decimal(alpha: RatLike, beta: RatLike, digits: int) -> str:
     enclosure is taken L digits deeper, as far as the budget allows, with
     L = len(numerator) - len(denominator) + 1 (at least 0), since the
     numerator is below 10^len(numerator), the denominator not below
-    10^(len(denominator) - 1).  Each depth maps the enclosure through alpha
-    and beta on integers, as one Interval.
+    10^(len(denominator) - 1).  first = (w, zeta_reference(2, w)), w within
+    the budget, is taken as the first try instead, and the refinement
+    doubles from w.  Each depth maps the enclosure's integer numerators
+    through alpha and beta over one denominator, with no Fraction.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     alpha, beta = as_rational(alpha), as_rational(beta)
     if alpha == 0:
-        return _round_half_even(beta, digits)
-    L = decimal_length(alpha.numerator) - decimal_length(alpha.denominator) + 1
-    deeper = min(digits + 8 + max(0, L), DIGIT_BUDGET)
-    (a, b), (c, d) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+        return _round_half_even(*beta.as_integer_ratio(), digits)
+    if first is None:
+        L = decimal_length(alpha.numerator) - decimal_length(alpha.denominator) + 1
+        start, given = max(digits + 8, min(digits + 8 + max(0, L), DIGIT_BUDGET)), None
+    else:
+        start, enclosure = first
+        den, [[lo, hi]] = integer_form([enclosure.lo, enclosure.hi])
+        given = lo, hi, den
+    (a, b), (c, e) = alpha.as_integer_ratio(), beta.as_integer_ratio()
 
-    def make(w: int) -> Interval:  # alpha x + beta = (a d x_num + c b x_den) / (b d x_den)
-        enc = zeta_reference(2, w)
-        lo, hi = (Fraction(a * d * x.numerator + c * b * x.denominator, b * d * x.denominator)
-                  for x in (enc.lo, enc.hi))
-        return Interval(lo, hi) if a > 0 else Interval(hi, lo)
+    def strings(w: int) -> tuple[str, str]:  # alpha x + beta = (a e x + c b D)/(b e D)
+        lo, hi, den = given if given and w == start else _zeta_enclosure(2, w)
+        shift, q = c * b * den, b * e * den
+        lo, hi = a * e * lo + shift, a * e * hi + shift
+        if a < 0:
+            lo, hi = hi, lo
+        return _round_half_even(lo, q, digits), _round_half_even(hi, q, digits)
 
-    return render_interval_decimal(make, digits, start=max(digits + 8, deeper))
+    return _refine(strings, start)
 
 
 def check_digits(digits: int) -> None:
@@ -372,14 +474,42 @@ def check_digits(digits: int) -> None:
         )
 
 
-def error_upper(alpha: Rat, beta: Rat, s: int, digits: int) -> Rat:
-    """Certified upper bound on |alpha*zeta(2) + beta - zeta(s)|, from
-    references taken digits + 40 + len(alpha's numerator) deep."""
-    working = digits + 40 + decimal_length(alpha.numerator)
-    err = zeta_reference(2, working).scale(alpha).shift(beta) - zeta_reference(
-        s, working
-    )
-    return err.sup_abs
+def error_upper(
+    alpha: Rat, beta: Rat, s: int, digits: int
+) -> tuple[Rat, int, Interval, Interval]:
+    """(bound, w, zeta(2), zeta(s)): a certified upper bound on
+    |alpha*zeta(2) + beta - zeta(s)|, from the references zeta_reference
+    returns at w = digits + 40 + len(alpha's numerator) digits, and those
+    two references.
+
+    A render may take them as its first try (render_decimal's `first`,
+    render_interval_decimal's `start`), and the string does not move:
+    w >= digits + 8 + L is at least as deep as a render's own start, and
+    the enclosures nest.  A sub-interval of an enclosure whose endpoints
+    round to one string rounds to that string, since rounding is monotone,
+    so a render that settles gives the same string from any depth.  A
+    render that does not settle fails at DIGIT_BUDGET, as a render started
+    from w also does: w is within the budget, the doublings from w end at
+    the budget too, and a superset of an unsettled enclosure is unsettled.
+    """
+    w = digits + 40 + decimal_length(alpha.numerator)
+    zeta2, zeta_s = zeta_reference(2, w), zeta_reference(s, w)
+    return (zeta2.scale(alpha).shift(beta) - zeta_s).sup_abs, w, zeta2, zeta_s
+
+
+def _refine(strings: Callable[[int], tuple[str, str]], w: int) -> str:
+    """The string both endpoints round to at working digits w, where
+    strings(w) renders the two endpoints; w doubles, capped at DIGIT_BUDGET,
+    until they agree."""
+    while True:
+        lo_s, hi_s = strings(w)
+        if lo_s == hi_s:
+            return lo_s
+        if w >= DIGIT_BUDGET:
+            raise PrecisionBudgetError(
+                f"rendering needs more than {DIGIT_BUDGET} digits"
+            )
+        w = min(2 * w, DIGIT_BUDGET)
 
 
 def render_interval_decimal(
@@ -394,18 +524,13 @@ def render_interval_decimal(
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    w = digits + 8 if start is None else start
-    while True:
+
+    def strings(w: int) -> tuple[str, str]:
         enc = make(w)
-        lo_s = _round_half_even(enc.lo, digits)
-        hi_s = _round_half_even(enc.hi, digits)
-        if lo_s == hi_s:
-            return lo_s
-        if w >= DIGIT_BUDGET:
-            raise PrecisionBudgetError(
-                f"rendering needs more than {DIGIT_BUDGET} digits"
-            )
-        w = min(2 * w, DIGIT_BUDGET)
+        return (_round_half_even(*enc.lo.as_integer_ratio(), digits),
+                _round_half_even(*enc.hi.as_integer_ratio(), digits))
+
+    return _refine(strings, digits + 8 if start is None else start)
 
 
 def decimal_upper_sci(x: Rat) -> str:

@@ -36,7 +36,7 @@ from operator import mul
 
 from .numerics import Record, integer_form
 from .polynomials import PolySpec, equal_degree_lists
-from .series import IntCore, ZetaCombination, layout, oracle_core
+from .series import IntCore, ZetaCombination, layout, oracle_core, same_rows
 
 
 class TranscriptionVariant(Enum):
@@ -296,14 +296,14 @@ def validate_int_rows(
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> RowValidationReport:
     """validate_rows on an integer form (L, [a, b, c]), handed to both
-    kernels.  Each kernel runs once: equal cores lay out to equal rows, so
-    there is nothing to compare; else both cores are laid out and
-    row_mismatches runs per order."""
+    kernels.  Each kernel runs once: cores that agree by value (same_rows)
+    lay out to equal rows, so there is nothing to compare; else both cores
+    are laid out and row_mismatches runs per order."""
     if s_max < 3:
         raise ValueError("s_max must be >= 3")
     want = oracle_core(L, abc, s_max)
     got = row_core(L, abc, s_max, variant)
-    if got == want:
+    if same_rows(got, want):
         return RowValidationReport(())
     rows, oracle = layout(got), layout(want)
     return RowValidationReport(tuple(

@@ -95,6 +95,22 @@ def layout(core: IntCore) -> dict[int, ZetaCombination]:
     return rows
 
 
+def same_rows(x: IntCore, y: IntCore) -> bool:
+    """Whether two cores agree by value, on integers: L^3, M, z3, z2 and
+    the constants as they are, and sequence entry i as g_i M^(w'_i - w_i)
+    = g'_i when w_i <= w'_i (the other way round otherwise), since
+    HARMONIC_WEIGHTS carries some entries one weight higher than the
+    oracle.  Cores that agree lay out to the same rows."""
+    if x == y:
+        return True
+    L3, M, w, g, *rest = x
+    L3_, M_, w_, g_, *rest_ = y
+    return (L3, M, len(g), rest) == (L3_, M_, len(g_), rest_) and all(
+        u * M ** (f - e) == v if e <= f else u == v * M ** (e - f)
+        for u, e, v, f in zip(g, w, g_, w_)
+    )
+
+
 # ------------------------------------------------ the partial-fraction oracle
 
 

@@ -21,6 +21,7 @@ import pytest
 
 import zetarat
 import zetarat.cli as cli_module
+import zetarat.numerics as numerics
 import zetarat.rows as rows_module
 import zetarat.solver as solver_module
 from zetarat.cli import main
@@ -383,6 +384,58 @@ def test_digits_over_budget_fails_before_rendering(capsys):
     assert captured.out == ""
     assert captured.err == "error: requested 10001 digits exceeds budget of 10000\n"
     assert elapsed < 1.0
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+
+
+def _renders_from_their_own_start(monkeypatch):
+    """Make cmd_digits's two renders ignore the references error_upper hands
+    them and start at their own depth, as they did before."""
+    monkeypatch.setattr(
+        cli_module, "render_decimal", lambda a, b, d, first=None: numerics.render_decimal(a, b, d)
+    )
+    monkeypatch.setattr(
+        cli_module,
+        "render_interval_decimal",
+        lambda make, d, start=None: numerics.render_interval_decimal(make, d),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [c["argv"] for c in _GOLDEN if c["argv"][:1] == ["digits"]]
+    + [["digits", "--s", "3", "--n", "8", "--digits", "9952"]],
+    ids=" ".join,
+)
+def test_digits_renders_from_the_error_references_as_from_its_own_start(
+    argv, capsys, monkeypatch
+):
+    """A digits request takes zeta(2) and zeta(s) once, at the error bound's
+    depth, and both renders start from them: the bytes and the exit code
+    are those of renders that start at their own depth."""
+    runs = []
+    for patch in (None, _renders_from_their_own_start):
+        if patch:
+            patch(monkeypatch)
+        runs.append((main(list(argv)), capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
+def test_an_unsettled_digits_render_exits_three_from_either_start(capsys, monkeypatch):
+    """With zeta stood in by [0.0004, 0.0006] at every depth, the approx
+    render never settles at 3 decimals: digits exits 3 with the same
+    message from error_upper's references as from the render's own start."""
+    monkeypatch.setattr(numerics, "_zeta_enclosure", lambda p, d: (4, 6, 10**4))
+    argv = ["digits", "--s", "3", "--n", "2", "--t=1", "--digits", "3"]
+    runs = []
+    for patch in (None, _renders_from_their_own_start):
+        if patch:
+            patch(monkeypatch)
+        runs.append((main(argv), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 3
+    assert runs[0][1].err == "error: rendering needs more than 10000 digits\n"
 
 
 #: (argv, exit, stderr) of requests whose --digits fails before any row

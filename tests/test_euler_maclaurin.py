@@ -1,8 +1,8 @@
 """Euler-Maclaurin enclosure of zeta(p): the second route for the reference
 zeta values.
 
-`zetarat.numerics.zeta_reference` sums Borwein's alternating series.  This
-module keeps an independent enclosure built from the Euler-Maclaurin
+`zetarat.numerics.zeta_reference` sums Borwein's alternating series for
+p >= 3 and Chudnovsky's series for pi when p = 2.  This module keeps an independent enclosure built from the Euler-Maclaurin
 expansion of the tail sum_{k>=K} k^-p with exact Bernoulli numbers, and
 requires the two routes to overlap.
 """
@@ -15,7 +15,7 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetarat.numerics import Interval, _zeta_enclosure_raw
+from zetarat.numerics import Interval, _zeta2_enclosure_raw, _zeta_enclosure_raw
 
 
 @lru_cache(maxsize=None)
@@ -96,6 +96,10 @@ def test_bernoulli_satisfies_defining_recurrence():
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 12), st.integers(1, 300))
 def test_borwein_enclosure_overlaps_euler_maclaurin(p, digits):
-    borwein = _zeta_enclosure_raw(p, digits)
-    assert borwein.width < Fraction(1, 10**digits)
-    assert borwein.overlaps(euler_maclaurin_enclosure(p, digits))
+    routes = [_zeta_enclosure_raw(p, digits)]
+    if p == 2:
+        routes.append(_zeta2_enclosure_raw(digits))
+    for lo, hi, den in routes:
+        raw = Interval(Fraction(lo, den), Fraction(hi, den))
+        assert raw.width < Fraction(1, 10**digits)
+        assert raw.overlaps(euler_maclaurin_enclosure(p, digits))

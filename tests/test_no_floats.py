@@ -17,12 +17,15 @@ PACKAGE = Path(zetarat.__file__).parent
 #: (module, function) of the kernels that loop on Python ints.
 INTEGER_KERNELS = (
     ("numerics.py", "integer_form"),
+    ("numerics.py", "_chudnovsky_split"),
+    ("numerics.py", "_pi_enclosure"),
     ("rows.py", "coefficient_rows"),
     ("rows.py", "row_core"),
     ("rows.py", "row_mismatches"),
     ("rows.py", "validate_rows"),
     ("rows.py", "validate_int_rows"),
     ("series.py", "layout"),
+    ("series.py", "same_rows"),
     ("series.py", "decompose_integrals"),
     ("series.py", "oracle_core"),
     ("series.py", "special_series_numerators"),

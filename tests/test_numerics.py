@@ -152,14 +152,21 @@ def test_zeta_reference_nests_at_any_pair_of_digit_counts(p, d1, d2):
     assert fine.width < Fraction(21, 10 ** (d2 + 2))
 
 
-def _edge_stub(p: int, digits: int) -> Interval:
+def _raw_interval(raw: tuple[int, int, int]) -> Interval:
+    """The Interval [lo/D, hi/D] of a raw enclosure (lo, hi, D)."""
+    lo, hi, den = raw
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _edge_stub(p: int, digits: int) -> tuple[int, int, int]:
     """A valid but adversarial raw enclosure: width 0.99 * 10^-digits, with a
     fixed rational standing in for zeta(p) on its left edge for even digits
     and on its right edge for odd digits.  Nesting then needs
     m_d >= 0.099 10^-(d+2) + m_(d+1), which 10^-(d+1) meets and 10^-(d+3)
-    does not."""
-    z, w = Fraction(355, 113), Fraction(99, 10 ** (digits + 2))
-    return Interval(z, z + w) if digits % 2 == 0 else Interval(z - w, z)
+    does not.  Over D = 113 10^(digits+2): z = 355/113, w = 99/10^(digits+2)."""
+    den = 113 * 10 ** (digits + 2)
+    z, w = 355 * 10 ** (digits + 2), 99 * 113
+    return (z, z + w, den) if digits % 2 == 0 else (z - w, z, den)
 
 
 def test_zeta_reference_margin_nests_any_valid_raw_enclosure(monkeypatch):
@@ -175,18 +182,24 @@ def test_zeta_reference_margin_nests_any_valid_raw_enclosure(monkeypatch):
 
 
 def test_zeta_reference_makes_one_raw_sum_per_call(monkeypatch):
+    """One Borwein sum for p >= 3; for p = 2 one pi series, and no Borwein sum."""
     calls = []
+    borwein, from_pi = numerics._zeta_enclosure_raw, numerics._zeta2_enclosure_raw
 
-    def counting(p, digits):
+    def counting_borwein(p, digits):
         calls.append((p, digits))
-        return raw(p, digits)
+        return borwein(p, digits)
 
-    raw = numerics._zeta_enclosure_raw
-    monkeypatch.setattr(numerics, "_zeta_enclosure_raw", counting)
-    for p, digits in ((2, 1), (3, 100), (5, 1000), (3, 100)):
+    def counting_pi(digits):
+        calls.append(("pi", digits))
+        return from_pi(digits)
+
+    monkeypatch.setattr(numerics, "_zeta_enclosure_raw", counting_borwein)
+    monkeypatch.setattr(numerics, "_zeta2_enclosure_raw", counting_pi)
+    for p, digits in ((2, 1), (3, 100), (5, 1000), (3, 100), (2, 1000)):
         calls.clear()
         zeta_reference(p, digits)
-        assert calls == [(p, digits + 2)]
+        assert calls == [("pi" if p == 2 else p, digits + 2)]
 
 
 def _machin_pi_bracket(tol: Fraction) -> Interval:
@@ -272,9 +285,58 @@ def test_raw_enclosure_holds_the_borwein_value_widened_by_the_remainder_bound(p,
         N += 1
     g = Fraction(3 * c * 5**N, (c - 1) * 29**N)
     value = _exact_borwein_sum(p, N) * c / ((c - 1) * _borwein_weights(N)[N])
-    enc = numerics._zeta_enclosure_raw(p, digits)
+    enc = _raw_interval(numerics._zeta_enclosure_raw(p, digits))
     assert enc.lo <= value - g and value + g <= enc.hi
     assert enc.width < Fraction(1, 10**digits)
+
+
+def _chudnovsky_term(k: int) -> Fraction:
+    """a_k = (-1)^k (6k)! (A + B k) / ((3k)! k!^3 640320^(3k)), from factorials."""
+    num = (-1) ** k * factorial(6 * k) * (13591409 + 545140134 * k)
+    return Fraction(num, factorial(3 * k) * factorial(k) ** 3 * 640320 ** (3 * k))
+
+
+def test_chudnovsky_split_sums_the_series_exactly():
+    """T/Q of the binary splitting is the partial sum S_N, the terms
+    alternate and shrink, and |a_N| stays below (A + B N)/53360^(3N)."""
+    for N in range(1, 13):
+        _, Q, T = numerics._chudnovsky_split(0, N)
+        assert Fraction(T, Q) == sum(map(_chudnovsky_term, range(N)), Fraction(0))
+        a, b = _chudnovsky_term(N - 1), _chudnovsky_term(N)
+        assert a * b < 0 and abs(b) < abs(a)
+        assert abs(b) < Fraction(13591409 + 545140134 * N, 53360 ** (3 * N))
+
+
+def test_pi_enclosure_holds_pi_within_three_units():
+    pi = _machin_pi_bracket(Fraction(1, 10**1010))
+    for digits in (1, 2, 12, 50, 990):
+        lo, hi, den = numerics._pi_enclosure(digits)
+        assert den > 16 * 10**digits and den & (den - 1) == 0
+        assert 0 <= hi - lo <= 3
+        assert _raw_interval((lo, hi, den)).contains_interval(pi)
+
+
+def _assert_the_zeta2_routes_agree(d: int) -> None:
+    """The raw enclosures zeta_reference(2, d) widens, from pi and from
+    Borwein's sum, overlap, and each is narrower than 10^-(d+2)."""
+    routes = [
+        _raw_interval(numerics._zeta2_enclosure_raw(d + 2)),
+        _raw_interval(numerics._zeta_enclosure_raw(2, d + 2)),
+    ]
+    for raw in routes:
+        assert raw.width < Fraction(1, 10 ** (d + 2))
+    assert routes[0].overlaps(routes[1])
+
+
+@pytest.mark.parametrize("d", (1, 2, 12, 50, 1000, 4299, 4301, 10_000))
+def test_the_two_zeta2_routes_agree(d):
+    _assert_the_zeta2_routes_agree(d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2000))
+def test_the_two_zeta2_routes_agree_at_any_depth(d):
+    _assert_the_zeta2_routes_agree(d)
 
 
 def test_borwein_weights_raise_internal_error_on_an_inexact_division(monkeypatch):
@@ -352,41 +414,69 @@ def test_render_decimal_is_within_half_a_unit_of_a_containing_enclosure(
     assert Interval(got - half_unit, got + half_unit).contains_interval(enc)
 
 
-def _interval_render(alpha, beta, digits):
-    """The reference render of alpha*zeta(2) + beta: the zeta(2) enclosure
-    scaled and shifted as Intervals, from render_decimal's start depth."""
-    L = decimal_length(alpha.numerator) - decimal_length(alpha.denominator) + 1
-    start = max(digits + 8, min(digits + 8 + max(0, L), DIGIT_BUDGET))
-    return render_interval_decimal(
-        lambda w: zeta_reference(2, w).scale(alpha).shift(beta), digits, start=start
-    )
+def _fraction_round(x: Fraction, digits: int) -> str:
+    """x to `digits` decimals, ties to even, zero unsigned, on Fractions: the
+    rounding render_decimal used before it ran on integers."""
+    whole, rem = divmod(abs(x) * 10**digits, 1)
+    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and whole % 2 == 1):
+        whole += 1
+    text = int_text(whole).rjust(digits + 1, "0")
+    out = f"{text[:-digits]}.{text[-digits:]}"
+    return "-" + out if x < 0 and whole else out
 
+
+def _fraction_render(alpha, beta, digits):
+    """The reference render of alpha*zeta(2) + beta, as render_decimal did
+    it before it ran on integers: from the same start depth, each depth
+    scales and shifts zeta_reference(2, w) as Fractions into one Interval
+    and rounds its Fraction endpoints."""
+    if alpha == 0:
+        return _fraction_round(beta, digits)
+    L = decimal_length(alpha.numerator) - decimal_length(alpha.denominator) + 1
+    w = max(digits + 8, min(digits + 8 + max(0, L), DIGIT_BUDGET))
+    while True:
+        enc = zeta_reference(2, w).scale(alpha).shift(beta)
+        lo_s, hi_s = _fraction_round(enc.lo, digits), _fraction_round(enc.hi, digits)
+        if lo_s == hi_s:
+            return lo_s
+        if w >= DIGIT_BUDGET:
+            raise PrecisionBudgetError(f"rendering needs more than {DIGIT_BUDGET} digits")
+        w = min(2 * w, DIGIT_BUDGET)
+
+
+#: Numerators and denominators past CPython's 4300-digit int-to-str limit.
+_HUGE = st.integers(10**4300, 10**4400)
 
 _ALPHAS = st.one_of(
     st.just(Fraction(0)),
     _RATIONALS,
-    st.builds(Fraction, st.integers(10**9, 10**40), st.integers(1, 10**3)).flatmap(
-        lambda a: st.sampled_from((a, -a))
-    ),
+    st.builds(Fraction, st.integers(10**9, 10**40), st.integers(1, 10**3)),
+    st.builds(Fraction, _HUGE, st.integers(1, 10**3)),
+    st.builds(Fraction, st.integers(1, 10**4400), _HUGE),
+).flatmap(lambda a: st.sampled_from((a, -a)))
+
+_BETAS = st.one_of(
+    _RATIONALS,
+    st.builds(Fraction, st.integers(-(10**4400), 10**4400), _HUGE),
 )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_ALPHAS, _RATIONALS, st.integers(1, 60))
+@given(_ALPHAS, _BETAS, st.integers(1, 60))
 @example(Fraction(-7, 3), Fraction(-5, 2), 1)
 @example(Fraction(-(10**9)), Fraction(-1, 7), 60)
 @example(Fraction(0), Fraction(-1, 3), 30)
 def test_render_decimal_equals_the_interval_render(alpha, beta, digits):
     """Mapping the enclosure through alpha and beta on integers renders the
-    same string as scaling and shifting it as Intervals, for negative and
-    zero alpha, |alpha| >= 10^9 and negative beta."""
-    assert render_decimal(alpha, beta, digits) == _interval_render(alpha, beta, digits)
+    same string as the Fraction render, for negative and zero alpha,
+    |alpha| >= 10^9, negative beta and parts past 4300 digits."""
+    assert render_decimal(alpha, beta, digits) == _fraction_render(alpha, beta, digits)
 
 
 def test_render_decimal_over_budget_fails_as_the_interval_render():
     """digits + 8 past the budget: the same error, byte for byte."""
     messages = []
-    for render in (render_decimal, _interval_render):
+    for render in (render_decimal, _fraction_render):
         with pytest.raises(PrecisionBudgetError) as caught:
             render(Fraction(-3, 2), Fraction(1, 5), DIGIT_BUDGET - 7)
         messages.append(str(caught.value))
@@ -398,8 +488,13 @@ def test_render_decimal_over_budget_fails_as_the_interval_render():
 @given(st.integers(2, 9), st.integers(1, 300))
 def test_zeta_reference_widens_the_raw_enclosure_by_its_margin(p, digits):
     """The integer widening equals the Fraction one: the raw enclosure at
-    digits + 2, each side moved out by 10^-(digits+1)."""
-    raw, margin = numerics._zeta_enclosure_raw(p, digits + 2), Fraction(1, 10 ** (digits + 1))
+    digits + 2, from pi for p = 2 and Borwein's sum for p >= 3, each side
+    moved out by 10^-(digits+1)."""
+    if p == 2:
+        raw = _raw_interval(numerics._zeta2_enclosure_raw(digits + 2))
+    else:
+        raw = _raw_interval(numerics._zeta_enclosure_raw(p, digits + 2))
+    margin = Fraction(1, 10 ** (digits + 1))
     assert zeta_reference(p, digits) == Interval(raw.lo - margin, raw.hi + margin)
 
 
@@ -410,18 +505,18 @@ def test_render_decimal_of_a_large_alpha_stays_within_budget(monkeypatch):
     a refinement past the budget."""
     alpha = Fraction(302879766081952141, 500094000)
     asked = []
-    reference = numerics.zeta_reference
+    enclosure = numerics._zeta_enclosure
 
     def recording(p, digits):
         asked.append(digits)
-        return reference(p, digits)
+        return enclosure(p, digits)
 
-    monkeypatch.setattr(numerics, "zeta_reference", recording)
+    monkeypatch.setattr(numerics, "_zeta_enclosure", recording)
     got = render_decimal(alpha, 0, 5000)
     assert asked == [5000 + 8 + 10]
-    enc = reference(2, 5040).scale(alpha)
-    assert numerics._round_half_even(enc.lo, 5000) == got
-    assert numerics._round_half_even(enc.hi, 5000) == got
+    enc = zeta_reference(2, 5040).scale(alpha)
+    assert _fraction_round(enc.lo, 5000) == got
+    assert _fraction_round(enc.hi, 5000) == got
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -440,19 +535,20 @@ def test_render_decimal_depth_follows_the_size_of_alpha(digits, num, den, beta):
     L = max(0, len(str(abs(alpha.numerator))) - len(str(alpha.denominator)) + 1)
     assert abs(alpha) < 10**L
     asked = []
+    enclosure = numerics._zeta_enclosure
 
     def recording(p, w):
         asked.append((p, w))
-        return zeta_reference(p, w)
+        return enclosure(p, w)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numerics, "zeta_reference", recording)
+        patch.setattr(numerics, "_zeta_enclosure", recording)
         got = render_decimal(alpha, beta, digits)
     assert asked == [(2, digits + 8 + L)]
     deep = zeta_reference(2, digits + 80 + len(str(abs(alpha.numerator))))
     enc = deep.scale(alpha).shift(beta)
-    assert numerics._round_half_even(enc.lo, digits) == got
-    assert numerics._round_half_even(enc.hi, digits) == got
+    assert _fraction_round(enc.lo, digits) == got
+    assert _fraction_round(enc.hi, digits) == got
 
 
 def test_render_interval_decimal_caps_refinement_at_the_budget():
@@ -471,6 +567,40 @@ def test_render_interval_decimal_caps_refinement_at_the_budget():
     with pytest.raises(PrecisionBudgetError):
         render_interval_decimal(lambda w: asked.append(w) or Interval(0, 1), 3000)
     assert asked == [3008, 6016, DIGIT_BUDGET]
+
+
+def _straddling(p: int, digits: int) -> tuple[int, int, int]:
+    """A stand-in for zeta(p) that never settles at 3 decimals: [0.0004, 0.0006]."""
+    return 4, 6, 10**4
+
+
+def test_an_unsettled_render_fails_at_the_budget_from_any_first_try(monkeypatch):
+    """A render that never settles fails with the same message whether it
+    starts from its own depth or from a deeper first try, and both stop at
+    the budget."""
+    monkeypatch.setattr(numerics, "_zeta_enclosure", _straddling)
+    first = (5000, zeta_reference(2, 5000))
+    messages = []
+    for render in (
+        lambda: render_decimal(1, 0, 3),
+        lambda: render_decimal(1, 0, 3, first),
+        lambda: render_interval_decimal(lambda w: zeta_reference(3, w), 3),
+        lambda: render_interval_decimal(lambda w: zeta_reference(3, w), 3, 5000),
+    ):
+        with pytest.raises(PrecisionBudgetError) as caught:
+            render()
+        messages.append(str(caught.value))
+    assert messages == [f"rendering needs more than {DIGIT_BUDGET} digits"] * 4
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_ALPHAS, _RATIONALS, st.integers(1, 60), st.integers(0, 200))
+def test_render_decimal_from_a_deeper_first_try_is_the_same_string(alpha, beta, digits, extra):
+    """The first try at w = digits + 8 + len(alpha) + extra, at least as
+    deep as the render's own start, gives the same string."""
+    w = digits + 8 + decimal_length(alpha.numerator) + extra
+    first = (w, zeta_reference(2, w))
+    assert render_decimal(alpha, beta, digits, first) == render_decimal(alpha, beta, digits)
 
 
 def test_render_decimal_rejects_nonpositive_digits():
@@ -538,6 +668,18 @@ def test_exact_text_of_integers_and_rationals_past_the_int_str_limit():
     assert rational_text(Fraction(-big)) == "-" + _unlimited_str(big)
     assert rational_text(Fraction(-3, 4)) == "-3/4"
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_int_text_leaves_the_limit_alone_up_to_it(monkeypatch):
+    """An integer of at most 4300 digits converts without touching the
+    int-to-str limit."""
+
+    def refuse(limit):
+        raise AssertionError("changed the int-to-str limit")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    assert int_text(-(10**4299)) == "-1" + "0" * 4299
+    assert rational_text(Fraction(-3, 4)) == "-3/4"
 
 
 def test_decimal_upper_sci_rejects_negatives():

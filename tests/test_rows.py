@@ -42,6 +42,7 @@ from zetarat.series import (
     decompose_integrals,
     layout,
     oracle_core,
+    same_rows,
 )
 
 
@@ -391,8 +392,8 @@ def test_validate_rows_compares_values_when_the_integers_differ(rng, s, k, data)
 
 def _lay_out_as(patch, rows):
     """Make validate_rows see a row core that differs from the oracle's and
-    lays out to `rows`."""
-    core = object()
+    lays out to `rows`: a core with L^3 = 0, which no real core has."""
+    core = (0, 1, [], [], [], [], [])
     patch.setattr(rows_module, "row_core", lambda *args: core)
     patch.setattr(rows_module, "layout", lambda c: rows if c is core else layout(c))
 
@@ -546,6 +547,49 @@ def test_an_all_equal_trial_lays_out_no_row(monkeypatch):
         assert validate_rows(P, Q, T, 60).mismatches == ()
     with pytest.raises(AssertionError, match="laid out"):
         validate_rows(*WITNESS, 60, TranscriptionVariant.HARMONIC_WEIGHTS)
+
+
+def test_an_agreeing_with_h_trial_lays_out_no_row(monkeypatch):
+    """HARMONIC_WEIGHTS carries sequence entries j >= 3 one weight higher
+    than the oracle, so its cores differ as tuples even where every value
+    agrees (degrees 1 and 2).  The check compares them by value and lays
+    out neither."""
+
+    def refuse(core):
+        raise AssertionError("laid out the rows of a trial")
+
+    with_h = TranscriptionVariant.HARMONIC_WEIGHTS
+    monkeypatch.setattr(rows_module, "layout", refuse)
+    rng = random.Random(9)
+    for n in (1, 1, 2, 2):
+        P, Q, T = _random_triple(rng, n)
+        form = _integer_form(P, Q, T)
+        assert row_core(*form, 9, with_h) != oracle_core(*form, 9)
+        assert validate_rows(P, Q, T, 9, with_h).mismatches == ()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_check_triples(), st.integers(3, 10), st.sampled_from(TranscriptionVariant), st.data())
+def test_same_rows_is_equality_of_the_layouts(triple, s, variant, data):
+    """same_rows agrees with equality of the layouts: for the row core
+    against the oracle core, for the oracle core against itself with one
+    sequence entry carried one weight higher (both agree), and against
+    itself with one component that the layout reads moved by 1 (neither
+    agrees)."""
+    form = _integer_form(*triple)
+    want, got = oracle_core(*form, s), row_core(*form, s, variant)
+    assert same_rows(got, want) == (layout(got) == layout(want))
+    L3, M, w, g, z3, z2, constant = want
+    i = data.draw(st.integers(0, s - 2))
+    heavier = (L3, M, [e + (j == i) for j, e in enumerate(w)],
+               [v * M if j == i else v for j, v in enumerate(g)], z3, z2, constant)
+    assert same_rows(heavier, want) and same_rows(want, heavier)
+    slot = data.draw(st.sampled_from((3, 4, 5, 6)))  # g, z3, z2 or the constants
+    k = data.draw(st.integers(0, s - 2) if slot == 3 else st.integers(3, s))
+    moved = list(want)
+    moved[slot] = [v + (j == k) for j, v in enumerate(want[slot])]
+    moved = tuple(moved)
+    assert not same_rows(moved, want) and layout(moved) != layout(want)
 
 
 def test_validate_rows_rejects_small_s_max():
