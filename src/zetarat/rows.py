@@ -36,7 +36,7 @@ from operator import mul
 
 from .numerics import Record, integer_form
 from .polynomials import PolySpec, equal_degree_lists
-from .series import IntCore, ZetaCombination, layout, oracle_core, same_rows
+from .series import IntCore, ZetaCombination, layout, oracle_core
 
 
 class TranscriptionVariant(Enum):
@@ -108,6 +108,10 @@ def row_core(
     j >= 3, G_j = K_j(A, D, W - Y) + [H (Y + Z'/x)]_(j-2), Z' being Z
     restricted to l >= 2.  PLAIN_POWERS reproduces the oracle exactly;
     HARMONIC_WEIGHTS can diverge from it from degree 3 and order 5 on.
+    Both return the core over D = L^3 M, the base oracle_core uses: the
+    spare M is the one that HARMONIC_WEIGHTS's M H takes, so every G_j,
+    z3, z2 and constant is scaled by M, and HARMONIC_WEIGHTS adds its
+    triple block to G_j M.
     """
     if s < 3:
         raise ValueError("closed-form rows need order >= 3")
@@ -204,24 +208,20 @@ def row_core(
             hW[e] += uW
             vA, vD, w, uA, uD, uW = vA * t, vD * t, w * t, uA * t, uD * t, uW * t
         hA[s - 1] += uA
-    # g[j] over L^3 M^wt[j] is the coefficient of zeta(q - j): the lead and
-    # sub-lead, then (-1)^(j-1) G_j.  HARMONIC_WEIGHTS's triple block
-    # carries one more H, so its G_j, j >= 3, have weight j + 1.
-    wt = [j + 1 if with_h and j >= 3 else j for j in range(s - 1)]
-    g = [ab[0] * c0, C1]
+    # g[j] over D M^j is the coefficient of zeta(q - j): the lead and
+    # sub-lead, then (-1)^(j-1) G_j.  tri is 0 for PLAIN_POWERS and at j = 2.
+    g = [ab[0] * c0 * M, C1 * M]
     for j in range(2, s - 1):
-        G = (j - 1) * (j - 2) // 2 * pA[j] + (j - 2) * pD[j - 1] + pW[j - 2]
-        if wt[j] > j:
-            G = G * M + tri[j - 2]
+        G = ((j - 1) * (j - 2) // 2 * pA[j] + (j - 2) * pD[j - 1] + pW[j - 2]) * M + tri[j - 2]
         g.append(G if j % 2 else -G)
     # Extra blocks of weight q - 3 on zeta(3) and q - 2 on zeta(2).
     z3, z2, const = ([0] * (s + 1) for _ in range(3))
     for q in range(3, s + 1):
-        sign = -1 if q % 2 == 0 else 1  # (-1)^(q-3)
+        sign = -M if q % 2 == 0 else M  # (-1)^(q-3) M
         z3[q] = sign * pA[q - 3]
         z2[q] = sign * ((q - 3) * pA[q - 2] + pD[q - 3])
         const[q] = -sign * ((q - 2) * (q - 3) // 2 * hA[q - 1] + (q - 3) * hDA[q - 2] + hW[q - 3])
-    return L**3, M, wt, g, z3, z2, const
+    return L**3 * M, M, g, z3, z2, const
 
 
 row_general = coefficient_rows
@@ -296,14 +296,15 @@ def validate_int_rows(
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> RowValidationReport:
     """validate_rows on an integer form (L, [a, b, c]), handed to both
-    kernels.  Each kernel runs once: cores that agree by value (same_rows)
-    lay out to equal rows, so there is nothing to compare; else both cores
-    are laid out and row_mismatches runs per order."""
+    kernels.  Each kernel runs once, and both put a value over the same
+    denominator (series.IntCore), so equal cores are the agreeing ones and
+    there is nothing to compare; else both cores are laid out and
+    row_mismatches runs per order."""
     if s_max < 3:
         raise ValueError("s_max must be >= 3")
     want = oracle_core(L, abc, s_max)
     got = row_core(L, abc, s_max, variant)
-    if same_rows(got, want):
+    if got == want:
         return RowValidationReport(())
     rows, oracle = layout(got), layout(want)
     return RowValidationReport(tuple(

@@ -37,11 +37,13 @@ from .polynomials import PolySpec, explicit_poly
 # ------------------------------------------------- zeta-combination values
 
 #: The rows of orders 3..s as one order-free sequence and three numbers per
-#: order, (L^3, M, w, g, z3, z2, constant): g[i] over L^3 M^w[i] is the
+#: order, (D, M, g, z3, z2, constant) with D = L^3 M: g[i] over D M^i is the
 #: coefficient of zeta(q - i) in every order q with q - i >= 2; in order q,
-#: z3[q] over L^3 M^(q-3) adds to zeta(3), z2[q] over L^3 M^(q-2) to zeta(2),
-#: and constant[q] is over L^3 M^q.  Both integer kernels return one.
-IntCore = tuple[int, int, list[int], list[int], list[int], list[int], list[int]]
+#: z3[q] over D M^(q-3) adds to zeta(3), z2[q] over D M^(q-2) to zeta(2),
+#: and constant[q] is over D M^q.  Both integer kernels return one over
+#: these denominators, so two cores of one integer form agree by value
+#: exactly when they are equal.
+IntCore = tuple[int, int, list[int], list[int], list[int], list[int]]
 
 
 class ZetaCombination(Record):
@@ -79,36 +81,20 @@ class ZetaCombination(Record):
 
 def layout(core: IntCore) -> dict[int, ZetaCombination]:
     """The rows a core stands for, order q as a ZetaCombination whose
-    components are Fractions over L^3 M^q.  The sequence entries are read
+    components are Fractions over D M^q.  The sequence entries are read
     once for every order; zeta(3) and zeta(2) take in their order's
-    additions as one integer over L^3 M^q each."""
-    L3, M, w, g, z3, z2, constant = core
+    additions as one integer over D M^q each."""
+    D, M, g, z3, z2, constant = core
     s = len(g) + 1
-    sequence = [Fraction(v, L3 * M**e) for v, e in zip(g, w)]
+    sequence = [Fraction(v, D * M**i) for i, v in enumerate(g)]
     rows = {}
     for q in range(3, s + 1):
-        den = L3 * M**q
+        den = D * M**q
         zeta = {q - i: v for i, v in enumerate(sequence[: q - 3])}
-        zeta[3] = Fraction(g[q - 3] * M ** (q - w[q - 3]) + z3[q] * M**3, den)
-        zeta[2] = Fraction(g[q - 2] * M ** (q - w[q - 2]) + z2[q] * M**2, den)
+        zeta[3] = Fraction((g[q - 3] + z3[q]) * M**3, den)
+        zeta[2] = Fraction((g[q - 2] + z2[q]) * M**2, den)
         rows[q] = ZetaCombination.of(Fraction(constant[q], den), zeta)
     return rows
-
-
-def same_rows(x: IntCore, y: IntCore) -> bool:
-    """Whether two cores agree by value, on integers: L^3, M, z3, z2 and
-    the constants as they are, and sequence entry i as g_i M^(w'_i - w_i)
-    = g'_i when w_i <= w'_i (the other way round otherwise), since
-    HARMONIC_WEIGHTS carries some entries one weight higher than the
-    oracle.  Cores that agree lay out to the same rows."""
-    if x == y:
-        return True
-    L3, M, w, g, *rest = x
-    L3_, M_, w_, g_, *rest_ = y
-    return (L3, M, len(g), rest) == (L3_, M_, len(g_), rest_) and all(
-        u * M ** (f - e) == v if e <= f else u == v * M ** (e - f)
-        for u, e, v, f in zip(g, w, g_, w_)
-    )
 
 
 # ------------------------------------------------ the partial-fraction oracle
@@ -151,15 +137,18 @@ def oracle_core(L: int, abc: list[list[int]], s: int) -> IntCore:
     The pass runs on integers: with M = lcm(1..deg), the weight on 1/m^j
     or 1/(m+rho)^j in order q is an integer over L^3 M^(q-j), and the
     constant an integer over L^3 M^q.  M/(r-rho), M/rho and (M/k)^i serve
-    as integer weights.
+    as integer weights.  The core's base is D = L^3 M: a is taken M times
+    over, and every weight is linear in a, so each carries that M.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
     deg = max(map(len, abc)) - 1
     M = lcm(*range(1, deg + 1))
-    # L x_-1, L M x_0 and L M^2 x_1 of each factor at m = -rho, from each
-    # pair r > rho once: M/(r-rho) serves both, with opposite signs.
+    # L x_-1, L M x_0 and L M^2 x_1 of each factor at m = -rho (for a, M
+    # times those), from each pair r > rho once: M/(r-rho) serves both,
+    # with opposite signs.
     a, b, c = (u + [0] * (deg + 1 - len(u)) for u in abc)
+    a = [v * M for v in a]
     a0, a1, b0, b1, c0, c1 = ([0] * (deg + 1) for _ in range(6))
     for rho in range(deg):
         for r in range(rho + 1, deg + 1):
@@ -202,7 +191,7 @@ def oracle_core(L: int, abc: list[list[int]], s: int) -> IntCore:
             constant[q] -= n1 * h1 + n2 * h2 + n3 * h3
     # residue[q], the 1/m weight of order q, is the zeta(2) weight of order q + 1.
     g = at_m[:0:-1][: s - 1] + residue[4:s]
-    return L**3, M, list(range(s - 1)), g, z3, z2, constant
+    return L**3 * M, M, g, z3, z2, constant
 
 
 def partial_fraction_sum(r1: int, r2: int, r3: int, s: int) -> ZetaCombination:

@@ -42,7 +42,7 @@ class TriangularSystem(Record):
         """Both solve routes divide by each order's zeta(q) coefficient,
         g[0] + z3[3] in order 3 and g[0] in every order >= 4: a zero one
         makes the system singular, named by its lowest such order."""
-        _, _, _, g, z3, _, _ = core
+        _, _, g, z3, _, _ = core
         for order, lead in ((3, g[0] + z3[3]), (4, g[0])):
             if order <= s and not lead:
                 raise SingularSystemError(
@@ -87,7 +87,7 @@ def _column_reduced(system: TriangularSystem) -> Reduced:
     rows' zeta(2) and constant numerators, the column contents g_c > 0, and
     the integers B, column c over g_c.
 
-    Row nu, order q = s - nu, is over D_nu = L^3 M^q; with w[i] = i its
+    Row nu, order q = s - nu, is over D_nu = D M^q, D = L^3 M; its
     zeta(s - c) numerator is g[c - nu] M^(s-c), g[i] the core's sequence,
     plus z3[q] M^3 in the zeta(3) column, its zeta(2) one (g[q-2] + z2[q])
     M^2, and its constant constant[q].  So g_c = gamma M^(s-c), gamma the
@@ -95,14 +95,14 @@ def _column_reduced(system: TriangularSystem) -> Reduced:
     matrix of the sequence over gamma, but for that column.
     """
     s = system.s
-    L3, M, _, g, z3, z2, constant = system.core
+    D, M, g, z3, z2, constant = system.core
     orders = range(s, 2, -1)
     col3 = [g[q - 3] + z3[q] for q in orders]
     gamma = gcd(*g[: s - 3], *col3)
     seq = [v // gamma for v in g[: s - 3]]
     b = [[0] * nu + seq[: s - 3 - nu] + [v // gamma] for nu, v in enumerate(col3)]
     Mq = [M**e for e in range(s + 1)]
-    return (s, [L3 * Mq[q] for q in orders], [(g[q - 2] + z2[q]) * Mq[2] for q in orders],
+    return (s, [D * Mq[q] for q in orders], [(g[q - 2] + z2[q]) * Mq[2] for q in orders],
             constant[s:2:-1], [gamma * Mq[q] for q in orders], b)
 
 

@@ -187,6 +187,27 @@ def test_a_failing_with_h_run_reports_the_trials_and_degrees_it_did(monkeypatch,
     assert [line.split(":")[0] for line in lines[2:]] == [f"  trial {t} (degree 3)" for t in trials]
 
 
+def test_a_failing_verify_lays_out_no_trial_past_the_full_list(monkeypatch, capsys):
+    """verify keeps the details of the first 10 mismatches.  Each
+    mismatching trial up to the one that fills that list lays out its two
+    cores; every later trial is counted by core equality alone and lays
+    out nothing."""
+    laid_out = []
+    layout = rows_module.layout
+
+    def counted(core):
+        laid_out.append(core)
+        return layout(core)
+
+    monkeypatch.setattr(rows_module, "layout", counted)
+    assert main(["verify", "--variant", "with-h", "--s", "9", "--trials", "200"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    kept = {m["trial"] for m in payload["first_mismatches"]}
+    assert len(payload["first_mismatches"]) == 10
+    assert payload["mismatching_trials"] > len(kept)
+    assert len(laid_out) == 2 * len(kept)
+
+
 def test_an_agreeing_verify_builds_no_fraction_no_polyspec_and_no_integer_form(monkeypatch, capsys):
     """Drawn ints go straight to the integer check: with Fraction,
     PolySpec and every binding of numerics.integer_form made to raise, a

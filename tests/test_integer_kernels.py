@@ -64,13 +64,13 @@ def test_rows_equal_the_fraction_reference(triple, s, variant):
 
 def _one_denominator_rows(core, s):
     """The layout of a core: the rows of orders 3..s, each component
-    checked to be a Fraction over L^3 M^q, the one denominator of order q."""
+    checked to be a Fraction over D M^q, the one denominator of order q."""
     rows = layout(core)
     assert sorted(rows) == list(range(3, s + 1))
-    L3, M = core[:2]
+    D, M = core[:2]
     for q, row in rows.items():
         for v in (row.constant, *(v for _, v in row.terms)):
-            assert type(v) is Fraction and L3 * M**q % v.denominator == 0
+            assert type(v) is Fraction and D * M**q % v.denominator == 0
     return rows
 
 
@@ -88,10 +88,10 @@ def test_both_row_kernels_give_one_denominator_per_row(triple, s, variant):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_rational_triples(), st.integers(3, 12), st.sampled_from(TranscriptionVariant))
 def test_the_layout_of_each_core_equals_the_fraction_reference(triple, s, variant):
-    """Each kernel's core holds one sequence entry per zeta(q - i), i < s - 1,
-    with its weight, and three numbers per order 3..s; the one layout of the
-    row core gives the reference rows of its variant, and that of the
-    oracle's core the PLAIN_POWERS reference rows."""
+    """Each kernel's core holds D = L^3 M, one sequence entry per
+    zeta(q - i), i < s - 1, and three numbers per order 3..s; the one
+    layout of the row core gives the reference rows of its variant, and
+    that of the oracle's core the PLAIN_POWERS reference rows."""
     P, Q, T = triple
     L, abc = integer_form(P.coeffs, Q.coeffs, T.coeffs)
     cores = (
@@ -99,9 +99,9 @@ def test_the_layout_of_each_core_equals_the_fraction_reference(triple, s, varian
         (oracle_core(L, abc, s), reference.coefficient_rows(P, Q, T, s)),
     )
     for core, want in cores:
-        L3, M, w, g, z3, z2, constant = core
-        assert L3 > 0 and M > 0
-        assert len(w) == len(g) == s - 1
+        D, M, g, z3, z2, constant = core
+        assert D == L**3 * M and M > 0
+        assert len(g) == s - 1
         assert len(z3) == len(z2) == len(constant) == s + 1
         assert _one_denominator_rows(core, s) == want
 

@@ -25,7 +25,6 @@ INTEGER_KERNELS = (
     ("rows.py", "validate_rows"),
     ("rows.py", "validate_int_rows"),
     ("series.py", "layout"),
-    ("series.py", "same_rows"),
     ("series.py", "decompose_integrals"),
     ("series.py", "oracle_core"),
     ("series.py", "special_series_numerators"),

@@ -26,7 +26,7 @@ _MISMATCH = (3, "zeta", 3, Fraction(0), Fraction(3, 2))
 
 def _core(z3):
     """A row core (series.IntCore) of orders 3 and 4, z3 the zeta(3) extra of order 3."""
-    return (1, 1, [0, 1, 2], [3, 0, 1], [0, 0, 0, z3, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 2])
+    return (1, 1, [3, 0, 1], [0, 0, 0, z3, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 2])
 
 
 #: (class, field names in order, field values, the same with one field changed)
