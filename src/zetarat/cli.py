@@ -36,8 +36,6 @@ from .numerics import (
     error_upper,
     rational_text,
     render_decimal,
-    render_interval_decimal,
-    zeta_reference,
 )
 from .polynomials import PolySpec, binomial_poly, explicit_poly, shifted_legendre
 from .rows import TranscriptionVariant, row_core, validate_int_rows
@@ -211,7 +209,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
                 "theta_bound": rational_text(res.theta_bound),
                 "theta_bound_sci": decimal_upper_sci(res.theta_bound),
                 "error_upper_sci": decimal_upper_sci(err),
-                "decimal": render_decimal(res.alpha, res.beta, args.digits, (w, zeta2)),
+                "decimal": render_decimal(res.alpha, res.beta, args.digits, 2, (w, zeta2)),
             }
         )
     if args.fmt == "json":
@@ -241,10 +239,8 @@ def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
     # fails there, before any rendering.  Both renders take them as their
     # first try, which moves no byte (error_upper).
     err, w, zeta2, zeta_s = error_upper(res.alpha, res.beta, args.s, args.digits)
-    approx = render_decimal(res.alpha, res.beta, args.digits, (w, zeta2))
-    reference = render_interval_decimal(
-        lambda d: zeta_s if d == w else zeta_reference(args.s, d), args.digits, w
-    )
+    approx = render_decimal(res.alpha, res.beta, args.digits, 2, (w, zeta2))
+    reference = render_decimal(1, 0, args.digits, args.s, (w, zeta_s))
     payload = {
         "s": args.s,
         "n": args.n,

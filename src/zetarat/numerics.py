@@ -2,10 +2,14 @@
 references and certified decimal rendering.
 
 Every quantity in this module is exact: scalars are `fractions.Fraction`
-("Rat" below), enclosures are closed intervals with rational endpoints, and
-an Interval returned by any public function is a mathematically certified
-enclosure of the real number it describes.  No floating point is used
-anywhere.
+("Rat" below).  The zeta references and the factorial-form series
+produce one enclosure form, the IntEnclosure (lo, hi, D): the closed
+interval [lo/D, hi/D] as integers over one denominator D > 0, which the
+decimal renders consume as it is.  as_interval is its one view as an
+Interval, a closed interval with rational endpoints, for interval
+arithmetic.  An enclosure returned by any public function is a
+mathematically certified enclosure of the real number it describes.  No
+floating point is used anywhere.
 """
 from __future__ import annotations
 
@@ -168,6 +172,16 @@ class Interval(Record):
         return self + (-other)
 
 
+#: An enclosure on integers: (lo, hi, D), D > 0, stands for [lo/D, hi/D].
+IntEnclosure = tuple[int, int, int]
+
+
+def as_interval(enclosure: IntEnclosure) -> Interval:
+    """The Interval [lo/D, hi/D] of an IntEnclosure (lo, hi, D)."""
+    lo, hi, den = enclosure
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
 # ------------------------------------------------------ reference zeta(p)
 
 
@@ -203,7 +217,7 @@ def _borwein_sum(p: int, N: int, G: int) -> tuple[int, int, int]:
     return lo, hi, e + 1
 
 
-def _zeta_enclosure_raw(p: int, digits: int) -> tuple[int, int, int]:
+def _zeta_enclosure_raw(p: int, digits: int) -> IntEnclosure:
     """(lo, hi, D): lo/D <= zeta(p) <= hi/D, p >= 2, hi/D - lo/D < 10^-digits,
     from Borwein's alternating series (P. Borwein, "An efficient algorithm for the
     Riemann zeta function", CMS Conf. Proc. 27, 2000, Algorithm 2).
@@ -260,7 +274,7 @@ def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
     return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
 
 
-def _pi_enclosure(digits: int) -> tuple[int, int, int]:
+def _pi_enclosure(digits: int) -> IntEnclosure:
     """(lo, hi, D), D = 2^W: lo/D <= pi <= hi/D and hi - lo <= 3, where
     2^W > 16 10^digits, so the width is below 10^-digits / 5.  Integers only
     (D. V. and G. V. Chudnovsky, "Approximations and complex multiplication
@@ -296,7 +310,7 @@ def _pi_enclosure(digits: int) -> tuple[int, int, int]:
     return lo, hi, 1 << W
 
 
-def _zeta2_enclosure_raw(digits: int) -> tuple[int, int, int]:
+def _zeta2_enclosure_raw(digits: int) -> IntEnclosure:
     """(lo, hi, D): lo/D <= zeta(2) <= hi/D, hi/D - lo/D < 10^-digits, from
     zeta(2) = pi^2/6 on _pi_enclosure's D = 2^W, rounded outward.  With pi
     in [x/D, y/D], y - x <= 3 and y < 4D: (y^2 - x^2)/(6D) < 3 8/6 = 4, so
@@ -308,10 +322,10 @@ def _zeta2_enclosure_raw(digits: int) -> tuple[int, int, int]:
     return lo, hi, den
 
 
-def _zeta_enclosure(p: int, digits: int) -> tuple[int, int, int]:
-    """zeta_reference(p, digits) as (lo, hi, D), integer numerators over
-    one denominator D > 0: the raw enclosure at digits + 2, from pi for
-    p = 2 and from Borwein's sum for p >= 3, widened by 10^-(digits+1)."""
+def _zeta_enclosure(p: int, digits: int) -> IntEnclosure:
+    """zeta_reference(p, digits) as an IntEnclosure: the raw enclosure at
+    digits + 2, from pi for p = 2 and from Borwein's sum for p >= 3,
+    widened by 10^-(digits+1)."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if digits < 1:
@@ -344,8 +358,7 @@ def zeta_reference(p: int, digits: int) -> Interval:
     for p >= 3.  This is the Interval view of _zeta_enclosure, which
     computes E(d) on integers.
     """
-    lo, hi, den = _zeta_enclosure(p, digits)
-    return Interval(Fraction(lo, den), Fraction(hi, den))
+    return as_interval(_zeta_enclosure(p, digits))
 
 
 # ------------------------------------------------------ decimal rendering
@@ -421,21 +434,24 @@ def render_decimal(
     alpha: RatLike,
     beta: RatLike,
     digits: int,
-    first: tuple[int, Interval] | None = None,
+    p: int = 2,
+    first: tuple[int, IntEnclosure] | None = None,
 ) -> str:
-    """Certified decimal rendering of alpha*zeta(2) + beta to `digits` places.
+    """Certified decimal rendering of alpha*zeta(p) + beta to `digits` places.
 
     For alpha = 0 the value is rational and rendered directly (round half to
-    even).  Otherwise the zeta(2) enclosure is refined until both endpoints
-    round to the same string, which is then correct by containment.  Scaling
-    by |alpha| < 10^L widens the enclosure up to 10^L times, so the first
+    even).  Otherwise render_interval_decimal refines the zeta(p)
+    enclosure, _zeta_enclosure(p, w), until both endpoints round to the
+    same string, which is then correct by containment.  Scaling by
+    |alpha| < 10^L widens the enclosure up to 10^L times, so the first
     enclosure is taken L digits deeper, as far as the budget allows, with
     L = len(numerator) - len(denominator) + 1 (at least 0), since the
     numerator is below 10^len(numerator), the denominator not below
-    10^(len(denominator) - 1).  first = (w, zeta_reference(2, w)), w within
-    the budget, is taken as the first try instead, and the refinement
-    doubles from w.  Each depth maps the enclosure's integer numerators
-    through alpha and beta over one denominator, with no Fraction.
+    10^(len(denominator) - 1).  first = (w, _zeta_enclosure(p, w)), w
+    within the budget, is taken as the first try instead, and the
+    refinement doubles from w.  Each depth maps the enclosure's integer
+    numerators through alpha and beta over one denominator, with no
+    Fraction.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -444,22 +460,17 @@ def render_decimal(
         return _round_half_even(*beta.as_integer_ratio(), digits)
     if first is None:
         L = decimal_length(alpha.numerator) - decimal_length(alpha.denominator) + 1
-        start, given = max(digits + 8, min(digits + 8 + max(0, L), DIGIT_BUDGET)), None
-    else:
-        start, enclosure = first
-        den, [[lo, hi]] = integer_form([enclosure.lo, enclosure.hi])
-        given = lo, hi, den
+        first = max(digits + 8, min(digits + 8 + max(0, L), DIGIT_BUDGET)), None
+    start, given = first
     (a, b), (c, e) = alpha.as_integer_ratio(), beta.as_integer_ratio()
 
-    def strings(w: int) -> tuple[str, str]:  # alpha x + beta = (a e x + c b D)/(b e D)
-        lo, hi, den = given if given and w == start else _zeta_enclosure(2, w)
+    def make(w: int) -> IntEnclosure:  # alpha x + beta = (a e x + c b D)/(b e D)
+        lo, hi, den = given if given and w == start else _zeta_enclosure(p, w)
         shift, q = c * b * den, b * e * den
         lo, hi = a * e * lo + shift, a * e * hi + shift
-        if a < 0:
-            lo, hi = hi, lo
-        return _round_half_even(lo, q, digits), _round_half_even(hi, q, digits)
+        return (hi, lo, q) if a < 0 else (lo, hi, q)
 
-    return _refine(strings, start)
+    return render_interval_decimal(make, digits, start)
 
 
 def check_digits(digits: int) -> None:
@@ -476,14 +487,15 @@ def check_digits(digits: int) -> None:
 
 def error_upper(
     alpha: Rat, beta: Rat, s: int, digits: int
-) -> tuple[Rat, int, Interval, Interval]:
+) -> tuple[Rat, int, IntEnclosure, IntEnclosure]:
     """(bound, w, zeta(2), zeta(s)): a certified upper bound on
-    |alpha*zeta(2) + beta - zeta(s)|, from the references zeta_reference
+    |alpha*zeta(2) + beta - zeta(s)|, from the references _zeta_enclosure
     returns at w = digits + 40 + len(alpha's numerator) digits, and those
-    two references.
+    two references as IntEnclosures.  The bound is taken in their
+    Interval views.
 
     A render may take them as its first try (render_decimal's `first`,
-    render_interval_decimal's `start`), and the string does not move:
+    with p = 2 and p = s), and the string does not move:
     w >= digits + 8 + L is at least as deep as a render's own start, and
     the enclosures nest.  A sub-interval of an enclosure whose endpoints
     round to one string rounds to that string, since rounding is monotone,
@@ -493,44 +505,34 @@ def error_upper(
     the budget too, and a superset of an unsettled enclosure is unsettled.
     """
     w = digits + 40 + decimal_length(alpha.numerator)
-    zeta2, zeta_s = zeta_reference(2, w), zeta_reference(s, w)
-    return (zeta2.scale(alpha).shift(beta) - zeta_s).sup_abs, w, zeta2, zeta_s
+    zeta2, zeta_s = _zeta_enclosure(2, w), _zeta_enclosure(s, w)
+    err = as_interval(zeta2).scale(alpha).shift(beta) - as_interval(zeta_s)
+    return err.sup_abs, w, zeta2, zeta_s
 
 
-def _refine(strings: Callable[[int], tuple[str, str]], w: int) -> str:
-    """The string both endpoints round to at working digits w, where
-    strings(w) renders the two endpoints; w doubles, capped at DIGIT_BUDGET,
-    until they agree."""
+def render_interval_decimal(
+    make: Callable[[int], IntEnclosure], digits: int, start: int
+) -> str:
+    """Decimal rendering of the value enclosed by make(working_digits).
+
+    `make` must return nested certified IntEnclosures of a single real
+    number as the digit argument grows.  The working digits start at
+    `start` and double, capped at DIGIT_BUDGET, until both endpoints round
+    to the same string, which is returned.
+    """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    w = start
     while True:
-        lo_s, hi_s = strings(w)
-        if lo_s == hi_s:
+        lo, hi, den = make(w)
+        lo_s = _round_half_even(lo, den, digits)
+        if lo_s == _round_half_even(hi, den, digits):
             return lo_s
         if w >= DIGIT_BUDGET:
             raise PrecisionBudgetError(
                 f"rendering needs more than {DIGIT_BUDGET} digits"
             )
         w = min(2 * w, DIGIT_BUDGET)
-
-
-def render_interval_decimal(
-    make: Callable[[int], Interval], digits: int, start: int | None = None
-) -> str:
-    """Decimal rendering of the value enclosed by make(working_digits).
-
-    `make` must return nested certified Interval enclosures of a single real
-    number as the digit argument grows.  The working digits start at `start`
-    (default digits + 8) and double, capped at DIGIT_BUDGET.  Used for
-    rendering reference zeta values and certified error bounds.
-    """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-
-    def strings(w: int) -> tuple[str, str]:
-        enc = make(w)
-        return (_round_half_even(*enc.lo.as_integer_ratio(), digits),
-                _round_half_even(*enc.hi.as_integer_ratio(), digits))
-
-    return _refine(strings, digits + 8 if start is None else start)
 
 
 def decimal_upper_sci(x: Rat) -> str:

@@ -23,7 +23,8 @@ Two independent certified numeric evaluators are provided:
     shifted-Legendre x binomial choice of P and Q (special_series_enclosures
     gives every order 3..s from one pass).
 Both return Interval enclosures that are provably nested as the number of
-summed terms K grows.
+summed terms K grows.  The factorial form runs on integers: its
+enclosures are the IntEnclosures (lo, hi, D) of special_series_numerators.
 """
 from __future__ import annotations
 
@@ -31,7 +32,9 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable, Mapping
 
-from .numerics import InternalError, Interval, Rat, Record, as_rational, integer_form
+from .numerics import (
+    IntEnclosure, InternalError, Interval, Rat, Record, as_interval, as_rational, integer_form
+)
 from .polynomials import PolySpec, explicit_poly
 
 # ------------------------------------------------- zeta-combination values
@@ -291,15 +294,10 @@ def eval_truncated(P: PolySpec, Q: PolySpec, T: PolySpec, s: int, K: int) -> Int
 # --------------------------------------- factorial-form series evaluation
 
 
-#: An enclosure as integers over one positive denominator D: (D, v, t)
-#: stands for [(v - t)/D, (v + t)/D], with the tail numerator t >= 0.
-IntEnclosure = tuple[int, int, int]
-
-
 def special_series_numerators(n: int, T: PolySpec, s: int, K: int) -> dict[int, IntEnclosure]:
-    """special_series_enclosures on integers: the value and the tail of
-    every order q = 3..s from one pass over k, as numerators over one
-    denominator D_q per order.
+    """special_series_enclosures on integers: every order q = 3..s from
+    one pass over k, as the IntEnclosure (v - t, v + t, D_q) of the value
+    v and the tail t >= 0, numerators over one denominator D_q per order.
 
     Each k-term C(k,n) B(k+1,n+1)^2 T~(k) is built once and added to the
     order-q total after q-3 divisions by (k+1); the order-free tail factor
@@ -331,7 +329,7 @@ def special_series_numerators(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     LT, (ct,) = integer_form(T.coeffs)
     cstar = max(map(abs, ct))  # L_T c*
     if not cstar:
-        return {q: (1, 0, 0) for q in orders}
+        return {q: (0, 0, 1) for q in orders}
     k0 = n + K
     while not ct[-1]:  # zero padding adds no term to T~(k)
         ct.pop()
@@ -354,23 +352,19 @@ def special_series_numerators(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     tail = (n + 1) * cstar * factorial(n - 1) * factorial(k0) * F * Lt
     out: dict[int, IntEnclosure] = {}
     for q, total in zip(orders, totals):
-        out[q] = (den, scale * total, tail)
+        v = scale * total
+        out[q] = (v - tail, v + tail, den)
         den *= Lk * (k0 + 1)
         scale *= k0 + 1
         tail *= Lk
     return out
 
 
-def _interval(enclosure: IntEnclosure) -> Interval:
-    den, v, t = enclosure
-    return Interval(Fraction(v - t, den), Fraction(v + t, den))
-
-
 def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, Interval]:
     """eval_special_series for every order 3..s from one pass over k:
-    special_series_numerators as Intervals.  The sums are exact, so every
-    enclosure equals the one-order result."""
-    return {q: _interval(e) for q, e in special_series_numerators(n, T, s, K).items()}
+    the Interval views of special_series_numerators.  The sums are exact,
+    so every enclosure equals the one-order result."""
+    return {q: as_interval(e) for q, e in special_series_numerators(n, T, s, K).items()}
 
 
 def eval_special_series(n: int, T: PolySpec, s: int, K: int) -> Interval:
@@ -387,7 +381,7 @@ def eval_special_series(n: int, T: PolySpec, s: int, K: int) -> Interval:
 
     which also telescopes step-by-step, so enclosures are nested in K.
     """
-    return _interval(special_series_numerators(n, T, s, K)[s])
+    return as_interval(special_series_numerators(n, T, s, K)[s])
 
 
 # --------------------------------------------- shift-reduction identities

@@ -252,9 +252,9 @@ def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[
     """Tight certified bounds on |I_q| for q = 3..s via adaptive enclosures.
 
     Each attempt encloses every pending order from one
-    special_series_numerators pass, as (D, v, t) with the tail t >= 0; an
-    order settles on the sup-abs (|v| + t)/D of its enclosure once that is
-    at most the analytic theta_bound, compared on integers, otherwise K
+    special_series_numerators pass, as an IntEnclosure (lo, hi, D); an
+    order settles on the sup-abs max(-lo, hi)/D of its enclosure once that
+    is at most the analytic theta_bound, compared on integers, otherwise K
     doubles.  Only a settled order becomes a Fraction.  Orders still
     pending after BOUND_ATTEMPTS keep the analytic bound, the certified
     fallback.  Requires the shifted-Legendre /
@@ -278,8 +278,8 @@ def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[
         encs = special_series_numerators(n, T, pending[-1], K)
         unsettled = []
         for q in pending:
-            den, v, t = encs[q]
-            sup = abs(v) + t
+            lo, hi, den = encs[q]
+            sup = max(-lo, hi)
             if sup * theta.denominator <= theta.numerator * den:
                 out[q] = Fraction(sup, den)
             else:

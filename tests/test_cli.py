@@ -6,6 +6,7 @@ be written.
 """
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -414,12 +415,9 @@ def _renders_from_their_own_start(monkeypatch):
     """Make cmd_digits's two renders ignore the references error_upper hands
     them and start at their own depth, as they did before."""
     monkeypatch.setattr(
-        cli_module, "render_decimal", lambda a, b, d, first=None: numerics.render_decimal(a, b, d)
-    )
-    monkeypatch.setattr(
         cli_module,
-        "render_interval_decimal",
-        lambda make, d, start=None: numerics.render_interval_decimal(make, d),
+        "render_decimal",
+        lambda a, b, d, p=2, first=None: numerics.render_decimal(a, b, d, p),
     )
 
 
@@ -457,6 +455,44 @@ def test_an_unsettled_digits_render_exits_three_from_either_start(capsys, monkey
     assert runs[0] == runs[1]
     assert runs[0][0] == 3
     assert runs[0][1].err == "error: rendering needs more than 10000 digits\n"
+
+
+@pytest.mark.parametrize(
+    "argv, taken",
+    [
+        (["digits", "--s", "5", "--n", "8", "--digits", "12"], [(2, 66), (5, 66)]),
+        (
+            ["table", "--s", "3", "--n-from", "2", "--n-to", "4"],
+            [(p, w) for w in (52, 53, 54) for p in (2, 3)],
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v[0], str) else None,
+)
+def test_a_settled_certificate_takes_each_zeta_value_once(argv, taken, capsys, monkeypatch):
+    """error_upper takes zeta(2) and zeta(s) once per certificate, and the
+    renders that settle on their first try take no other enclosure."""
+    calls = []
+    enclosure = numerics._zeta_enclosure
+
+    def counting(p, digits):
+        calls.append((p, digits))
+        return enclosure(p, digits)
+
+    monkeypatch.setattr(numerics, "_zeta_enclosure", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == taken
+
+
+def test_the_largest_accepted_digits_request_keeps_its_bytes(capsys):
+    """Every byte of the 9951-digit request, past the 60 digits the golden
+    file reaches: both renders start from error_upper's references."""
+    assert main(["digits", "--s", "3", "--n", "8", "--digits", "9951"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 20011
+    assert hashlib.sha256(out).hexdigest() == (
+        "172a7ff0294589e595cda7cd04ff46166d9f0f19df83110b9392c685522f74b1"
+    )
 
 
 #: (argv, exit, stderr) of requests whose --digits fails before any row

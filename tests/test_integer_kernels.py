@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import fraction_kernels as reference
 import residue_oracle
-from zetarat.numerics import integer_form
+from zetarat.numerics import as_interval, integer_form
 from zetarat.polynomials import (
     binomial_poly,
     explicit_poly,
@@ -151,20 +151,22 @@ def test_series_enclosures_ignore_the_zero_padding_of_T(case, s, extra):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_series_cases(), st.integers(3, 9), st.booleans())
 def test_series_numerators_and_row_bounds_equal_the_fraction_reference(case, s, zero):
-    """The integer core gives each order as (D, v, t) with D > 0 and t >= 0;
-    (|v| + t)/D is the reference enclosure's sup_abs, the Interval view is
-    the reference enclosure, and the row bounds settled on these integers
-    are the reference's.  T = 0 (c* = 0) gives zero enclosures."""
+    """The integer core gives each order as (lo, hi, D) with D > 0 and
+    lo <= hi; max(-lo, hi)/D is the reference enclosure's sup_abs, the
+    Interval view is the reference enclosure, and the row bounds settled on
+    these integers are the reference's.  T = 0 (c* = 0) gives zero
+    enclosures."""
     n, T, K = case
     if zero:
         T = explicit_poly([0] * len(T.coeffs))
     want = reference.special_series_enclosures(n, T, s, K)
     core = special_series_numerators(n, T, s, K)
     assert sorted(core) == list(range(3, s + 1))
-    for q, (den, v, t) in core.items():
-        assert all(type(x) is int for x in (den, v, t))
-        assert den > 0 and t >= 0
-        assert Fraction(abs(v) + t, den) == want[q].sup_abs
+    for q, (lo, hi, den) in core.items():
+        assert all(type(x) is int for x in (lo, hi, den))
+        assert den > 0 and lo <= hi
+        assert Fraction(max(-lo, hi), den) == want[q].sup_abs
+        assert as_interval((lo, hi, den)) == want[q]
     assert special_series_enclosures(n, T, s, K) == want
     P, Q = shifted_legendre(n), binomial_poly(n)
     assert certified_row_bounds(P, Q, T, s) == reference.certified_row_bounds(n, T, s)

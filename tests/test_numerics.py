@@ -20,6 +20,7 @@ from zetarat.numerics import (
     InternalError,
     Interval,
     PrecisionBudgetError,
+    as_interval,
     decimal_length,
     decimal_upper_sci,
     int_text,
@@ -152,12 +153,6 @@ def test_zeta_reference_nests_at_any_pair_of_digit_counts(p, d1, d2):
     assert fine.width < Fraction(21, 10 ** (d2 + 2))
 
 
-def _raw_interval(raw: tuple[int, int, int]) -> Interval:
-    """The Interval [lo/D, hi/D] of a raw enclosure (lo, hi, D)."""
-    lo, hi, den = raw
-    return Interval(Fraction(lo, den), Fraction(hi, den))
-
-
 def _edge_stub(p: int, digits: int) -> tuple[int, int, int]:
     """A valid but adversarial raw enclosure: width 0.99 * 10^-digits, with a
     fixed rational standing in for zeta(p) on its left edge for even digits
@@ -285,7 +280,7 @@ def test_raw_enclosure_holds_the_borwein_value_widened_by_the_remainder_bound(p,
         N += 1
     g = Fraction(3 * c * 5**N, (c - 1) * 29**N)
     value = _exact_borwein_sum(p, N) * c / ((c - 1) * _borwein_weights(N)[N])
-    enc = _raw_interval(numerics._zeta_enclosure_raw(p, digits))
+    enc = as_interval(numerics._zeta_enclosure_raw(p, digits))
     assert enc.lo <= value - g and value + g <= enc.hi
     assert enc.width < Fraction(1, 10**digits)
 
@@ -313,15 +308,15 @@ def test_pi_enclosure_holds_pi_within_three_units():
         lo, hi, den = numerics._pi_enclosure(digits)
         assert den > 16 * 10**digits and den & (den - 1) == 0
         assert 0 <= hi - lo <= 3
-        assert _raw_interval((lo, hi, den)).contains_interval(pi)
+        assert as_interval((lo, hi, den)).contains_interval(pi)
 
 
 def _assert_the_zeta2_routes_agree(d: int) -> None:
     """The raw enclosures zeta_reference(2, d) widens, from pi and from
     Borwein's sum, overlap, and each is narrower than 10^-(d+2)."""
     routes = [
-        _raw_interval(numerics._zeta2_enclosure_raw(d + 2)),
-        _raw_interval(numerics._zeta_enclosure_raw(2, d + 2)),
+        as_interval(numerics._zeta2_enclosure_raw(d + 2)),
+        as_interval(numerics._zeta_enclosure_raw(2, d + 2)),
     ]
     for raw in routes:
         assert raw.width < Fraction(1, 10 ** (d + 2))
@@ -491,9 +486,9 @@ def test_zeta_reference_widens_the_raw_enclosure_by_its_margin(p, digits):
     digits + 2, from pi for p = 2 and Borwein's sum for p >= 3, each side
     moved out by 10^-(digits+1)."""
     if p == 2:
-        raw = _raw_interval(numerics._zeta2_enclosure_raw(digits + 2))
+        raw = as_interval(numerics._zeta2_enclosure_raw(digits + 2))
     else:
-        raw = _raw_interval(numerics._zeta_enclosure_raw(p, digits + 2))
+        raw = as_interval(numerics._zeta_enclosure_raw(p, digits + 2))
     margin = Fraction(1, 10 ** (digits + 1))
     assert zeta_reference(p, digits) == Interval(raw.lo - margin, raw.hi + margin)
 
@@ -554,18 +549,18 @@ def test_render_decimal_depth_follows_the_size_of_alpha(digits, num, den, beta):
 def test_render_interval_decimal_caps_refinement_at_the_budget():
     """A value that resolves only at DIGIT_BUDGET working digits renders;
     one that never resolves raises without asking past the budget."""
-    x, asked = Fraction(1, 3), []
+    asked = []
 
-    def make(w):
+    def make(w):  # 1/3 -+ 10^-w at the budget, 1/3 -+ 1/10 below it
         asked.append(w)
-        slack = Fraction(1, 10**w) if w >= DIGIT_BUDGET else Fraction(1, 10)
-        return Interval(x - slack, x + slack)
+        den = 3 * 10**w if w >= DIGIT_BUDGET else 30
+        return den // 3 - 3, den // 3 + 3, den
 
-    assert render_interval_decimal(make, 5000) == "0." + "3" * 5000
+    assert render_interval_decimal(make, 5000, 5008) == "0." + "3" * 5000
     assert asked == [5008, DIGIT_BUDGET]
     asked.clear()
     with pytest.raises(PrecisionBudgetError):
-        render_interval_decimal(lambda w: asked.append(w) or Interval(0, 1), 3000)
+        render_interval_decimal(lambda w: asked.append(w) or (0, 1, 1), 3000, 3008)
     assert asked == [3008, 6016, DIGIT_BUDGET]
 
 
@@ -579,18 +574,19 @@ def test_an_unsettled_render_fails_at_the_budget_from_any_first_try(monkeypatch)
     starts from its own depth or from a deeper first try, and both stop at
     the budget."""
     monkeypatch.setattr(numerics, "_zeta_enclosure", _straddling)
-    first = (5000, zeta_reference(2, 5000))
+    first = (5000, numerics._zeta_enclosure(2, 5000))
     messages = []
     for render in (
         lambda: render_decimal(1, 0, 3),
-        lambda: render_decimal(1, 0, 3, first),
-        lambda: render_interval_decimal(lambda w: zeta_reference(3, w), 3),
-        lambda: render_interval_decimal(lambda w: zeta_reference(3, w), 3, 5000),
+        lambda: render_decimal(1, 0, 3, 2, first),
+        lambda: render_decimal(1, 0, 3, 3),
+        lambda: render_interval_decimal(lambda w: numerics._zeta_enclosure(3, w), 3, 11),
+        lambda: render_interval_decimal(lambda w: numerics._zeta_enclosure(3, w), 3, 5000),
     ):
         with pytest.raises(PrecisionBudgetError) as caught:
             render()
         messages.append(str(caught.value))
-    assert messages == [f"rendering needs more than {DIGIT_BUDGET} digits"] * 4
+    assert messages == [f"rendering needs more than {DIGIT_BUDGET} digits"] * 5
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -599,8 +595,8 @@ def test_render_decimal_from_a_deeper_first_try_is_the_same_string(alpha, beta, 
     """The first try at w = digits + 8 + len(alpha) + extra, at least as
     deep as the render's own start, gives the same string."""
     w = digits + 8 + decimal_length(alpha.numerator) + extra
-    first = (w, zeta_reference(2, w))
-    assert render_decimal(alpha, beta, digits, first) == render_decimal(alpha, beta, digits)
+    first = (w, numerics._zeta_enclosure(2, w))
+    assert render_decimal(alpha, beta, digits, 2, first) == render_decimal(alpha, beta, digits)
 
 
 def test_render_decimal_rejects_nonpositive_digits():
@@ -609,8 +605,9 @@ def test_render_decimal_rejects_nonpositive_digits():
 
 
 def test_render_interval_decimal_of_reference_zeta3():
-    got = render_interval_decimal(lambda w: zeta_reference(3, w), 10)
+    got = render_interval_decimal(lambda w: numerics._zeta_enclosure(3, w), 10, 18)
     assert got == "1.2020569032"
+    assert render_decimal(1, 0, 10, 3) == got
 
 
 def test_decimal_upper_sci_frozen_values():

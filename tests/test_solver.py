@@ -569,7 +569,7 @@ def test_certified_bounds_double_k_only_for_pending_orders(monkeypatch):
     an order that never does keeps the analytic bound after the last attempt."""
     n, s, T = 3, 6, explicit_poly([1])
     K0 = 4 * n + 16
-    wide = (1, 0, 1)  # [-1, 1]
+    wide = (-1, 1, 1)  # [-1, 1]
     calls = []
     original = solver_module.special_series_numerators
 
@@ -688,11 +688,13 @@ _IDENTITY_K_CAP = 2048
 @given(s=st.integers(3, 9), n=st.integers(8, 24), t=_t_coefficients)
 def test_a_random_certificate_satisfies_its_identity(s, n, t):
     """A certificate states zeta(s) = alpha zeta(2) + beta + sum_q w_q I_q
-    exactly.  With the zeta references and every I_q, from
-    special_series_enclosures, narrow enough that the enclosure of
-    zeta(s) - alpha zeta(2) - beta - sum_q w_q I_q is narrower than
-    theta 10^-8, it contains 0: an alpha or beta off by far less than
-    theta, or a weight of the wrong sign, would leave 0 outside."""
+    exactly, with |sum_q w_q I_q| <= theta.  With the zeta references and
+    every I_q, from special_series_enclosures, narrow enough that the
+    enclosure of zeta(s) - alpha zeta(2) - beta - sum_q w_q I_q is narrower
+    than theta 10^-8, it contains 0: an alpha or beta off by far less than
+    theta, or a weight of the wrong sign, would leave 0 outside.  The
+    enclosure of sum_q w_q I_q lies inside [-theta, theta], and theta is
+    at most sum_q |w_q| theta_bound(n, c*, q), the analytic bound."""
     P, Q = shifted_legendre(n), binomial_poly(n)
     try:
         system = build_system(P, Q, explicit_poly(t), s)
@@ -707,12 +709,16 @@ def test_a_random_certificate_satisfies_its_identity(s, n, t):
     K = 4 * n + 16
     while True:
         series = special_series_enclosures(n, system.T, s, K)
-        residual = known
+        weighted = Interval.point(0)
         for q, w in res.weights:
-            residual = residual - series[q].scale(w)
+            weighted = weighted + series[q].scale(w)
+        residual = known - weighted
         if residual.width <= width:
             break
         K *= 2
         if K > _IDENTITY_K_CAP:
             reject()
     assert residual.lo <= 0 <= residual.hi
+    theta = res.theta_bound
+    assert Interval(-theta, theta).contains_interval(weighted)
+    assert theta <= sum(abs(w) * theta_bound(n, system.T.cstar, q) for q, w in res.weights)
