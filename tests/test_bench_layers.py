@@ -1,0 +1,80 @@
+"""bench/layers.py runs each grid point in a fresh interpreter per tree,
+hashes what the point produced and exits 1 when two trees' hashes differ.
+
+The grid here is one cheap layer point and one cheap cold point, passed to
+the measuring function as an argument.  No timing is asserted.
+"""
+from __future__ import annotations
+
+import importlib.util
+import json
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+COLD = ("cold", "-m", "zetarat", "digits", "--s", "4", "--n", "5", "--digits", "50")
+GRID = (("zeta", 3, 50), COLD)
+NAMES = ["zeta 3 50", " ".join(COLD)]
+
+
+@pytest.fixture(scope="module")
+def layers():
+    """bench/layers.py, loaded by path without writing bytecode beside it."""
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def _measure(layers, capsys, trees, repeats, grid=GRID):
+    code = layers.measure(trees, repeats, grid)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_one_tree_given_twice_hashes_the_same(layers, capsys):
+    code, doc = _measure(layers, capsys, [SRC, SRC], 2)
+    assert code == 0
+    assert list(doc) == ["python", "cpu_count", "repeats", "commit", "points", "differ"]
+    assert doc["repeats"] == 2 and len(doc["commit"]) == 2 and doc["differ"] == []
+    assert list(doc["points"]) == NAMES
+    labels = []
+    for point in doc["points"].values():
+        assert list(point) == ["clock", "sha256", "s"]
+        first, second = point["sha256"]
+        assert first == second and len(first) == 64
+        for label, stats in point["s"].items():
+            labels.append(label)
+            assert list(stats) == ["median", "quartiles", "won"]
+            assert len(stats["median"]) == len(stats["quartiles"]) == 2
+            assert all(len(q) == 2 for q in stats["quartiles"])
+            assert stats["won"] in (0, 1, 2)
+    assert labels == ["zeta_enclosure", "wall"]
+    assert [p["clock"] for p in doc["points"].values()] == ["process", "wall"]
+
+
+def test_a_changed_printed_constant_is_reported_and_exits_one(layers, capsys, tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "zetarat" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"reference": reference') == 1
+    cli.write_text(text.replace('"reference": reference', '"reference ": reference'))
+    code, doc = _measure(layers, capsys, [SRC, changed], 1)
+    assert code == 1
+    assert doc["differ"] == [NAMES[1]]
+    first, second = doc["points"][NAMES[1]]["sha256"]
+    assert first != second
+
+
+def test_a_failing_layer_point_stops_the_run_with_its_stderr(layers, capsys):
+    with pytest.raises(SystemExit, match="p must be >= 2"):
+        layers.measure([SRC], 1, (("zeta", 1, 50),))

@@ -684,8 +684,8 @@ def test_certified_containment_agrees_with_a_float_sanity_check():
 _IDENTITY_K_CAP = 2048
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(s=st.integers(3, 9), n=st.integers(8, 24), t=_t_coefficients)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(s=st.integers(3, 12), n=st.integers(2, 24), t=_t_coefficients)
 def test_a_random_certificate_satisfies_its_identity(s, n, t):
     """A certificate states zeta(s) = alpha zeta(2) + beta + sum_q w_q I_q
     exactly, with |sum_q w_q I_q| <= theta.  With the zeta references and
@@ -694,7 +694,9 @@ def test_a_random_certificate_satisfies_its_identity(s, n, t):
     than theta 10^-8, it contains 0: an alpha or beta off by far less than
     theta, or a weight of the wrong sign, would leave 0 outside.  The
     enclosure of sum_q w_q I_q lies inside [-theta, theta], and theta is
-    at most sum_q |w_q| theta_bound(n, c*, q), the analytic bound."""
+    at most sum_q |w_q| theta_bound(n, c*, q), the analytic bound.  The
+    draw leaves out n = 1, whose series need more than _IDENTITY_K_CAP
+    terms to get that narrow."""
     P, Q = shifted_legendre(n), binomial_poly(n)
     try:
         system = build_system(P, Q, explicit_poly(t), s)
