@@ -101,6 +101,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     """
     if args.trials < 1:
         raise ValueError("need --trials >= 1")
+    if args.s < 3:
+        raise ValueError("need --s >= 3")
     variant = TranscriptionVariant(args.variant)
     rng = random.Random(args.seed)
     mismatching_trials = 0

@@ -140,18 +140,17 @@ def oracle_core(L: int, abc: list[list[int]], s: int) -> IntCore:
     The pass runs on integers: with M = lcm(1..deg), the weight on 1/m^j
     or 1/(m+rho)^j in order q is an integer over L^3 M^(q-j), and the
     constant an integer over L^3 M^q.  M/(r-rho), M/rho and (M/k)^i serve
-    as integer weights.  The core's base is D = L^3 M: a is taken M times
-    over, and every weight is linear in a, so each carries that M.
+    as integer weights.  The core's base is D = L^3 M: every weight is
+    linear in a, so each pole's three weights, rho = 0 included, are taken
+    M times over once, after the pair loop has run on the unscaled a.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
     deg = max(map(len, abc)) - 1
     M = lcm(*range(1, deg + 1))
-    # L x_-1, L M x_0 and L M^2 x_1 of each factor at m = -rho (for a, M
-    # times those), from each pair r > rho once: M/(r-rho) serves both,
-    # with opposite signs.
+    # L x_-1, L M x_0 and L M^2 x_1 of each factor at m = -rho, from each
+    # pair r > rho once: M/(r-rho) serves both, with opposite signs.
     a, b, c = (u + [0] * (deg + 1 - len(u)) for u in abc)
-    a = [v * M for v in a]
     a0, a1, b0, b1, c0, c1 = ([0] * (deg + 1) for _ in range(6))
     for rho in range(deg):
         for r in range(rho + 1, deg + 1):
@@ -168,7 +167,12 @@ def oracle_core(L: int, abc: list[list[int]], s: int) -> IntCore:
     at_m, poles, h = [0], [], (0, 0, 0)
     for rho, (x, x0, x1, y, y0, y1, z, z0, z1) in enumerate(zip(a, a0, a1, b, b0, b1, c, c0, c1)):
         xy, t = x * y, x * y0 + x0 * y
-        part = (xy * z1 + (x * y1 + x1 * y + x0 * y0) * z + t * z0, xy * z0 + t * z, xy * z)
+        # each weight carries the base's M once, as if a were taken M times over
+        part = (
+            M * (xy * z1 + (x * y1 + x1 * y + x0 * y0) * z + t * z0),
+            M * (xy * z0 + t * z),
+            M * xy * z,
+        )
         if rho == 0:
             at_m += part
             continue
@@ -293,6 +297,12 @@ def eval_truncated(P: PolySpec, Q: PolySpec, T: PolySpec, s: int, K: int) -> Int
 
 # --------------------------------------- factorial-form series evaluation
 
+#: Values of k the factorial-series walk takes as one block.  All K terms
+#: at once peaked at 43 MiB under tracemalloc at (s, n, K) = (3, 800, 3216),
+#: against 0.9 MiB in blocks of 64 and 0.1 MiB one term at a time; blocks
+#: of 32 to 128 timed the same within noise.
+SERIES_BLOCK = 64
+
 
 def special_series_numerators(n: int, T: PolySpec, s: int, K: int) -> dict[int, IntEnclosure]:
     """special_series_enclosures on integers: every order q = 3..s from
@@ -302,13 +312,18 @@ def special_series_numerators(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     Each k-term C(k,n) B(k+1,n+1)^2 T~(k) is built once and added to the
     order-q total after q-3 divisions by (k+1); the order-free tail factor
     (n+1) c* B(n,k0+1)/(k0+n+1) is built once and divided by (k0+1) once
-    per order.
+    per order.  The walk takes k in blocks of SERIES_BLOCK values: T~(k)
+    of the block from one list comprehension per nonzero coefficient of
+    T, the terms as k steps down, then the orders one at a time, each one
+    sum of the block into its total and then one multiplication of every
+    term by its step L_k/(k+1), none after the last order.
 
     With F = (2n+K)!, C(k,n) B(k+1,n+1)^2 = n!^2 C(k,n) g(k)^2 / F^2 where
     g(k) = k! F/(k+n+1)! is an integer; T~(k) is an integer over L_t L_T,
     L_t = lcm(n+1..n+K+deg T), deg T not counting T's trailing zero
     coefficients, and L_T the lcm of T's denominators; and
-    (k+1)^-(q-3) is (L_k/(k+1))^(q-3) over L_k^(q-3), L_k = lcm(n+1..n+K).
+    (k+1)^-(q-3) is (L_k/(k+1))^(q-3) over L_k^(q-3), L_k = lcm(n+1..n+K),
+    so L_t is taken as the lcm of L_k and n+K+1..n+K+deg T.
     Walking k down from n+K-1, X = C(k,n) g(k)^2 is one integer, which
     changes by the exact factor (k-n)(k+n+1)^2/k^3 per step.  So the value
     of order q is an integer over F^2 L_t L_T L_k^(q-3), and, with
@@ -333,19 +348,25 @@ def special_series_numerators(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     k0 = n + K
     while not ct[-1]:  # zero padding adds no term to T~(k)
         ct.pop()
-    Lt = lcm(*range(n + 1, k0 + len(ct)))
+    nonzero = [(i, cv) for i, cv in enumerate(ct) if cv]
     Lk = lcm(*range(n + 1, k0 + 1))
+    Lt = lcm(Lk, *range(k0 + 1, k0 + len(ct)))
     totals = [0] * len(orders)
     X = comb(k0 - 1, n) * factorial(k0 - 1) ** 2  # C(k,n) g(k)^2 at k = k0 - 1
-    for k in range(k0 - 1, n - 1, -1):
-        tk = sum(cv * (Lt // (k + 1 + i)) for i, cv in enumerate(ct) if cv)
-        if tk:
-            term = X * tk
-            step = Lk // (k + 1)
-            for j in range(len(orders)):
-                totals[j] += term
-                term *= step
-        X = X * ((k - n) * (k + n + 1) ** 2) // k**3
+    for top in range(k0 - 1, n - 1, -SERIES_BLOCK):
+        ks = range(top, max(top - SERIES_BLOCK, n - 1), -1)
+        tks = [0] * len(ks)
+        for i, cv in nonzero:
+            tks = [t + cv * (Lt // (k + 1 + i)) for t, k in zip(tks, ks)]
+        terms = []
+        for k, tk in zip(ks, tks):
+            terms.append(X * tk)
+            X = X * ((k - n) * (k + n + 1) ** 2) // k**3
+        steps = [Lk // (k + 1) for k in ks]
+        for j in range(len(totals) - 1):
+            totals[j] += sum(terms)
+            terms = [term * step for term, step in zip(terms, steps)]
+        totals[-1] += sum(terms)
     F = factorial(2 * n + K)
     den = F * F * Lt * LT * (k0 + n + 1) * (k0 + 1)
     scale = (-1) ** n * factorial(n) ** 2 * (k0 + n + 1) * (k0 + 1)

@@ -120,6 +120,13 @@ def test_verify_that_checks_nothing_exits_two(capsys):
         assert err == "error: need --trials >= 1\n"
 
 
+def test_verify_below_order_three_names_the_flag(capsys):
+    assert main(["verify", "--s", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: need --s >= 3\n"
+
+
 #: perfbench/workloads.py, whose request mix assumes cmd_verify's draw order.
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 

@@ -27,6 +27,7 @@ from zetarat.polynomials import (
 )
 from zetarat.rows import TranscriptionVariant, coefficient_rows, row_core
 from zetarat.series import (
+    SERIES_BLOCK,
     layout,
     oracle_core,
     special_series_enclosures,
@@ -120,12 +121,14 @@ def test_legendre_binomial_rows_equal_the_fraction_reference(n, s, data):
 @st.composite
 def _series_cases(draw):
     """n 1..30, T of degree <= n (sometimes zero-padded to n), K at the
-    extremes and at the K = 4n+16 start and first doubling of the bounds."""
+    extremes, at the K = 4n+16 start and first doubling of the bounds, and
+    either side of the walk's first and second block of k."""
     n = draw(st.integers(1, 30))
     T = _poly(draw, draw(st.integers(0, n)))
     if draw(st.booleans()):
         T = pad_to_degree(T, n)
-    K = draw(st.sampled_from((1, 2, 4 * n + 16, 8 * n + 32)))
+    edges = (SERIES_BLOCK - 1, SERIES_BLOCK, SERIES_BLOCK + 1, 2 * SERIES_BLOCK + 1)
+    K = draw(st.sampled_from((1, 2, 4 * n + 16, 8 * n + 32, *edges)))
     return n, T, K
 
 
@@ -174,10 +177,15 @@ def test_series_numerators_and_row_bounds_equal_the_fraction_reference(case, s, 
 
 def test_series_enclosures_with_a_vanishing_term_equal_the_fraction_reference():
     """T = (k+1) - (k+2)x has T~(k) = (k+1)/(k+1) - (k+2)/(k+2) = 0 at this
-    k, so the k-term is skipped while the walk over k moves on."""
+    k, so the k-term adds nothing while the walk over k moves on.  The walk
+    starts at k = n + K - 1 and takes SERIES_BLOCK values of k per block,
+    so with K = k - n + SERIES_BLOCK the zero term closes the first block,
+    and with one more it opens the second."""
     n, k = 3, 5
     T = explicit_poly([k + 1, -(k + 2)])
     assert sum(Fraction(c, k + 1 + i) for i, c in enumerate((k + 1, -(k + 2)))) == 0
-    for K in (k - n + 1, 4 * n + 16):  # k is the last term, then an inner one
+    # k is the last term, then an inner one, then at the first block's end
+    # and at the second block's start
+    for K in (k - n + 1, 4 * n + 16, k - n + SERIES_BLOCK, k - n + SERIES_BLOCK + 1):
         got = special_series_enclosures(n, T, 8, K)
         assert got == reference.special_series_enclosures(n, T, 8, K)
