@@ -9,8 +9,8 @@ layer point times its calls in process time in that child, which checks
 that zetarat comes from its tree; a cold point is a whole command, timed on
 the wall clock.  Two trees run in interleaved pairs, the side that runs
 first alternating.  Every run hashes only what must stay byte-identical:
-exit codes and printed bytes, alpha, beta, weights, theta, row bounds and
-zeta enclosures.  The JSON on stdout gives the Python version, CPU count,
+exit codes and printed bytes, alpha, beta, weights, theta, row cores, row
+bounds and zeta enclosures.  The JSON on stdout gives the Python version, CPU count,
 each tree's commit and, per point and label, each side's median and
 quartiles in s and the pairs the second tree won.  Exit 1 if any point's
 hashes differ.  The request lists are this checkout's tests/golden/cli.json
@@ -46,12 +46,16 @@ COLD = (
     "verify --s 7 --trials 100", "verify --variant with-h --s 9 --trials 200",
 )
 
+#: The kernels a `rows` point times, one per point and child.
+ROW_KERNELS = ("row_core", "oracle_core", "certified_row_bounds")
+
 #: Each point is (function, *arguments): a layer function below, or "cold"
 #: and the arguments of a fresh `python`.
 GRID = (
     *(("requests", name) for name in ("golden", "certify", "verify", "digits", "large")),
     ("certify_layers",),
-    *(("rows", 3, n) for n in (100, 200, 400, 800)), ("rows", 9, 400),
+    *(("rows", kernel, s, n) for s, n in ((3, 100), (3, 200), (3, 400), (3, 800), (9, 400))
+      for kernel in ROW_KERNELS),
     *(("solve", s, n) for s, n in ((9, 24), (60, 10), (200, 10), (200, 20), (400, 10))),
     *(("routes", s, n) for s, n in ((200, 20), (400, 10), (800, 10))),
     ("zeta", 2, 10000), ("zeta", 3, 10000),
@@ -99,39 +103,36 @@ def requests(spent, values, name):
 
 
 def certify_layers(spent, values):
-    """The seed-1 `certify` list answered as `approx` answers it, one layer
-    at a time, summed over the list after one untimed pass."""
-    from zetarat import cli, numerics, polynomials, solver
+    """The seed-1 `certify` list answered as `approx` answers it: parsing,
+    cli._approx (the rows, their bounds and the solve) and the render, each
+    summed over the list after one untimed pass."""
+    from zetarat import cli, numerics, polynomials
 
     def parse(argv):
         args = cli._parser().parse_args(argv)
         numerics.check_digits(args.digits)
         return args, polynomials.explicit_poly(cli._parse_rationals(args.t))
 
-    def P_Q(n):
-        return polynomials.shifted_legendre(n), polynomials.binomial_poly(n)
-
     for sums in ({}, spent):
         values.clear()
         for argv in _request_list("certify"):
             args, T = _timed(sums, parse, argv)
-            P, Q = _timed(sums, P_Q, args.n)
-            system = _timed(sums, solver.build_system, P, Q, T, args.s)
-            bounds = _timed(sums, solver.certified_row_bounds, P, Q, system.T, args.s)
-            res = _timed(sums, solver.solve_zeta, system, bounds)
+            res = _timed(sums, cli._approx, T, args.s, args.n)
             text = _timed(sums, numerics.render_decimal, res.alpha, res.beta, args.digits)
             values.append((res.alpha, res.beta, res.weights, res.theta_bound, text))
 
 
-def rows(spent, values, s, n):
-    """Both row kernels and the certified row bounds."""
+def rows(spent, values, kernel, s, n):
+    """One of ROW_KERNELS, alone in its child, so that no kernel is timed
+    in the state that another one left."""
     from zetarat import numerics, series, solver
     from zetarat.rows import row_core
     P, Q, T = _polys(n)
-    form = numerics.integer_form(P.coeffs, Q.coeffs, T.coeffs)
-    _timed(spent, row_core, *form, s)
-    _timed(spent, series.oracle_core, *form, s)
-    values.append(_timed(spent, solver.certified_row_bounds, P, Q, T, s))
+    if kernel == "certified_row_bounds":
+        values.append(_timed(spent, solver.certified_row_bounds, P, Q, T, s))
+    else:
+        fn = row_core if kernel == "row_core" else series.oracle_core
+        values.append(_timed(spent, fn, *numerics.integer_form(P.coeffs, Q.coeffs, T.coeffs), s))
 
 
 def solve(spent, values, s, n):
@@ -148,11 +149,18 @@ def solve(spent, values, s, n):
 
 
 def routes(spent, values, s, n):
-    """The row bounds, each solve route and the theta fold on their own."""
-    from zetarat import solver
+    """The row bounds, as the public certified_row_bounds view and as the
+    served path settles them (label "settled"), each solve route and the
+    theta fold of the settled bounds on their own.  A tree with no integer
+    settle, solver._settled, serves certified_row_bounds itself."""
+    from zetarat import numerics, solver
     P, Q, T = _polys(n)
     reduced = solver._column_reduced(solver.build_system(P, Q, T, s))
-    bounds = _timed(spent, solver.certified_row_bounds, P, Q, T, s)
+    _timed(spent, solver.certified_row_bounds, P, Q, T, s)
+    if hasattr(solver, "_settled"):
+        bounds = _timed(spent, solver._settled, n, numerics.integer_form(T.coeffs), s)
+    else:
+        bounds = _timed(spent, solver.certified_row_bounds, P, Q, T, s, label="settled")
     for route in (solver._solve_back_substitution, solver._solve_cramer):
         alpha, beta, weights = _timed(spent, route, reduced)
         values.append((alpha, beta, sorted(weights.items())))

@@ -37,10 +37,10 @@ from .numerics import (
     rational_text,
     render_decimal,
 )
-from .polynomials import PolySpec, binomial_poly, explicit_poly, shifted_legendre
+from .polynomials import PolySpec, explicit_poly
 from .rows import TranscriptionVariant, row_core, validate_int_rows
 from .series import oracle_core, shift_reduction_residual
-from .solver import ApproxResult, build_system, certified_row_bounds, solve_zeta
+from .solver import ApproxResult, approx_zeta
 
 
 def _parse_rationals(text: str) -> tuple[Rat, ...]:
@@ -57,12 +57,7 @@ def _parse_rationals(text: str) -> tuple[Rat, ...]:
 
 def _approx(T: PolySpec, s: int, n: int) -> ApproxResult:
     """zeta(s) ~ alpha*zeta(2) + beta from the degree-n Legendre/binomial rows."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    P = shifted_legendre(n)
-    Q = binomial_poly(n)
-    system = build_system(P, Q, T, s)
-    return solve_zeta(system, certified_row_bounds(P, Q, system.T, s))
+    return approx_zeta(T, s, n)
 
 
 def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:

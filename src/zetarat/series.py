@@ -304,10 +304,13 @@ def eval_truncated(P: PolySpec, Q: PolySpec, T: PolySpec, s: int, K: int) -> Int
 SERIES_BLOCK = 64
 
 
-def special_series_numerators(n: int, T: PolySpec, s: int, K: int) -> dict[int, IntEnclosure]:
+def special_series_numerators(
+    n: int, T: PolySpec | tuple[int, list[list[int]]], s: int, K: int
+) -> dict[int, IntEnclosure]:
     """special_series_enclosures on integers: every order q = 3..s from
     one pass over k, as the IntEnclosure (v - t, v + t, D_q) of the value
     v and the tail t >= 0, numerators over one denominator D_q per order.
+    T is a PolySpec or integer_form(T.coeffs), which is only read.
 
     Each k-term C(k,n) B(k+1,n+1)^2 T~(k) is built once and added to the
     order-q total after q-3 divisions by (k+1); the order-free tail factor
@@ -341,16 +344,14 @@ def special_series_numerators(n: int, T: PolySpec, s: int, K: int) -> dict[int, 
     if K < 1:
         raise ValueError("K must be >= 1")
     orders = range(3, s + 1)
-    LT, (ct,) = integer_form(T.coeffs)
+    LT, (ct,) = integer_form(T.coeffs) if isinstance(T, PolySpec) else T
     cstar = max(map(abs, ct))  # L_T c*
     if not cstar:
         return {q: (0, 0, 1) for q in orders}
     k0 = n + K
-    while not ct[-1]:  # zero padding adds no term to T~(k)
-        ct.pop()
-    nonzero = [(i, cv) for i, cv in enumerate(ct) if cv]
+    nonzero = [(i, cv) for i, cv in enumerate(ct) if cv]  # zero padding adds no term
     Lk = lcm(*range(n + 1, k0 + 1))
-    Lt = lcm(Lk, *range(k0 + 1, k0 + len(ct)))
+    Lt = lcm(Lk, *range(k0 + 1, k0 + nonzero[-1][0] + 1))
     totals = [0] * len(orders)
     X = comb(k0 - 1, n) * factorial(k0 - 1) ** 2  # C(k,n) g(k)^2 at k = k0 - 1
     for top in range(k0 - 1, n - 1, -SERIES_BLOCK):

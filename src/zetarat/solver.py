@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .numerics import InternalError, Rat, RatLike, Record, as_rational, integer_form
-from .polynomials import PolyFamily, PolySpec, pad_to_degree
+from .polynomials import PolyFamily, PolySpec, binomial_ints, legendre_ints, pad_to_degree
 from .rows import row_core
 from .series import IntCore, special_series_numerators
 
@@ -65,13 +65,34 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
     n (a padded coefficient contributes nothing to any row).  T of higher
     degree is rejected.
     """
+    return _system(P.coeffs, Q.coeffs, T, s)[0]
+
+
+def _system(p: Sequence[RatLike], q: Sequence[RatLike], T: PolySpec,
+            s: int) -> tuple[TriangularSystem, tuple[int, list[list[int]]]]:
+    """build_system on the coefficient lists p of P and q of Q, ints or
+    Fractions, with its checks in their order, and the integer form
+    (L, [a, b, c]) of p, q and the padded T that its rows were built from."""
     if s < 3:
         raise ValueError("s must be >= 3")
-    if P.degree != Q.degree:
-        raise ValueError(f"P and Q must share a degree (got {P.degree} and {Q.degree})")
-    n = P.degree
+    if len(p) != len(q):
+        raise ValueError(f"P and Q must share a degree (got {len(p) - 1} and {len(q) - 1})")
+    n = len(p) - 1
     T = pad_to_degree(T, n)
-    return TriangularSystem(s, n, T, row_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s))
+    form = integer_form(p, q, T.coeffs)
+    return TriangularSystem(s, n, T, row_core(*form, s)), form
+
+
+def approx_zeta(T: PolySpec, s: int, n: int) -> ApproxResult:
+    """solve_zeta(system, certified_row_bounds(P, Q, system.T, s)) for
+    P, Q = shifted_legendre(n), binomial_poly(n) and system =
+    build_system(P, Q, T, s), raising as they do once n >= 1, with each
+    rational reduced once: P and Q enter the integer form as ints, so its L
+    and T list are T's integer form, and every bound stays a pair."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    system, (L, (_, _, c)) = _system(legendre_ints(n), binomial_ints(n), T, s)
+    return _solved(system, _settled(n, (L, [c]), s))
 
 
 # ---------------------------------------------------------------- solving
@@ -184,17 +205,30 @@ def _solve_cramer(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]]:
     return Fraction(alpha, den), Fraction(beta, den), weights
 
 
-def _theta_total(weights: Mapping[int, Rat], bounds: Mapping[int, Rat]) -> Rat:
-    """sum_q |w_q| theta_q, ascending q, over a denominator grown by lcm on need."""
+def _theta_total(weights: Mapping[int, Rat], bounds: Mapping[int, tuple[int, int]]) -> Rat:
+    """sum_q |w_q| theta_q, each theta_q a pair (numerator, denominator)
+    not necessarily in lowest terms, ascending q, over a denominator grown
+    by lcm on need, reduced once."""
     num, den = 0, 1
     for q in sorted(weights):
-        w, b = weights[q], bounds[q]
-        d = w.denominator * b.denominator
+        w, (b, e) = weights[q], bounds[q]
+        d = w.denominator * e
         if den % d:
             m = lcm(den, d)
             num, den = num * (m // den), m
-        num += abs(w.numerator) * b.numerator * (den // d)
+        num += abs(w.numerator) * b * (den // d)
     return Fraction(num, den)
+
+
+def _solved(system: TriangularSystem, bounds: Mapping[int, tuple[int, int]]) -> ApproxResult:
+    """Both routes, which must agree exactly, and the theta fold of the
+    bounds, pairs as _theta_total takes them."""
+    reduced = _column_reduced(system)
+    alpha, beta, weights = _solve_back_substitution(reduced)
+    if (alpha, beta, weights) != _solve_cramer(reduced):
+        raise InternalError("solver routes disagree")
+    return ApproxResult(system.s, system.n, alpha, beta, tuple(sorted(weights.items())),
+                        _theta_total(weights, bounds))
 
 
 def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) -> ApproxResult:
@@ -205,23 +239,15 @@ def solve_zeta(system: TriangularSystem, theta_bounds: Mapping[int, RatLike]) ->
     Back-substitution and the Cramer route are both computed and must agree
     exactly.
     """
-    s = system.s
-    bounds: dict[int, Rat] = {}
-    for order in range(3, s + 1):
+    bounds: dict[int, tuple[int, int]] = {}
+    for order in range(3, system.s + 1):
         if order not in theta_bounds:
             raise ValueError(f"missing theta bound for order {order}")
         b = as_rational(theta_bounds[order])
         if b < 0:
             raise ValueError(f"theta bound for order {order} is negative")
-        bounds[order] = b
-
-    reduced = _column_reduced(system)
-    alpha, beta, weights = _solve_back_substitution(reduced)
-    if (alpha, beta, weights) != _solve_cramer(reduced):
-        raise InternalError("solver routes disagree")
-
-    return ApproxResult(s, system.n, alpha, beta, tuple(sorted(weights.items())),
-                        _theta_total(weights, bounds))
+        bounds[order] = b.numerator, b.denominator
+    return _solved(system, bounds)
 
 
 # ------------------------------------------------------------ theta bounds
@@ -251,14 +277,8 @@ BOUND_ATTEMPTS = 8
 def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int, Rat]:
     """Tight certified bounds on |I_q| for q = 3..s via adaptive enclosures.
 
-    Each attempt encloses every pending order from one
-    special_series_numerators pass, as an IntEnclosure (lo, hi, D); an
-    order settles on the sup-abs max(-lo, hi)/D of its enclosure once that
-    is at most the analytic theta_bound, compared on integers, otherwise K
-    doubles.  Only a settled order becomes a Fraction.  Orders still
-    pending after BOUND_ATTEMPTS keep the analytic bound, the certified
-    fallback.  Requires the shifted-Legendre /
-    binomial family pair — the fast series form is only valid there.
+    The Fraction view of _settled's pairs.  Requires the shifted-Legendre
+    / binomial family pair — the fast series form is only valid there.
     """
     if P.family is not PolyFamily.SHIFTED_LEGENDRE or Q.family is not PolyFamily.BINOMIAL:
         raise ValueError(
@@ -267,8 +287,23 @@ def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[
         )
     if P.degree != Q.degree:
         raise ValueError("P and Q must share a degree")
-    n = P.degree
-    theta = theta_bound(n, T.cstar, s)
+    theta_bound(P.degree, T.cstar, s)  # its checks on n and s
+    return {q: Fraction(*b) for q, b in _settled(P.degree, integer_form(T.coeffs), s).items()}
+
+
+def _settled(n: int, T: tuple[int, list[list[int]]], s: int) -> dict[int, tuple[int, int]]:
+    """certified_row_bounds on T's integer form (L_T, [c]), each bound a
+    pair (numerator, denominator), neither reduced.
+
+    Each attempt encloses every pending order from one
+    special_series_numerators pass, as an IntEnclosure (lo, hi, D); an
+    order settles on (max(-lo, hi), D), the sup-abs of its enclosure, once
+    that is at most the analytic theta_bound, compared on integers,
+    otherwise K doubles.  Orders still pending after BOUND_ATTEMPTS keep
+    the analytic bound (L_T c*, L_T 4^n), the certified fallback.
+    """
+    L, (c,) = T
+    theta = max(map(abs, c)), L << 2 * n
     out = dict.fromkeys(range(3, s + 1), theta)
     pending = list(out)
     K = 4 * n + 16
@@ -280,8 +315,8 @@ def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[
         for q in pending:
             lo, hi, den = encs[q]
             sup = max(-lo, hi)
-            if sup * theta.denominator <= theta.numerator * den:
-                out[q] = Fraction(sup, den)
+            if sup * theta[1] <= theta[0] * den:
+                out[q] = sup, den
             else:
                 unsettled.append(q)
         pending = unsettled

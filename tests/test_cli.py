@@ -367,16 +367,16 @@ def test_singular_system_exits_two_with_message(capsys):
 
 
 def test_a_singular_request_computes_no_row_bound(monkeypatch, capsys):
-    """build_system refuses a zero diagonal before any row bound runs: with
-    certified_row_bounds made to raise, a singular approx still exits 2
-    with the singular-system message, naming the lowest zero order.  At
-    T = 2 - x, n = 1 only order 3 is singular: its lead a0 b0 c0 = 2 meets
-    the zeta(3) extra block, -2."""
+    """The system refuses a zero diagonal before any row bound runs: with
+    the series walk that every row bound takes made to raise, a singular
+    approx still exits 2 with the singular-system message, naming the
+    lowest zero order.  At T = 2 - x, n = 1 only order 3 is singular: its
+    lead a0 b0 c0 = 2 meets the zeta(3) extra block, -2."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a row bound was computed")
 
-    monkeypatch.setattr(cli_module, "certified_row_bounds", refuse)
+    monkeypatch.setattr(solver_module, "special_series_numerators", refuse)
     for argv, order in (
         (["approx", "--s", "5", "--n", "3", "--t=0,1"], 4),
         (["approx", "--s", "4", "--n", "1", "--t=2,-1"], 3),
@@ -548,8 +548,8 @@ def test_degree_below_one_fails_before_the_rows(capsys, monkeypatch):
     def no_rows(*args):
         raise AssertionError("rows built for a rejected degree")
 
-    monkeypatch.setattr(cli_module, "shifted_legendre", no_rows)
-    monkeypatch.setattr(cli_module, "build_system", no_rows)
+    monkeypatch.setattr(solver_module, "legendre_ints", no_rows)
+    monkeypatch.setattr(solver_module, "row_core", no_rows)
     for command in ("approx", "digits"):
         for n in ("0", "-1"):
             argv = [command, "--s", "3", "--n", n]

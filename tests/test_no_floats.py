@@ -19,6 +19,8 @@ INTEGER_KERNELS = (
     ("numerics.py", "integer_form"),
     ("numerics.py", "_chudnovsky_split"),
     ("numerics.py", "_pi_enclosure"),
+    ("polynomials.py", "legendre_ints"),
+    ("polynomials.py", "binomial_ints"),
     ("rows.py", "coefficient_rows"),
     ("rows.py", "row_core"),
     ("rows.py", "row_mismatches"),
@@ -35,6 +37,7 @@ INTEGER_KERNELS = (
     ("solver.py", "_solve_cramer"),
     ("solver.py", "_theta_total"),
     ("solver.py", "certified_row_bounds"),
+    ("solver.py", "_settled"),
 )
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

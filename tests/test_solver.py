@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import solver_reference as reference
 import zetarat.rows as rows_module
 import zetarat.solver as solver_module
-from zetarat.cli import main
+from zetarat.cli import _approx, main
 from zetarat.numerics import Interval, integer_form, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, pad_to_degree, shifted_legendre
 from zetarat.rows import coefficient_rows, row_core, row_zeta3
@@ -486,10 +486,12 @@ def test_theta_total_equals_the_fraction_sum_in_either_order(terms):
     """_theta_total is the Fraction sum of |w_q| theta_q, walked in either
     order, also for a single order, a zero bound and weight denominators
     that do not divide one another (6, 21, 4 and 35 in the second
-    example); a bound of an order with no weight is not read."""
+    example); a bound of an order with no weight is not read.  Each bound
+    goes in as a pair not in lowest terms, both sides times its order."""
     weights = {q: w for q, (w, _) in sorted(terms.items(), reverse=True)}
     bounds = {q: b for q, (_, b) in terms.items()} | {99: Fraction(1, 3)}
-    total = _theta_total(weights, bounds)
+    total = _theta_total(weights, {q: (b.numerator * q, b.denominator * q)
+                                   for q, b in bounds.items()})
     assert type(total) is Fraction
     for order in (sorted(weights), sorted(weights, reverse=True)):
         assert total == sum((abs(weights[q]) * bounds[q] for q in order), Fraction(0))
@@ -615,6 +617,96 @@ def test_certified_bounds_guard_the_polynomial_families():
         certified_row_bounds(explicit_poly([1, -2]), binomial_poly(1), explicit_poly([1]), 3)
     with pytest.raises(ValueError):
         certified_row_bounds(shifted_legendre(2), binomial_poly(3), explicit_poly([1]), 3)
+
+
+# ------------------------------------------------------------ served path
+
+
+def _composed(T, s, n):
+    """approx as the public functions compose it: the check on n, then
+    build_system, certified_row_bounds and solve_zeta."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    P, Q = shifted_legendre(n), binomial_poly(n)
+    system = build_system(P, Q, T, s)
+    return solve_zeta(system, certified_row_bounds(P, Q, system.T, s))
+
+
+_t_coeffs = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=9))
+
+
+@st.composite
+def _served_cases(draw):
+    """(T, s, n): n in 0..12 and s in 2..12, one below the accepted range
+    each, and T of formal degree 0..n+1, its coefficients zero, negative
+    or rational, with trailing zeros and T = 0 among them."""
+    n, s = draw(st.integers(0, 12)), draw(st.integers(2, 12))
+    degree = draw(st.integers(0, n + 1))
+    return explicit_poly(draw(st.lists(_t_coeffs, min_size=degree + 1, max_size=degree + 1))), s, n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_served_cases())
+@example(case=(explicit_poly([0]), 6, 4))  # T = 0
+@example(case=(explicit_poly([1, 2, 3]), 2, 0))  # n before s and degree
+@example(case=(explicit_poly([0, 1, 0]), 2, 1))  # s before degree
+@example(case=(explicit_poly([0, 1, 0]), 5, 1))  # degree before the singular system
+@example(case=(explicit_poly([0, 1, 0]), 5, 3))  # padded T, singular in order 4
+@example(case=(explicit_poly(["-1/3", 0, "5/7"]), 12, 12))
+def test_the_served_path_equals_the_composed_public_path(case):
+    """cli._approx gives the ApproxResult of the public functions composed,
+    or raises the error they raise, of the same type and message: n is
+    checked first, then s, then T's degree, then the singular system."""
+    T, s, n = case
+    try:
+        want = _composed(T, s, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _approx(T, s, n)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    assert _approx(T, s, n) == want
+
+
+def test_the_served_path_reduces_no_row_bound(monkeypatch, capsys):
+    """approx takes each row bound as the (numerator, D_q) pair that the
+    series walk encloses it over and reduces the bounds once, in the theta
+    fold.  A bound reduced per order would hand Fraction every D_q the walk
+    returns, 38 of them here; the fold's one reduction hands it at most
+    one, since its denominator, grown by lcm, can end on D_40 itself."""
+    walk, walked, handed = solver_module.special_series_numerators, set(), []
+
+    def recording_walk(n, T, s, K):
+        encs = walk(n, T, s, K)
+        walked.update(den for _, _, den in encs.values())
+        return encs
+
+    def recording_fraction(numerator=0, denominator=None):
+        handed.append(denominator)
+        return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(solver_module, "special_series_numerators", recording_walk)
+    monkeypatch.setattr(solver_module, "Fraction", recording_fraction)
+    assert main(["approx", "--s", "40", "--n", "6"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(walked) >= 38 and handed
+    assert len([d for d in handed if d in walked]) <= 1
+
+
+def test_with_no_attempt_every_order_keeps_the_analytic_bound(monkeypatch):
+    """With BOUND_ATTEMPTS at 0 no order settles: the served theta is the
+    one solve_zeta folds from theta_bound(n, c*, q) for every q, and
+    certified_row_bounds returns exactly those Fractions."""
+    monkeypatch.setattr(solver_module, "BOUND_ATTEMPTS", 0)
+    for n, s, t in ((1, 3, [1]), (4, 7, [1, "1/3"]), (6, 9, ["-2/3", 0, "5/7", 0]), (12, 5, [3])):
+        T = explicit_poly(t)
+        P, Q = shifted_legendre(n), binomial_poly(n)
+        system = build_system(P, Q, T, s)
+        analytic = {q: theta_bound(n, T.cstar, q) for q in range(3, s + 1)}
+        bounds = certified_row_bounds(P, Q, system.T, s)
+        assert bounds == analytic and {type(b) for b in bounds.values()} == {Fraction}
+        assert _approx(T, s, n) == solve_zeta(system, analytic)
 
 
 # ------------------------------------------------------- end-to-end checks
