@@ -10,10 +10,10 @@ that zetarat comes from its tree; a cold point is a whole command, timed on
 the wall clock.  Two trees run in interleaved pairs, the side that runs
 first alternating.  Every run hashes only what must stay byte-identical:
 exit codes and printed bytes, alpha, beta, weights, theta, row cores, row
-bounds and zeta enclosures.  The JSON on stdout gives the Python version, CPU count,
-each tree's commit and, per point and label, each side's median and
-quartiles in s and the pairs the second tree won.  Exit 1 if any point's
-hashes differ.  The request lists are this checkout's tests/golden/cli.json
+bounds and zeta enclosures.  The JSON on stdout gives the Python version,
+CPU count, each tree's commit and, per point and label, each side's median
+and quartiles in s and the pairs the second tree won.  Exit 1 if any
+point's hashes differ.  The request lists are this checkout's tests/golden/cli.json
 and perfbench/workloads.py's, seed 1; T is 1 + x/3 at every layer point.
 """
 from __future__ import annotations

@@ -86,9 +86,10 @@ def _system(p: Sequence[RatLike], q: Sequence[RatLike], T: PolySpec,
 def approx_zeta(T: PolySpec, s: int, n: int) -> ApproxResult:
     """solve_zeta(system, certified_row_bounds(P, Q, system.T, s)) for
     P, Q = shifted_legendre(n), binomial_poly(n) and system =
-    build_system(P, Q, T, s), raising as they do once n >= 1, with each
-    rational reduced once: P and Q enter the integer form as ints, so its L
-    and T list are T's integer form, and every bound stays a pair."""
+    build_system(P, Q, T, s), raising what they raise after refusing
+    n < 1, each rational reduced once: P and Q enter the integer form as
+    ints, so its L and T list are T's integer form, and every bound stays
+    a pair."""
     if n < 1:
         raise ValueError("n must be >= 1")
     system, (L, (_, _, c)) = _system(legendre_ints(n), binomial_ints(n), T, s)
@@ -293,7 +294,7 @@ def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[
 
 def _settled(n: int, T: tuple[int, list[list[int]]], s: int) -> dict[int, tuple[int, int]]:
     """certified_row_bounds on T's integer form (L_T, [c]), each bound a
-    pair (numerator, denominator), neither reduced.
+    pair (numerator, denominator), not reduced.
 
     Each attempt encloses every pending order from one
     special_series_numerators pass, as an IntEnclosure (lo, hi, D); an
