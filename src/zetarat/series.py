@@ -20,17 +20,18 @@ turns a core into the ZetaCombination rows of orders 3..s.
 Two independent certified numeric evaluators are provided:
   * eval_truncated  — direct partial sums of the defining series, any P,Q,T;
   * eval_special_series — a fast factorial-form series valid for the
-    shifted-Legendre x binomial choice of P and Q (special_series_enclosures
-    gives every order 3..s from one pass).
+    shifted-Legendre x binomial choice of P and Q.
 Both return Interval enclosures that are provably nested as the number of
-summed terms K grows.  The factorial form runs on integers: its
-enclosures are the IntEnclosures (lo, hi, D) of special_series_numerators.
+summed terms K grows.  The factorial form has one integer entry,
+special_series_numerators, which takes T's integer form and gives every
+order 3..s from one pass as the IntEnclosures (lo, hi, D);
+eval_special_series is the Interval view of its last order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .numerics import (
     IntEnclosure, InternalError, Interval, Rat, Record, as_interval, as_rational, integer_form
@@ -72,14 +73,6 @@ class ZetaCombination(Record):
 
     def orders(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.terms)
-
-    def enclosure(self, zeta_of: Callable[[int], Interval]) -> Interval:
-        """Certified enclosure of the real value, given an enclosure factory
-        zeta_of(p) -> Interval."""
-        out = Interval.point(self.constant)
-        for p, v in self.terms:
-            out = out + zeta_of(p).scale(v)
-        return out
 
 
 def layout(core: IntCore) -> dict[int, ZetaCombination]:
@@ -305,12 +298,13 @@ SERIES_BLOCK = 64
 
 
 def special_series_numerators(
-    n: int, T: PolySpec | tuple[int, list[list[int]]], s: int, K: int
+    n: int, T: tuple[int, list[list[int]]], s: int, K: int
 ) -> dict[int, IntEnclosure]:
-    """special_series_enclosures on integers: every order q = 3..s from
-    one pass over k, as the IntEnclosure (v - t, v + t, D_q) of the value
-    v and the tail t >= 0, numerators over one denominator D_q per order.
-    T is a PolySpec or integer_form(T.coeffs), which is only read.
+    """The factorial form of I(L_n, (1-x)^n, T; q) for every order
+    q = 3..s from one pass over k, as the IntEnclosure (v - t, v + t, D_q)
+    of the value v and the tail t >= 0, numerators over one denominator D_q
+    per order.  T is its integer form (L_T, [c]), integer_form(T.coeffs),
+    which is only read.
 
     Each k-term C(k,n) B(k+1,n+1)^2 T~(k) is built once and added to the
     order-q total after q-3 divisions by (k+1); the order-free tail factor
@@ -344,7 +338,7 @@ def special_series_numerators(
     if K < 1:
         raise ValueError("K must be >= 1")
     orders = range(3, s + 1)
-    LT, (ct,) = integer_form(T.coeffs) if isinstance(T, PolySpec) else T
+    LT, (ct,) = T
     cstar = max(map(abs, ct))  # L_T c*
     if not cstar:
         return {q: (0, 0, 1) for q in orders}
@@ -382,13 +376,6 @@ def special_series_numerators(
     return out
 
 
-def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, Interval]:
-    """eval_special_series for every order 3..s from one pass over k:
-    the Interval views of special_series_numerators.  The sums are exact,
-    so every enclosure equals the one-order result."""
-    return {q: as_interval(e) for q, e in special_series_numerators(n, T, s, K).items()}
-
-
 def eval_special_series(n: int, T: PolySpec, s: int, K: int) -> Interval:
     """Certified enclosure of I(L_n, (1-x)^n, T; s) from K terms of its
     factorial form
@@ -402,8 +389,10 @@ def eval_special_series(n: int, T: PolySpec, s: int, K: int) -> Interval:
         (n+1) c* B(n,k0+1) / ((k0+n+1)(k0+1)^(s-2)),
 
     which also telescopes step-by-step, so enclosures are nested in K.
+    The Interval view, as_interval, of order s of special_series_numerators
+    on T's integer form.
     """
-    return as_interval(special_series_numerators(n, T, s, K)[s])
+    return as_interval(special_series_numerators(n, integer_form(T.coeffs), s, K)[s])
 
 
 # --------------------------------------------- shift-reduction identities

@@ -3,8 +3,9 @@ enclosures, the row bounds and the row check: the reference for the
 package's integer kernels.
 
 Every loop here runs on `Fraction`, so each add and multiply normalizes by a
-gcd.  `zetarat.rows.coefficient_rows` and
-`zetarat.series.special_series_enclosures` and
+gcd.  `zetarat.rows.coefficient_rows`, the Interval view
+(`zetarat.numerics.as_interval`) of each order of
+`zetarat.series.special_series_numerators`, and
 `zetarat.solver.certified_row_bounds` must return exactly these rationals;
 tests/test_integer_kernels.py checks that.  `validate_rows`
 compares ZetaCombinations component by component, and
@@ -149,8 +150,9 @@ def coefficient_rows(
 
 
 def special_series_enclosures(n: int, T: PolySpec, s: int, K: int) -> dict[int, Interval]:
-    """zetarat.series.special_series_enclosures on Fraction: each k-term
-    C(k,n) B(k+1,n+1)^2 T~(k) divided by (k+1) once per order."""
+    """zetarat.series.special_series_numerators on Fraction, as an Interval
+    per order 3..s: each k-term C(k,n) B(k+1,n+1)^2 T~(k) divided by (k+1)
+    once per order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if s < 3:

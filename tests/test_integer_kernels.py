@@ -1,13 +1,15 @@
 """The integer kernels equal their Fraction reference exactly.
 
-`coefficient_rows` and `special_series_enclosures` run their loops on
-integers over a denominator fixed in advance and build one Fraction per
-output; `certified_row_bounds` settles its orders on the integers of
-`special_series_numerators`.  tests/fraction_kernels.py keeps the Fraction bodies they replaced;
-every zeta coefficient, constant and Interval endpoint must be the same
-rational.  The row kernels themselves, `row_core` and `oracle_core`, return
-an order-free core; `series.layout` turns it into rows whose components
-are Fractions over one denominator per order.
+`coefficient_rows` and `special_series_numerators` run their loops on
+integers over a denominator fixed in advance.  `coefficient_rows` builds
+one Fraction per output; the series pass is compared through its Interval
+view, `as_interval` of each order; `certified_row_bounds` settles its
+orders on the pass's integers.  tests/fraction_kernels.py keeps the
+Fraction bodies they replaced; every zeta coefficient, constant and
+Interval endpoint must be the same rational.  The row kernels themselves,
+`row_core` and `oracle_core`, return an order-free core; `series.layout`
+turns it into rows whose components are Fractions over one denominator
+per order.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from zetarat.series import (
     SERIES_BLOCK,
     layout,
     oracle_core,
-    special_series_enclosures,
     special_series_numerators,
 )
 from zetarat.solver import certified_row_bounds
@@ -118,6 +119,12 @@ def test_legendre_binomial_rows_equal_the_fraction_reference(n, s, data):
         )
 
 
+def _enclosures(n, T, s, K):
+    """The Interval view of every order of one special_series_numerators pass."""
+    encs = special_series_numerators(n, integer_form(T.coeffs), s, K)
+    return {q: as_interval(e) for q, e in encs.items()}
+
+
 @st.composite
 def _series_cases(draw):
     """n 1..30, T of degree <= n (sometimes zero-padded to n), K at the
@@ -136,9 +143,7 @@ def _series_cases(draw):
 @given(_series_cases(), st.integers(3, 9))
 def test_series_enclosures_equal_the_fraction_reference(case, s):
     n, T, K = case
-    assert special_series_enclosures(n, T, s, K) == reference.special_series_enclosures(
-        n, T, s, K
-    )
+    assert _enclosures(n, T, s, K) == reference.special_series_enclosures(n, T, s, K)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -148,7 +153,7 @@ def test_series_enclosures_ignore_the_zero_padding_of_T(case, s, extra):
     of them gives exactly the enclosures of T itself."""
     n, T, K = case
     padded = explicit_poly(T.coeffs + (Fraction(0),) * extra)
-    assert special_series_enclosures(n, padded, s, K) == special_series_enclosures(n, T, s, K)
+    assert _enclosures(n, padded, s, K) == _enclosures(n, T, s, K)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -163,14 +168,13 @@ def test_series_numerators_and_row_bounds_equal_the_fraction_reference(case, s, 
     if zero:
         T = explicit_poly([0] * len(T.coeffs))
     want = reference.special_series_enclosures(n, T, s, K)
-    core = special_series_numerators(n, T, s, K)
+    core = special_series_numerators(n, integer_form(T.coeffs), s, K)
     assert sorted(core) == list(range(3, s + 1))
     for q, (lo, hi, den) in core.items():
         assert all(type(x) is int for x in (lo, hi, den))
         assert den > 0 and lo <= hi
         assert Fraction(max(-lo, hi), den) == want[q].sup_abs
         assert as_interval((lo, hi, den)) == want[q]
-    assert special_series_enclosures(n, T, s, K) == want
     P, Q = shifted_legendre(n), binomial_poly(n)
     assert certified_row_bounds(P, Q, T, s) == reference.certified_row_bounds(n, T, s)
 
@@ -187,5 +191,4 @@ def test_series_enclosures_with_a_vanishing_term_equal_the_fraction_reference():
     # k is the last term, then an inner one, then at the first block's end
     # and at the second block's start
     for K in (k - n + 1, 4 * n + 16, k - n + SERIES_BLOCK, k - n + SERIES_BLOCK + 1):
-        got = special_series_enclosures(n, T, 8, K)
-        assert got == reference.special_series_enclosures(n, T, 8, K)
+        assert _enclosures(n, T, 8, K) == reference.special_series_enclosures(n, T, 8, K)

@@ -30,7 +30,6 @@ INTEGER_KERNELS = (
     ("series.py", "decompose_integrals"),
     ("series.py", "oracle_core"),
     ("series.py", "special_series_numerators"),
-    ("series.py", "special_series_enclosures"),
     ("series.py", "_integral_scaffold"),
     ("solver.py", "_column_reduced"),
     ("solver.py", "_solve_back_substitution"),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import residue_oracle
 from fraction_kernels import beta_rat
-from zetarat.numerics import Interval, zeta_reference
+from zetarat.numerics import Interval, as_interval, integer_form, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.series import (
     ZetaCombination,
@@ -23,7 +23,7 @@ from zetarat.series import (
     eval_truncated,
     partial_fraction_sum,
     shift_reduction_residual,
-    special_series_enclosures,
+    special_series_numerators,
 )
 from zetarat.series import _integral_scaffold
 
@@ -44,13 +44,6 @@ def test_combination_equality_is_structural():
     a = ZetaCombination.of(Fraction(1), {3: Fraction(1), 4: Fraction(0)})
     b = ZetaCombination.of(Fraction(1), {3: Fraction(1)})
     assert a == b
-
-
-def test_combination_enclosure_of_single_zeta_term():
-    combo = ZetaCombination.of(Fraction(0), {2: Fraction(1)})
-    enc = combo.enclosure(lambda p: zeta_reference(p, 20))
-    ref = zeta_reference(2, 20)
-    assert (enc.lo, enc.hi) == (ref.lo, ref.hi)
 
 
 # ------------------------------------------------ partial-fraction summation
@@ -94,7 +87,10 @@ def test_partial_fraction_sum_matches_direct_partial_sums():
         r1, r2, r3 = (rng.randint(0, 4) for _ in range(3))
         s = rng.randint(3, 6)
         combo = partial_fraction_sum(r1, r2, r3, s)
-        enc = combo.enclosure(lambda p: zeta_reference(p, 25))
+        enc = sum(
+            (zeta_reference(p, 25).scale(v) for p, v in combo.terms),
+            Interval.point(combo.constant),
+        )
         N = 400
         partial = sum(
             Fraction(1, (m + r1) * (m + r2) * (m + r3) * m ** (s - 3))
@@ -258,8 +254,10 @@ def test_eval_truncated_contains_the_exact_decomposition_value():
         Q = explicit_poly([rng.randint(-3, 3) for _ in range(n)] + [1])
         T = explicit_poly([rng.randint(-3, 3) for _ in range(n + 1)])
         s = rng.randint(3, 5)
-        exact = decompose_integral(P, Q, T, s).enclosure(
-            lambda p: zeta_reference(p, 30)
+        combo = decompose_integral(P, Q, T, s)
+        exact = sum(
+            (zeta_reference(p, 30).scale(v) for p, v in combo.terms),
+            Interval.point(combo.constant),
         )
         enc = eval_truncated(P, Q, T, s, 300)
         assert enc.overlaps(exact)
@@ -319,10 +317,11 @@ _SPECIAL_T = st.lists(_RATIONALS, min_size=1, max_size=4).map(explicit_poly)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 6), _SPECIAL_T, st.integers(3, 6))
 def test_eval_special_series_enclosures_nest_in_k(n, T, s):
-    passes = [special_series_enclosures(n, T, s, k) for k in (1, 2, 5, 20, 80)]
+    form = integer_form(T.coeffs)
+    passes = [special_series_numerators(n, form, s, k) for k in (1, 2, 5, 20, 80)]
     for q in range(3, s + 1):
         for outer, inner in zip(passes, passes[1:]):
-            assert outer[q].contains_interval(inner[q])
+            assert as_interval(outer[q]).contains_interval(as_interval(inner[q]))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -332,12 +331,15 @@ def test_special_series_enclosures_equal_one_order_calls_and_the_oracle(n, T, s,
     it overlaps the exact value from the partial-fraction oracle."""
     K = 4 * n + 16 if tight else 1
     P, Q = shifted_legendre(n), binomial_poly(n)
-    encs = special_series_enclosures(n, T, s, K)
+    encs = special_series_numerators(n, integer_form(T.coeffs), s, K)
     assert sorted(encs) == list(range(3, s + 1))
-    for q, enc in encs.items():
+    for q, e in encs.items():
+        enc = as_interval(e)
         assert enc == eval_special_series(n, T, q, K)
-        exact = decompose_integral(P, Q, T, q).enclosure(
-            lambda p: zeta_reference(p, 30)
+        combo = decompose_integral(P, Q, T, q)
+        exact = sum(
+            (zeta_reference(p, 30).scale(v) for p, v in combo.terms),
+            Interval.point(combo.constant),
         )
         assert enc.overlaps(exact)
 
@@ -348,7 +350,7 @@ def test_special_series_enclosures_follow_the_documented_formula():
     for n, coeffs, s, K in ((1, [1], 5, 1), (2, [2, -1, 3], 6, 7), (5, [1, -1], 4, 36)):
         T = explicit_poly(coeffs)
         k0 = n + K
-        for q, enc in special_series_enclosures(n, T, s, K).items():
+        for q, enc in special_series_numerators(n, integer_form(T.coeffs), s, K).items():
             partial = sum(
                 (
                     comb(k, n)
@@ -362,7 +364,7 @@ def test_special_series_enclosures_follow_the_documented_formula():
             tail = (n + 1) * T.cstar * beta_rat(n, k0 + 1)
             tail /= (k0 + n + 1) * Fraction(k0 + 1) ** (q - 2)
             value = (-1) ** n * partial
-            assert enc == Interval(value - tail, value + tail)
+            assert as_interval(enc) == Interval(value - tail, value + tail)
 
 
 def test_eval_special_series_respects_the_analytic_magnitude_bound():

@@ -18,10 +18,16 @@ import solver_reference as reference
 import zetarat.rows as rows_module
 import zetarat.solver as solver_module
 from zetarat.cli import _approx, main
-from zetarat.numerics import Interval, integer_form, zeta_reference
+from zetarat.numerics import Interval, as_interval, integer_form, zeta_reference
 from zetarat.polynomials import binomial_poly, explicit_poly, pad_to_degree, shifted_legendre
 from zetarat.rows import coefficient_rows, row_core, row_zeta3
-from zetarat.series import ZetaCombination, layout, special_series_enclosures
+from zetarat.series import (
+    ZetaCombination,
+    eval_special_series,
+    eval_truncated,
+    layout,
+    special_series_numerators,
+)
 from zetarat.solver import (
     SingularSystemError,
     TriangularSystem,
@@ -590,9 +596,9 @@ def test_certified_bounds_double_k_only_for_pending_orders(monkeypatch):
         (3, K0 << i) for i in range(3, 8)
     ]
     assert bounds[3] == theta_bound(n, 1, 3)
-    assert bounds[4] == special_series_enclosures(n, T, 4, K0)[4].sup_abs
+    assert bounds[4] == eval_special_series(n, T, 4, K0).sup_abs
     for q in (5, 6):
-        assert bounds[q] == special_series_enclosures(n, T, q, 4 * K0)[q].sup_abs
+        assert bounds[q] == eval_special_series(n, T, q, 4 * K0).sup_abs
 
 
 def test_certified_bounds_build_no_interval(monkeypatch):
@@ -600,7 +606,10 @@ def test_certified_bounds_build_no_interval(monkeypatch):
     bounds, each the sup-abs of the Interval view's enclosure."""
     cases = [(n, s, explicit_poly(t)) for n, s, t in ((4, 3, [1, -1]), (12, 9, [2, 0, -1]))]
     want = [
-        {q: e.sup_abs for q, e in special_series_enclosures(n, T, s, 4 * n + 16).items()}
+        {
+            q: as_interval(e).sup_abs
+            for q, e in special_series_numerators(n, integer_form(T.coeffs), s, 4 * n + 16).items()
+        }
         for n, s, T in cases
     ]
 
@@ -774,6 +783,59 @@ def test_certified_containment_agrees_with_a_float_sanity_check():
 #: The most terms the identity check sums per series; a case that needs
 #: more is skipped.
 _IDENTITY_K_CAP = 2048
+#: The cap of the n = 1 examples, whose series need 2560 terms, one
+#: doubling of K = 4n+16 = 20 past _IDENTITY_K_CAP.
+_DEGREE_ONE_K_CAP = 4096
+#: The cap of the direct-sum identity check, whose width shrinks only as
+#: K^-(q-1).
+_DIRECT_K_CAP = 1 << 14
+
+
+def _identity_holds(res, enclosures, K, cap, shrink):
+    """Whether the certificate res satisfies its identity zeta(s) = alpha
+    zeta(2) + beta + sum_q w_q I_q, each I_q enclosed by enclosures(K)[q].
+    K doubles until the enclosure of zeta(s) - alpha zeta(2) - beta -
+    sum_q w_q I_q is at most theta/shrink wide; then it must contain 0,
+    and the enclosure of sum_q w_q I_q must lie inside [-theta, theta].
+    False if theta = 0 or no K up to cap gets that narrow."""
+    width = res.theta_bound / shrink
+    if not width:
+        return False
+    digits = len(str(ceil((1 + abs(res.alpha)) / width))) + 1
+    fitted = zeta_reference(2, digits).scale(res.alpha).shift(res.beta)
+    known = zeta_reference(res.s, digits) - fitted
+    while K <= cap:
+        series = enclosures(K)
+        weighted = sum((series[q].scale(w) for q, w in res.weights), Interval.point(0))
+        residual = known - weighted
+        if residual.width <= width:
+            assert residual.lo <= 0 <= residual.hi
+            theta = res.theta_bound
+            assert Interval(-theta, theta).contains_interval(weighted)
+            return True
+        K *= 2
+    return False
+
+
+def _served_identity_holds(s, n, t, cap):
+    """_identity_holds for the certificate of shifted_legendre(n),
+    binomial_poly(n) and T = t with certified_row_bounds, every I_q from
+    one special_series_numerators pass per K, at theta 10^-8; then theta
+    is at most sum_q |w_q| theta_bound(n, c*, q), the analytic bound.
+    Raises SingularSystemError for a singular system."""
+    P, Q = shifted_legendre(n), binomial_poly(n)
+    system = build_system(P, Q, explicit_poly(t), s)
+    res = solve_zeta(system, certified_row_bounds(P, Q, system.T, s))
+    form = integer_form(system.T.coeffs)
+
+    def enclosures(K):
+        return {q: as_interval(e) for q, e in special_series_numerators(n, form, s, K).items()}
+
+    if not _identity_holds(res, enclosures, 4 * n + 16, cap, 10**8):
+        return False
+    cstar = system.T.cstar
+    assert res.theta_bound <= sum(abs(w) * theta_bound(n, cstar, q) for q, w in res.weights)
+    return True
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -781,38 +843,58 @@ _IDENTITY_K_CAP = 2048
 def test_a_random_certificate_satisfies_its_identity(s, n, t):
     """A certificate states zeta(s) = alpha zeta(2) + beta + sum_q w_q I_q
     exactly, with |sum_q w_q I_q| <= theta.  With the zeta references and
-    every I_q, from special_series_enclosures, narrow enough that the
+    every I_q, from the factorial series, narrow enough that the
     enclosure of zeta(s) - alpha zeta(2) - beta - sum_q w_q I_q is narrower
     than theta 10^-8, it contains 0: an alpha or beta off by far less than
     theta, or a weight of the wrong sign, would leave 0 outside.  The
     enclosure of sum_q w_q I_q lies inside [-theta, theta], and theta is
     at most sum_q |w_q| theta_bound(n, c*, q), the analytic bound.  The
     draw leaves out n = 1, whose series need more than _IDENTITY_K_CAP
-    terms to get that narrow."""
-    P, Q = shifted_legendre(n), binomial_poly(n)
+    terms to get that narrow; the fixed examples of
+    test_a_degree_one_certificate_satisfies_its_identity cover it."""
     try:
-        system = build_system(P, Q, explicit_poly(t), s)
+        holds = _served_identity_holds(s, n, t, _IDENTITY_K_CAP)
     except SingularSystemError:
         reject()
-    res = solve_zeta(system, certified_row_bounds(P, Q, system.T, s))
-    width = res.theta_bound / 10**8
-    if not width:
+    if not holds:
         reject()
-    digits = len(str(ceil((1 + abs(res.alpha)) / width))) + 1
-    known = zeta_reference(s, digits) - zeta_reference(2, digits).scale(res.alpha).shift(res.beta)
-    K = 4 * n + 16
-    while True:
-        series = special_series_enclosures(n, system.T, s, K)
-        weighted = Interval.point(0)
-        for q, w in res.weights:
-            weighted = weighted + series[q].scale(w)
-        residual = known - weighted
-        if residual.width <= width:
-            break
-        K *= 2
-        if K > _IDENTITY_K_CAP:
-            reject()
-    assert residual.lo <= 0 <= residual.hi
-    theta = res.theta_bound
-    assert Interval(-theta, theta).contains_interval(weighted)
-    assert theta <= sum(abs(w) * theta_bound(n, system.T.cstar, q) for q, w in res.weights)
+
+
+@pytest.mark.parametrize("s, t", [(3, [1, Fraction(1, 3)]), (4, [1])])
+def test_a_degree_one_certificate_satisfies_its_identity(s, t):
+    """The identity of test_a_random_certificate_satisfies_its_identity at
+    n = 1, up to _DEGREE_ONE_K_CAP terms: one order with T of degree 1,
+    two orders with T of degree 0."""
+    assert _served_identity_holds(s, 1, t, _DEGREE_ONE_K_CAP)
+
+
+@st.composite
+def _general_triples(draw):
+    """P and Q of a common degree n in 1..3 and T of degree <= n, with
+    small rational coefficients, no family among them."""
+    n = draw(st.integers(1, 3))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    P, Q = (explicit_poly(draw(st.lists(coeffs, min_size=n + 1, max_size=n + 1))) for _ in "PQ")
+    return P, Q, explicit_poly(draw(st.lists(coeffs, min_size=1, max_size=n + 1)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_general_triples(), st.integers(3, 8))
+def test_a_general_certificate_satisfies_its_identity_by_direct_sums(triple, s):
+    """The same identity for general equal-degree P and Q, every I_q
+    enclosed by eval_truncated, the evaluator that needs no family: theta_q
+    is the sup-abs of its enclosure at K = 64, and the identity is checked
+    at the looser width theta 10^-5, as direct sums narrow only as
+    K^-(q-1)."""
+    P, Q, T = triple
+    try:
+        system = build_system(P, Q, T, s)
+    except SingularSystemError:
+        reject()
+
+    def enclosures(K):
+        return {q: eval_truncated(P, Q, system.T, q, K) for q in range(3, s + 1)}
+
+    res = solve_zeta(system, {q: e.sup_abs for q, e in enclosures(64).items()})
+    if not _identity_holds(res, enclosures, 64, _DIRECT_K_CAP, 10**5):
+        reject()
