@@ -104,9 +104,9 @@ def requests(spent, values, name):
 
 def certify_layers(spent, values):
     """The seed-1 `certify` list answered as `approx` answers it: parsing,
-    cli._approx (the rows, their bounds and the solve) and the render, each
-    summed over the list after one untimed pass."""
-    from zetarat import cli, numerics, polynomials
+    solver.approx_zeta (the rows, their bounds and the solve) and the
+    render, each summed over the list after one untimed pass."""
+    from zetarat import cli, numerics, polynomials, solver
 
     def parse(argv):
         args = cli._parser().parse_args(argv)
@@ -117,7 +117,7 @@ def certify_layers(spent, values):
         values.clear()
         for argv in _request_list("certify"):
             args, T = _timed(sums, parse, argv)
-            res = _timed(sums, cli._approx, T, args.s, args.n)
+            res = _timed(sums, solver.approx_zeta, T, args.s, args.n)
             text = _timed(sums, numerics.render_decimal, res.alpha, res.beta, args.digits)
             values.append((res.alpha, res.beta, res.weights, res.theta_bound, text))
 
@@ -151,16 +151,12 @@ def solve(spent, values, s, n):
 def routes(spent, values, s, n):
     """The row bounds, as the public certified_row_bounds view and as the
     served path settles them (label "settled"), each solve route and the
-    theta fold of the settled bounds on their own.  A tree with no integer
-    settle, solver._settled, serves certified_row_bounds itself."""
+    theta fold of the settled bounds on their own."""
     from zetarat import numerics, solver
     P, Q, T = _polys(n)
     reduced = solver._column_reduced(solver.build_system(P, Q, T, s))
     _timed(spent, solver.certified_row_bounds, P, Q, T, s)
-    if hasattr(solver, "_settled"):
-        bounds = _timed(spent, solver._settled, n, numerics.integer_form(T.coeffs), s)
-    else:
-        bounds = _timed(spent, solver.certified_row_bounds, P, Q, T, s, label="settled")
+    bounds = _timed(spent, solver._settled, n, numerics.integer_form(T.coeffs), s)
     for route in (solver._solve_back_substitution, solver._solve_cramer):
         alpha, beta, weights = _timed(spent, route, reduced)
         values.append((alpha, beta, sorted(weights.items())))

@@ -37,10 +37,10 @@ from .numerics import (
     rational_text,
     render_decimal,
 )
-from .polynomials import PolySpec, explicit_poly
+from .polynomials import explicit_poly
 from .rows import TranscriptionVariant, row_core, validate_int_rows
 from .series import oracle_core, shift_reduction_residual
-from .solver import ApproxResult, approx_zeta
+from .solver import approx_zeta
 
 
 def _parse_rationals(text: str) -> tuple[Rat, ...]:
@@ -55,15 +55,10 @@ def _parse_rationals(text: str) -> tuple[Rat, ...]:
 # ----------------------------------------------------------------- approx
 
 
-def _approx(T: PolySpec, s: int, n: int) -> ApproxResult:
-    """zeta(s) ~ alpha*zeta(2) + beta from the degree-n Legendre/binomial rows."""
-    return approx_zeta(T, s, n)
-
-
 def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
     T = explicit_poly(_parse_rationals(args.t))
     check_digits(args.digits)
-    res = _approx(T, args.s, args.n)
+    res = approx_zeta(T, args.s, args.n)
     fields = [
         ("s", args.s),
         ("n", args.n),
@@ -198,7 +193,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     check_digits(args.digits)
     rows = []
     for n in range(args.n_from, args.n_to + 1):
-        res = _approx(T, args.s, n)
+        res = approx_zeta(T, args.s, n)
         err, w, zeta2, _ = error_upper(res.alpha, res.beta, args.s, args.digits)
         rows.append(
             {
@@ -231,7 +226,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
     T = explicit_poly(_parse_rationals(args.t))
     check_digits(args.digits)
-    res = _approx(T, args.s, args.n)
+    res = approx_zeta(T, args.s, args.n)
     # The error bound's references are the deepest; an over-budget request
     # fails there, before any rendering.  Both renders take them as their
     # first try, which moves no byte (error_upper).

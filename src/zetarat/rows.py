@@ -108,10 +108,12 @@ def row_core(
     j >= 3, G_j = K_j(A, D, W - Y) + [H (Y + Z'/x)]_(j-2), Z' being Z
     restricted to l >= 2.  PLAIN_POWERS reproduces the oracle exactly;
     HARMONIC_WEIGHTS can diverge from it from degree 3 and order 5 on.
-    Both return the core over D = L^3 M, the base oracle_core uses: the
-    spare M is the one that HARMONIC_WEIGHTS's M H takes, so every G_j,
-    z3, z2 and constant is scaled by M, and HARMONIC_WEIGHTS adds its
-    triple block to G_j M.
+    The loops compute PLAIN_POWERS alone; HARMONIC_WEIGHTS is one pass
+    after them that adds [H (Y + Z'/x)]_(j-2) - [Y]_(j-2) to each G_j,
+    j >= 3 (at j = 2, [Y]_0 = 0).  Both return the core over D = L^3 M,
+    the base oracle_core uses: the spare M is the one that
+    HARMONIC_WEIGHTS's M H takes, so every G_j, z3, z2 and constant is
+    scaled by M.
     """
     if s < 3:
         raise ValueError("closed-form rows need order >= 3")
@@ -128,9 +130,8 @@ def row_core(
     # Pair products: S_mu,mu,lam = ab_mu c_lam + bc_mu a_lam + ca_mu b_lam.
     ab, bc, ca = list(map(mul, a, b)), list(map(mul, b, c)), list(map(mul, c, a))
     a0, b0, c0 = a[0], b[0], c[0]
-    A, D, E, Z, Y, Zh = ([0] * (n + 1) for _ in range(6))
+    A, D, E, Z, Y = ([0] * (n + 1) for _ in range(5))
     C1 = 0  # [C]_1
-    with_h = variant is TranscriptionVariant.HARMONIC_WEIGHTS
     # Triples: S_irl + S_ilr = a_i pa + b_i pb + c_i pc, p = (pa, pb, pc)
     # depending on (r, l) only, and
     #   f[i,l,r] = (f(r)/(r-i) - f(l)/(l-i))/(r-l) + f(i)/((r-i)(l-i)),
@@ -162,9 +163,6 @@ def row_core(
             z = d * (a0 * pa + b0 * pb + c0 * pc)
             Z[r] += z
             Z[l] -= z
-            if with_h and l > 1:
-                Zh[r] += z
-                Zh[l] -= z
             ma, mb, mc = near[l]
             Y[r] += d * (pa * na + pb * nb + pc * nc)
             Y[l] -= d * (pa * ma + pb * mb + pc * mc)
@@ -174,12 +172,11 @@ def row_core(
     # /((r-i)(l-i)), as sum_{r>l} (u_r v_l + u_l v_r) = sum(u) sum(v) - sum(u v)
     # over u_r = a_r/(r-i) and the like (empty at i = n); then the six power
     # sums [V]_e = sum_x V_x (M/x)^e, e < s - 1, and [HA]_(s-1), walking up
-    # the powers of M/x.  [Z]_(e+1) is [Z M/x]_e, so W takes in Z;
-    # HARMONIC_WEIGHTS keeps Y out of W and sums its triple block apart.
-    pA, pD, pW, hA, hDA, hW, tri = ([0] * s for _ in range(7))
+    # the powers of M/x.  [Z]_(e+1) is [Z M/x]_e, so W takes in Z.  Y[x]
+    # keeps the whole triple weight, which HARMONIC_WEIGHTS reads again.
+    pA, pD, pW, hA, hDA, hW = ([0] * s for _ in range(6))
     H = H2 = H3 = 0
     for x in xs:
-        y = Y[x]
         if x < n:
             ta = tb = tc = sbc = sca = sab = 0
             for r in range(x + 1, n + 1):
@@ -187,18 +184,11 @@ def row_core(
                 ta, tb, tc = ta + a[r] * d, tb + b[r] * d, tc + c[r] * d
                 d *= d
                 sbc, sca, sab = sbc + bc[r] * d, sca + ca[r] * d, sab + ab[r] * d
-            y += a[x] * (tb * tc - sbc) + b[x] * (tc * ta - sca) + c[x] * (ta * tb - sab)
+            Y[x] += a[x] * (tb * tc - sbc) + b[x] * (tc * ta - sca) + c[x] * (ta * tb - sab)
         t = inv[x]
         H, H2, H3 = H + t, H2 + t * t, H3 + t**3
-        vA, vD, w = A[x], D[x], Z[x] * t + E[x]
-        uA, uD, uW = H * vA, H * vD + H2 * vA, H * (w + y) + H3 * vA + H2 * vD
-        if with_h:
-            v = H * (y + Zh[x] * t)
-            for e in range(1, s - 3):
-                v *= t
-                tri[e] += v
-        else:
-            w += y
+        vA, vD, w = A[x], D[x], Z[x] * t + E[x] + Y[x]
+        uA, uD, uW = H * vA, H * vD + H2 * vA, H * w + H3 * vA + H2 * vD
         for e in range(s - 1):
             pA[e] += vA
             pD[e] += vD
@@ -209,11 +199,26 @@ def row_core(
             vA, vD, w, uA, uD, uW = vA * t, vD * t, w * t, uA * t, uD * t, uW * t
         hA[s - 1] += uA
     # g[j] over D M^j is the coefficient of zeta(q - j): the lead and
-    # sub-lead, then (-1)^(j-1) G_j.  tri is 0 for PLAIN_POWERS and at j = 2.
+    # sub-lead, then (-1)^(j-1) G_j.
     g = [ab[0] * c0 * M, C1 * M]
     for j in range(2, s - 1):
-        G = ((j - 1) * (j - 2) // 2 * pA[j] + (j - 2) * pD[j - 1] + pW[j - 2]) * M + tri[j - 2]
+        G = ((j - 1) * (j - 2) // 2 * pA[j] + (j - 2) * pD[j - 1] + pW[j - 2]) * M
         g.append(G if j % 2 else -G)
+    # HARMONIC_WEIGHTS, which differs only in G_j, j >= 3, so when s > 4:
+    # per x, G_j takes (H (Y + Z' t) - M Y) t^(j-2), with t = M/x, H = M H_x
+    # and g[j] = (-1)^(j-1) G_j.  G_2 keeps its [Y]_0 = 0.  Z'_x = Z_x - z_x1
+    # drops the pair loop's l = 1 term, the whole of Z_1.
+    if variant is TranscriptionVariant.HARMONIC_WEIGHTS and s > 4:
+        H = 0
+        for x in xs:
+            t, y = inv[x], Y[x]
+            H += t
+            z = 0 if x == 1 else Z[x] - inv[x - 1] * (a0 * (b[x] * c[1] + b[1] * c[x])
+                + b0 * (c[x] * a[1] + c[1] * a[x]) + c0 * (a[x] * b[1] + a[1] * b[x]))
+            v = H * (y + z * t) - M * y
+            for j in range(3, s - 1):
+                v *= t
+                g[j] += v if j % 2 else -v
     # Extra blocks of weight q - 3 on zeta(3) and q - 2 on zeta(2).
     z3, z2, const = ([0] * (s + 1) for _ in range(3))
     for q in range(3, s + 1):
