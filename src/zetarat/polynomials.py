@@ -65,28 +65,19 @@ class PolySpec(Record):
 
 
 def shifted_legendre(n: int) -> PolySpec:
-    """Shifted Legendre polynomial on [0,1], normalized with L_n(0) = 1."""
+    """Shifted Legendre polynomial on [0,1], normalized with L_n(0) = 1:
+    coefficient r is (n+r)!/(r!^2 (n-r)!) = C(n,r) C(n+r,r), with sign (-1)^r."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return PolySpec(PolyFamily.SHIFTED_LEGENDRE, tuple(legendre_ints(n)))
+    return PolySpec(PolyFamily.SHIFTED_LEGENDRE,
+                    tuple((-1) ** r * comb(n, r) * comb(n + r, r) for r in range(n + 1)))
 
 
 def binomial_poly(n: int) -> PolySpec:
     """(1-x)^n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return PolySpec(PolyFamily.BINOMIAL, tuple(binomial_ints(n)))
-
-
-def legendre_ints(n: int) -> list[int]:
-    """The coefficients of shifted_legendre(n) as ints, ascending:
-    (n+r)!/(r!^2 (n-r)!) = C(n,r) C(n+r,r), with sign (-1)^r."""
-    return [(-1) ** r * comb(n, r) * comb(n + r, r) for r in range(n + 1)]
-
-
-def binomial_ints(n: int) -> list[int]:
-    """The coefficients of binomial_poly(n) as ints, ascending."""
-    return [(-1) ** r * comb(n, r) for r in range(n + 1)]
+    return PolySpec(PolyFamily.BINOMIAL, tuple((-1) ** r * comb(n, r) for r in range(n + 1)))
 
 
 def explicit_poly(coeffs: Iterable[RatLike]) -> PolySpec:

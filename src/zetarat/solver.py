@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .numerics import InternalError, Rat, RatLike, Record, as_rational, integer_form
-from .polynomials import PolyFamily, PolySpec, binomial_ints, legendre_ints, pad_to_degree
+from .polynomials import PolyFamily, PolySpec, binomial_poly, pad_to_degree, shifted_legendre
 from .rows import row_core
 from .series import IntCore, special_series_numerators
 
@@ -65,35 +65,25 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
     n (a padded coefficient contributes nothing to any row).  T of higher
     degree is rejected.
     """
-    return _system(P.coeffs, Q.coeffs, T, s)[0]
-
-
-def _system(p: Sequence[RatLike], q: Sequence[RatLike], T: PolySpec,
-            s: int) -> tuple[TriangularSystem, tuple[int, list[list[int]]]]:
-    """build_system on the coefficient lists p of P and q of Q, ints or
-    Fractions, with its checks in their order, and the integer form
-    (L, [a, b, c]) of p, q and the padded T that its rows were built from."""
     if s < 3:
         raise ValueError("s must be >= 3")
-    if len(p) != len(q):
-        raise ValueError(f"P and Q must share a degree (got {len(p) - 1} and {len(q) - 1})")
-    n = len(p) - 1
+    if P.degree != Q.degree:
+        raise ValueError(f"P and Q must share a degree (got {P.degree} and {Q.degree})")
+    n = P.degree
     T = pad_to_degree(T, n)
-    form = integer_form(p, q, T.coeffs)
-    return TriangularSystem(s, n, T, row_core(*form, s)), form
+    return TriangularSystem(s, n, T, row_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s))
 
 
 def approx_zeta(T: PolySpec, s: int, n: int) -> ApproxResult:
     """solve_zeta(system, certified_row_bounds(P, Q, system.T, s)) for
     P, Q = shifted_legendre(n), binomial_poly(n) and system =
     build_system(P, Q, T, s), raising what they raise after refusing
-    n < 1, each rational reduced once: P and Q enter the integer form as
-    ints, so its L and T list are T's integer form, and every bound stays
-    a pair."""
+    n < 1, with every row bound kept a pair, reduced once in the theta
+    fold."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    system, (L, (_, _, c)) = _system(legendre_ints(n), binomial_ints(n), T, s)
-    return _solved(system, _settled(n, (L, [c]), s))
+    return _solved(build_system(shifted_legendre(n), binomial_poly(n), T, s),
+                   _settled(n, integer_form(T.coeffs), s))
 
 
 # ---------------------------------------------------------------- solving
@@ -132,30 +122,31 @@ def _solve_back_substitution(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]
     """First row y of A^-1 by substitution on y^T A = e_0^T, column by
     column, run on z_nu = g_0 y_nu / D_nu over the column-reduced rows B,
     as z^T B = e_0^T: z_0 = 1/B_00 and z_c = -sum_{nu<c} z_nu B_nu,c / B_cc.
-    Each z_nu is kept reduced, Z_nu / E_nu with E_nu > 0, and as N_nu over
-    E, the lcm of the E_nu so far, so that a column takes one gcd.  Row nu
-    of A is the order-(s - nu) row and column c carries zeta(s - c), so
-    w_(s-nu) = y_nu = z_nu D_nu / g_0, and alpha and beta are -sum z_nu b_nu
-    / g_0 over the rows' zeta(2) and constant numerators b_nu.  Only orders
-    with a nonzero z_nu carry a weight, as in the Cramer route.
+    Each z_nu is kept as N_nu over E, the lcm of the reduced denominators
+    of the z_nu so far, so that a column takes one gcd.  Row nu of A is
+    the order-(s - nu) row and column c carries zeta(s - c), so
+    w_(s-nu) = y_nu = N_nu D_nu / (E g_0), and alpha and beta are
+    -sum N_nu b_nu / (E g_0) over the rows' zeta(2) and constant numerators
+    b_nu.  Only orders with a nonzero z_nu carry a weight, as in the Cramer
+    route.
     """
     s, scale, zeta2, consts, g, b = reduced
     E = abs(b[0][0])
-    z = {0: (b[0][0] // E, E)}  # nu: (Z_nu, E_nu), z_nu = Z_nu / E_nu reduced
     over = {0: b[0][0] // E}  # nu: N_nu = z_nu E
     for c in range(1, len(b)):
         total = sum(N * b[nu][c] for nu, N in over.items() if b[nu][c])
         if total:
             d = E * b[c][c]
             k = gcd(total, d) if d > 0 else -gcd(total, d)
-            Z, e = -total // k, d // k
+            e = d // k  # z_c = -(total / k) / e in lowest terms, e > 0
             f = e // gcd(E, e)
             if f != 1:
                 E, over = E * f, {nu: N * f for nu, N in over.items()}
-            z[c], over[c] = (Z, e), Z * (E // e)
-    alpha = Fraction(-sum(N * zeta2[nu] for nu, N in over.items()), E * g[0])
-    beta = Fraction(-sum(N * consts[nu] for nu, N in over.items()), E * g[0])
-    return alpha, beta, {s - nu: Fraction(Z * scale[nu], e * g[0]) for nu, (Z, e) in z.items()}
+            over[c] = -total // k * (E // e)
+    den = E * g[0]
+    alpha = Fraction(-sum(N * zeta2[nu] for nu, N in over.items()), den)
+    beta = Fraction(-sum(N * consts[nu] for nu, N in over.items()), den)
+    return alpha, beta, {s - nu: Fraction(N * scale[nu], den) for nu, N in over.items()}
 
 
 def _solve_cramer(reduced: Reduced) -> tuple[Rat, Rat, dict[int, Rat]]:
@@ -288,7 +279,6 @@ def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[
         )
     if P.degree != Q.degree:
         raise ValueError("P and Q must share a degree")
-    theta_bound(P.degree, T.cstar, s)  # its checks on n and s
     return {q: Fraction(*b) for q, b in _settled(P.degree, integer_form(T.coeffs), s).items()}
 
 
@@ -299,12 +289,13 @@ def _settled(n: int, T: tuple[int, list[list[int]]], s: int) -> dict[int, tuple[
     Each attempt encloses every pending order from one
     special_series_numerators pass, as an IntEnclosure (lo, hi, D); an
     order settles on (max(-lo, hi), D), the sup-abs of its enclosure, once
-    that is at most the analytic theta_bound, compared on integers,
-    otherwise K doubles.  Orders still pending after BOUND_ATTEMPTS keep
-    the analytic bound (L_T c*, L_T 4^n), the certified fallback.
+    that is at most theta_bound(n, c*, s), compared on integers, otherwise
+    K doubles.  Orders still pending after BOUND_ATTEMPTS keep that
+    analytic bound as its reduced pair, the certified fallback.
     """
     L, (c,) = T
-    theta = max(map(abs, c)), L << 2 * n
+    bound = theta_bound(n, Fraction(max(map(abs, c)), L), s)
+    theta = bound.numerator, bound.denominator
     out = dict.fromkeys(range(3, s + 1), theta)
     pending = list(out)
     K = 4 * n + 16

@@ -26,6 +26,7 @@ import zetarat.numerics as numerics
 import zetarat.rows as rows_module
 import zetarat.solver as solver_module
 from zetarat.cli import main
+from zetarat.polynomials import binomial_poly, shifted_legendre
 
 # ----------------------------------------------------------------- approx
 
@@ -306,6 +307,25 @@ def test_table_rejects_bad_degree_range(capsys):
     assert main(["table", "--s", "3", "--n-from", "5", "--n-to", "2"]) == 2
 
 
+def test_approx_and_table_build_through_build_system(capsys, monkeypatch):
+    """approx builds its system through the public solver.build_system once
+    per request, and table once per degree, on P = shifted_legendre(n) and
+    Q = binomial_poly(n)."""
+    build, built = solver_module.build_system, []
+
+    def recording_build(P, Q, T, s):
+        built.append((P, Q, s))
+        return build(P, Q, T, s)
+
+    monkeypatch.setattr(solver_module, "build_system", recording_build)
+    assert main(["approx", "--s", "5", "--n", "4"]) == 0
+    assert main(["table", "--s", "4", "--n-from", "2", "--n-to", "4"]) == 0
+    capsys.readouterr()
+    assert built == [
+        (shifted_legendre(n), binomial_poly(n), s) for n, s in ((4, 5), (2, 4), (3, 4), (4, 4))
+    ]
+
+
 def test_table_row_with_a_long_certified_error_exits_zero(capsys):
     """This row's certified error once had a denominator of more than 4300
     decimal digits, CPython's default int-to-str limit, and exited 2."""
@@ -548,7 +568,7 @@ def test_degree_below_one_fails_before_the_rows(capsys, monkeypatch):
     def no_rows(*args):
         raise AssertionError("rows built for a rejected degree")
 
-    monkeypatch.setattr(solver_module, "legendre_ints", no_rows)
+    monkeypatch.setattr(solver_module, "shifted_legendre", no_rows)
     monkeypatch.setattr(solver_module, "row_core", no_rows)
     for command in ("approx", "digits"):
         for n in ("0", "-1"):

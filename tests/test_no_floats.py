@@ -19,8 +19,8 @@ INTEGER_KERNELS = (
     ("numerics.py", "integer_form"),
     ("numerics.py", "_chudnovsky_split"),
     ("numerics.py", "_pi_enclosure"),
-    ("polynomials.py", "legendre_ints"),
-    ("polynomials.py", "binomial_ints"),
+    ("polynomials.py", "shifted_legendre"),
+    ("polynomials.py", "binomial_poly"),
     ("rows.py", "coefficient_rows"),
     ("rows.py", "row_core"),
     ("rows.py", "row_mismatches"),

@@ -725,6 +725,29 @@ def test_with_no_attempt_every_order_keeps_the_analytic_bound(monkeypatch):
         assert approx_zeta(T, s, n) == solve_zeta(system, analytic)
 
 
+def test_the_served_settle_takes_its_analytic_bound_from_theta_bound(monkeypatch):
+    """approx_zeta states c* 4^-n only through theta_bound: one call, with
+    (n, T.cstar, s), and with BOUND_ATTEMPTS at 0 every order keeps the
+    value that call returned."""
+    calls, stand_in = [], Fraction(7, 3)
+
+    def recording_theta_bound(n, cstar, s):
+        calls.append((n, cstar, s))
+        return stand_in
+
+    monkeypatch.setattr(solver_module, "theta_bound", recording_theta_bound)
+    for attempts in (solver_module.BOUND_ATTEMPTS, 0):
+        monkeypatch.setattr(solver_module, "BOUND_ATTEMPTS", attempts)
+        for n, s, t in ((1, 3, [1]), (4, 7, [1, "1/3"]), (6, 9, ["-2/3", 0, "5/7", 0])):
+            T = explicit_poly(t)
+            calls.clear()
+            res = approx_zeta(T, s, n)
+            assert calls == [(n, T.cstar, s)]
+            if not attempts:
+                system = build_system(shifted_legendre(n), binomial_poly(n), T, s)
+                assert res == solve_zeta(system, dict.fromkeys(range(3, s + 1), stand_in))
+
+
 # ------------------------------------------------------- end-to-end checks
 
 
