@@ -12,7 +12,8 @@ first alternating.  Every run hashes only what must stay byte-identical:
 exit codes and printed bytes, alpha, beta, weights, theta, row cores, row
 bounds and zeta enclosures.  The JSON on stdout gives the Python version,
 CPU count, each tree's commit and, per point and label, each side's median
-and quartiles in s and the pairs the second tree won.  Exit 1 if any
+and quartiles in s, the pairs the second tree won, and the median and
+range of the per-pair ratios, second tree over first.  Exit 1 if any
 point's hashes differ.  The request lists are this checkout's tests/golden/cli.json
 and perfbench/workloads.py's, seed 1; T is 1 + x/3 at every layer point.
 """
@@ -201,13 +202,18 @@ def _run(point, src, env):
 
 
 def _summary(samples):
-    """Each side's median and quartiles, and the pairs the second side won."""
+    """Each side's median and quartiles, the pairs the second side won, and
+    the median and range of the per-pair ratios second over first (None
+    with one side)."""
     cuts = [statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
             for xs in samples]
+    ratios = [b / a for a, b in zip(*samples)] if len(samples) == 2 else None
     return {
         "median": [round(q[1], 6) for q in cuts],
         "quartiles": [[round(q[0], 6), round(q[2], 6)] for q in cuts],
         "won": sum(b < a for a, b in zip(*samples)) if len(samples) == 2 else None,
+        "ratio": {"median": round(statistics.median(ratios), 4),
+                  "range": [round(min(ratios), 4), round(max(ratios), 4)]} if ratios else None,
     }
 
 

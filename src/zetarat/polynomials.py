@@ -1,19 +1,22 @@
 """Integer-friendly polynomial specifications used by the integral rows.
 
-Three families:
-  * shifted Legendre  L_n(x), orthogonal on [0,1]:
+A PolySpec is just its exact rational coefficients, in ascending powers:
+coeffs[r] multiplies x^r.  The constructors differ only in the
+coefficients they build:
+  * shifted_legendre  L_n(x), orthogonal on [0,1]:
         L_n(x) = sum_r (-1)^r (n+r)! / (r!^2 (n-r)!) x^r
-    so integral_0^1 x^k L_n(x) dx = 0 for 0 <= k <= n-1.
-  * binomial          (1-x)^n
-  * explicit          arbitrary rational coefficient lists (the only family
-                      allowed to carry a zero leading coefficient, so zero
-                      padding to a common degree stays representable).
+    so integral_0^1 x^k L_n(x) dx = 0 for 0 <= k <= n-1;
+  * binomial_poly     (1-x)^n;
+  * explicit_poly     any rational coefficient list, a zero leading
+                      coefficient included, so zero padding to a common
+                      degree stays representable.
 
-Coefficients are stored in ascending powers: coeffs[r] multiplies x^r.
+The certified row bounds (solver.certified_row_bounds) hold only for
+P = shifted_legendre(n), Q = binomial_poly(n) and T of degree at most n,
+and check those coefficients by value.
 """
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
@@ -21,33 +24,16 @@ from typing import Iterable, Sequence
 from .numerics import Rat, RatLike, Record, as_rational
 
 
-class PolyFamily(Enum):
-    SHIFTED_LEGENDRE = "shifted-legendre"
-    BINOMIAL = "binomial"
-    EXPLICIT = "explicit"
-
-
 class PolySpec(Record):
-    """A polynomial with exact rational coefficients and a family tag.
+    """A polynomial with exact rational coefficients, given as ints,
+    Fractions or strings such as "1/2", never as floats."""
 
-    The family tag records which analytic guarantees apply (e.g. the
-    certified theta bound requires shifted-Legendre x binomial rows); a
-    nonzero leading coefficient is enforced except for EXPLICIT.
-    Coefficients may be given as ints, Fractions or strings such as "1/2",
-    never as floats.
-    """
+    __slots__ = ("coeffs",)
 
-    __slots__ = ("family", "coeffs")
-
-    def __init__(self, family: PolyFamily, coeffs: tuple[RatLike, ...]) -> None:
+    def __init__(self, coeffs: tuple[RatLike, ...]) -> None:
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        coeffs = tuple(map(as_rational, coeffs))
-        if family is not PolyFamily.EXPLICIT and len(coeffs) > 1 and coeffs[-1] == 0:
-            raise ValueError(
-                f"{family.value} polynomial cannot have a zero leading coefficient"
-            )
-        Record.__init__(self, family, coeffs)
+        Record.__init__(self, tuple(map(as_rational, coeffs)))
 
     @property
     def degree(self) -> int:
@@ -69,33 +55,27 @@ def shifted_legendre(n: int) -> PolySpec:
     coefficient r is (n+r)!/(r!^2 (n-r)!) = C(n,r) C(n+r,r), with sign (-1)^r."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return PolySpec(PolyFamily.SHIFTED_LEGENDRE,
-                    tuple((-1) ** r * comb(n, r) * comb(n + r, r) for r in range(n + 1)))
+    return PolySpec(tuple((-1) ** r * comb(n, r) * comb(n + r, r) for r in range(n + 1)))
 
 
 def binomial_poly(n: int) -> PolySpec:
     """(1-x)^n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return PolySpec(PolyFamily.BINOMIAL, tuple((-1) ** r * comb(n, r) for r in range(n + 1)))
+    return PolySpec(tuple((-1) ** r * comb(n, r) for r in range(n + 1)))
 
 
 def explicit_poly(coeffs: Iterable[RatLike]) -> PolySpec:
-    return PolySpec(PolyFamily.EXPLICIT, tuple(coeffs))
+    return PolySpec(tuple(coeffs))
 
 
 def pad_to_degree(p: PolySpec, n: int) -> PolySpec:
-    """Zero-pad p to formal degree n (returns p unchanged if already there).
-
-    Padding forces the EXPLICIT family since the padded form carries a zero
-    leading coefficient.
-    """
+    """Zero-pad p to formal degree n (returns p unchanged if already there)."""
     if p.degree > n:
         raise ValueError(f"degree {p.degree} exceeds target degree {n}")
     if p.degree == n:
         return p
-    coeffs = p.coeffs + (Fraction(0),) * (n - p.degree)
-    return PolySpec(PolyFamily.EXPLICIT, coeffs)
+    return PolySpec(p.coeffs + (Fraction(0),) * (n - p.degree))
 
 
 def equal_degree_lists(

@@ -19,8 +19,8 @@ turns a core into the ZetaCombination rows of orders 3..s.
 
 Two independent certified numeric evaluators are provided:
   * eval_truncated  — direct partial sums of the defining series, any P,Q,T;
-  * eval_special_series — a fast factorial-form series valid for the
-    shifted-Legendre x binomial choice of P and Q.
+  * eval_special_series — a fast factorial-form series valid for
+    P = L_n, Q = (1-x)^n and T of degree at most n.
 Both return Interval enclosures that are provably nested as the number of
 summed terms K grows.  The factorial form has one integer entry,
 special_series_numerators, which takes T's integer form and gives every
@@ -304,7 +304,9 @@ def special_series_numerators(
     q = 3..s from one pass over k, as the IntEnclosure (v - t, v + t, D_q)
     of the value v and the tail t >= 0, numerators over one denominator D_q
     per order.  T is its integer form (L_T, [c]), integer_form(T.coeffs),
-    which is only read.
+    which is only read.  T's degree, not counting its trailing zero
+    coefficients, must be at most n, as the tail and the analytic bound
+    c* 4^-n assume; a higher one raises ValueError.
 
     Each k-term C(k,n) B(k+1,n+1)^2 T~(k) is built once and added to the
     order-q total after q-3 divisions by (k+1); the order-free tail factor
@@ -344,6 +346,8 @@ def special_series_numerators(
         return {q: (0, 0, 1) for q in orders}
     k0 = n + K
     nonzero = [(i, cv) for i, cv in enumerate(ct) if cv]  # zero padding adds no term
+    if nonzero[-1][0] > n:
+        raise ValueError(f"degree {nonzero[-1][0]} exceeds target degree {n}")
     Lk = lcm(*range(n + 1, k0 + 1))
     Lt = lcm(Lk, *range(k0 + 1, k0 + nonzero[-1][0] + 1))
     totals = [0] * len(orders)
@@ -389,8 +393,10 @@ def eval_special_series(n: int, T: PolySpec, s: int, K: int) -> Interval:
         (n+1) c* B(n,k0+1) / ((k0+n+1)(k0+1)^(s-2)),
 
     which also telescopes step-by-step, so enclosures are nested in K.
-    The Interval view, as_interval, of order s of special_series_numerators
-    on T's integer form.
+    The majorization assumes deg T <= n, trailing zero coefficients not
+    counted; a higher degree raises ValueError.  The Interval view,
+    as_interval, of order s of special_series_numerators on T's integer
+    form.
     """
     return as_interval(special_series_numerators(n, integer_form(T.coeffs), s, K)[s])
 

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Mapping
 
 from .numerics import InternalError, Rat, RatLike, Record, as_rational, integer_form
-from .polynomials import PolyFamily, PolySpec, binomial_poly, pad_to_degree, shifted_legendre
+from .polynomials import PolySpec, binomial_poly, pad_to_degree, shifted_legendre
 from .rows import row_core
 from .series import IntCore, special_series_numerators
 
@@ -249,8 +249,9 @@ def theta_bound(n: int, cstar: RatLike, s: int) -> Rat:
     """Analytic magnitude bound cstar * 4^-n on |I(L_n, (1-x)^n, T; s)|,
     uniform in s >= 3, where cstar is the coefficient height of T.
 
-    Valid only for the shifted-Legendre x binomial polynomial choice; the
-    caller guards the family tags (see certified_row_bounds).
+    Valid only for P = shifted_legendre(n), Q = binomial_poly(n) and T of
+    degree at most n; certified_row_bounds checks P and Q by value, and
+    special_series_numerators refuses T above degree n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -269,17 +270,18 @@ BOUND_ATTEMPTS = 8
 def certified_row_bounds(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> dict[int, Rat]:
     """Tight certified bounds on |I_q| for q = 3..s via adaptive enclosures.
 
-    The Fraction view of _settled's pairs.  Requires the shifted-Legendre
-    / binomial family pair — the fast series form is only valid there.
+    The Fraction view of _settled's pairs.  The factorial series and the
+    analytic bound hold only for P = shifted_legendre(n), Q =
+    binomial_poly(n) and T of degree at most n, n = P.degree, so P and Q
+    are checked by value: any other coefficients raise ValueError.
     """
-    if P.family is not PolyFamily.SHIFTED_LEGENDRE or Q.family is not PolyFamily.BINOMIAL:
+    n = P.degree
+    if P.coeffs != shifted_legendre(n).coeffs or Q.coeffs != binomial_poly(n).coeffs:
         raise ValueError(
-            "certified bounds need P shifted-Legendre and Q binomial "
-            f"(got {P.family.value} and {Q.family.value})"
+            "certified bounds need P = shifted_legendre(n) and Q = binomial_poly(n) "
+            f"of one degree n (got degrees {P.degree} and {Q.degree})"
         )
-    if P.degree != Q.degree:
-        raise ValueError("P and Q must share a degree")
-    return {q: Fraction(*b) for q, b in _settled(P.degree, integer_form(T.coeffs), s).items()}
+    return {q: Fraction(*b) for q, b in _settled(n, integer_form(T.coeffs), s).items()}
 
 
 def _settled(n: int, T: tuple[int, list[list[int]]], s: int) -> dict[int, tuple[int, int]]:

@@ -2,7 +2,8 @@
 hashes what the point produced and exits 1 when two trees' hashes differ.
 
 The grid here is one cheap layer point and one cheap cold point, passed to
-the measuring function as an argument.  No timing is asserted.
+the measuring function as an argument.  No timing is asserted; the
+per-pair ratio summary is checked for its shape only.
 """
 from __future__ import annotations
 
@@ -53,12 +54,27 @@ def test_one_tree_given_twice_hashes_the_same(layers, capsys):
         assert first == second and len(first) == 64
         for label, stats in point["s"].items():
             labels.append(label)
-            assert list(stats) == ["median", "quartiles", "won"]
+            assert list(stats) == ["median", "quartiles", "won", "ratio"]
             assert len(stats["median"]) == len(stats["quartiles"]) == 2
             assert all(len(q) == 2 for q in stats["quartiles"])
             assert stats["won"] in (0, 1, 2)
+            ratio = stats["ratio"]
+            assert list(ratio) == ["median", "range"]
+            low, high = ratio["range"]
+            assert 0 < low <= ratio["median"] <= high
     assert labels == ["zeta_enclosure", "wall"]
     assert [p["clock"] for p in doc["points"].values()] == ["process", "wall"]
+
+
+def test_one_tree_reports_no_ratio(layers, capsys):
+    """The per-pair ratio needs two trees: with one, each label's is None."""
+    code, doc = _measure(layers, capsys, [SRC], 2)
+    assert code == 0 and doc["differ"] == []
+    for point in doc["points"].values():
+        assert point["sha256"][0] and len(point["sha256"]) == 1
+        for stats in point["s"].values():
+            assert len(stats["median"]) == 1
+            assert stats["won"] is None and stats["ratio"] is None
 
 
 def test_a_changed_printed_constant_is_reported_and_exits_one(layers, capsys, tmp_path):

@@ -1,5 +1,5 @@
-"""Polynomial families: construction rules, frozen coefficients, moments,
-and cross-checks against sympy's classical polynomials."""
+"""Polynomial specifications: construction rules, frozen coefficients,
+moments, and cross-checks against sympy's classical polynomials."""
 from __future__ import annotations
 
 import random
@@ -9,7 +9,6 @@ import pytest
 import sympy
 
 from zetarat.polynomials import (
-    PolyFamily,
     PolySpec,
     binomial_poly,
     equal_degree_lists,
@@ -43,14 +42,6 @@ def test_explicit_poly_keeps_zero_leading_coefficient():
     p = explicit_poly([0, 0, 5])
     assert p.degree == 2
     assert p.cstar == 5
-    assert p.family is PolyFamily.EXPLICIT
-
-
-def test_non_explicit_families_reject_zero_leading_coefficient():
-    with pytest.raises(ValueError):
-        PolySpec(PolyFamily.BINOMIAL, (Fraction(1), Fraction(0)))
-    with pytest.raises(ValueError):
-        PolySpec(PolyFamily.SHIFTED_LEGENDRE, (Fraction(1), Fraction(-2), Fraction(0)))
 
 
 def test_polyspec_needs_at_least_one_coefficient():
@@ -93,7 +84,7 @@ def test_explicit_coefficients_are_converted_to_fraction_once():
     assert all(type(c) is Fraction for c in p.coeffs)
     assert p.coeffs[1] is half
     assert p == explicit_poly([Fraction(3), half, Fraction(0)])
-    assert p == PolySpec(PolyFamily.EXPLICIT, (3, Fraction(2, 4), 0))
+    assert p == PolySpec((3, Fraction(2, 4), 0))
 
 
 def test_eval_poly_frozen_examples():
@@ -156,7 +147,7 @@ def test_pad_to_degree_extends_with_zeros_as_explicit():
     p = explicit_poly([1])
     padded = pad_to_degree(p, 3)
     assert padded.coeffs == (1, 0, 0, 0)
-    assert padded.family is PolyFamily.EXPLICIT
+    assert padded == explicit_poly([1, 0, 0, 0])
 
 
 def test_pad_to_degree_returns_input_when_already_there():

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from zetarat.numerics import Interval
-from zetarat.polynomials import PolyFamily, PolySpec, explicit_poly
+from zetarat.polynomials import PolySpec, explicit_poly
 from zetarat.rows import RowMismatch, RowValidationReport
 from zetarat.series import ZetaCombination
 from zetarat.solver import ApproxResult, TriangularSystem
@@ -34,9 +34,9 @@ RECORDS = [
     (Interval, ("lo", "hi"), (Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))),
     (
         PolySpec,
-        ("family", "coeffs"),
-        (PolyFamily.EXPLICIT, (Fraction(1), Fraction(-1, 2))),
-        (PolyFamily.EXPLICIT, (Fraction(1), Fraction(1, 2))),
+        ("coeffs",),
+        ((Fraction(1), Fraction(-1, 2)),),
+        ((Fraction(1), Fraction(1, 2)),),
     ),
     (
         ZetaCombination,

@@ -311,12 +311,20 @@ def test_eval_special_series_zero_t_short_circuits():
 
 
 _RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))
-_SPECIAL_T = st.lists(_RATIONALS, min_size=1, max_size=4).map(explicit_poly)
+
+
+@st.composite
+def _special_cases(draw, max_n):
+    """n in 1..max_n and T of degree at most min(n, 3), as the factorial
+    series takes T."""
+    n = draw(st.integers(1, max_n))
+    return n, explicit_poly(draw(st.lists(_RATIONALS, min_size=1, max_size=min(n, 3) + 1)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 6), _SPECIAL_T, st.integers(3, 6))
-def test_eval_special_series_enclosures_nest_in_k(n, T, s):
+@given(_special_cases(6), st.integers(3, 6))
+def test_eval_special_series_enclosures_nest_in_k(case, s):
+    n, T = case
     form = integer_form(T.coeffs)
     passes = [special_series_numerators(n, form, s, k) for k in (1, 2, 5, 20, 80)]
     for q in range(3, s + 1):
@@ -325,10 +333,11 @@ def test_eval_special_series_enclosures_nest_in_k(n, T, s):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 8), _SPECIAL_T, st.integers(3, 8), st.booleans())
-def test_special_series_enclosures_equal_one_order_calls_and_the_oracle(n, T, s, tight):
+@given(_special_cases(8), st.integers(3, 8), st.booleans())
+def test_special_series_enclosures_equal_one_order_calls_and_the_oracle(case, s, tight):
     """One pass gives, for every order, exactly the one-order enclosure, and
     it overlaps the exact value from the partial-fraction oracle."""
+    n, T = case
     K = 4 * n + 16 if tight else 1
     P, Q = shifted_legendre(n), binomial_poly(n)
     encs = special_series_numerators(n, integer_form(T.coeffs), s, K)
@@ -395,6 +404,23 @@ def test_eval_special_series_validates_arguments():
         eval_special_series(1, T, 2, 10)
     with pytest.raises(ValueError):
         eval_special_series(1, T, 3, 0)
+
+
+def test_the_factorial_series_refuses_t_above_degree_n():
+    """Its tail and the analytic bound c* 4^-n assume deg T <= n: taken for
+    T = 1 + x + ... + x^6 at n = 1, the enclosures at K = 16 and K = 64
+    would miss the exact value -0.0855351 of decompose_integral
+    ([-0.0855341, -0.0855204] at K = 64).  Trailing zeros do not count
+    toward the degree."""
+    T = explicit_poly([1] * 7)
+    for K in (16, 64):
+        with pytest.raises(ValueError, match="degree 6 exceeds target degree 1"):
+            eval_special_series(1, T, 3, K)
+        with pytest.raises(ValueError, match="degree 6 exceeds target degree 1"):
+            special_series_numerators(1, integer_form(T.coeffs), 3, K)
+    padded = explicit_poly([1, 1, 0, 0, 0])
+    assert eval_special_series(1, padded, 3, 16) == eval_special_series(
+        1, explicit_poly([1, 1]), 3, 16)
 
 
 # ------------------------------------------------ shift-reduction identities

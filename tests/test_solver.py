@@ -629,10 +629,52 @@ def test_certified_bounds_build_no_interval(monkeypatch):
 
 
 def test_certified_bounds_guard_the_polynomial_families():
-    with pytest.raises(ValueError, match="shifted-Legendre"):
-        certified_row_bounds(explicit_poly([1, -2]), binomial_poly(1), explicit_poly([1]), 3)
-    with pytest.raises(ValueError):
+    """P = 2 - 2x is not L_1, and bounds taken for it as if it were would
+    certify theta = 1.14e-2 for an error of 0.267; P = 1 - 2x is L_1
+    however it was built.  The bounds read the coefficients."""
+    with pytest.raises(ValueError, match=r"shifted_legendre\(n\) and Q = binomial_poly\(n\)"):
+        certified_row_bounds(explicit_poly([2, -2]), binomial_poly(1), explicit_poly([1]), 3)
+    with pytest.raises(ValueError, match="got degrees 2 and 3"):
         certified_row_bounds(shifted_legendre(2), binomial_poly(3), explicit_poly([1]), 3)
+    assert certified_row_bounds(explicit_poly([1, -2]), binomial_poly(1), explicit_poly([1]), 3) \
+        == certified_row_bounds(shifted_legendre(1), binomial_poly(1), explicit_poly([1]), 3)
+
+
+def _moved(p, index, delta):
+    """p with coefficient `index` moved by delta, built by explicit_poly."""
+    coeffs = list(p.coeffs)
+    coeffs[index] += delta
+    return explicit_poly(coeffs)
+
+
+_deltas = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 12), s=st.integers(3, 6), data=st.data())
+def test_certified_bounds_check_p_and_q_by_value(n, s, data):
+    """certified_row_bounds refuses a P that differs from shifted_legendre(n)
+    in one coefficient and a Q that differs from binomial_poly(n) in one,
+    and takes the coefficients of L_n and (1-x)^n however they were built."""
+    P, Q, T = shifted_legendre(n), binomial_poly(n), explicit_poly([1, "1/3"])
+    index = st.integers(0, n)
+    for bad_P, bad_Q in ((_moved(P, data.draw(index), data.draw(_deltas)), Q),
+                         (P, _moved(Q, data.draw(index), data.draw(_deltas)))):
+        with pytest.raises(ValueError, match="shifted_legendre"):
+            certified_row_bounds(bad_P, bad_Q, T, s)
+    want = certified_row_bounds(P, Q, T, s)
+    assert certified_row_bounds(explicit_poly(P.coeffs), explicit_poly(Q.coeffs), T, s) == want
+
+
+def test_certified_bounds_refuse_t_above_degree_n():
+    """The tail and the analytic bound c* 4^-n assume deg T <= n: taken
+    for T = 1 + x + ... + x^400 at n = 1 they would give theta_3 = 1/4,
+    while |I_3| is about 0.325.  Trailing zeros do not count."""
+    P, Q = shifted_legendre(1), binomial_poly(1)
+    with pytest.raises(ValueError, match="degree 400 exceeds target degree 1"):
+        certified_row_bounds(P, Q, explicit_poly([1] * 401), 3)
+    assert certified_row_bounds(P, Q, explicit_poly([1, 1, 0, 0]), 3) == certified_row_bounds(
+        P, Q, explicit_poly([1, 1]), 3)
 
 
 # ------------------------------------------------------------ served path
@@ -928,10 +970,17 @@ def test_a_degree_one_certificate_satisfies_its_identity(s, t):
     assert _served_identity_holds(s, 1, t, _DEGREE_ONE_K_CAP)
 
 
+@pytest.mark.parametrize("s, n", [(3, 400), (9, 200), (100, 10)])
+def test_a_certificate_at_a_served_extreme_satisfies_its_identity(s, n):
+    """The identity of test_a_random_certificate_satisfies_its_identity at
+    the largest degrees and orders that approx serves, T = 1 + x/3."""
+    assert _served_identity_holds(s, n, [1, Fraction(1, 3)], _IDENTITY_K_CAP)
+
+
 @st.composite
 def _general_triples(draw):
     """P and Q of a common degree n in 1..3 and T of degree <= n, with
-    small rational coefficients, no family among them."""
+    small rational coefficients, in general not L_n and (1-x)^n."""
     n = draw(st.integers(1, 3))
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     P, Q = (explicit_poly(draw(st.lists(coeffs, min_size=n + 1, max_size=n + 1))) for _ in "PQ")
@@ -942,7 +991,7 @@ def _general_triples(draw):
 @given(_general_triples(), st.integers(3, 8))
 def test_a_general_certificate_satisfies_its_identity_by_direct_sums(triple, s):
     """The same identity for general equal-degree P and Q, every I_q
-    enclosed by eval_truncated, the evaluator that needs no family: theta_q
+    enclosed by eval_truncated, the evaluator for any P and Q: theta_q
     is the sup-abs of its enclosure at K = 64, and the identity is checked
     at the looser width theta 10^-5, as direct sums narrow only as
     K^-(q-1)."""
