@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_kernels as reference
@@ -119,6 +119,53 @@ def test_legendre_binomial_rows_equal_the_fraction_reference(n, s, data):
         assert coefficient_rows(P, Q, T, s, variant) == reference.coefficient_rows(
             P, Q, T, s, variant
         )
+
+
+#: Signed integers, small and large.
+_INTS = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12))
+
+
+@st.composite
+def _integer_forms(draw, low, high):
+    """(L, [a, b, c]): L in 1..30 and three signed integer lists of one
+    degree low..high, each at times with a zero constant term and at times
+    all zero."""
+    n = draw(st.integers(low, high))
+    abc = []
+    for _ in range(3):
+        u = draw(st.lists(_INTS, min_size=n + 1, max_size=n + 1))
+        shape = draw(st.integers(0, 7))
+        if shape == 0:
+            u = [0] * (n + 1)
+        elif shape < 3:
+            u[0] = 0
+        abc.append(u)
+    return draw(st.integers(1, 30)), abc
+
+
+# The random forms above reach degree 8; the row core reads each index x
+# through windows over j = 0..n, whose ends at j = 0 and j = x show first
+# in general forms of higher degree.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(_integer_forms(9, 40), st.integers(3, 12))
+@example((7, [[3], [-5], [2]]), 12)  # degree 0: no index x
+@example((30, [[0, 2], [-1, 4], [5, -3]]), 12)  # degree 1: a two-entry window
+def test_the_row_core_equals_the_oracle_past_degree_eight(form, s):
+    L, abc = form
+    assert row_core(L, abc, s) == oracle_core(L, abc, s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(_integer_forms(9, 12), st.integers(5, 12))
+def test_with_h_rows_equal_the_fraction_reference_past_degree_eight(form, s):
+    L, abc = form
+    P, Q, T = (explicit_poly([Fraction(v, L) for v in u]) for u in abc)
+    variant = TranscriptionVariant.HARMONIC_WEIGHTS
+    assert coefficient_rows(P, Q, T, s, variant) == reference.coefficient_rows(
+        P, Q, T, s, variant
+    )
 
 
 def _enclosures(n, T, s, K):
