@@ -143,9 +143,9 @@ def _integer_forms(draw, low, high):
     return draw(st.integers(1, 30)), abc
 
 
-# The random forms above reach degree 8; the row core reads each index x
-# through windows over j = 0..n, whose ends at j = 0 and j = x show first
-# in general forms of higher degree.
+# The random forms above stop at degree 8, and only Legendre forms go
+# past it.  The row core reads each index x through windows over
+# j = 0..n; an off-by-one at j = 0 or j = x shows first in general forms.
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
 @given(_integer_forms(9, 40), st.integers(3, 12))
