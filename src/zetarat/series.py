@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Mapping
 
 from .numerics import (
@@ -133,32 +134,35 @@ def oracle_core(L: int, abc: list[list[int]], s: int) -> IntCore:
     The pass runs on integers: with M = lcm(1..deg), the weight on 1/m^j
     or 1/(m+rho)^j in order q is an integer over L^3 M^(q-j), and the
     constant an integer over L^3 M^q.  M/(r-rho), M/rho and (M/k)^i serve
-    as integer weights.  The core's base is D = L^3 M: every weight is
+    as integer weights.  Per pole, with the window k_r = M/(r-rho) and
+    k_rho = 0, each factor's x_0 and x_1 are signed sums over the unscaled
+    coefficients,
+
+        L M x_0 = sum_r a_r k_r,   L M^2 x_1 = -sum_r a_r k_r^2,
+
+    six in all per pole.  The core's base is D = L^3 M: every weight is
     linear in a, so each pole's three weights, rho = 0 included, are taken
-    M times over once, after the pair loop has run on the unscaled a.
+    M times over once, after these sums.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
     deg = max(map(len, abc)) - 1
     M = lcm(*range(1, deg + 1))
-    # L x_-1, L M x_0 and L M^2 x_1 of each factor at m = -rho, from each
-    # pair r > rho once: M/(r-rho) serves both, with opposite signs.
+    # k[deg + d] = M/d for d = -deg..deg, and 0 at d = 0, so the window
+    # k[deg-rho:2deg+1-rho] is M/(r-rho), r = 0..deg, for pole rho; k2
+    # holds the squares.
+    k = [M // d if d else 0 for d in range(-deg, deg + 1)]
+    k2 = list(map(mul, k, k))
     a, b, c = (u + [0] * (deg + 1 - len(u)) for u in abc)
-    a0, a1, b0, b1, c0, c1 = ([0] * (deg + 1) for _ in range(6))
-    for rho in range(deg):
-        for r in range(rho + 1, deg + 1):
-            w = M // (r - rho)
-            w2 = w * w
-            for u, u0, u1 in ((a, a0, a1), (b, b0, b1), (c, c0, c1)):
-                u0[rho] += u[r] * w
-                u0[r] -= u[rho] * w
-                u1[rho] -= u[r] * w2
-                u1[r] -= u[rho] * w2
     # at_m[j]: weight on 1/m^j.  poles: for every rho > 0 with a nonzero
     # principal part, its weights on (m+rho)^-1..-3, M/rho and
     # (M H_rho, M^2 H_rho^(2), M^3 H_rho^(3)).
     at_m, poles, h = [0], [], (0, 0, 0)
-    for rho, (x, x0, x1, y, y0, y1, z, z0, z1) in enumerate(zip(a, a0, a1, b, b0, b1, c, c0, c1)):
+    for rho, (x, y, z) in enumerate(zip(a, b, c)):
+        # L x_-1 = x, L M x_0 and L M^2 x_1 of each factor at m = -rho
+        v, v2 = k[deg - rho:2 * deg + 1 - rho], k2[deg - rho:2 * deg + 1 - rho]
+        x0, y0, z0 = sum(map(mul, a, v)), sum(map(mul, b, v)), sum(map(mul, c, v))
+        x1, y1, z1 = -sum(map(mul, a, v2)), -sum(map(mul, b, v2)), -sum(map(mul, c, v2))
         xy, t = x * y, x * y0 + x0 * y
         # each weight carries the base's M once, as if a were taken M times over
         part = (

@@ -156,6 +156,32 @@ def test_the_row_core_equals_the_oracle_past_degree_eight(form, s):
     assert row_core(L, abc, s) == oracle_core(L, abc, s)
 
 
+#: Two lists of degree 10, one of degree 9.
+_UNEQUAL = (11, [[5, -3, 0, 2, 7, -1, 4, 0, 9, -6, 8], [0, 4, -2, 6, 1, 0, -5, 3, 2, 7, -1],
+                 [2, 0, 3, -4, 0, 5, 1, -7, 6, 10**12]])
+
+
+# Otherwise only partial_fraction_sum's monomials give the oracle lists of
+# unequal lengths.  The oracle reads each pole's x_0 and x_1 off windows
+# over j = 0..deg, so a window misaligned against the zero padding of a
+# shorter list shows here: each list loses its tail at its own cut, and the
+# oracle of the trimmed lists must be the row core of them padded to one
+# length.
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(_integer_forms(9, 40), st.integers(3, 12),
+       st.lists(st.integers(1, 41), min_size=3, max_size=3))
+@example(_UNEQUAL, 12, [1, 41, 41])  # one constant, two of degree >= 9
+@example(_UNEQUAL, 7, [41, 10, 1])  # degrees 10, 9 and 0
+@example(_UNEQUAL, 12, [1, 1, 1])  # three constants: degree 0
+def test_the_oracle_reads_unequal_lengths_as_zero_padded(form, s, cuts):
+    L, abc = form
+    trimmed = [u[:cut] for u, cut in zip(abc, cuts)]
+    size = max(map(len, trimmed))
+    padded = [u + [0] * (size - len(u)) for u in trimmed]
+    assert oracle_core(L, trimmed, s) == row_core(L, padded, s)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
 @given(_integer_forms(9, 12), st.integers(5, 12))

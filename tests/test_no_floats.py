@@ -19,6 +19,12 @@ INTEGER_KERNELS = (
     ("numerics.py", "integer_form"),
     ("numerics.py", "_chudnovsky_split"),
     ("numerics.py", "_pi_enclosure"),
+    ("numerics.py", "_borwein_sum"),
+    ("numerics.py", "_zeta_enclosure_raw"),
+    ("numerics.py", "_zeta2_enclosure_raw"),
+    ("numerics.py", "_zeta_enclosure"),
+    ("numerics.py", "_round_half_even"),
+    ("numerics.py", "render_interval_decimal"),
     ("polynomials.py", "shifted_legendre"),
     ("polynomials.py", "binomial_poly"),
     ("rows.py", "coefficient_rows"),
