@@ -134,15 +134,11 @@ def oracle_core(L: int, abc: list[list[int]], s: int) -> IntCore:
     The pass runs on integers: with M = lcm(1..deg), the weight on 1/m^j
     or 1/(m+rho)^j in order q is an integer over L^3 M^(q-j), and the
     constant an integer over L^3 M^q.  M/(r-rho), M/rho and (M/k)^i serve
-    as integer weights.  Per pole, with the window k_r = M/(r-rho) and
-    k_rho = 0, each factor's x_0 and x_1 are signed sums over the unscaled
-    coefficients,
-
-        L M x_0 = sum_r a_r k_r,   L M^2 x_1 = -sum_r a_r k_r^2,
-
-    six in all per pole.  The core's base is D = L^3 M: every weight is
-    linear in a, so each pole's three weights, rho = 0 included, are taken
-    M times over once, after these sums.
+    as integer weights: over the window k_r = M/(r-rho), k_rho = 0, each
+    pole takes L M x_0 = sum_r a_r k_r and L M^2 x_1 = -sum_r a_r k_r^2
+    for each factor, six signed sums.  The core's base is D = L^3 M: every
+    weight is linear in a, so each pole's three weights, rho = 0 included,
+    are taken M times over once, after these sums on the unscaled a.
     """
     if s < 3:
         raise ValueError("s must be >= 3")

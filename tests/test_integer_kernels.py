@@ -161,12 +161,12 @@ _UNEQUAL = (11, [[5, -3, 0, 2, 7, -1, 4, 0, 9, -6, 8], [0, 4, -2, 6, 1, 0, -5, 3
                  [2, 0, 3, -4, 0, 5, 1, -7, 6, 10**12]])
 
 
-# Otherwise only partial_fraction_sum's monomials give the oracle lists of
-# unequal lengths.  The oracle reads each pole's x_0 and x_1 off windows
-# over j = 0..deg, so a window misaligned against the zero padding of a
-# shorter list shows here: each list loses its tail at its own cut, and the
-# oracle of the trimmed lists must be the row core of them padded to one
-# length.
+# Apart from this test, only partial_fraction_sum's monomials give the
+# oracle lists of unequal lengths.  The oracle reads each pole's x_0 and
+# x_1 off windows over j = 0..deg, so a window misaligned against the zero
+# padding of a shorter list shows here: each list loses its tail at its
+# own cut, and the oracle of the trimmed lists must be the row core of
+# them padded to one length.
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
 @given(_integer_forms(9, 40), st.integers(3, 12),
