@@ -2,7 +2,9 @@
 
     python bench/layers.py SRC [CHANGE_SRC] [--repeats 3]
 
-Each SRC is a tree's `src` directory.  Each point of GRID runs `repeats`
+Each SRC is a tree's `src` directory, inside a git checkout: a tree whose
+commit `git rev-parse HEAD` cannot read is refused before any point runs,
+so that the JSON names every tree's commit.  Each point of GRID runs `repeats`
 times per tree, each in a fresh interpreter with the tree first on
 PYTHONPATH and PYTHONHASHSEED=0, as perfbench/run.py runs its children.  A
 layer point times its calls in process time in that child, which checks
@@ -40,7 +42,8 @@ LARGE = tuple(tuple(cmd.split()) for cmd in (
 ))
 
 COLD = (
-    "digits --s 4 --n 5 --digits 50",
+    "digits --s 4 --n 5 --digits 50", "digits --s 3 --n 400 --digits 12",
+    "digits --s 9 --n 400 --digits 12",
     "approx --s 3 --n 400", "approx --s 9 --n 400", "approx --s 3 --n 800",
     *(f"approx --s {s} --n {n} --t=1,1/3" for s, n in ((200, 20), (400, 10), (400, 20), (800, 10))),
     "digits --s 3 --n 8 --digits 9951",
@@ -217,10 +220,22 @@ def _summary(samples):
     }
 
 
+def _commit(src):
+    """The commit of the git checkout that holds src; SystemExit naming src
+    if git cannot read one."""
+    try:
+        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=src, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):  # no directory, no git or no checkout
+        raise SystemExit(f"cannot read the commit of {src}: "
+                         "each SRC must sit in a git checkout") from None
+
+
 def measure(trees, repeats, grid=GRID):
     """Run every point of grid `repeats` times per tree and print the JSON
     document; return 1 if any point's hashes differ, else 0."""
     trees = [Path(t).resolve() for t in trees]
+    commits = [_commit(src) for src in trees]
     path = os.environ.get("PYTHONPATH")
     envs = [{**os.environ, "PYTHONPATH": str(src) + (os.pathsep + path if path else ""),
              "PYTHONHASHSEED": "0"} for src in trees]
@@ -240,8 +255,6 @@ def measure(trees, repeats, grid=GRID):
             "s": {label: _summary([[spent[label] for spent, _ in side] for side in runs])
                   for label in runs[0][0][0]},
         }
-    commits = [subprocess.run(["git", "rev-parse", "HEAD"], cwd=src, capture_output=True,
-                              text=True).stdout.strip() or None for src in trees]
     print(json.dumps({"python": sys.version.split()[0], "cpu_count": os.cpu_count(),
                       "repeats": repeats, "commit": commits, "points": points,
                       "differ": differ}, indent=1))

@@ -8,7 +8,8 @@ Commands:
            drawn ints go straight into the integer row check
   lemma2   exact sweep of the shift-reduction identities (exit 1 on failure)
   table    theta bounds and certified errors across a degree range
-  digits   certified digits of the approximation next to the reference value
+  digits   certified digits of the approximation next to the reference value,
+           from the solve alone: it prints no theta, so no row bound runs
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or invalid input
 (including singular systems), 3 precision budget exceeded, 4 internal error
@@ -40,7 +41,7 @@ from .numerics import (
 from .polynomials import explicit_poly
 from .rows import TranscriptionVariant, row_core, validate_int_rows
 from .series import oracle_core, shift_reduction_residual
-from .solver import approx_zeta
+from .solver import approx_alpha_beta, approx_zeta
 
 
 def _parse_rationals(text: str) -> tuple[Rat, ...]:
@@ -55,24 +56,34 @@ def _parse_rationals(text: str) -> tuple[Rat, ...]:
 # ----------------------------------------------------------------- approx
 
 
-def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
+def _served(args: argparse.Namespace, solve):
+    """solve(T, s, n) for the request's T, once T has parsed and --digits
+    has passed its check, in that order."""
     T = explicit_poly(_parse_rationals(args.t))
     check_digits(args.digits)
-    res = approx_zeta(T, args.s, args.n)
-    fields = [
-        ("s", args.s),
-        ("n", args.n),
-        ("alpha", rational_text(res.alpha)),
-        ("beta", rational_text(res.beta)),
-        ("theta_bound", rational_text(res.theta_bound)),
-        ("decimal", render_decimal(res.alpha, res.beta, args.digits)),
-    ]
-    if args.fmt == "json":
-        return 0, json.dumps(dict(fields), indent=2)
-    if args.fmt == "csv":
-        return 0, _csv_text([k for k, _ in fields], [[v for _, v in fields]])
-    lines = [f"{k} = {v}" for k, v in fields]
-    return 0, "\n".join(lines)
+    return solve(T, args.s, args.n)
+
+
+def _emitted(fmt: str, payload: dict) -> tuple[int, str]:
+    """Exit 0 and the payload as indented JSON, as one CSV header and row,
+    or as `key = value` lines."""
+    if fmt == "json":
+        return 0, json.dumps(payload, indent=2)
+    if fmt == "csv":
+        return 0, _csv_text(list(payload), [list(payload.values())])
+    return 0, "\n".join(f"{k} = {v}" for k, v in payload.items())
+
+
+def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
+    res = _served(args, approx_zeta)
+    return _emitted(args.fmt, {
+        "s": args.s,
+        "n": args.n,
+        "alpha": rational_text(res.alpha),
+        "beta": rational_text(res.beta),
+        "theta_bound": rational_text(res.theta_bound),
+        "decimal": render_decimal(res.alpha, res.beta, args.digits),
+    })
 
 
 # ----------------------------------------------------------------- verify
@@ -224,27 +235,20 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
-    T = explicit_poly(_parse_rationals(args.t))
-    check_digits(args.digits)
-    res = approx_zeta(T, args.s, args.n)
+    """The solve alone: the payload prints no theta, so no row bound runs."""
+    alpha, beta = _served(args, approx_alpha_beta)
     # The error bound's references are the deepest; an over-budget request
     # fails there, before any rendering.  Both renders take them as their
     # first try, which moves no byte (error_upper).
-    err, w, zeta2, zeta_s = error_upper(res.alpha, res.beta, args.s, args.digits)
-    approx = render_decimal(res.alpha, res.beta, args.digits, 2, (w, zeta2))
-    reference = render_decimal(1, 0, args.digits, args.s, (w, zeta_s))
-    payload = {
+    err, w, zeta2, zeta_s = error_upper(alpha, beta, args.s, args.digits)
+    return _emitted(args.fmt, {
         "s": args.s,
         "n": args.n,
         "digits": args.digits,
-        "approx": approx,
-        "reference": reference,
+        "approx": render_decimal(alpha, beta, args.digits, 2, (w, zeta2)),
+        "reference": render_decimal(1, 0, args.digits, args.s, (w, zeta_s)),
         "error_upper": decimal_upper_sci(err),
-    }
-    if args.fmt == "json":
-        return 0, json.dumps(payload, indent=2)
-    lines = [f"{k} = {v}" for k, v in payload.items()]
-    return 0, "\n".join(lines)
+    })
 
 
 # ------------------------------------------------------------- entry point

@@ -80,10 +80,24 @@ def approx_zeta(T: PolySpec, s: int, n: int) -> ApproxResult:
     build_system(P, Q, T, s), raising what they raise after refusing
     n < 1, with every row bound kept a pair, reduced once in the theta
     fold."""
+    return _solved(_served_system(T, s, n), _settled(n, integer_form(T.coeffs), s))
+
+
+def approx_alpha_beta(T: PolySpec, s: int, n: int) -> tuple[Rat, Rat]:
+    """approx_zeta's alpha and beta, raising what it raises, from the
+    solve alone: no row bound is settled and no theta folded, for output
+    that prints no theta.  The settle can raise nothing that this path
+    lets through: n < 1, s < 3 and T above degree n are refused before
+    it, and T = 0 as a singular system."""
+    return _routes(_served_system(T, s, n))[:2]
+
+
+def _served_system(T: PolySpec, s: int, n: int) -> TriangularSystem:
+    """build_system for P, Q = shifted_legendre(n), binomial_poly(n), after
+    refusing n < 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _solved(build_system(shifted_legendre(n), binomial_poly(n), T, s),
-                   _settled(n, integer_form(T.coeffs), s))
+    return build_system(shifted_legendre(n), binomial_poly(n), T, s)
 
 
 # ---------------------------------------------------------------- solving
@@ -212,13 +226,19 @@ def _theta_total(weights: Mapping[int, Rat], bounds: Mapping[int, tuple[int, int
     return Fraction(num, den)
 
 
-def _solved(system: TriangularSystem, bounds: Mapping[int, tuple[int, int]]) -> ApproxResult:
-    """Both routes, which must agree exactly, and the theta fold of the
-    bounds, pairs as _theta_total takes them."""
+def _routes(system: TriangularSystem) -> tuple[Rat, Rat, dict[int, Rat]]:
+    """(alpha, beta, weights) from both routes, which must agree exactly."""
     reduced = _column_reduced(system)
-    alpha, beta, weights = _solve_back_substitution(reduced)
-    if (alpha, beta, weights) != _solve_cramer(reduced):
+    solved = _solve_back_substitution(reduced)
+    if solved != _solve_cramer(reduced):
         raise InternalError("solver routes disagree")
+    return solved
+
+
+def _solved(system: TriangularSystem, bounds: Mapping[int, tuple[int, int]]) -> ApproxResult:
+    """The routes' solve and the theta fold of the bounds, pairs as
+    _theta_total takes them."""
+    alpha, beta, weights = _routes(system)
     return ApproxResult(system.s, system.n, alpha, beta, tuple(sorted(weights.items())),
                         _theta_total(weights, bounds))
 

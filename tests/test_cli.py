@@ -468,6 +468,62 @@ def test_digits_renders_from_the_error_references_as_from_its_own_start(
     assert runs[0] == runs[1]
 
 
+def _no_row_bound(monkeypatch):
+    """Make every step of a row bound raise: the settle, the series walk it
+    takes and the theta fold."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row bound was reached")
+
+    for name in ("_settled", "_theta_total", "special_series_numerators"):
+        monkeypatch.setattr(solver_module, name, refuse)
+
+
+def test_digits_reaches_no_row_bound(capsys, monkeypatch):
+    """digits prints no theta, so it settles no row bound and folds none:
+    with every step of a row bound made to raise, each digits case of the
+    golden file gives its recorded exit code and bytes.  approx still
+    certifies, so each of its golden requests that exits 0, --help aside,
+    exits 4 under the same patch, with nothing on stdout."""
+    _no_row_bound(monkeypatch)
+    for case in _GOLDEN:
+        command = case["argv"][:1]
+        if command == ["digits"]:
+            got = main(list(case["argv"]))
+            assert (got, *capsys.readouterr()) == (
+                case["exit"], case["stdout"], case["stderr"]
+            ), case["argv"]
+        elif command == ["approx"] and case["exit"] == 0 and "--help" not in case["argv"]:
+            assert main(list(case["argv"])) == 4, case["argv"]
+            assert capsys.readouterr().out == "", case["argv"]
+
+
+def test_digits_builds_through_build_system_and_checks_both_routes(capsys, monkeypatch):
+    """The solve that digits takes alone still builds its system through
+    solver.build_system, once per request, and still runs both routes:
+    routes that disagree exit 4."""
+    build, built = solver_module.build_system, []
+
+    def recording_build(P, Q, T, s):
+        built.append((P, Q, s))
+        return build(P, Q, T, s)
+
+    monkeypatch.setattr(solver_module, "build_system", recording_build)
+    assert main(["digits", "--s", "5", "--n", "4"]) == 0
+    capsys.readouterr()
+    assert built == [(shifted_legendre(4), binomial_poly(4), 5)]
+
+    cramer = solver_module._solve_cramer
+
+    def skewed(reduced):
+        alpha, beta, weights = cramer(reduced)
+        return alpha, beta + 1, weights
+
+    monkeypatch.setattr(solver_module, "_solve_cramer", skewed)
+    assert main(["digits", "--s", "5", "--n", "4"]) == 4
+    assert capsys.readouterr() == ("", "internal error: solver routes disagree\n")
+
+
 def test_an_unsettled_digits_render_exits_three_from_either_start(capsys, monkeypatch):
     """With zeta stood in by [0.0004, 0.0006] at every depth, the approx
     render never settles at 3 decimals: digits exits 3 with the same

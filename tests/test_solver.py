@@ -31,6 +31,7 @@ from zetarat.series import (
 from zetarat.solver import (
     SingularSystemError,
     TriangularSystem,
+    approx_alpha_beta,
     approx_zeta,
     build_system,
     certified_row_bounds,
@@ -725,6 +726,42 @@ def test_the_served_path_equals_the_composed_public_path(case):
         assert (type(got.value), str(got.value)) == (type(exc), str(exc))
         return
     assert approx_zeta(T, s, n) == want
+
+
+@st.composite
+def _accepted_shapes(draw):
+    """(T, s, n): s in 3..12, n in 1..12 and T of formal degree 0..n, its
+    coefficients zero, negative or rational, T = 0 among them."""
+    n, s = draw(st.integers(1, 12)), draw(st.integers(3, 12))
+    degree = draw(st.integers(0, n))
+    return explicit_poly(draw(st.lists(_t_coeffs, min_size=degree + 1, max_size=degree + 1))), s, n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, phases=_NO_SHRINK)
+@given(case=_accepted_shapes())
+@example(case=(explicit_poly([0]), 6, 4))  # T = 0
+@example(case=(explicit_poly([0, 1, 0]), 5, 3))  # padded T, singular in order 4
+@example(case=(explicit_poly(["-1/3", 0, "5/7"]), 12, 12))
+def test_the_solve_alone_gives_the_served_alpha_and_beta(case):
+    """approx_alpha_beta, the solve without the row bounds, gives
+    approx_zeta's alpha and beta, or raises its error, of the same type and
+    message."""
+    T, s, n = case
+    try:
+        res = approx_zeta(T, s, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            approx_alpha_beta(T, s, n)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    assert approx_alpha_beta(T, s, n) == (res.alpha, res.beta)
+
+
+def test_the_solve_alone_refuses_a_degree_below_one_as_approx_zeta_does():
+    for n in (0, -1):
+        for solve in (approx_zeta, approx_alpha_beta):
+            with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+                solve(explicit_poly([1]), 3, n)
 
 
 def test_the_served_path_reduces_no_row_bound(monkeypatch, capsys):
