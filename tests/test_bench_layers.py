@@ -117,7 +117,12 @@ def test_a_tree_outside_a_git_checkout_is_refused_before_any_point(
     layers, capsys, tmp_path, monkeypatch
 ):
     """A tree whose commit git cannot read is named and refused, given
-    first or second, and no point runs: nothing is printed."""
+    first or second, before any point runs."""
+
+    def no_point(*args):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(layers, "_run", no_point)
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
     loose = _copied_src(tmp_path, commit=False)
     for trees in ([loose], [SRC, loose], [loose, SRC]):
