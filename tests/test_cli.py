@@ -260,6 +260,34 @@ def test_lemma2_text_format(capsys):
     assert "all pass" in capsys.readouterr().out
 
 
+def test_a_failing_lemma2_reports_its_first_ten_failures_in_sweep_order(monkeypatch, capsys):
+    """With the residual nonzero on 12 of the 72 instances of --max 3
+    --s-max 2, every instance is still counted, and json and text list the
+    first 10 failures in sweep order: r outermost, then k, s and power."""
+
+    def fails(r, k, s, power):
+        return power == 2 and (r + k) % 2 == 0
+
+    monkeypatch.setattr(cli_module, "shift_reduction_residual", lambda *inst: int(fails(*inst)))
+    first = [
+        {"r": r, "k": k, "s": s, "power": power}
+        for r in range(1, 4)
+        for k in range(4)
+        for s in range(1, 3)
+        for power in (1, 2, 3)
+        if fails(r, k, s, power)
+    ][:10]
+    argv = ["lemma2", "--max", "3", "--s-max", "2"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["checked"], payload["all_pass"], payload["failures"]) == (72, False, first)
+    assert main([*argv, "--format", "text"]) == 1
+    assert capsys.readouterr().out == (
+        "checked 72 identity instances (r 1..3, k 0..3, s 1..2, powers 1-3): "
+        f"10+ failures {first}\n"
+    )
+
+
 def test_lemma2_that_checks_nothing_exits_two(capsys):
     for argv in (["--max", "-1"], ["--max", "0"], ["--s-max", "0"]):
         assert main(["lemma2", *argv]) == 2
