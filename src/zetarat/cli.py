@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -72,6 +74,17 @@ def _emitted(fmt: str, payload: dict) -> tuple[int, str]:
     if fmt == "csv":
         return 0, _csv_text(list(payload), [list(payload.values())])
     return 0, "\n".join(f"{k} = {v}" for k, v in payload.items())
+
+
+def _certified(alpha: Rat, beta: Rat, s: int, digits: int) -> tuple[str, str, tuple]:
+    """(decimal, error_upper_sci, (w, zeta_s)): alpha*zeta(2) + beta to
+    `digits` places, the certified bound on its distance to zeta(s), and
+    the zeta(s) reference the bound took, at depth w.  The bound's
+    references are the deepest; an over-budget request fails there, before
+    any rendering.  A render takes them as its first try, which moves no
+    byte (error_upper)."""
+    err, w, zeta2, zeta_s = error_upper(alpha, beta, s, digits)
+    return render_decimal(alpha, beta, digits, 2, (w, zeta2)), decimal_upper_sci(err), (w, zeta_s)
 
 
 def cmd_approx(args: argparse.Namespace) -> tuple[int, str]:
@@ -163,18 +176,14 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_lemma2(args: argparse.Namespace) -> tuple[int, str]:
     if args.max_shift < 1 or args.s_max < 1:
         raise ValueError("need --max >= 1 and --s-max >= 1")
-    checked = 0
+    # r, k, s and power, r outermost: the sweep is walked, never listed
+    m = args.max_shift
+    sweep = (range(1, m + 1), range(m + 1), range(1, args.s_max + 1), (1, 2, 3))
+    checked = math.prod(map(len, sweep))
     failures: list[dict] = []
-    for r in range(1, args.max_shift + 1):
-        for k in range(args.max_shift + 1):
-            for s in range(1, args.s_max + 1):
-                for power in (1, 2, 3):
-                    checked += 1
-                    if shift_reduction_residual(r, k, s, power) != 0:
-                        if len(failures) < 10:
-                            failures.append(
-                                {"r": r, "k": k, "s": s, "power": power}
-                            )
+    for r, k, s, power in itertools.product(*sweep):
+        if shift_reduction_residual(r, k, s, power) != 0 and len(failures) < 10:
+            failures.append({"r": r, "k": k, "s": s, "power": power})
     all_pass = not failures
     payload = {
         "max_shift": args.max_shift,
@@ -205,14 +214,14 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     rows = []
     for n in range(args.n_from, args.n_to + 1):
         res = approx_zeta(T, args.s, n)
-        err, w, zeta2, _ = error_upper(res.alpha, res.beta, args.s, args.digits)
+        decimal, error, _ = _certified(res.alpha, res.beta, args.s, args.digits)
         rows.append(
             {
                 "n": n,
                 "theta_bound": rational_text(res.theta_bound),
                 "theta_bound_sci": decimal_upper_sci(res.theta_bound),
-                "error_upper_sci": decimal_upper_sci(err),
-                "decimal": render_decimal(res.alpha, res.beta, args.digits, 2, (w, zeta2)),
+                "error_upper_sci": error,
+                "decimal": decimal,
             }
         )
     if args.fmt == "json":
@@ -225,10 +234,9 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     if args.fmt == "csv":
         return 0, _csv_text(header, table)
     widths = [max(len(h), *(len(row[i]) for row in table)) for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in table:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return 0, "\n".join(lines)
+    return 0, "\n".join(
+        "  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in (header, *table)
+    )
 
 
 # ----------------------------------------------------------------- digits
@@ -237,17 +245,14 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
     """The solve alone: the payload prints no theta, so no row bound runs."""
     alpha, beta = _served(args, approx_alpha_beta)
-    # The error bound's references are the deepest; an over-budget request
-    # fails there, before any rendering.  Both renders take them as their
-    # first try, which moves no byte (error_upper).
-    err, w, zeta2, zeta_s = error_upper(alpha, beta, args.s, args.digits)
+    decimal, error, zeta_s = _certified(alpha, beta, args.s, args.digits)
     return _emitted(args.fmt, {
         "s": args.s,
         "n": args.n,
         "digits": args.digits,
-        "approx": render_decimal(alpha, beta, args.digits, 2, (w, zeta2)),
-        "reference": render_decimal(1, 0, args.digits, args.s, (w, zeta_s)),
-        "error_upper": decimal_upper_sci(err),
+        "approx": decimal,
+        "reference": render_decimal(1, 0, args.digits, args.s, zeta_s),
+        "error_upper": error,
     })
 
 

@@ -439,10 +439,10 @@ def render_decimal(
 ) -> str:
     """Certified decimal rendering of alpha*zeta(p) + beta to `digits` places.
 
-    For alpha = 0 the value is rational and rendered directly (round half to
-    even).  Otherwise render_interval_decimal refines the zeta(p)
-    enclosure, _zeta_enclosure(p, w), until both endpoints round to the
-    same string, which is then correct by containment.  Scaling by
+    render_interval_decimal refines the zeta(p) enclosure,
+    _zeta_enclosure(p, w), until both endpoints round to the same string,
+    which is then correct by containment; for alpha = 0 the mapped
+    enclosure is the point beta, which settles on the first try.  Scaling by
     |alpha| < 10^L widens the enclosure up to 10^L times, so the first
     enclosure is taken L digits deeper, as far as the budget allows, with
     L = len(numerator) - len(denominator) + 1 (at least 0), since the
@@ -453,11 +453,7 @@ def render_decimal(
     numerators through alpha and beta over one denominator, with no
     Fraction.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     alpha, beta = as_rational(alpha), as_rational(beta)
-    if alpha == 0:
-        return _round_half_even(*beta.as_integer_ratio(), digits)
     if first is None:
         L = decimal_length(alpha.numerator) - decimal_length(alpha.denominator) + 1
         first = max(digits + 8, min(digits + 8 + max(0, L), DIGIT_BUDGET)), None
@@ -547,12 +543,12 @@ def decimal_upper_sci(x: Rat) -> str:
     if x == 0:
         return "0"
     ten = Fraction(10)
-    # exponent e with 10^e <= x < 10^(e+1)
+    # exponent e with 10^e <= x < 10^(e+1): x lies between
+    # 10^(len(num) - 1 - len(den)) and 10^(len(num) - len(den) + 1), so
+    # len(num) - len(den) is e or e + 1
     e = decimal_length(x.numerator) - decimal_length(x.denominator)
-    while ten**e > x:
+    if ten**e > x:
         e -= 1
-    while ten ** (e + 1) <= x:
-        e += 1
     scaled = x * ten ** (2 - e)
     m = -((-scaled.numerator) // scaled.denominator)  # ceil
     if m >= 1000:

@@ -98,8 +98,8 @@ def test_a_changed_printed_constant_is_reported_and_exits_one(layers, capsys, tm
     changed = _copied_src(tmp_path)
     cli = changed / "zetarat" / "cli.py"
     text = cli.read_text()
-    assert text.count('"error_upper": decimal_upper_sci(err)') == 1
-    cli.write_text(text.replace('"error_upper": decimal', '"error_upper ": decimal'))
+    assert text.count('"error_upper": error,') == 1
+    cli.write_text(text.replace('"error_upper": error,', '"error_upper ": error,'))
     code, doc = _measure(layers, capsys, [SRC, changed], 1)
     assert doc["commit"][1] != doc["commit"][0]
     assert code == 1

@@ -622,6 +622,16 @@ def test_decimal_upper_sci_carries_into_next_exponent():
     assert decimal_upper_sci(Fraction(999999, 1000)) == "1.00e+03"
 
 
+def test_decimal_upper_sci_carries_to_the_next_power_of_ten():
+    """A mantissa whose ceiling reaches 10.0 carries into the exponent;
+    one whose ceiling is 9.99 does not.  Each result bounds x from above."""
+    for x, want in (("0.009995", "1.00e-02"), ("0.99901", "1.00e+00"), ("0.999", "9.99e-01")):
+        text = decimal_upper_sci(Fraction(x))
+        assert text == want, x
+        mant, exp = text.split("e")
+        assert Fraction(mant) * Fraction(10) ** int(exp) >= Fraction(x)
+
+
 def test_decimal_upper_sci_is_an_upper_bound():
     rng = random.Random(99)
     for _ in range(200):
