@@ -62,14 +62,17 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
     """Assemble rows of orders s down to 3.
 
     P and Q fix the common degree n; T of lower degree is zero-padded up to
-    n (a padded coefficient contributes nothing to any row).  T of higher
-    degree is rejected.
+    n (a padded coefficient contributes nothing to any row).  T's degree
+    does not count its trailing zero coefficients: a T of higher formal
+    degree drops them, and one of higher degree without them is rejected.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
     if P.degree != Q.degree:
         raise ValueError(f"P and Q must share a degree (got {P.degree} and {Q.degree})")
     n = P.degree
+    if T.degree > n:
+        T = PolySpec(T.coeffs[: 1 + max((i for i, c in enumerate(T.coeffs) if c), default=0)])
     T = pad_to_degree(T, n)
     return TriangularSystem(s, n, T, row_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s))
 

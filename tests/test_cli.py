@@ -445,6 +445,30 @@ def test_oversized_t_exits_two(capsys):
     assert "degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", "--s", "3", "--n", "1"],
+        ["digits", "--s", "5", "--n", "1"],
+        ["table", "--s", "4", "--n-from", "1", "--n-to", "3"],
+    ],
+    ids=" ".join,
+)
+def test_trailing_zeros_of_t_do_not_count_toward_its_degree(argv, capsys):
+    """T = 1 given as 1,0,0 has degree 0, not 2: at n = 1 it prints the
+    bytes of --t 1."""
+    runs = []
+    for t in ("1", "1,0,0"):
+        runs.append((main([*argv, "--t", t]), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+def test_t_above_degree_n_names_its_degree_without_trailing_zeros(capsys):
+    assert main(["approx", "--s", "3", "--n", "1", "--t", "1,2,3,0"]) == 2
+    assert capsys.readouterr() == ("", "error: degree 2 exceeds target degree 1\n")
+
+
 def test_precision_budget_exits_three(capsys):
     assert main(["approx", "--s", "3", "--n", "2", "--digits", "20000"]) == 3
     assert "budget" in capsys.readouterr().err

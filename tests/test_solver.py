@@ -710,7 +710,7 @@ def _served_cases(draw):
 @example(case=(explicit_poly([0]), 6, 4))  # T = 0
 @example(case=(explicit_poly([1, 2, 3]), 2, 0))  # n before s and degree
 @example(case=(explicit_poly([0, 1, 0]), 2, 1))  # s before degree
-@example(case=(explicit_poly([0, 1, 0]), 5, 1))  # degree before the singular system
+@example(case=(explicit_poly([0, 1, 2]), 5, 1))  # degree before the singular system
 @example(case=(explicit_poly([0, 1, 0]), 5, 3))  # padded T, singular in order 4
 @example(case=(explicit_poly(["-1/3", 0, "5/7"]), 12, 12))
 def test_the_served_path_equals_the_composed_public_path(case):
