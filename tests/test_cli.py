@@ -441,8 +441,10 @@ def test_invalid_rational_list_exits_two(capsys):
 
 
 def test_oversized_t_exits_two(capsys):
-    assert main(["approx", "--s", "3", "--n", "1", "--t", "1,2,3"]) == 2
-    assert "degree" in capsys.readouterr().err
+    """T above degree n names its degree, trailing zeros not counted."""
+    for t in ("1,2,3", "1,2,3,0"):
+        assert main(["approx", "--s", "3", "--n", "1", "--t", t]) == 2
+        assert capsys.readouterr() == ("", "error: degree 2 exceeds target degree 1\n"), t
 
 
 @pytest.mark.parametrize(
@@ -462,11 +464,6 @@ def test_trailing_zeros_of_t_do_not_count_toward_its_degree(argv, capsys):
         runs.append((main([*argv, "--t", t]), capsys.readouterr()))
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
-
-
-def test_t_above_degree_n_names_its_degree_without_trailing_zeros(capsys):
-    assert main(["approx", "--s", "3", "--n", "1", "--t", "1,2,3,0"]) == 2
-    assert capsys.readouterr() == ("", "error: degree 2 exceeds target degree 1\n")
 
 
 def test_precision_budget_exits_three(capsys):

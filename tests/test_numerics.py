@@ -619,13 +619,14 @@ def test_decimal_upper_sci_frozen_values():
 
 
 def test_decimal_upper_sci_carries_into_next_exponent():
-    assert decimal_upper_sci(Fraction(999999, 1000)) == "1.00e+03"
-
-
-def test_decimal_upper_sci_carries_to_the_next_power_of_ten():
     """A mantissa whose ceiling reaches 10.0 carries into the exponent;
     one whose ceiling is 9.99 does not.  Each result bounds x from above."""
-    for x, want in (("0.009995", "1.00e-02"), ("0.99901", "1.00e+00"), ("0.999", "9.99e-01")):
+    for x, want in (
+        ("999999/1000", "1.00e+03"),
+        ("0.009995", "1.00e-02"),
+        ("0.99901", "1.00e+00"),
+        ("0.999", "9.99e-01"),
+    ):
         text = decimal_upper_sci(Fraction(x))
         assert text == want, x
         mant, exp = text.split("e")
