@@ -176,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_lemma2(args: argparse.Namespace) -> tuple[int, str]:
     if args.max_shift < 1 or args.s_max < 1:
         raise ValueError("need --max >= 1 and --s-max >= 1")
-    # r, k, s and power, r outermost: the sweep is walked, never listed
+    # r outermost, power innermost; walked lazily, as --max has no bound
     m = args.max_shift
     sweep = (range(1, m + 1), range(m + 1), range(1, args.s_max + 1), (1, 2, 3))
     checked = math.prod(map(len, sweep))

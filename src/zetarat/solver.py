@@ -72,7 +72,8 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
         raise ValueError(f"P and Q must share a degree (got {P.degree} and {Q.degree})")
     n = P.degree
     if T.degree > n:
-        T = PolySpec(T.coeffs[: 1 + max((i for i, c in enumerate(T.coeffs) if c), default=0)])
+        degree = max((i for i, c in enumerate(T.coeffs) if c), default=0)
+        T = PolySpec(T.coeffs[: degree + 1])
     T = pad_to_degree(T, n)
     return TriangularSystem(s, n, T, row_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s))
 
