@@ -690,6 +690,20 @@ def test_int_text_leaves_the_limit_alone_up_to_it(monkeypatch):
     assert rational_text(Fraction(-3, 4)) == "-3/4"
 
 
+def test_lifting_the_limit_is_a_no_op_where_python_has_none(monkeypatch):
+    """CPython 3.10.0-3.10.6 has no int-to-str limit and no functions to
+    set it: there the block just runs, and records still repr."""
+    limit = sys.get_int_max_str_digits()
+    with monkeypatch.context() as patch:
+        for name in ("set_int_max_str_digits", "get_int_max_str_digits"):
+            patch.delattr(sys, name, raising=False)
+        with numerics._any_int_length():
+            pass
+        assert repr(Interval(1, 2)) == "Interval(lo=Fraction(1, 1), hi=Fraction(2, 1))"
+        assert int_text(10**100) == "1" + "0" * 100
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_decimal_upper_sci_rejects_negatives():
     with pytest.raises(ValueError):
         decimal_upper_sci(Fraction(-1))

@@ -240,10 +240,16 @@ def test_integral_scaffold_is_the_moment_function(coeffs):
 
 
 def test_eval_truncated_zero_polynomial_gives_exact_zero():
-    P, Q = shifted_legendre(1), binomial_poly(1)
-    T = explicit_poly([0, 0])
-    enc = eval_truncated(P, Q, T, 3, 50)
-    assert (enc.lo, enc.hi) == (0, 0)
+    """With P, Q or T zero, every term and the tail bound are 0, so the
+    enclosure is the exact point 0 at any s and any number of terms."""
+    nonzero = (shifted_legendre(2), binomial_poly(2), explicit_poly([1, -2, 3]))
+    for zero in (explicit_poly([0]), explicit_poly([0, 0]), explicit_poly([0, 0, 0])):
+        for slot in range(3):
+            polys = list(nonzero)
+            polys[slot] = zero
+            for s in (3, 7):
+                for K in (1, 500):
+                    assert eval_truncated(*polys, s, K) == Interval.point(0)
 
 
 def test_eval_truncated_contains_the_exact_decomposition_value():
