@@ -52,10 +52,10 @@ class Record:
     """An immutable value: the base of the package's records.
 
     A subclass names its fields in __slots__, and that is its constructor:
-    Record.__init__ binds the values to the slots in order, by position or
-    by keyword, and raises TypeError on too many values, a missing field,
-    an unknown keyword or a field given twice.  A subclass with checks
-    runs them in its own __init__ and ends it with Record.__init__.
+    Record.__init__ binds one value to each slot, in order, by position
+    only, and raises TypeError on any other number of values.  A subclass
+    with checks runs them in its own __init__ and ends it with
+    Record.__init__.
     Records compare and hash by class and field values, in slot order,
     refuse any assignment or deletion once built, and copy and pickle by
     calling the class on their field values.
@@ -63,22 +63,14 @@ class Record:
 
     __slots__ = ()
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def __init__(self, *values: object) -> None:
         names = self.__slots__
-        if len(args) > len(names):
+        if len(values) != len(names):
             raise TypeError(
-                f"{type(self).__name__} takes {len(names)} fields, got {len(args)}"
+                f"{type(self).__name__} takes {len(names)} fields, got {len(values)}"
             )
-        for name, value in zip(names, args):
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
-        for name in names[len(args):]:
-            if name not in kwargs:
-                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
-            object.__setattr__(self, name, kwargs.pop(name))
-        if kwargs:
-            name = next(iter(kwargs))
-            problem = "is given twice" if name in names else "is not a field"
-            raise TypeError(f"{type(self).__name__}: {name!r} {problem}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -416,6 +408,7 @@ def _round_half_even(num: int, den: int, digits: int) -> str:
 
     Ties round to even; a value that rounds to zero is rendered unsigned.
     Only the value counts, so num/den need not be in lowest terms.
+    digits >= 1, as render_interval_decimal checks.
     """
     sign = num < 0
     scaled = abs(num) * 10**digits
@@ -424,7 +417,7 @@ def _round_half_even(num: int, den: int, digits: int) -> str:
     if double > den or (double == den and whole % 2 == 1):
         whole += 1
     text = int_text(whole).rjust(digits + 1, "0")
-    out = f"{text[:-digits]}.{text[-digits:]}" if digits else text
+    out = f"{text[:-digits]}.{text[-digits:]}"
     if sign and whole != 0:
         out = "-" + out
     return out

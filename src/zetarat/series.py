@@ -262,8 +262,6 @@ def eval_truncated(P: PolySpec, Q: PolySpec, T: PolySpec, s: int, K: int) -> Int
     if K < 1:
         raise ValueError("K must be >= 1")
     M = P.sum_abs * Q.sum_abs * T.sum_abs
-    if M == 0:
-        return Interval.point(Fraction(0))
     tail = M / Fraction((s - 1) * K ** (s - 1))
 
     NP, RP, qP = _integral_scaffold(P)
