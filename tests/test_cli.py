@@ -309,6 +309,33 @@ def test_table_theta_column_is_strictly_decreasing(capsys):
     assert all(a > b for a, b in zip(thetas, thetas[1:]))
 
 
+def test_table_json_bytes_are_pinned(capsys):
+    """The golden transcript records table's CSV and text bytes, not its
+    JSON; this literal does."""
+    assert main(["table", "--s", "3", "--n-from", "2", "--n-to", "4", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "s": 3,\n  "rows": [\n'
+        '    {\n      "n": 2,\n'
+        '      "theta_bound": "52358213760851337143242115681/61823885809478278345763904000000",\n'
+        '      "theta_bound_sci": "8.47e-04",\n'
+        '      "error_upper_sci": "8.43e-04",\n'
+        '      "decimal": "1.2012143035"\n    },\n'
+        '    {\n      "n": 3,\n'
+        '      "theta_bound": "15522658048134109100441138593986041327/'
+        '376394829682354658363167213513511232000000",\n'
+        '      "theta_bound_sci": "4.13e-05",\n'
+        '      "error_upper_sci": "4.11e-05",\n'
+        '      "decimal": "1.2020979688"\n    },\n'
+        '    {\n      "n": 4,\n'
+        '      "theta_bound": "391914892286138555446159113769341205159261/'
+        '169013323161927076954129700218398975527424000000",\n'
+        '      "theta_bound_sci": "2.32e-06",\n'
+        '      "error_upper_sci": "2.32e-06",\n'
+        '      "decimal": "1.2020545925"\n    }\n'
+        '  ]\n}\n'
+    )
+
+
 def test_table_csv_layout(capsys):
     assert main(["table", "--s", "4", "--n-from", "2", "--n-to", "4"]) == 0
     out = capsys.readouterr().out
