@@ -66,14 +66,20 @@ def _served(args: argparse.Namespace, solve):
     return solve(T, args.s, args.n)
 
 
-def _emitted(fmt: str, payload: dict) -> tuple[int, str]:
-    """Exit 0 and the payload as indented JSON, as one CSV header and row,
-    or as `key = value` lines."""
+def _emitted(
+    fmt: str, payload: dict, code: int = 0, text: str = "", table: Optional[list] = None
+) -> tuple[int, str]:
+    """The exit code and the payload as indented JSON, as comma-joined lines
+    of the table (by default one header and one row: the payload's keys and
+    values), or as the text (by default `key = value` lines).  No CSV field
+    needs quoting: every one is an int, a p/q rational, a fixed-point
+    decimal or a d.dde+xx bound."""
     if fmt == "json":
-        return 0, json.dumps(payload, indent=2)
+        return code, json.dumps(payload, indent=2)
     if fmt == "csv":
-        return 0, _csv_text(list(payload), [list(payload.values())])
-    return 0, "\n".join(f"{k} = {v}" for k, v in payload.items())
+        rows = table or (list(payload), payload.values())
+        return code, "\n".join(",".join(map(str, row)) for row in rows)
+    return code, text or "\n".join(f"{k} = {v}" for k, v in payload.items())
 
 
 def _certified(alpha: Rat, beta: Rat, s: int, digits: int) -> tuple[str, str, tuple]:
@@ -153,9 +159,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         "mismatching_trials": mismatching_trials,
         "first_mismatches": first_mismatches,
     }
-    code = 0 if all_equal else 1
-    if args.fmt == "json":
-        return code, json.dumps(payload, indent=2)
     lines = [
         f"orders 3..{args.s}, {args.trials} trials, seed {args.seed}, "
         f"variant {args.variant}",
@@ -167,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             f"{m['component']}{m['zeta_order'] if m['zeta_order'] else ''} "
             f"row={m['row_value']} oracle={m['oracle_value']}"
         )
-    return code, "\n".join(lines)
+    return _emitted(args.fmt, payload, 0 if all_equal else 1, "\n".join(lines))
 
 
 # ----------------------------------------------------------------- lemma2
@@ -192,15 +195,12 @@ def cmd_lemma2(args: argparse.Namespace) -> tuple[int, str]:
         "all_pass": all_pass,
         "failures": failures,
     }
-    code = 0 if all_pass else 1
-    if args.fmt == "json":
-        return code, json.dumps(payload, indent=2)
     text = (
         f"checked {checked} identity instances "
         f"(r 1..{args.max_shift}, k 0..{args.max_shift}, s 1..{args.s_max}, powers 1-3): "
         + ("all pass" if all_pass else f"{len(failures)}+ failures {failures}")
     )
-    return code, text
+    return _emitted(args.fmt, payload, 0 if all_pass else 1, text)
 
 
 # ------------------------------------------------------------------ table
@@ -224,19 +224,12 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
                 "decimal": decimal,
             }
         )
-    if args.fmt == "json":
-        return 0, json.dumps({"s": args.s, "rows": rows}, indent=2)
-    header = ["n", "theta_bound", "error_upper", "decimal"]
-    table = [
-        [str(r["n"]), r["theta_bound_sci"], r["error_upper_sci"], r["decimal"]]
-        for r in rows
+    table = [["n", "theta_bound", "error_upper", "decimal"]] + [
+        [str(r["n"]), r["theta_bound_sci"], r["error_upper_sci"], r["decimal"]] for r in rows
     ]
-    if args.fmt == "csv":
-        return 0, _csv_text(header, table)
-    widths = [max(len(h), *(len(row[i]) for row in table)) for i, h in enumerate(header)]
-    return 0, "\n".join(
-        "  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in (header, *table)
-    )
+    widths = [max(map(len, column)) for column in zip(*table)]
+    text = "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in table)
+    return _emitted(args.fmt, {"s": args.s, "rows": rows}, 0, text, table)
 
 
 # ----------------------------------------------------------------- digits
@@ -259,13 +252,10 @@ def cmd_digits(args: argparse.Namespace) -> tuple[int, str]:
 # ------------------------------------------------------------- entry point
 
 
-def _csv_text(header: list[str], rows: list[list[object]]) -> str:
-    """Comma-joined lines.  No field needs quoting: every one is an int, a
-    p/q rational, a fixed-point decimal or a d.dde+xx bound."""
-    return "\n".join(",".join(map(str, row)) for row in (header, *rows))
-
-
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Help text still wraps to the
+    COLUMNS of each call: argparse reads the width when it formats."""
     parser = argparse.ArgumentParser(
         prog="zetarat",
         description="Exact rational approximations of zeta constants "
@@ -313,13 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_digits)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process.  Help text still wraps to the
-    COLUMNS of each call: argparse reads the width when it formats."""
-    return _build_parser()
 
 
 def _to_devnull(stream) -> None:

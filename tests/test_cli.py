@@ -845,7 +845,7 @@ def test_one_parser_per_process_prints_what_a_fresh_parser_prints(capsys, monkey
     cli_module._parser.cache_clear()
     reused = [run(argv, columns) for argv, columns in cases]
     assert cli_module._parser.cache_info().misses == 1
-    monkeypatch.setattr(cli_module, "_parser", cli_module._build_parser)
+    monkeypatch.setattr(cli_module, "_parser", cli_module._parser.__wrapped__)
     fresh = [run(argv, columns) for argv, columns in cases]
     assert reused == fresh
     assert [code for code, _, _ in reused] == [2, 0, 0, 0]
