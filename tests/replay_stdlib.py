@@ -16,11 +16,13 @@ differs, else 0.  Tier-1 collects test_*.py only, so it runs when named:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
 import re
 import sys
+import traceback
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -48,7 +50,7 @@ def golden_differences() -> list[str]:
     cases = json.loads((TESTS / "golden" / "cli.json").read_text())
     differ = []
     for case in cases:
-        got = _run(lambda: main(list(case["argv"])))
+        got = _run(functools.partial(main, list(case["argv"])))
         if got != (case["exit"], case["stdout"], case["stderr"]):
             differ.append("golden: " + (" ".join(case["argv"]) or "(no arguments)"))
     print(f"golden: {len(cases)} cases, {len(differ)} differ")
@@ -67,12 +69,14 @@ def acceptance_failures() -> list[str]:
     for k, name in functions:
         result, out, _ = _run(getattr(test_acceptance, name))
         print(out, end="")
+        if isinstance(result, Exception):
+            print("".join(traceback.format_exception(result)), end="")
         if isinstance(result, Exception) or f"ACCEPTANCE {k}: PASS" not in out.splitlines():
             failed.append(f"acceptance: {name}")
     return failed
 
 
-def main_() -> int:
+def replay() -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: "none")()
     print(f"python {sys.version.split()[0]}, -O level {sys.flags.optimize}, int digit limit {limit}")
     differ = golden_differences() + acceptance_failures()
@@ -83,4 +87,4 @@ def main_() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_())
+    sys.exit(replay())

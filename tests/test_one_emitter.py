@@ -27,7 +27,7 @@ def _json_names(tree: ast.AST) -> tuple[set[str], set[str]]:
     return modules, functions
 
 
-def _writer(node: ast.AST, modules: set[str], functions: set[str]):
+def _writer(node: ast.AST, modules: set[str], functions: set[str]) -> str | None:
     """"json" for a use of json.dump or json.dumps, "csv" for a ",".join,
     else None.  A use, not only a call: `write = json.dumps` counts."""
     if isinstance(node, ast.Name) and node.id in functions:
