@@ -163,13 +163,20 @@ def test_malformed_systems_fail_at_construction(s, core, message):
 
 
 def test_build_system_validations():
+    """Each refusal by its whole message: T's degree does not count its
+    trailing zeros, so T = 1 + 2x + 3x^2 + 4x^3 is refused at n = 2 with
+    or without them."""
     P, Q = shifted_legendre(2), binomial_poly(2)
-    with pytest.raises(ValueError):
-        build_system(P, Q, explicit_poly([1]), 2)
-    with pytest.raises(ValueError):
-        build_system(P, binomial_poly(3), explicit_poly([1]), 3)
-    with pytest.raises(ValueError):
-        build_system(P, Q, explicit_poly([1, 2, 3, 4]), 3)
+    refusals = (
+        ((P, Q, explicit_poly([1]), 2), "s must be >= 3"),
+        ((P, binomial_poly(3), explicit_poly([1]), 3), "P and Q must share a degree (got 2 and 3)"),
+        ((P, Q, explicit_poly([1, 2, 3, 4]), 3), "degree 3 exceeds target degree 2"),
+        ((P, Q, explicit_poly([1, 2, 3, 4, 0, 0]), 3), "degree 3 exceeds target degree 2"),
+    )
+    for args, message in refusals:
+        with pytest.raises(ValueError) as refused:
+            build_system(*args)
+        assert str(refused.value) == message
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
