@@ -91,9 +91,9 @@ def _request_list(name):
 
 
 def _polys(n):
-    """P, Q and T = 1 + x/3, all of degree n."""
-    from zetarat.polynomials import binomial_poly, explicit_poly, pad_to_degree, shifted_legendre
-    return shifted_legendre(n), binomial_poly(n), pad_to_degree(explicit_poly(["1", "1/3"]), n)
+    """P, Q and T = 1 + x/3, all of degree n: T written with its zeros."""
+    from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
+    return shifted_legendre(n), binomial_poly(n), explicit_poly(["1", "1/3", *["0"] * (n - 1)])
 
 
 def requests(spent, values, name):

@@ -7,9 +7,10 @@ coefficients they build:
         L_n(x) = sum_r (-1)^r (n+r)! / (r!^2 (n-r)!) x^r
     so integral_0^1 x^k L_n(x) dx = 0 for 0 <= k <= n-1;
   * binomial_poly     (1-x)^n;
-  * explicit_poly     any rational coefficient list, a zero leading
-                      coefficient included, so zero padding to a common
-                      degree stays representable.
+  * explicit_poly     any rational coefficient list, zero leading
+                      coefficients included; they move no row, as the
+                      row kernels read a shorter list as zero-padded to
+                      the longest.
 
 The certified row bounds (solver.certified_row_bounds) hold only for
 P = shifted_legendre(n), Q = binomial_poly(n) and T of degree at most n,
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .numerics import Rat, RatLike, Record, as_rational
 
@@ -68,25 +69,3 @@ def binomial_poly(n: int) -> PolySpec:
 def explicit_poly(coeffs: Iterable[RatLike]) -> PolySpec:
     return PolySpec(tuple(coeffs))
 
-
-def pad_to_degree(p: PolySpec, n: int) -> PolySpec:
-    """Zero-pad p to formal degree n (returns p unchanged if already there)."""
-    if p.degree > n:
-        raise ValueError(f"degree {p.degree} exceeds target degree {n}")
-    if p.degree == n:
-        return p
-    return PolySpec(p.coeffs + (Fraction(0),) * (n - p.degree))
-
-
-def equal_degree_lists(
-    a: Sequence, b: Sequence, c: Sequence
-) -> tuple[Sequence, Sequence, Sequence]:
-    """Three coefficient lists, rational or in integer form, of one formal
-    degree: (a, b, c) itself, or ValueError when their lengths differ, as
-    the closed-form rows are transcribed for a common degree n."""
-    if not (len(a) == len(b) == len(c)):
-        raise ValueError(
-            "polynomial degrees must match "
-            f"(got {len(a) - 1}, {len(b) - 1}, {len(c) - 1})"
-        )
-    return a, b, c

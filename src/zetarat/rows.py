@@ -1,5 +1,5 @@
-"""Closed-form coefficient rows: for equal-degree polynomials P, Q, T the
-series I(P,Q,T; s) equals an explicit rational combination
+"""Closed-form coefficient rows: for polynomials P, Q, T the series
+I(P,Q,T; s) equals an explicit rational combination
 
     I = coeff_s zeta(s) + ... + coeff_3 zeta(3) + coeff_2 zeta(2) + constant,
 
@@ -14,8 +14,10 @@ over the coefficient lists per x give the order-free weights of the
 single, double and triple index blocks, so the pass is O(n^2), and the
 order only picks the inverse powers they are summed against.  It takes
 the integer form (L, [a, b, c]) of the three coefficient lists, as
-numerics.integer_form returns it, and returns the core: one order-free
-sequence plus three numbers per order (series.IntCore).  series.layout turns a core into the
+numerics.integer_form returns it, and reads them by the rule of
+series.oracle_core: of any lengths, the shorter ones zero-padded, as a
+zero coefficient adds nothing to a moment.  It returns the core: one
+order-free sequence plus three numbers per order (series.IntCore).  series.layout turns a core into the
 other form, one ZetaCombination per order, which coefficient_rows returns.
 Orders 3 and 4 are the cases where the mandatory zeta(3) and zeta(2)
 extra blocks land on the lead and sub-lead coefficients.  Every
@@ -36,7 +38,7 @@ from math import lcm
 from operator import mul
 
 from .numerics import Record, integer_form
-from .polynomials import PolySpec, equal_degree_lists
+from .polynomials import PolySpec
 from .series import IntCore, ZetaCombination, layout, oracle_core
 
 
@@ -56,7 +58,7 @@ def coefficient_rows(
 ) -> dict[int, ZetaCombination]:
     """Closed forms of I(P,Q,T; q) for every order q = 3..s, keyed by q:
     the layout of row_core on the integer form of the three coefficient
-    lists."""
+    lists, of any lengths."""
     return layout(row_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s, variant))
 
 
@@ -68,8 +70,8 @@ def row_core(
 ) -> IntCore:
     """The closed forms of I(P,Q,T; q), q = 3..s, as an IntCore, from the
     integer form (L, [a, b, c]) of P, Q, T that numerics.integer_form
-    returns: a, b, c are L times the coefficient lists, of one formal
-    degree (else the ValueError of polynomials.equal_degree_lists), and
+    returns: a, b, c are L times the coefficient lists, of any lengths
+    (the shorter ones read as zero-padded, as oracle_core reads them), and
     are only read.  M is named below.
 
     The single (r), double (r > l) and triple (r > l > i) index blocks
@@ -144,8 +146,8 @@ def row_core(
     """
     if s < 3:
         raise ValueError("closed-form rows need order >= 3")
-    a, b, c = equal_degree_lists(*abc)
-    n = len(a) - 1
+    n = max(map(len, abc)) - 1
+    a, b, c = (u + [0] * (n + 1 - len(u)) for u in abc)
     xs = range(1, n + 1)
     # Integer scaling: every weight on index x is an integer once scaled
     # by L^3 M^w, M = lcm(1..n), where w counts the divisions by (x - j)
@@ -295,11 +297,11 @@ def validate_int_rows(
     s_max: int,
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> RowValidationReport:
-    """validate_rows on an integer form (L, [a, b, c]), handed to both
-    kernels.  Each kernel runs once, and both put a value over the same
-    denominator (series.IntCore), so equal cores are the agreeing ones and
-    there is nothing to compare; else both cores are laid out and
-    row_mismatches runs per order."""
+    """validate_rows on an integer form (L, [a, b, c]), of any lengths,
+    handed to both kernels, which read it by one rule.  Each kernel runs
+    once, and both put a value over the same denominator (series.IntCore),
+    so equal cores are the agreeing ones and there is nothing to compare;
+    else both cores are laid out and row_mismatches runs per order."""
     if s_max < 3:
         raise ValueError("s_max must be >= 3")
     want = oracle_core(L, abc, s_max)

@@ -1,9 +1,9 @@
 """Triangular systems tying zeta(s) to zeta(2) through the integral rows.
 
-For equal-degree P, Q, T the rows of orders s, s-1, ..., 3 form an upper
-triangular linear system in the unknowns zeta(s), ..., zeta(3); the numeric
-value I_q of each series enters only through the certified bound theta_q on
-its magnitude.  Solving yields
+For P and Q of one degree n and T of degree at most n, the rows of orders
+s, s-1, ..., 3 form an upper triangular linear system in the unknowns
+zeta(s), ..., zeta(3); the numeric value I_q of each series enters only
+through the certified bound theta_q on its magnitude.  Solving yields
 
     zeta(s) = alpha * zeta(2) + beta + sum_q w_q * I_q,
 
@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Mapping
 
 from .numerics import InternalError, Rat, RatLike, Record, as_rational, integer_form
-from .polynomials import PolySpec, binomial_poly, pad_to_degree, shifted_legendre
+from .polynomials import PolySpec, binomial_poly, shifted_legendre
 from .rows import row_core
 from .series import IntCore, special_series_numerators
 
@@ -33,8 +33,9 @@ class SingularSystemError(ValueError):
 
 
 class TriangularSystem(Record):
-    """The rows of orders s, s-1, ..., 3 for a common polynomial degree n,
-    as the PLAIN_POWERS core (series.IntCore) that rows.row_core gives."""
+    """The rows of orders s, s-1, ..., 3 for P and Q of degree n and T of
+    degree at most n, T as build_system keeps it, as the PLAIN_POWERS
+    core (series.IntCore) that rows.row_core gives."""
 
     __slots__ = ("s", "n", "T", "core")
 
@@ -61,10 +62,11 @@ class ApproxResult(Record):
 def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSystem:
     """Assemble rows of orders s down to 3.
 
-    P and Q fix the common degree n; T of lower degree is zero-padded up to
-    n (a padded coefficient contributes nothing to any row).  T's degree
-    does not count its trailing zero coefficients: a T of higher formal
-    degree drops them, and one of higher degree without them is rejected.
+    P and Q fix the common degree n.  T is kept as given, as row_core reads
+    a shorter list as zero-padded, but for its zero coefficients above n:
+    T's degree does not count its trailing zeros, so a T of higher formal
+    degree drops them, which keeps the core's base at M = lcm(1..n), and
+    one of higher degree without them is rejected.
     """
     if s < 3:
         raise ValueError("s must be >= 3")
@@ -73,8 +75,9 @@ def build_system(P: PolySpec, Q: PolySpec, T: PolySpec, s: int) -> TriangularSys
     n = P.degree
     if T.degree > n:
         degree = max((i for i, c in enumerate(T.coeffs) if c), default=0)
+        if degree > n:
+            raise ValueError(f"degree {degree} exceeds target degree {n}")
         T = PolySpec(T.coeffs[: degree + 1])
-    T = pad_to_degree(T, n)
     return TriangularSystem(s, n, T, row_core(*integer_form(P.coeffs, Q.coeffs, T.coeffs), s))
 
 

@@ -20,7 +20,7 @@ from operator import mul
 from typing import Sequence
 
 from zetarat.numerics import Interval, Rat
-from zetarat.polynomials import PolySpec, equal_degree_lists
+from zetarat.polynomials import PolySpec
 from zetarat.rows import RowMismatch, RowValidationReport, TranscriptionVariant
 from zetarat.rows import coefficient_rows as package_rows
 from zetarat.series import ZetaCombination, decompose_integrals
@@ -50,14 +50,15 @@ def coefficient_rows(
     s: int,
     variant: TranscriptionVariant = TranscriptionVariant.PLAIN_POWERS,
 ) -> dict[int, ZetaCombination]:
-    """zetarat.rows.coefficient_rows on Fraction; the docstring of
-    zetarat.rows.row_core has the formulas."""
+    """zetarat.rows.coefficient_rows on Fraction, the shorter coefficient
+    lists read as zero-padded; the docstring of zetarat.rows.row_core has
+    the formulas."""
     if s < 3:
         raise ValueError("closed-form rows need order >= 3")
-    a, b, c = equal_degree_lists(P.coeffs, Q.coeffs, T.coeffs)
-    n = len(a) - 1
+    n = max(P.degree, Q.degree, T.degree)
     xs = range(1, n + 1)
     zero = Fraction(0)
+    a, b, c = (list(p.coeffs) + [zero] * (n - p.degree) for p in (P, Q, T))
 
     def dot(u, v):
         return sum(map(mul, u, v), zero)

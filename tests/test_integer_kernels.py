@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 import fraction_kernels as reference
 import residue_oracle
 from zetarat.numerics import as_interval, integer_form
-from zetarat.polynomials import (
-    binomial_poly,
-    explicit_poly,
-    pad_to_degree,
-    shifted_legendre,
-)
+from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.rows import TranscriptionVariant, coefficient_rows, row_core
 from zetarat.series import (
     SERIES_BLOCK,
@@ -49,9 +44,10 @@ def _poly(draw, degree):
 
 @st.composite
 def _rational_triples(draw):
-    """P, Q of a common degree 0..8 and T of degree <= n zero-padded to n."""
+    """P, Q of a common degree 0..8 and T of degree <= n at its own length,
+    which the kernels read as zero-padded to n."""
     n = draw(st.integers(0, 8))
-    T = pad_to_degree(_poly(draw, draw(st.integers(0, n))), n)
+    T = _poly(draw, draw(st.integers(0, n)))
     return _poly(draw, n), _poly(draw, n), T
 
 
@@ -114,7 +110,7 @@ def test_the_layout_of_each_core_equals_the_fraction_reference(triple, s, varian
 @given(st.integers(1, 40), st.integers(3, 9), st.data())
 def test_legendre_binomial_rows_equal_the_fraction_reference(n, s, data):
     P, Q = shifted_legendre(n), binomial_poly(n)
-    T = pad_to_degree(_poly(data.draw, data.draw(st.integers(0, min(n, 3)))), n)
+    T = _poly(data.draw, data.draw(st.integers(0, min(n, 3))))
     for variant in TranscriptionVariant:
         assert coefficient_rows(P, Q, T, s, variant) == reference.coefficient_rows(
             P, Q, T, s, variant
@@ -161,12 +157,11 @@ _UNEQUAL = (11, [[5, -3, 0, 2, 7, -1, 4, 0, 9, -6, 8], [0, 4, -2, 6, 1, 0, -5, 3
                  [2, 0, 3, -4, 0, 5, 1, -7, 6, 10**12]])
 
 
-# Apart from this test, only partial_fraction_sum's monomials give the
-# oracle lists of unequal lengths.  The oracle reads each pole's x_0 and
-# x_1 off windows over j = 0..deg, so a window misaligned against the zero
-# padding of a shorter list shows here: each list loses its tail at its
-# own cut, and the oracle of the trimmed lists must be the row core of
-# them padded to one length.
+# The oracle reads each pole's x_0 and x_1 off windows over j = 0..deg,
+# so a window misaligned against the zero padding of a shorter list shows
+# here, at degrees up to 40: each list loses its tail at its own cut, and
+# the oracle of the trimmed lists must be the row core of them padded to
+# one length.
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           phases=(Phase.explicit, Phase.generate))
 @given(_integer_forms(9, 40), st.integers(3, 12),
@@ -208,7 +203,7 @@ def _series_cases(draw):
     n = draw(st.integers(1, 30))
     T = _poly(draw, draw(st.integers(0, n)))
     if draw(st.booleans()):
-        T = pad_to_degree(T, n)
+        T = explicit_poly(T.coeffs + (0,) * (n - T.degree))
     edges = (SERIES_BLOCK - 1, SERIES_BLOCK, SERIES_BLOCK + 1, 2 * SERIES_BLOCK + 1)
     K = draw(st.sampled_from((1, 2, 4 * n + 16, 8 * n + 32, *edges)))
     return n, T, K

@@ -11,9 +11,7 @@ import sympy
 from zetarat.polynomials import (
     PolySpec,
     binomial_poly,
-    equal_degree_lists,
     explicit_poly,
-    pad_to_degree,
     shifted_legendre,
 )
 
@@ -139,40 +137,3 @@ def test_binomial_value_at_zero_and_one():
         assert eval_poly(binomial_poly(n), 0) == 1
         assert eval_poly(binomial_poly(n), 1) == 0
 
-
-# ----------------------------------------------------------------- padding
-
-
-def test_pad_to_degree_extends_with_zeros_as_explicit():
-    p = explicit_poly([1])
-    padded = pad_to_degree(p, 3)
-    assert padded.coeffs == (1, 0, 0, 0)
-    assert padded == explicit_poly([1, 0, 0, 0])
-
-
-def test_pad_to_degree_returns_input_when_already_there():
-    p = shifted_legendre(3)
-    assert pad_to_degree(p, 3) is p
-
-
-def test_pad_to_degree_rejects_shrinking():
-    with pytest.raises(ValueError):
-        pad_to_degree(explicit_poly([1, 2, 3]), 1)
-
-
-def test_padding_preserves_values_everywhere():
-    rng = random.Random(11)
-    for _ in range(20):
-        coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))]
-        p = explicit_poly(coeffs)
-        padded = pad_to_degree(p, 6)
-        x = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
-        assert eval_poly(p, x) == eval_poly(padded, x)
-
-
-def test_equal_degree_lists_requires_matching_degrees():
-    P, Q = shifted_legendre(2), binomial_poly(2)
-    with pytest.raises(ValueError, match="polynomial degrees must match"):
-        equal_degree_lists(P.coeffs, Q.coeffs, explicit_poly([1]).coeffs)
-    a, b, c = equal_degree_lists(P.coeffs, Q.coeffs, explicit_poly([1, 0, 0]).coeffs)
-    assert len(a) == len(b) == len(c) == 3

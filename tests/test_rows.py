@@ -18,12 +18,7 @@ import fraction_kernels as reference
 import zetarat.rows as rows_module
 import zetarat.series as series_module
 from zetarat.numerics import integer_form
-from zetarat.polynomials import (
-    binomial_poly,
-    explicit_poly,
-    pad_to_degree,
-    shifted_legendre,
-)
+from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.rows import (
     RowMismatch,
     TranscriptionVariant,
@@ -112,9 +107,34 @@ def test_row_zeta3_on_constant_triple_is_pure_zeta3():
     assert row.zeta(2) == 0
 
 
-def test_rows_require_matching_degrees():
-    with pytest.raises(ValueError, match="degrees must match"):
-        row_zeta3(shifted_legendre(2), binomial_poly(2), explicit_poly([1]))
+def test_rows_read_short_lists_as_zero_padded():
+    P, Q = shifted_legendre(2), binomial_poly(2)
+    short, padded = explicit_poly([1]), explicit_poly([1, 0, 0])
+    row = row_zeta3(P, Q, short)
+    assert row == row_zeta3(P, Q, padded)
+    assert row == decompose_integral(P, Q, short, 3) == decompose_integral(P, Q, padded, 3)
+
+
+@st.composite
+def _uneven_int_lists(draw):
+    """Three int lists, each of its own length 1..5, entries in -9..9."""
+    return [draw(st.lists(st.integers(-9, 9), min_size=1, max_size=5)) for _ in range(3)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_uneven_int_lists(), st.integers(3, 9), st.sampled_from(TranscriptionVariant))
+@example([[1], [2, 0, -1, 3], [3, 1]], 5, TranscriptionVariant.HARMONIC_WEIGHTS)
+def test_row_core_reads_uneven_lists_as_zero_padded(abc, s, variant):
+    """One list rule for both kernels: row_core on lists of any lengths is
+    row_core on the lists zero-padded to the longest, PLAIN_POWERS's is
+    oracle_core on them, and the layout is the Fraction reference's rows."""
+    size = max(map(len, abc))
+    padded = [u + [0] * (size - len(u)) for u in abc]
+    core = row_core(1, abc, s, variant)
+    assert core == row_core(1, padded, s, variant)
+    if variant is TranscriptionVariant.PLAIN_POWERS:
+        assert core == oracle_core(1, abc, s) == oracle_core(1, padded, s)
+    assert layout(core) == reference.coefficient_rows(*map(explicit_poly, abc), s, variant)
 
 
 # ------------------------------------------------------------ general rows
@@ -180,7 +200,8 @@ _RATIONALS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))
 
 @st.composite
 def _rational_triples(draw):
-    """P and Q of a common degree n <= 4, T of degree <= n zero-padded to n.
+    """P and Q of a common degree n <= 4, T of degree <= n at its own
+    length, which the kernels read as zero-padded to n.
 
     Degree 4 is the least at which the triple block has an inner index
     i >= 2, so it is the least that exposes a wrong power of i.
@@ -192,7 +213,7 @@ def _rational_triples(draw):
         return explicit_poly(draw(st.lists(_RATIONALS, min_size=size, max_size=size)))
 
     P, Q = poly(n), poly(n)
-    T = pad_to_degree(poly(draw(st.integers(0, n))), n)
+    T = poly(draw(st.integers(0, n)))
     return P, Q, T
 
 
@@ -406,7 +427,7 @@ _CHECK_RATIONALS = st.one_of(
 @st.composite
 def _check_triples(draw, least_degree=0, most_degree=8, entries=_CHECK_RATIONALS):
     """P, Q of a common degree least_degree..most_degree and T of degree
-    <= n zero-padded to n."""
+    <= n at its own length, which the kernels read as zero-padded to n."""
     n = draw(st.integers(least_degree, most_degree))
 
     def poly(degree):
@@ -414,7 +435,7 @@ def _check_triples(draw, least_degree=0, most_degree=8, entries=_CHECK_RATIONALS
         return explicit_poly(draw(st.lists(entries, min_size=size, max_size=size)))
 
     P, Q = poly(n), poly(n)
-    T = pad_to_degree(poly(draw(st.integers(0, n))), n)
+    T = poly(draw(st.integers(0, n)))
     return P, Q, T
 
 
@@ -451,8 +472,8 @@ def test_the_integer_check_equals_validate_rows_and_the_fraction_reference(
     """Int lists over L = 1 give the report of validate_rows on the
     explicit polynomials with those coefficients, and the Fraction
     reference's; both kernels leave the shared lists as they were.  Lists
-    of unequal lengths (list `longer` given one more entry) raise
-    validate_rows' ValueError."""
+    of unequal lengths (list `longer` given one more entry) give the
+    report of the lists zero-padded to one length, on each route."""
     drawn = [list(u) for u in abc]
     report = validate_int_rows(1, abc, s, variant)
     assert abc == drawn
@@ -460,12 +481,12 @@ def test_the_integer_check_equals_validate_rows_and_the_fraction_reference(
     assert report == validate_rows(P, Q, T, s, variant)
     assert report == reference.validate_rows(P, Q, T, s, variant)
     uneven = [u + [extra] if i == longer else u for i, u in enumerate(abc)]
-    with pytest.raises(ValueError) as want:
-        validate_rows(*map(explicit_poly, uneven), s, variant)
-    with pytest.raises(ValueError) as got:
-        validate_int_rows(1, uneven, s, variant)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("polynomial degrees must match")
+    padded = [u + [extra if i == longer else 0] for i, u in enumerate(abc)]
+    want = validate_int_rows(1, padded, s, variant)
+    assert validate_int_rows(1, uneven, s, variant) == want
+    P, Q, T = map(explicit_poly, uneven)
+    assert validate_rows(P, Q, T, s, variant) == want
+    assert reference.validate_rows(P, Q, T, s, variant) == want
 
 
 def test_with_h_mismatch_lists_equal_the_fraction_reference():

@@ -19,7 +19,7 @@ import zetarat.rows as rows_module
 import zetarat.solver as solver_module
 from zetarat.cli import main
 from zetarat.numerics import Interval, as_interval, integer_form, zeta_reference
-from zetarat.polynomials import binomial_poly, explicit_poly, pad_to_degree, shifted_legendre
+from zetarat.polynomials import binomial_poly, explicit_poly, shifted_legendre
 from zetarat.rows import coefficient_rows, row_core, row_zeta3
 from zetarat.series import (
     ZetaCombination,
@@ -106,7 +106,7 @@ def _system_or_refusal(n, s, t):
     try:
         return build_system(P, Q, T, s)
     except SingularSystemError as exc:
-        rows = coefficient_rows(P, Q, pad_to_degree(T, n), s)
+        rows = coefficient_rows(P, Q, T, s)
         order = min(q for q, row in rows.items() if not row.zeta(q))
         assert str(exc) == f"singular system: zero leading coefficient in the order-{order} row"
         return None
@@ -126,10 +126,12 @@ def test_build_system_rows_run_from_s_down_to_three():
     assert system.n == 2
 
 
-def test_build_system_pads_the_third_polynomial():
-    _, _, _, system = _structured_system(3, 4)
-    assert system.T.degree == 3
-    assert system.T.coeffs == (1, 0, 0, 0)
+def test_build_system_keeps_a_shorter_third_polynomial():
+    """T below degree n is kept as given, and its core is the core of T
+    zero-padded to n."""
+    P, Q, T, system = _structured_system(3, 4)
+    assert system.T == T == explicit_poly([1])
+    assert system.core == build_system(P, Q, explicit_poly([1, 0, 0, 0]), 4).core
 
 
 def test_build_system_diagonal_and_delta():
@@ -215,8 +217,8 @@ def test_order_three_solution_matches_the_hand_formula():
     """One row: I_3 = z3*zeta(3) + z2*zeta(2) + c, so
     zeta(3) = (-z2/z3)*zeta(2) + (-c/z3) + (1/z3)*I_3."""
     P, Q, T, system = _structured_system(3, 3)
-    row = row_zeta3(P, Q, T_pad := system.T)
-    assert T_pad.coeffs[0] == 1
+    row = row_zeta3(P, Q, system.T)
+    assert system.T.coeffs[0] == 1
     res = solve_zeta(system, {3: Fraction(1, 4**3)})
     z3, z2, c = row.zeta(3), row.zeta(2), row.constant
     assert res.alpha == -z2 / z3
