@@ -346,11 +346,16 @@ def test_table_csv_layout(capsys):
 
 
 def test_table_certified_error_never_exceeds_theta(capsys):
-    main(["table", "--s", "3", "--n-from", "2", "--n-to", "6", "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    for row in payload["rows"]:
-        # both columns are rendered as certified upper bounds
-        assert float(row["error_upper_sci"]) <= float(row["theta_bound_sci"]) * 1.01
+    """README's claim: at s = 3 and the default --digits 10, the printed
+    error_upper is at most the printed theta for every n up to 71.  Both
+    columns are certified upper bounds; n = 72 is the first row whose
+    error_upper reads above theta, as the zeta references are not deep
+    enough there (ROADMAP item 18)."""
+    assert main(["table", "--s", "3", "--n-from", "2", "--n-to", "71", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["n"] for row in rows] == list(range(2, 72))
+    for row in rows:
+        assert Fraction(row["error_upper_sci"]) <= Fraction(row["theta_bound_sci"]), row["n"]
 
 
 def test_table_text_format(capsys):
